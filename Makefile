@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
+.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-build check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
 
 all: check
 
@@ -33,9 +33,16 @@ fuzz-short:
 metamorphic:
 	$(GO) test -run='Metamorphic' ./...
 
+# Vet and compile the end-to-end benchmark (perfbench/). It is its own Go
+# module, so `go build ./...` above never reaches it; this catches a
+# change to an exported netsim/serve/cluster API it calls.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
 # The full pre-merge gate: static checks, build, race-enabled tests,
-# the fuzz seed corpora and the metamorphic relations.
-check: vet build race fuzz-seeds metamorphic
+# the fuzz seed corpora, the metamorphic relations and the benchmark
+# module build.
+check: vet build bench-build race fuzz-seeds metamorphic
 
 # Run every benchmark once (override BENCHTIME for real measurements,
 # e.g. BENCHTIME=2s) and parse the stream into machine-readable

@@ -152,7 +152,18 @@ func BenchmarkNetsimSecond(b *testing.B) {
 		}
 		events += res.Events
 	}
+	reportEvents(b, events)
+}
+
+// reportEvents adds the event core's figures to a simulator benchmark:
+// events per run and wall time per processed event (New included), so
+// the event loop is tracked per event and not only per run.
+func reportEvents(b *testing.B, events uint64) {
+	b.Helper()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	if events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	}
 }
 
 // BenchmarkIncast16 times the 16-server incast scenario.
@@ -161,15 +172,20 @@ func BenchmarkIncast16(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		net, err := netsim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := net.Run(0.01); err != nil {
+		res, err := net.Run(0.01)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events += res.Events
 	}
+	reportEvents(b, events)
 }
 
 // BenchmarkMessageRoundTrip times BCN message encode+decode.
@@ -217,15 +233,20 @@ func BenchmarkMultihopPause(b *testing.B) {
 		BufEdge: 1e6, BufA: 2e6, PropDelay: netsim.FromSeconds(1e-6),
 		Pause: true, PauseDuration: netsim.FromSeconds(50e-6),
 	}
+	b.ReportAllocs()
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		net, err := netsim.NewMultihop(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := net.Run(0.01); err != nil {
+		res, err := net.Run(0.01)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events += res.Events
 	}
+	reportEvents(b, events)
 }
 
 // BenchmarkFairness regenerates the fairness-vs-sampling study.

@@ -85,14 +85,19 @@ func (m *Message) Positive() bool { return m.Sigma > 0 }
 
 // MarshalBinary encodes the message in the Fig. 2 layout.
 func (m *Message) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, MessageLen)
+	buf := new([MessageLen]byte)
+	m.EncodeTo(buf)
+	return buf[:], nil
+}
+
+// EncodeTo writes the Fig. 2 encoding into buf without allocating.
+func (m *Message) EncodeTo(buf *[MessageLen]byte) {
 	copy(buf[0:6], m.DA[:])
 	copy(buf[6:12], m.SA[:])
 	binary.BigEndian.PutUint16(buf[12:14], EtherTypeBCN)
 	binary.BigEndian.PutUint16(buf[14:16], m.Flags)
 	binary.BigEndian.PutUint64(buf[16:24], uint64(m.CPID))
 	binary.BigEndian.PutUint32(buf[24:28], uint32(quantizeFB(m.Sigma)))
-	return buf, nil
 }
 
 // UnmarshalBinary decodes a message, validating length and EtherType.

@@ -20,13 +20,34 @@
 // and context budgets (Config.MaxWallClock, RunContext cancellation)
 // are the only nondeterministic inputs, and they only decide where a run
 // stops early — never how the simulated system behaves up to that point.
+//
+// # Event core
+//
+// Sim keeps its pending events in a binary min-heap of event values
+// ordered by (at, seq): the timestamp, then a sequence number stamped at
+// scheduling time. Because seq is unique the order is total, so the
+// sequence of executed events — and with it every Result field and every
+// Config.Trace byte — depends only on the order in which events are
+// scheduled, never on how the heap lays them out. That total order is the
+// determinism contract of the engine: a change that schedules the same
+// events in the same order must reproduce a run exactly.
+//
+// The data path (source sends, frame arrivals, queue departures and
+// feedback deliveries) uses typed events: a kind plus a source, queue or
+// wire-slot index, handed by value to the owning network's dispatch
+// switch. Encoded feedback frames wait in a recycled slot pool and
+// switch queues are ring buffers, so a run allocates nothing per event
+// once its buffers have grown. The evFunc kind, which runs a closure, is
+// the only closure path; it serves Sim.At/After and the rare control
+// events (recorder ticks, XOFF/XON, pause-quanta expiry).
 package netsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+
+	"bcnphase/internal/bcn"
 )
 
 // Nanos is a simulation timestamp in integer nanoseconds.
@@ -56,37 +77,49 @@ func FromSeconds(s float64) Nanos {
 // ErrNegativeDelay is returned when scheduling into the past.
 var ErrNegativeDelay = errors.New("netsim: negative delay")
 
+// evKind selects how an event runs. evFunc calls the event's closure;
+// every other kind is a data-path event that the Sim hands, by value, to
+// the owning network's dispatch switch, so the per-frame hot path never
+// allocates a closure.
+type evKind uint8
+
+const (
+	// evFunc runs ev.fn: Sim.At/After and the rare control events
+	// (recorder tick, XOFF/XON, pause-quanta expiry).
+	evFunc evKind = iota
+	// evSend: source arg transmits its next frame.
+	evSend
+	// evArrive: a frame from source arg, carrying rate-regulator tag
+	// tag, reaches the first switch queue.
+	evArrive
+	// evForward: a frame from source arg, carrying tag, crosses the
+	// multihop edge→core link.
+	evForward
+	// evDepart: the head-of-line frame of queue arg (always 0 on the
+	// dumbbell) finishes transmission.
+	evDepart
+	// evFeedback: the encoded feedback frame in wire slot arg reaches
+	// its source.
+	evFeedback
+)
+
+// event is one scheduled occurrence. It is a small value: the heap holds
+// events, not pointers, so scheduling allocates nothing once the heap has
+// grown to its working size.
 type event struct {
-	at  Nanos
-	seq uint64
-	fn  func()
+	at   Nanos
+	seq  uint64
+	fn   func()   // evFunc only
+	tag  bcn.CPID // evArrive, evForward: the frame's congestion-point tag
+	arg  int32    // source index, queue index or wire slot
+	kind evKind
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(event)
-	if !ok {
-		panic("netsim: push of non-event") // unreachable by construction
-	}
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+// before is the heap order: time, then scheduling sequence. seq is unique,
+// so this is a total order and the pop sequence does not depend on how the
+// heap is laid out.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Sim is a single-threaded discrete-event engine. Events scheduled for the
@@ -95,8 +128,12 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now       Nanos
 	seq       uint64
-	events    eventHeap
+	events    []event // binary min-heap under before
 	processed uint64
+
+	// dispatch runs every event whose kind is not evFunc; the network
+	// that owns the Sim installs it.
+	dispatch func(event)
 
 	// Monitor, when non-nil, observes every event timestamp right after
 	// the event's callback ran inside RunChecked (and Run). A non-nil
@@ -108,8 +145,11 @@ type Sim struct {
 	Monitor func(at Nanos) error
 }
 
-// NewSim returns an engine at time zero.
+// NewSim returns an engine at time zero that runs closures only.
 func NewSim() *Sim { return &Sim{} }
+
+// newSim returns an engine whose typed events go to dispatch.
+func newSim(dispatch func(event)) *Sim { return &Sim{dispatch: dispatch} }
 
 // Now returns the current simulation time.
 func (s *Sim) Now() Nanos { return s.now }
@@ -121,21 +161,81 @@ func (s *Sim) Processed() uint64 { return s.processed }
 func (s *Sim) Pending() int { return len(s.events) }
 
 // At schedules fn at absolute time t (>= Now).
-func (s *Sim) At(t Nanos, fn func()) error {
+func (s *Sim) At(t Nanos, fn func()) error { return s.schedule(t, event{fn: fn}) }
+
+// After schedules fn a delay d from now.
+func (s *Sim) After(d Nanos, fn func()) error { return s.after(d, event{fn: fn}) }
+
+// after schedules ev a delay d from now.
+func (s *Sim) after(d Nanos, ev event) error {
+	if d < 0 {
+		return fmt.Errorf("%w: d=%d", ErrNegativeDelay, d)
+	}
+	return s.schedule(s.now+d, ev)
+}
+
+// schedule stamps ev with time t and the next sequence number and sifts
+// it up the heap.
+func (s *Sim) schedule(t Nanos, ev event) error {
 	if t < s.now {
 		return fmt.Errorf("%w: t=%d < now=%d", ErrNegativeDelay, t, s.now)
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: t, seq: s.seq, fn: fn})
+	ev.at, ev.seq = t, s.seq
+	s.events = append(s.events, ev)
+	h := s.events
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(&ev, &h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = ev
 	return nil
 }
 
-// After schedules fn a delay d from now.
-func (s *Sim) After(d Nanos, fn func()) error {
-	if d < 0 {
-		return fmt.Errorf("%w: d=%d", ErrNegativeDelay, d)
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (s *Sim) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the closure reference
+	h = h[:n]
+	s.events = h
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(&h[r], &h[c]) {
+				c = r
+			}
+			if !before(&h[c], &last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
 	}
-	return s.At(s.now+d, fn)
+	return top
+}
+
+// exec advances the clock to ev and runs it.
+func (s *Sim) exec(ev event) {
+	s.now = ev.at
+	s.processed++
+	if ev.kind == evFunc {
+		ev.fn()
+	} else {
+		s.dispatch(ev)
+	}
 }
 
 // Run executes events in order until the queue is empty or the next event
@@ -156,20 +256,11 @@ func (s *Sim) RunChecked(until Nanos, every uint64, check func() error) error {
 			return err
 		}
 	}
-	for len(s.events) > 0 {
-		next := s.events[0]
-		if next.at > until {
-			break
-		}
-		popped, ok := heap.Pop(&s.events).(event)
-		if !ok {
-			panic("netsim: heap corrupted") // unreachable
-		}
-		s.now = popped.at
-		s.processed++
-		popped.fn()
+	for len(s.events) > 0 && s.events[0].at <= until {
+		ev := s.pop()
+		s.exec(ev)
 		if s.Monitor != nil {
-			if err := s.Monitor(popped.at); err != nil {
+			if err := s.Monitor(ev.at); err != nil {
 				return err
 			}
 		}
@@ -191,12 +282,6 @@ func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	popped, ok := heap.Pop(&s.events).(event)
-	if !ok {
-		panic("netsim: heap corrupted") // unreachable
-	}
-	s.now = popped.at
-	s.processed++
-	popped.fn()
+	s.exec(s.pop())
 	return true
 }

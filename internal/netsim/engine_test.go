@@ -129,21 +129,25 @@ func TestQuickEventOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewSim()
 		times := make([]Nanos, n)
-		var got []Nanos
+		var got []int
 		for i := 0; i < n; i++ {
-			at := Nanos(rng.Int63n(1000))
-			times[i] = at
-			if err := s.At(at, func() { got = append(got, s.Now()) }); err != nil {
+			// A narrow time range forces many same-instant ties.
+			times[i] = Nanos(rng.Int63n(20))
+			if err := s.At(times[i], func() { got = append(got, i) }); err != nil {
 				return false
 			}
 		}
 		s.Run(2000)
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return times[want[a]] < times[want[b]] })
 		if len(got) != n {
 			return false
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 		for i := range got {
-			if got[i] != times[i] {
+			if got[i] != want[i] {
 				return false
 			}
 		}

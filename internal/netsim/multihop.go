@@ -108,11 +108,12 @@ func (c MultihopConfig) Validate() error {
 
 // mhQueue is one store-and-forward egress queue with a pausable server.
 type mhQueue struct {
+	id       int32 // index in MultihopNetwork.queues, the evDepart payload
 	name     string
 	capacity float64
 	buffer   float64
 
-	frames  []frame
+	frames  fifo
 	bits    float64
 	busy    bool
 	paused  bool
@@ -132,7 +133,7 @@ func (q *mhQueue) enqueue(n *MultihopNetwork, f frame) bool {
 		q.dropped += f.bits
 		return false
 	}
-	q.frames = append(q.frames, f)
+	q.frames.push(f)
 	q.bits += f.bits
 	if q.bits > q.maxBits {
 		q.maxBits = q.bits
@@ -144,30 +145,34 @@ func (q *mhQueue) enqueue(n *MultihopNetwork, f frame) bool {
 	return true
 }
 
+// serve starts transmitting the head-of-line frame unless the queue is
+// empty or paused.
 func (q *mhQueue) serve(n *MultihopNetwork) {
-	if len(q.frames) == 0 || q.paused {
+	if q.frames.len() == 0 || q.paused {
 		q.busy = false
 		return
 	}
-	f := q.frames[0]
-	tx := FromSeconds(f.bits / q.capacity)
+	tx := FromSeconds(q.frames.front().bits / q.capacity)
 	if tx < 1 {
 		tx = 1
 	}
-	_ = n.sim.After(tx, func() {
-		q.frames = q.frames[1:]
-		q.bits -= f.bits
-		if q.bits < 0 {
-			q.bits = 0
-		}
-		if q.onDepart != nil {
-			q.onDepart(f)
-		}
-		if q.onDrain != nil {
-			q.onDrain()
-		}
-		q.serve(n)
-	})
+	_ = n.sim.after(tx, event{kind: evDepart, arg: q.id})
+}
+
+// depart completes the head-of-line frame's transmission.
+func (q *mhQueue) depart(n *MultihopNetwork) {
+	f := q.frames.pop()
+	q.bits -= f.bits
+	if q.bits < 0 {
+		q.bits = 0
+	}
+	if q.onDepart != nil {
+		q.onDepart(f)
+	}
+	if q.onDrain != nil {
+		q.onDrain()
+	}
+	q.serve(n)
 }
 
 func (q *mhQueue) pause() { q.paused = true }
@@ -177,7 +182,7 @@ func (q *mhQueue) resume(n *MultihopNetwork) {
 		return
 	}
 	q.paused = false
-	if !q.busy && len(q.frames) > 0 {
+	if !q.busy && q.frames.len() > 0 {
 		q.busy = true
 		q.serve(n)
 	}
@@ -191,9 +196,10 @@ type MultihopNetwork struct {
 	hot    []*Source
 	victim *Source
 
-	edge  *mhQueue // E egress toward the core
-	portA *mhQueue // core egress toward sink A (hot)
-	portB *mhQueue // core egress toward sink B (victim)
+	edge   *mhQueue   // E egress toward the core
+	portA  *mhQueue   // core egress toward sink A (hot)
+	portB  *mhQueue   // core egress toward sink B (victim)
+	queues []*mhQueue // every queue, indexed by mhQueue.id
 
 	cp CongestionController // at core port A when the control loop is on
 
@@ -208,6 +214,13 @@ type MultihopNetwork struct {
 	hotDelivered    float64
 
 	macToHot map[bcn.MAC]int
+
+	// wires holds feedback frames in flight; rx is their decode buffer.
+	wires wirePool
+	rx    bcn.Message
+
+	// ran marks a network whose Run has started (see ErrAlreadyRun).
+	ran bool
 
 	recT, recQA, recQE []float64
 }
@@ -231,9 +244,9 @@ func NewMultihop(cfg MultihopConfig) (*MultihopNetwork, error) {
 	}
 	n := &MultihopNetwork{
 		cfg:      cfg,
-		sim:      NewSim(),
 		macToHot: make(map[bcn.MAC]int, cfg.HotSources),
 	}
+	n.sim = newSim(n.dispatch)
 	var fbScale float64
 	if cfg.BCN {
 		switch cfg.Scheme {
@@ -296,9 +309,9 @@ func NewMultihop(cfg MultihopConfig) (*MultihopNetwork, error) {
 	}
 	n.victim = &Source{id: cfg.HotSources, mac: bcn.MAC{0x02, 0xB0, 0, 0, 0, 1}, fixed: cfg.VictimRate}
 
-	n.portA = &mhQueue{name: "coreA", capacity: cfg.PortA, buffer: cfg.BufA}
-	n.portB = &mhQueue{name: "coreB", capacity: cfg.PortB, buffer: cfg.BufA}
-	n.edge = &mhQueue{name: "edge", capacity: cfg.LinkEX, buffer: cfg.BufEdge}
+	n.portA = n.newQueue("coreA", cfg.PortA, cfg.BufA)
+	n.portB = n.newQueue("coreB", cfg.PortB, cfg.BufA)
+	n.edge = n.newQueue("edge", cfg.LinkEX, cfg.BufEdge)
 
 	n.portA.onDepart = func(f frame) {
 		if n.cp != nil {
@@ -314,8 +327,7 @@ func NewMultihop(cfg MultihopConfig) (*MultihopNetwork, error) {
 	}
 	n.portB.onDepart = func(f frame) { n.victimDelivered += f.bits }
 	n.edge.onDepart = func(f frame) {
-		ff := f
-		_ = n.sim.After(cfg.PropDelay, func() { n.coreArrive(ff) })
+		_ = n.sim.after(cfg.PropDelay, event{kind: evForward, arg: int32(f.src), tag: f.rrt})
 	}
 	n.edge.onDrain = func() {
 		if n.edgeXoff && n.edge.bits < 0.8*cfg.QscEdge {
@@ -329,6 +341,47 @@ func NewMultihop(cfg MultihopConfig) (*MultihopNetwork, error) {
 		}
 	}
 	return n, nil
+}
+
+// newQueue adds an egress queue to the network.
+func (n *MultihopNetwork) newQueue(name string, capacity, buffer float64) *mhQueue {
+	q := &mhQueue{id: int32(len(n.queues)), name: name, capacity: capacity, buffer: buffer}
+	n.queues = append(n.queues, q)
+	return q
+}
+
+// dispatch runs one typed event; see the package comment's event core.
+func (n *MultihopNetwork) dispatch(ev event) {
+	switch ev.kind {
+	case evSend:
+		n.mhSend(n.source(ev.arg))
+	case evArrive:
+		n.edgeArrive(n.frameFrom(ev))
+	case evForward:
+		n.coreArrive(n.frameFrom(ev))
+	case evDepart:
+		n.queues[ev.arg].depart(n)
+	case evFeedback:
+		n.receiveBCN(ev.arg)
+	}
+}
+
+// source maps a source index to the hot source or, past them, the victim.
+func (n *MultihopNetwork) source(i int32) *Source {
+	if int(i) < len(n.hot) {
+		return n.hot[i]
+	}
+	return n.victim
+}
+
+// frameFrom rebuilds the data frame an arrival event carries: every frame
+// is FrameBits long and only the victim's go to port B.
+func (n *MultihopNetwork) frameFrom(ev event) frame {
+	f := frame{bits: n.cfg.FrameBits, src: int(ev.arg), rrt: ev.tag}
+	if f.src == n.victim.id {
+		f.dst = dstVictim
+	}
+	return f
 }
 
 // mhSend emits one frame from src toward its destination.
@@ -349,13 +402,12 @@ func (n *MultihopNetwork) mhSend(src *Source) {
 	if src.sendObs != nil {
 		src.sendObs.OnSend(f.bits)
 	}
-	ff := f
-	_ = n.sim.After(n.cfg.PropDelay, func() { n.edgeArrive(ff) })
+	_ = n.sim.after(n.cfg.PropDelay, event{kind: evArrive, arg: int32(src.id), tag: f.rrt})
 	gap := FromSeconds(n.cfg.FrameBits / src.RateAt(n.sim.Now().Seconds()))
 	if gap < 1 {
 		gap = 1
 	}
-	_ = n.sim.After(gap, func() { n.mhSend(src) })
+	_ = n.sim.after(gap, event{kind: evSend, arg: int32(src.id)})
 }
 
 func (n *MultihopNetwork) mhResume(src *Source) {
@@ -442,23 +494,23 @@ func (n *MultihopNetwork) coreXoffLoop() {
 // deliverMultihopBCN routes a BCN message back to its hot source over two
 // hops (core → edge → source).
 func (n *MultihopNetwork) deliverMultihopBCN(msg *bcn.Message) {
-	data, err := msg.MarshalBinary()
-	if err != nil {
+	slot := n.wires.put(msg)
+	_ = n.sim.after(2*n.cfg.PropDelay, event{kind: evFeedback, arg: slot})
+}
+
+// receiveBCN delivers the feedback frame in wire slot to its hot source.
+func (n *MultihopNetwork) receiveBCN(slot int32) {
+	rx := &n.rx
+	if err := n.wires.take(slot, rx); err != nil {
 		return
 	}
-	_ = n.sim.After(2*n.cfg.PropDelay, func() {
-		var rx bcn.Message
-		if err := rx.UnmarshalBinary(data); err != nil {
-			return
-		}
-		idx, ok := n.macToHot[rx.DA]
-		if !ok {
-			return
-		}
-		if rp := n.hot[idx].rp; rp != nil {
-			rp.OnMessage(&rx, n.sim.Now().Seconds())
-		}
-	})
+	idx, ok := n.macToHot[rx.DA]
+	if !ok {
+		return
+	}
+	if rp := n.hot[idx].rp; rp != nil {
+		rp.OnMessage(rx, n.sim.Now().Seconds())
+	}
 }
 
 // MultihopResult summarizes a run.
@@ -479,7 +531,8 @@ type MultihopResult struct {
 	Events uint64
 }
 
-// Run executes the scenario for duration seconds.
+// Run executes the scenario for duration seconds. Run may be called once
+// per MultihopNetwork; later calls return ErrAlreadyRun.
 func (n *MultihopNetwork) Run(duration float64) (*MultihopResult, error) {
 	return n.RunContext(context.Background(), duration)
 }
@@ -488,9 +541,13 @@ func (n *MultihopNetwork) Run(duration float64) (*MultihopResult, error) {
 // (MaxEvents, MaxWallClock); an aborted run returns the partial result
 // collected so far alongside the cause.
 func (n *MultihopNetwork) RunContext(ctx context.Context, duration float64) (*MultihopResult, error) {
+	if n.ran {
+		return nil, ErrAlreadyRun
+	}
 	if duration <= 0 {
 		return nil, errors.New("netsim: duration must be positive")
 	}
+	n.ran = true
 	until := FromSeconds(duration)
 	sampleEvery := n.cfg.SampleEvery
 	if sampleEvery <= 0 {
@@ -499,14 +556,11 @@ func (n *MultihopNetwork) RunContext(ctx context.Context, duration float64) (*Mu
 			sampleEvery = 1
 		}
 	}
-	for _, s := range n.hot {
-		src := s
-		if err := n.sim.At(0, func() { n.mhSend(src) }); err != nil {
+	// The hot sources, then the victim (whose index is len(n.hot)).
+	for i := 0; i <= len(n.hot); i++ {
+		if err := n.sim.schedule(0, event{kind: evSend, arg: int32(i)}); err != nil {
 			return nil, err
 		}
-	}
-	if err := n.sim.At(0, func() { n.mhSend(n.victim) }); err != nil {
-		return nil, err
 	}
 	// The first sample is taken synchronously so an aborted run still
 	// yields non-empty series.

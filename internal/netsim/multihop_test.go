@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -172,6 +174,27 @@ func TestMultihopRejectsBadDuration(t *testing.T) {
 	}
 }
 
+func TestMultihopRunTwiceFails(t *testing.T) {
+	net, err := NewMultihop(mhConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(0.002); err != nil {
+		t.Fatal(err)
+	}
+	events := net.sim.Processed()
+	res, err := net.Run(0.002)
+	if !errors.Is(err, ErrAlreadyRun) || res != nil {
+		t.Fatalf("second Run = (%v, %v), want (nil, ErrAlreadyRun)", res, err)
+	}
+	if _, err := net.RunContext(context.Background(), 0.002); !errors.Is(err, ErrAlreadyRun) {
+		t.Fatalf("RunContext after Run err = %v, want ErrAlreadyRun", err)
+	}
+	if net.sim.Processed() != events {
+		t.Error("rejected second run processed events")
+	}
+}
+
 func TestMultihopQCNProtectsVictim(t *testing.T) {
 	cfg := mhConfig()
 	cfg.BCN = true
@@ -209,13 +232,19 @@ func TestMultihopUnknownScheme(t *testing.T) {
 	}
 }
 
+// newQueueHarness is a bare multihop network whose engine dispatches to
+// the queues a test adds with newQueue.
+func newQueueHarness() *MultihopNetwork {
+	n := &MultihopNetwork{}
+	n.sim = newSim(n.dispatch)
+	return n
+}
+
 func TestMhQueueBasics(t *testing.T) {
-	n := &MultihopNetwork{sim: NewSim()}
+	n := newQueueHarness()
 	var delivered []float64
-	q := &mhQueue{
-		name: "t", capacity: 1e6, buffer: 3000,
-		onDepart: func(f frame) { delivered = append(delivered, f.bits) },
-	}
+	q := n.newQueue("t", 1e6, 3000)
+	q.onDepart = func(f frame) { delivered = append(delivered, f.bits) }
 	// Fill to the buffer: third frame dropped.
 	if !q.enqueue(n, frame{bits: 1500}) || !q.enqueue(n, frame{bits: 1500}) {
 		t.Fatal("in-buffer frames rejected")
@@ -239,12 +268,10 @@ func TestMhQueueBasics(t *testing.T) {
 }
 
 func TestMhQueuePauseResume(t *testing.T) {
-	n := &MultihopNetwork{sim: NewSim()}
+	n := newQueueHarness()
 	var delivered int
-	q := &mhQueue{
-		name: "t", capacity: 1e6, buffer: 1e6,
-		onDepart: func(frame) { delivered++ },
-	}
+	q := n.newQueue("t", 1e6, 1e6)
+	q.onDepart = func(frame) { delivered++ }
 	q.pause()
 	q.enqueue(n, frame{bits: 1000})
 	n.sim.Run(FromSeconds(0.5))

@@ -320,9 +320,19 @@ type Network struct {
 	sources []*Source
 	cp      CongestionController // nil when the control loop is disabled
 
-	queue     []frame
+	queue     fifo
 	queueBits float64
 	busy      bool
+
+	// wires holds feedback frames in flight; rx is the decode buffer
+	// for their delivery (rate controllers read the message inside
+	// OnMessage and keep no reference to it).
+	wires wirePool
+	rx    bcn.Message
+
+	// ran marks a Network whose Run has started; a second Run fails
+	// with ErrAlreadyRun.
+	ran bool
 
 	pauseAsserted bool
 
@@ -360,10 +370,10 @@ func New(cfg Config) (*Network, error) {
 	}
 	n := &Network{
 		cfg:         cfg,
-		sim:         NewSim(),
 		macToSource: make(map[bcn.MAC]int, cfg.N),
 		minAfterQ0:  cfg.BufferBits,
 	}
+	n.sim = newSim(n.dispatch)
 	if cfg.Faults != nil {
 		plan, err := faults.NewPlan(*cfg.Faults)
 		if err != nil {
@@ -595,6 +605,12 @@ var (
 	ErrWallClock = errors.New("netsim: wall-clock budget exceeded")
 )
 
+// ErrAlreadyRun is returned by Run and RunContext on a Network or
+// MultihopNetwork that has already been run: a network's clock, queues
+// and recorder continue from where the first run left them, so it
+// cannot be run again. Build a fresh one with New or NewMultihop.
+var ErrAlreadyRun = errors.New("netsim: network already run")
+
 // defaultSeed stands in for Config.Seed == 0 so the zero Config still
 // denotes one fixed, reproducible draw of start offsets rather than a
 // special synchronized mode.
@@ -634,7 +650,8 @@ func budgetCheck(ctx context.Context, sim *Sim, maxEvents uint64, maxWall time.D
 }
 
 // Run executes the scenario for the given duration (seconds) and returns
-// the collected result. Run may be called once per Network.
+// the collected result. Run may be called once per Network; later calls
+// return ErrAlreadyRun.
 func (n *Network) Run(duration float64) (*Result, error) {
 	return n.RunContext(context.Background(), duration)
 }
@@ -645,9 +662,13 @@ func (n *Network) Run(duration float64) (*Result, error) {
 // alongside the cause (ctx.Err(), ErrEventBudget or ErrWallClock) —
 // callers that can use a truncated trajectory get one instead of a hang.
 func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, error) {
+	if n.ran {
+		return nil, ErrAlreadyRun
+	}
 	if duration <= 0 {
 		return nil, errors.New("netsim: duration must be positive")
 	}
+	n.ran = true
 	until := FromSeconds(duration)
 	sampleEvery := n.cfg.SampleEvery
 	if sampleEvery <= 0 {
@@ -676,8 +697,7 @@ func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, er
 			offset = n.cfg.StartTimes[i]
 		}
 		offset += Nanos(rng.Int63n(window + 1))
-		s := src
-		if err := n.sim.At(offset, func() { n.sourceSend(s) }); err != nil {
+		if err := n.sim.schedule(offset, event{kind: evSend, arg: int32(src.id)}); err != nil {
 			return nil, err
 		}
 	}
@@ -772,13 +792,25 @@ func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, er
 	return res, nil
 }
 
-// trace emits one event line when tracing is enabled.
+// trace emits one event line to Config.Trace. Call sites check that
+// tracing is enabled first, so an untraced run never boxes the arguments.
 func (n *Network) trace(format string, args ...any) {
-	if n.cfg.Trace == nil {
-		return
-	}
 	fmt.Fprintf(n.cfg.Trace, "%.9f "+format+"\n",
 		append([]any{n.sim.Now().Seconds()}, args...)...)
+}
+
+// dispatch runs one typed event; see the package comment's event core.
+func (n *Network) dispatch(ev event) {
+	switch ev.kind {
+	case evSend:
+		n.sourceSend(n.sources[ev.arg])
+	case evArrive:
+		n.switchArrive(frame{bits: n.cfg.FrameBits, src: int(ev.arg), rrt: ev.tag})
+	case evDepart:
+		n.depart()
+	case evFeedback:
+		n.receiveBCN(ev.arg)
+	}
 }
 
 // sourceSend emits one frame from src and reschedules itself.
@@ -794,23 +826,27 @@ func (n *Network) sourceSend(src *Source) {
 	}
 	src.sentFrames++
 	src.sentBits += f.bits
-	n.trace("+ src=%d bits=%.0f", src.id, f.bits)
+	if n.cfg.Trace != nil {
+		n.trace("+ src=%d bits=%.0f", src.id, f.bits)
+	}
 	if src.sendObs != nil {
 		src.sendObs.OnSend(f.bits)
 	}
 	// Frame reaches the bottleneck after the propagation delay — unless
 	// the fault plan loses it on the link.
 	if n.plan.DropData() {
-		n.trace("x src=%d bits=%.0f", src.id, f.bits)
+		if n.cfg.Trace != nil {
+			n.trace("x src=%d bits=%.0f", src.id, f.bits)
+		}
 	} else {
-		_ = n.sim.After(n.cfg.PropDelay, func() { n.switchArrive(f) })
+		_ = n.sim.after(n.cfg.PropDelay, event{kind: evArrive, arg: int32(src.id), tag: f.rrt})
 	}
 	// Next departure paced by the current rate.
 	gap := FromSeconds(n.cfg.FrameBits / src.RateAt(n.sim.Now().Seconds()))
 	if gap < 1 {
 		gap = 1
 	}
-	_ = n.sim.After(gap, func() { n.sourceSend(src) })
+	_ = n.sim.after(gap, event{kind: evSend, arg: int32(src.id)})
 }
 
 // switchArrive handles a frame arriving at the bottleneck queue.
@@ -818,11 +854,13 @@ func (n *Network) switchArrive(f frame) {
 	if n.queueBits+f.bits > n.cfg.BufferBits {
 		n.droppedFrames++
 		n.droppedBits += f.bits
-		n.trace("d src=%d bits=%.0f q=%.0f", f.src, f.bits, n.queueBits)
+		if n.cfg.Trace != nil {
+			n.trace("d src=%d bits=%.0f q=%.0f", f.src, f.bits, n.queueBits)
+		}
 		return
 	}
 	f.enq = n.sim.Now()
-	n.queue = append(n.queue, f)
+	n.queue.push(f)
 	n.queueBits += f.bits
 	n.queueBits = n.guard.queue(n.sim.Now(), n.queueBits)
 	if n.queueBits > n.maxQueueBits {
@@ -836,7 +874,9 @@ func (n *Network) switchArrive(f frame) {
 			// Sampling blackouts suppress the generated feedback while
 			// the congestion point's queue accounting continues.
 			if n.plan.SampleBlanked(int64(n.sim.Now())) {
-				n.trace("b sigma=%.0f", msg.Sigma)
+				if n.cfg.Trace != nil {
+					n.trace("b sigma=%.0f", msg.Sigma)
+				}
 			} else {
 				n.deliverBCN(msg)
 			}
@@ -852,81 +892,92 @@ func (n *Network) switchArrive(f frame) {
 	}
 }
 
-// serveNext transmits the head-of-line frame.
+// serveNext starts transmitting the head-of-line frame.
 func (n *Network) serveNext() {
-	if len(n.queue) == 0 {
+	if n.queue.len() == 0 {
 		n.busy = false
 		return
 	}
-	f := n.queue[0]
 	// Capacity flaps scale the service rate for the frame's duration.
 	capacity := n.cfg.Capacity * n.plan.CapacityScale(int64(n.sim.Now()))
-	txTime := FromSeconds(f.bits / capacity)
+	txTime := FromSeconds(n.queue.front().bits / capacity)
 	if txTime < 1 {
 		txTime = 1
 	}
-	_ = n.sim.After(txTime, func() {
-		n.queue = n.queue[1:]
-		n.queueBits -= f.bits
-		if n.queueBits < 0 {
-			n.queueBits = 0
-		}
-		n.queueBits = n.guard.queue(n.sim.Now(), n.queueBits)
-		if n.cp != nil {
-			n.cp.OnDeparture(f.bits)
-			n.guard.cpSync(n.sim.Now(), n.queueBits, n.cp.QueueBits())
-		}
-		n.deliveredBits += f.bits
-		n.deliveredFrames++
-		n.trace("- src=%d bits=%.0f q=%.0f", f.src, f.bits, n.queueBits)
-		n.sojourns = append(n.sojourns, (n.sim.Now() - f.enq).Seconds())
-		n.trackTrough()
-		if n.pauseAsserted && n.queueBits < n.pauseLow() {
-			n.releasePause()
-		}
-		n.serveNext()
-	})
+	_ = n.sim.after(txTime, event{kind: evDepart})
 }
 
-// deliverBCN marshals the message onto the wire and schedules its decoded
+// depart completes the head-of-line frame's transmission and starts the
+// next one.
+func (n *Network) depart() {
+	f := n.queue.pop()
+	n.queueBits -= f.bits
+	if n.queueBits < 0 {
+		n.queueBits = 0
+	}
+	n.queueBits = n.guard.queue(n.sim.Now(), n.queueBits)
+	if n.cp != nil {
+		n.cp.OnDeparture(f.bits)
+		n.guard.cpSync(n.sim.Now(), n.queueBits, n.cp.QueueBits())
+	}
+	n.deliveredBits += f.bits
+	n.deliveredFrames++
+	if n.cfg.Trace != nil {
+		n.trace("- src=%d bits=%.0f q=%.0f", f.src, f.bits, n.queueBits)
+	}
+	n.sojourns = append(n.sojourns, (n.sim.Now() - f.enq).Seconds())
+	n.trackTrough()
+	if n.pauseAsserted && n.queueBits < n.pauseLow() {
+		n.releasePause()
+	}
+	n.serveNext()
+}
+
+// deliverBCN puts the message on the wire and schedules its decoded
 // delivery at the source after the propagation delay, exercising the full
 // encode/decode path including feedback quantization. The fault plan may
 // drop the frame, add jitter/reorder delay, or flip a wire bit; the
 // receiver rejects frames that fail decoding or validation.
 func (n *Network) deliverBCN(msg *bcn.Message) {
-	data, err := msg.MarshalBinary()
-	if err != nil {
-		return // cannot happen with a well-formed message
-	}
 	if n.plan.DropFeedback() {
-		n.trace("fd sigma=%.0f", msg.Sigma)
+		if n.cfg.Trace != nil {
+			n.trace("fd sigma=%.0f", msg.Sigma)
+		}
 		return
 	}
-	if n.plan.CorruptFeedback(data) {
-		n.trace("fc sigma=%.0f", msg.Sigma)
+	slot := n.wires.put(msg)
+	if n.plan.CorruptFeedback(n.wires.wire(slot)) {
+		if n.cfg.Trace != nil {
+			n.trace("fc sigma=%.0f", msg.Sigma)
+		}
 	}
 	delay := n.cfg.PropDelay + Nanos(n.plan.FeedbackDelayNs())
-	_ = n.sim.After(delay, func() {
-		var rx bcn.Message
-		if err := rx.UnmarshalBinary(data); err != nil {
-			n.malformedMsgs++
-			return
-		}
-		if err := rx.Validate(); err != nil {
-			n.malformedMsgs++
-			return
-		}
-		idx, ok := n.macToSource[rx.DA]
-		if !ok {
-			n.misdeliveredMsgs++
-			return
-		}
-		src := n.sources[idx]
-		if src.rp != nil {
-			src.rp.OnMessage(&rx, n.sim.Now().Seconds())
+	_ = n.sim.after(delay, event{kind: evFeedback, arg: slot})
+}
+
+// receiveBCN delivers the feedback frame in wire slot to its source.
+func (n *Network) receiveBCN(slot int32) {
+	rx := &n.rx
+	if err := n.wires.take(slot, rx); err != nil {
+		n.malformedMsgs++
+		return
+	}
+	if err := rx.Validate(); err != nil {
+		n.malformedMsgs++
+		return
+	}
+	idx, ok := n.macToSource[rx.DA]
+	if !ok {
+		n.misdeliveredMsgs++
+		return
+	}
+	src := n.sources[idx]
+	if src.rp != nil {
+		src.rp.OnMessage(rx, n.sim.Now().Seconds())
+		if n.cfg.Trace != nil {
 			n.trace("m src=%d sigma=%.0f rate=%.0f", idx, rx.Sigma, src.rp.Rate(n.sim.Now().Seconds()))
 		}
-	})
+	}
 }
 
 func (n *Network) pauseLow() float64 {
@@ -946,7 +997,9 @@ func (n *Network) assertPause() {
 	}
 	n.pauseAsserted = true
 	n.pausesSent++
-	n.trace("p xoff q=%.0f", n.queueBits)
+	if n.cfg.Trace != nil {
+		n.trace("p xoff q=%.0f", n.queueBits)
+	}
 	n.xoffRefresh()
 }
 

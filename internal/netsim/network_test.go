@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -292,6 +294,45 @@ func TestRunRejectsBadDuration(t *testing.T) {
 	}
 	if _, err := net.Run(0); err == nil {
 		t.Error("zero duration accepted")
+	}
+}
+
+func TestRunTwiceFails(t *testing.T) {
+	cfg := testConfig()
+	// Staggered starts beyond the first horizon would otherwise be
+	// rescheduled silently by a second run.
+	cfg.StartTimes = make([]Nanos, cfg.N)
+	for i := range cfg.StartTimes {
+		cfg.StartTimes[i] = FromSeconds(0.01 * float64(i))
+	}
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(0.002); err != nil {
+		t.Fatal(err)
+	}
+	events, pending := net.sim.Processed(), net.sim.Pending()
+	res, err := net.Run(0.002)
+	if !errors.Is(err, ErrAlreadyRun) || res != nil {
+		t.Fatalf("second Run = (%v, %v), want (nil, ErrAlreadyRun)", res, err)
+	}
+	if _, err := net.RunContext(context.Background(), 0.002); !errors.Is(err, ErrAlreadyRun) {
+		t.Fatalf("RunContext after Run err = %v, want ErrAlreadyRun", err)
+	}
+	if net.sim.Processed() != events || net.sim.Pending() != pending {
+		t.Error("rejected second run scheduled or processed events")
+	}
+	// A rejected duration does not use up the single run.
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Run(0); err == nil || errors.Is(err, ErrAlreadyRun) {
+		t.Fatalf("zero-duration Run err = %v", err)
+	}
+	if _, err := fresh.Run(0.001); err != nil {
+		t.Fatalf("Run after a rejected duration: %v", err)
 	}
 }
 
