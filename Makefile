@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-build check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
+.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-build figures-check check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
 
 all: check
 
@@ -39,10 +39,22 @@ metamorphic:
 bench-build:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
+# Regenerate the closed-form figures into a temp dir and require every
+# file to be byte-identical to the committed out/. These experiments are
+# deterministic and take about a second; the netsim-derived out/ files
+# (delay, qcncompare, validate, ...) are not covered.
+FIGURES = fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 theorem1 transient stabmap
+figures-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/bcnreport" ./cmd/bcnreport && \
+	for id in $(FIGURES); do "$$tmp/bcnreport" -out "$$tmp/out" -only $$id >/dev/null || exit 1; done && \
+	n=0 && for f in "$$tmp"/out/*; do cmp "$$f" "out/$${f##*/}" || n=$$((n+1)); done && \
+	echo "figures-check: $$(ls "$$tmp/out" | wc -l) files, $$n differ from out/" && test $$n -eq 0
+
 # The full pre-merge gate: static checks, build, race-enabled tests,
-# the fuzz seed corpora, the metamorphic relations and the benchmark
-# module build.
-check: vet build bench-build race fuzz-seeds metamorphic
+# the fuzz seed corpora, the metamorphic relations, the benchmark
+# module build and the committed closed-form figures.
+check: vet build bench-build race fuzz-seeds metamorphic figures-check
 
 # Run every benchmark once (override BENCHTIME for real measurements,
 # e.g. BENCHTIME=2s) and parse the stream into machine-readable

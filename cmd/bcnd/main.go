@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		queueCap     = fs.Int("queue", 0, "admission queue capacity (0 = 4x workers)")
 		journalDir   = fs.String("journal", "", "run directory for the artifact journal; empty keeps artifacts in memory only")
 		invPol       = fs.String("invariants", "off", "invariant policy for jobs that name none: off, record, strict or clamp")
-		engine       = fs.String("analytic", "on", "solve engine for jobs that name none: on or auto (sampling-free closed forms), off (classic sampled solver)")
+		engine       = fs.String("analytic", "on", "solve engine for jobs that name none: on (sampling-free closed forms) or off (classic sampled solver)")
 		defTimeout   = fs.Duration("default-timeout", 30*time.Second, "per-job budget when the spec names none")
 		maxTimeout   = fs.Duration("max-timeout", 2*time.Minute, "cap on the per-job budget a spec may request")
 		brkFailures  = fs.Int("breaker-failures", 3, "consecutive strict aborts that quarantine a parameter region (negative disables)")

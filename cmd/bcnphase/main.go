@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 		size   = fs.Bool("size", false, "print inverse provisioning: max flows/Gi, min Gd, max q0 for this buffer")
 		trans  = fs.Bool("transient", false, "print transient metrics (overshoot, period, settling)")
 		invPol = fs.String("invariants", "off", "runtime invariant checking: off, record, strict or clamp")
-		engine = fs.String("analytic", "on", "cross-check against the sampling-free analytic engine: on, auto, or off. Skipped automatically under a non-off -invariants policy or -warmup")
+		engine = fs.String("analytic", "on", "cross-check against the sampling-free analytic engine: on or off. Skipped automatically under a non-off -invariants policy or -warmup")
 		xc     = fs.Bool("xcheck", false, "cross-validate the stitched trajectory against an independent numerical integration")
 		telem  = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 	)

@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout  = fs.Duration("point-timeout", time.Minute, "hard deadline per grid point (0 = none)")
 		resume   = fs.String("resume", "", "run directory holding the journal; completed points are skipped on restart and map.csv is written here")
 		invPol   = fs.String("invariants", "off", "runtime invariant checking per point: off, record, strict or clamp")
-		engine   = fs.String("analytic", "on", "row engine: on or auto (sampling-free closed-form solver; exact extrema), off (classic sampled solver). Non-off -invariants forces the classic path")
+		engine   = fs.String("analytic", "on", "row engine: on (sampling-free closed-form solver; exact extrema) or off (classic sampled solver). Non-off -invariants forces the classic path")
 		telem    = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 		clusterC = fs.String("cluster", "", "submit the grid to a bcnd coordinator instead of evaluating locally; comma-separated URLs name an HA replica group and the client fails over between them")
 		tenant   = fs.String("tenant", "", "cluster mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
@@ -267,9 +267,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// Rate and engine summary: how fast the grid went and which engine
-	// stitched its arcs (rk45 arcs come from ModeOff or the non-finite
-	// fallback, so nonzero rk45 counts under -analytic on deserve a
-	// look).
+	// stitched its arcs. -analytic=off rows come from the classic
+	// sampled solver, not the engine, so rk45 arcs here can only come
+	// from the engine's non-finite fallback: nonzero counts deserve a
+	// look.
 	if wall := time.Since(began).Seconds(); wall > 0 {
 		fmt.Fprintf(os.Stderr, "bcnsweep: %d points in %.3gs (%.4g points/sec); arcs: analytic=%d rk45=%d (fallbacks=%d)\n",
 			done, wall, float64(done)/wall,

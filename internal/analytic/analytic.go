@@ -1,35 +1,35 @@
 // Package analytic is the sampling-free fast path of the phase-plane
-// engine: it stitches the same closed-form arcs as core.Solve (paper
-// §IV-B, eqs. 12–34) but evaluates only the junction quantities — exact
-// switching times, extrema and boundary-crossing times — instead of a
-// 64-sample polyline per arc. A Solver carries reusable buffers, so in
-// steady state a solve allocates nothing; the Batch structure-of-arrays
-// API amortizes one Solver across K parameter points per call.
+// engine: it runs core.Stitch — the same stitch loop and closed-form
+// arcs (paper §IV-B, eqs. 12–34) as core.Solve — with an observer that
+// records only the junction quantities (exact switching times, extrema
+// and boundary-crossing times) instead of a 64-sample polyline per arc.
+// A Solver carries reusable state, so in steady state a solve allocates
+// nothing; the Batch structure-of-arrays API amortizes one Solver across
+// K parameter points per call.
 //
 // The engine exists for the hot paths: gain-plane sweeps (cmd/bcnsweep,
 // cluster shards) and bcnd solve/sweep jobs classify millions of
 // parameter points and need only the verdict (outcome, extrema,
 // contraction ratio), never the polyline. core.Solve remains the
 // engine behind figures, invariant-checked runs and anything that needs
-// sampled trajectories; this package reproduces its classification
-// exactly — same arc construction, same epsilons, same termination
-// logic — minus the sampling, so the two agree bit-for-bit on every
-// finite result (asserted across the sweep grid in engine_test.go and
-// continuously by invariant/xcheck).
+// sampled trajectories. Because both run one loop over one arc type,
+// they agree bit-for-bit on every finite verdict (asserted across the
+// sweep grid in engine_test.go and continuously by invariant/xcheck).
 //
-// Two escape hatches keep the closed forms honest:
+// Two escape hatches keep the closed forms honest, both running the
+// same loop with a Dormand-Prince stepper (internal/ode) that knows
+// nothing about the solution forms:
 //
-//   - ModeOff classifies by stitched Dormand-Prince integration alone
-//     (internal/ode), knowing nothing about the solution forms. It is
-//     the validation baseline that FuzzAnalyticVsRK45, the xcheck
-//     harness and the speedup gate compare against.
+//   - ModeOff classifies by integration alone. It is the validation
+//     baseline that FuzzAnalyticVsRK45, the xcheck harness and the
+//     speedup gate compare against.
 //   - A closed-form arc that evaluates to a non-finite state mid-stitch
-//     falls back to the RK45 path for that point (counted in Metrics).
+//     sends that point to the RK45 stepper (counted in Metrics).
 package analytic
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"bcnphase/internal/core"
@@ -43,28 +43,22 @@ const (
 	// ModeOn (the default) stitches closed-form arcs and falls back to
 	// RK45 only for arcs whose closed form goes non-finite.
 	ModeOn Mode = iota
-	// ModeAuto currently behaves like ModeOn; the name is reserved for
-	// future cost-based selection between the closed forms and the
-	// integrator, so specs written today keep meaning "let the engine
-	// choose" tomorrow.
-	ModeAuto
 	// ModeOff disables the closed forms entirely: classification runs on
 	// stitched numerical integration (the validation baseline).
 	ModeOff
 )
 
 // ParseMode parses an -analytic flag or spec value. The empty string is
-// ModeOn, matching the default-on contract of the CLIs and bcnd.
+// ModeOn, matching the default-on contract of the CLIs and bcnd; "auto"
+// is accepted as an alias of "on".
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "on":
+	case "", "on", "auto":
 		return ModeOn, nil
-	case "auto":
-		return ModeAuto, nil
 	case "off":
 		return ModeOff, nil
 	default:
-		return 0, fmt.Errorf("analytic: unknown mode %q (want on, auto or off)", s)
+		return 0, fmt.Errorf("analytic: unknown mode %q (want on or off)", s)
 	}
 }
 
@@ -73,8 +67,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeOn:
 		return "on"
-	case ModeAuto:
-		return "auto"
 	case ModeOff:
 		return "off"
 	default:
@@ -136,22 +128,6 @@ type Options struct {
 	Metrics *Metrics
 }
 
-func (o Options) withDefaults(p core.Params) Options {
-	if o.MaxArcs <= 0 {
-		o.MaxArcs = 1_000_000
-	}
-	if o.ConvergeTol <= 0 {
-		o.ConvergeTol = 1e-3
-	}
-	if o.CycleTol <= 0 {
-		o.CycleTol = 1e-6
-	}
-	if o.Start == nil {
-		o.Start = &[2]float64{-p.Q0, 0}
-	}
-	return o
-}
-
 // Result is the verdict of one solve: everything a sweep row or a solve
 // artifact needs, nothing that requires sampling. Extremes are exact
 // (closed-form extremum states), so MaxX here is ≥ the polyline-sampled
@@ -192,54 +168,68 @@ func (r Result) MaxQueue(p core.Params) float64 { return p.Q0 + r.MaxX }
 // MinQueue returns the minimum queue length q0 + MinX in bits.
 func (r Result) MinQueue(p core.Params) float64 { return p.Q0 + r.MinX }
 
-// Solver stitches arcs with reusable buffers. The zero value is ready;
+// Solver runs core.Stitch with reusable state. The zero value is ready;
 // a Solver is not safe for concurrent use (give each worker its own, or
 // use SolveOne).
 type Solver struct {
-	// enterDecrease accumulates same-side return amplitudes for the
-	// contraction measurement; reused across solves.
-	enterDecrease []float64
-	// rk holds the RK45 path's reusable state slices.
-	rk rkScratch
+	track tracker
+	rk    rkStepper
 }
 
-// NewSolver returns a Solver with warm buffers.
-func NewSolver() *Solver {
-	return &Solver{enterDecrease: make([]float64, 0, 64)}
-}
+// NewSolver returns a Solver.
+func NewSolver() *Solver { return new(Solver) }
 
 // Solve classifies one parameter point. For valid parameters under
-// ModeOn/ModeAuto the closed-form path handles every arc (the three
-// solution families cover all positive m, n); the RK45 fallback exists
-// for the defensive non-finite case and is counted when taken.
+// ModeOn the closed-form stepper handles every arc (the three solution
+// families cover all positive m, n); the RK45 fallback exists for the
+// defensive non-finite case and is counted when taken.
 func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	opts = opts.withDefaults(p)
-	var (
-		res Result
-		err error
-	)
-	if opts.Mode == ModeOff {
-		res, err = s.solveRK45(p, opts)
-	} else {
-		var ok bool
-		res, ok, err = s.solveClosed(p, opts)
-		if err == nil && !ok {
+	start := [2]float64{-p.Q0, 0}
+	if opts.Start != nil {
+		start = *opts.Start
+	}
+	var err error
+	if opts.Mode != ModeOff {
+		err = s.stitch(p, opts, start, closedStepper{}, PathAnalytic)
+		if errors.Is(err, errNonFinite) {
 			if opts.Metrics != nil {
 				opts.Metrics.RK45Fallbacks.Inc()
 			}
-			res, err = s.solveRK45(p, opts)
+			err = s.stitch(p, opts, start, &s.rk, PathRK45)
 		}
+	} else {
+		err = s.stitch(p, opts, start, &s.rk, PathRK45)
 	}
 	if err != nil {
 		return Result{}, err
 	}
 	if opts.Metrics != nil {
-		opts.Metrics.observe(&res)
+		opts.Metrics.observe(&s.track.res)
 	}
-	return res, nil
+	return s.track.res, nil
+}
+
+// stitch runs the shared stitch loop with the given stepper, leaving
+// the result in s.track.
+func (s *Solver) stitch(p core.Params, opts Options, start [2]float64, st core.Stepper, path Path) error {
+	s.track.reset(path, opts.OnCrossing)
+	v, err := core.Stitch(p, core.StitchOptions{
+		MaxArcs:             opts.MaxArcs,
+		ConvergeTol:         opts.ConvergeTol,
+		CycleTol:            opts.CycleTol,
+		DisableShortCircuit: opts.DisableShortCircuit,
+		IgnoreBuffer:        opts.IgnoreBuffer,
+	}, 0, start[0], start[1], st, &s.track)
+	if err != nil {
+		return err
+	}
+	r := &s.track.res
+	r.Outcome, r.Rho = v.Outcome, v.Rho
+	r.EndT, r.EndX, r.EndY = v.EndT, v.EndX, v.EndY
+	return nil
 }
 
 // solverPool backs SolveOne so one-shot callers still hit warm buffers.
@@ -251,65 +241,4 @@ func SolveOne(p core.Params, opts Options) (Result, error) {
 	s := solverPool.Get().(*Solver)
 	defer solverPool.Put(s)
 	return s.Solve(p, opts)
-}
-
-// extremes tracks exact excursion knots. Where core.Solve excuses the
-// boundary-resting launch sample and then records polyline points
-// arbitrarily close to it (its MinX tends to the launch value −q0 as
-// sample density grows), the exact engine reports that infimum
-// directly: the t = 0 knot counts, so a canonical launch has
-// MinX = −q0 exactly.
-type extremes struct {
-	maxX, minX float64
-	firstMaxT  float64
-	firstMaxX  float64
-	firstMinT  float64
-	firstMinX  float64
-	startX     float64
-	seen       bool
-}
-
-func newExtremes(startX float64) extremes {
-	return extremes{
-		maxX: math.Inf(-1), minX: math.Inf(1),
-		firstMaxT: math.NaN(), firstMaxX: math.NaN(),
-		firstMinT: math.NaN(), firstMinX: math.NaN(),
-		startX: startX,
-	}
-}
-
-// add folds one exact knot (arc junction, extremum, boundary hit or
-// terminal state) into the excursion extremes.
-func (e *extremes) add(x float64) {
-	e.seen = true
-	if x > e.maxX {
-		e.maxX = x
-	}
-	if x < e.minX {
-		e.minX = x
-	}
-}
-
-// finishInto seals the extremes into res, mirroring core.Solve's
-// fallback: a trajectory whose every knot was launch-excused reports the
-// start state as both extremes.
-func (e *extremes) finishInto(res *Result) {
-	if !e.seen {
-		e.maxX, e.minX = e.startX, e.startX
-	}
-	res.MaxX, res.MinX = e.maxX, e.minX
-	res.FirstMaxT, res.FirstMaxX = e.firstMaxT, e.firstMaxX
-	res.FirstMinT, res.FirstMinX = e.firstMinT, e.firstMinX
-}
-
-// extremum records one x-extremum (a y-zero) knot.
-func (e *extremes) extremum(t, x float64, isMax bool) {
-	e.add(x)
-	if isMax {
-		if math.IsNaN(e.firstMaxT) {
-			e.firstMaxT, e.firstMaxX = t, x
-		}
-	} else if math.IsNaN(e.firstMinT) {
-		e.firstMinT, e.firstMinX = t, x
-	}
 }

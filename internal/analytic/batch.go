@@ -26,7 +26,7 @@ type Batch struct {
 
 // NewBatch returns a Batch with capacity for n points.
 func NewBatch(n int) *Batch {
-	b := &Batch{solver: Solver{enterDecrease: make([]float64, 0, 64)}}
+	b := new(Batch)
 	b.Resize(n)
 	return b
 }

@@ -1,247 +1,115 @@
 package analytic
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"bcnphase/internal/core"
 )
 
-// solveClosed stitches closed-form arcs without sampling. The control
-// flow mirrors core.solve line for line — same classification order,
-// same epsilons (1e-9·TimeScale), same glide-time doubling, same
-// boundary bisection — so every finite verdict (Outcome, Rho, Crossings,
-// EndT/X/Y) is bit-identical to core.Solve's for the same options.
-// What differs is what is *recorded*: exact extremum and junction knots
-// instead of a 64-point polyline per arc, and zero allocations in
-// steady state.
-//
-// ok is false when a closed form evaluated to a non-finite state or
-// time; the caller then re-runs the point on the RK45 path.
-func (s *Solver) solveClosed(p core.Params, opts Options) (res Result, ok bool, err error) {
-	k := p.K()
-	x, y := opts.Start[0], opts.Start[1]
-	tGlobal := 0.0
+// errNonFinite aborts a closed-form stitch whose arc evaluated to a
+// non-finite time or state; Solve then re-runs the point on the RK45
+// stepper.
+var errNonFinite = errors.New("analytic: closed form went non-finite")
 
-	tolX := opts.ConvergeTol * p.Q0
-	tolY := opts.ConvergeTol * p.C
-	xHi := p.B - p.Q0
-	xLo := -p.Q0
+// closedStepper steps by core's closed-form arcs and refuses a step
+// whose switch/glide time, or whose end state inside the strip, is not
+// finite.
+type closedStepper struct{}
 
-	res = Result{Path: PathAnalytic}
-	ext := newExtremes(x)
-	s.enterDecrease = s.enterDecrease[:0]
-	bufferCheckedRounds := 0
-
-	finish := func(t, xf, yf float64) {
-		ext.add(xf)
-		res.EndT, res.EndX, res.EndY = t, xf, yf
-		ext.finishInto(&res)
+func (closedStepper) Step(g core.Regime) (core.Step, error) {
+	st, err := core.ArcStepper{}.Step(g)
+	if err == nil && !(finite(st.End) && (st.Wall != 0 || finite(st.X) && finite(st.Y))) {
+		return st, errNonFinite
 	}
+	return st, err
+}
 
-	region := p.RegionAt(x, y)
-	for arcIdx := 0; arcIdx < opts.MaxArcs; arcIdx++ {
-		lin := p.RegionLinear(region)
-		a, arcOK := makeArc(lin.M, lin.N, k, x, y)
-		if !arcOK {
-			return res, false, fmt.Errorf("%w: regime coefficients m=%v, n=%v, k=%v must be positive",
-				core.ErrInvalidParams, lin.M, lin.N, k)
-		}
-		eps := 1e-9 * a.scale
+// tracker is the engine's core.Observer: instead of sampling, it folds
+// the exact knots of every arc — junctions, extrema, wall hits and the
+// terminal state — into the Result. Where core.Solve excuses the
+// boundary-resting launch sample and then records polyline points
+// arbitrarily close to it (its MinX tends to the launch value −q0 as
+// sample density grows), the tracker reports that infimum directly: the
+// t = 0 knot counts, so a canonical launch has MinX = −q0 exactly.
+type tracker struct {
+	res        Result
+	onCrossing func(t, x, y float64, to core.Region)
+}
 
-		tSwitch, hasSwitch := a.firstSwitch(eps)
-		var tEnd float64
-		if hasSwitch {
-			tEnd = tSwitch
-		} else {
-			tEnd = glideTimeArc(a, tolX, tolY)
-		}
-		if !finite(tEnd) {
-			return res, false, nil
-		}
+func (k *tracker) reset(path Path, onCrossing func(t, x, y float64, to core.Region)) {
+	nan := math.NaN()
+	k.res = Result{
+		Path: path,
+		MaxX: math.Inf(-1), MinX: math.Inf(1),
+		FirstMaxT: nan, FirstMaxX: nan,
+		FirstMinT: nan, FirstMinX: nan,
+	}
+	k.onCrossing = onCrossing
+}
 
-		// Entry knot: the junction state is exact (carried across the
-		// crossing verbatim, as core.sampleArc records it).
-		ext.add(x)
+// knot folds one exact x value into the excursion extremes.
+func (k *tracker) knot(x float64) {
+	if x > k.res.MaxX {
+		k.res.MaxX = x
+	}
+	if x < k.res.MinX {
+		k.res.MinX = x
+	}
+}
 
-		// Extremum inside this arc, recorded with core.solve's pre-boundary
-		// semantics: the tally counts any y-zero before the switch/glide
-		// end, while the excursion knot only counts the part of the arc
-		// that is actually traversed (up to a boundary hit, below).
-		tz, zok := a.firstYZero(eps)
-		var xz float64
-		isMax := y > 0 || (y == 0 && x < 0)
-		if zok && tz < tEnd {
-			xz, _ = a.at(tz)
-			res.Extrema++
-		}
-
-		if !opts.IgnoreBuffer {
-			if tb, hi, bok := arcFirstBoundaryHit(a, eps, tEnd, xLo, xHi); bok {
-				if zok && tz < tEnd && tz < tb {
-					ext.extremum(tGlobal+tz, xz, isMax)
+func (k *tracker) Arc(_ core.Region, t, x, _ float64, st core.Step) error {
+	// Entry knot: the junction state is exact (carried across the
+	// crossing verbatim, as core's sampler records it).
+	k.knot(x)
+	// The tally counts any y-zero before the switch/glide end, as
+	// core.Solve's extremum list does; the excursion knot only counts
+	// the part of the arc actually traversed, up to a wall hit.
+	if st.Extremum {
+		k.res.Extrema++
+		if st.Wall == 0 || st.ExtT < st.WallT {
+			k.knot(st.ExtX)
+			if st.ExtMax {
+				if math.IsNaN(k.res.FirstMaxT) {
+					k.res.FirstMaxT, k.res.FirstMaxX = t+st.ExtT, st.ExtX
 				}
-				xb, yb := a.at(tb)
-				finish(tGlobal+tb, xb, yb)
-				if hi {
-					res.Outcome = core.OutcomeOverflow
-				} else {
-					res.Outcome = core.OutcomeUnderflow
-				}
-				return res, true, nil
+			} else if math.IsNaN(k.res.FirstMinT) {
+				k.res.FirstMinT, k.res.FirstMinX = t+st.ExtT, st.ExtX
 			}
 		}
-
-		if zok && tz < tEnd {
-			ext.extremum(tGlobal+tz, xz, isMax)
-		}
-		// A terminal glide arc can oscillate through further extrema on
-		// its way into the convergence box; fold them into the excursion
-		// the way core's per-arc sampling would. Amplitudes decay, so a
-		// short scan suffices.
-		if !hasSwitch && zok {
-			tzz := tz
-			for i := 0; i < 4; i++ {
-				tn, more := a.firstYZero(tzz)
-				if !more || tn >= tEnd {
-					break
-				}
-				xn, _ := a.at(tn)
-				ext.add(xn)
-				tzz = tn
+	}
+	if st.Wall != 0 {
+		return nil
+	}
+	// A terminal closed-form glide can oscillate through further extrema
+	// on its way into the convergence box; fold them into the excursion
+	// the way core's per-arc sampling would. Amplitudes decay, so a
+	// short scan suffices.
+	if !st.Switched && st.Extremum && st.Arc.Kind() != 0 {
+		tz := st.ExtT
+		for i := 0; i < 4; i++ {
+			tn, more := st.Arc.FirstYZero(tz)
+			if !more || tn >= st.End {
+				break
 			}
+			xn, _ := st.Arc.At(tn)
+			k.knot(xn)
+			tz = tn
 		}
-		res.Arcs++
-
-		xNext, yNext := a.at(tEnd)
-		if !finite(xNext) || !finite(yNext) {
-			return res, false, nil
-		}
-		tGlobal += tEnd
-
-		if !hasSwitch {
-			finish(tGlobal, xNext, yNext)
-			res.Outcome = core.OutcomeConverged
-			return res, true, nil
-		}
-
-		next := core.Increase
-		if yNext > 0 {
-			next = core.Decrease
-		}
-		res.Crossings++
-		if opts.OnCrossing != nil {
-			opts.OnCrossing(tGlobal, xNext, yNext, next)
-		}
-		region = next
-		if next == core.Decrease {
-			s.enterDecrease = append(s.enterDecrease, math.Abs(xNext))
-			bufferCheckedRounds++
-		}
-
-		if math.Abs(xNext) < tolX && math.Abs(yNext) < tolY {
-			finish(tGlobal, xNext, yNext)
-			res.Outcome = core.OutcomeConverged
-			return res, true, nil
-		}
-
-		if n := len(s.enterDecrease); n >= 2 && s.enterDecrease[n-2] > 0 {
-			rho := s.enterDecrease[n-1] / s.enterDecrease[n-2]
-			res.Rho = rho
-			switch {
-			case math.Abs(rho-1) <= opts.CycleTol:
-				finish(tGlobal, xNext, yNext)
-				res.Outcome = core.OutcomeLimitCycle
-				return res, true, nil
-			case rho > 1+opts.CycleTol:
-				if opts.IgnoreBuffer {
-					finish(tGlobal, xNext, yNext)
-					res.Outcome = core.OutcomeDiverging
-					return res, true, nil
-				}
-			case !opts.DisableShortCircuit && bufferCheckedRounds >= 2:
-				finish(tGlobal, xNext, yNext)
-				res.Outcome = core.OutcomeConverged
-				return res, true, nil
-			}
-		}
-		x, y = xNext, yNext
 	}
-	finish(tGlobal, x, y)
-	res.Outcome = core.OutcomeHorizon
-	return res, true, nil
+	k.res.Arcs++
+	return nil
 }
 
-// glideTimeArc mirrors core.glideTime on the value arc: double from the
-// characteristic time until the state is inside the convergence box.
-func glideTimeArc(a arc, tolX, tolY float64) float64 {
-	t := a.scale
-	for i := 0; i < 200; i++ {
-		x, y := a.at(t)
-		if math.Abs(x) < tolX && math.Abs(y) < tolY {
-			return t
-		}
-		t *= 2
+func (k *tracker) Crossing(t, x, y float64, to core.Region) {
+	k.res.Crossings++
+	if k.onCrossing != nil {
+		k.onCrossing(t, x, y, to)
 	}
-	return t
 }
 
-// arcFirstBoundaryHit mirrors core.firstBoundaryHit on the value arc:
-// the entry point, the (at most one) y-zero and the endpoint bracket the
-// monotone pieces, and the hit time is refined by bisection.
-func arcFirstBoundaryHit(a arc, eps, tEnd, xLo, xHi float64) (t float64, hi, ok bool) {
-	type knot struct{ t, x float64 }
-	var knots [3]knot
-	n := 0
-	x0, _ := a.at(0)
-	knots[n] = knot{0, x0}
-	n++
-	if tz, okz := a.firstYZero(eps); okz && tz < tEnd {
-		xz, _ := a.at(tz)
-		knots[n] = knot{tz, xz}
-		n++
-	}
-	xe, _ := a.at(tEnd)
-	knots[n] = knot{tEnd, xe}
-	n++
+func (k *tracker) Finish(_, x, _ float64) { k.knot(x) }
 
-	for i := 1; i < n; i++ {
-		ka, kb := knots[i-1], knots[i]
-		switch {
-		case kb.x >= xHi && ka.x < xHi:
-			return refineArcBoundary(a, ka.t, kb.t, xHi, true), true, true
-		case kb.x <= xLo && ka.x > xLo:
-			return refineArcBoundary(a, ka.t, kb.t, xLo, false), false, true
-		case i == 1 && (ka.x >= xHi && kb.x > ka.x):
-			return ka.t, true, true
-		case i == 1 && (ka.x <= xLo && kb.x < ka.x):
-			return ka.t, false, true
-		}
-	}
-	return 0, false, false
-}
-
-// refineArcBoundary mirrors core.refineBoundary's 80-iteration bisection.
-func refineArcBoundary(a arc, lo, hi, c float64, upper bool) float64 {
-	inside := func(x float64) bool {
-		if upper {
-			return x < c
-		}
-		return x > c
-	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if mid == lo || mid == hi {
-			break
-		}
-		x, _ := a.at(mid)
-		if inside(x) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
+func (k *tracker) StepFailed(_ float64, err error) error { return err }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

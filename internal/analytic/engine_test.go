@@ -199,7 +199,7 @@ func TestParseMode(t *testing.T) {
 	}{
 		{"", ModeOn, true},
 		{"on", ModeOn, true},
-		{"auto", ModeAuto, true},
+		{"auto", ModeOn, true}, // alias, never spelled back
 		{"off", ModeOff, true},
 		{"fast", 0, false},
 		{"ON", 0, false},
@@ -209,7 +209,7 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, m := range []Mode{ModeOn, ModeAuto, ModeOff} {
+	for _, m := range []Mode{ModeOn, ModeOff} {
 		back, err := ParseMode(m.String())
 		if err != nil || back != m {
 			t.Errorf("round trip %v: got %v, %v", m, back, err)

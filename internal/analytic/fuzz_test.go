@@ -10,7 +10,8 @@ import (
 // FuzzAnalyticVsRK45 drives random valid parameter points through both
 // engines and demands they tell the same story: same outcome (up to
 // classification-boundary ties), crossing counts, and excursions within
-// the integrator's tolerance. Picked up by make fuzz-short.
+// the integrator's tolerance. The closed-form verdict must also equal
+// core.Solve's exactly. Picked up by make fuzz-short.
 func FuzzAnalyticVsRK45(f *testing.F) {
 	f.Add(uint8(10), uint8(20), uint8(50), uint8(8), false)
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(0), true)
@@ -22,9 +23,9 @@ func FuzzAnalyticVsRK45(f *testing.F) {
 		// Spread the gains across decades, the population across 1..256
 		// sources and the target queue across a factor of 8, staying
 		// inside Params.Validate's feasible box.
-		p.Gi = 0.05 * math.Pow(1.04, float64(giRaw))  // 0.05 … ~1100
-		p.Gd = 0.4 * math.Pow(0.96, float64(gdRaw))   // 0.4 … ~0.00001
-		p.N = 1 + int(nRaw)                           // 1 … 256
+		p.Gi = 0.05 * math.Pow(1.04, float64(giRaw))    // 0.05 … ~1100
+		p.Gd = 0.4 * math.Pow(0.96, float64(gdRaw))     // 0.4 … ~0.00001
+		p.N = 1 + int(nRaw)                             // 1 … 256
 		p.Q0 = p.B / 8 * (1 + 7*float64(q0Raw)/255) / 2 // B/16 … B/2
 		if err := p.Validate(); err != nil {
 			t.Skip()
@@ -34,6 +35,19 @@ func FuzzAnalyticVsRK45(f *testing.F) {
 		closed, err := s.Solve(p, Options{IgnoreBuffer: ignoreBuffer})
 		if err != nil {
 			t.Fatalf("closed: %v", err)
+		}
+		// core.Solve runs the same stitch loop over the same arcs, so its
+		// verdict must match the engine's bit for bit.
+		tr, err := core.Solve(p, core.SolveOptions{IgnoreBuffer: ignoreBuffer})
+		if err != nil {
+			t.Fatalf("core: %v", err)
+		}
+		if tr.Outcome != closed.Outcome || tr.Rho != closed.Rho || len(tr.Crossings) != closed.Crossings ||
+			tr.EndT != closed.EndT || tr.EndX != closed.EndX || tr.EndY != closed.EndY {
+			t.Fatalf("core (%v, rho=%v, %d crossings, end %v,%v,%v) != engine (%v, rho=%v, %d crossings, end %v,%v,%v) (gi=%g gd=%g n=%d q0=%g)",
+				tr.Outcome, tr.Rho, len(tr.Crossings), tr.EndT, tr.EndX, tr.EndY,
+				closed.Outcome, closed.Rho, closed.Crossings, closed.EndT, closed.EndX, closed.EndY,
+				p.Gi, p.Gd, p.N, p.Q0)
 		}
 		rk, err := s.Solve(p, Options{Mode: ModeOff, IgnoreBuffer: ignoreBuffer})
 		if err != nil {

@@ -15,7 +15,7 @@ type Metrics struct {
 	Crossings *telemetry.Counter
 	// Extrema counts recorded x-extrema.
 	Extrema *telemetry.Counter
-	// RK45Fallbacks counts ModeOn/ModeAuto points whose closed form went
+	// RK45Fallbacks counts ModeOn points whose closed form went
 	// non-finite and re-ran on the integrator. Nonzero values deserve a
 	// look: the closed forms cover every valid regime.
 	RK45Fallbacks *telemetry.Counter

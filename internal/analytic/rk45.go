@@ -8,158 +8,39 @@ import (
 	"bcnphase/internal/ode"
 )
 
-// rkScratch holds the RK45 path's reusable state buffer.
-type rkScratch struct {
+// rkStepper steps by Dormand-Prince integration of each regime, knowing
+// nothing about the solution forms: the eigenstructure is consulted only
+// for time scales (step caps and integration horizons), never for
+// states. It is the ModeOff validation baseline and the non-finite
+// fallback.
+type rkStepper struct {
+	// y0 is the reusable initial-state buffer.
 	y0 []float64
 }
 
-// rkSegment is one numerically integrated regime segment: the piece of
-// trajectory from a junction to the next switching-line crossing,
-// boundary hit, or settled glide.
-type rkSegment struct {
-	tEnd       float64
-	xEnd, yEnd float64
-	// switched is true when the segment ended at a switching-line
-	// crossing (false for a settled glide).
-	switched bool
-	// boundary/hiBoundary mark an overflow (hi) or underflow (lo) hit.
-	boundary, hiBoundary bool
-	// hasExtremum records the first y-zero traversed inside the segment.
-	hasExtremum          bool
-	tExtremum, xExtremum float64
-}
-
-// solveRK45 classifies one point by stitched Dormand-Prince integration
-// of the piecewise-linear regimes, using the same termination logic as
-// the closed-form path but knowing nothing about the solution forms —
-// the eigenstructure is consulted only for time scales (step caps and
-// integration horizons), never for states. It is the ModeOff validation
-// baseline and the non-finite fallback.
-func (s *Solver) solveRK45(p core.Params, opts Options) (Result, error) {
-	k := p.K()
-	x, y := opts.Start[0], opts.Start[1]
-	tGlobal := 0.0
-
-	tolX := opts.ConvergeTol * p.Q0
-	tolY := opts.ConvergeTol * p.C
-	xHi := p.B - p.Q0
-	xLo := -p.Q0
-
-	res := Result{Path: PathRK45}
-	ext := newExtremes(x)
-	s.enterDecrease = s.enterDecrease[:0]
-	bufferCheckedRounds := 0
-
-	finish := func(t, xf, yf float64) {
-		ext.add(xf)
-		res.EndT, res.EndX, res.EndY = t, xf, yf
-		ext.finishInto(&res)
+func (r *rkStepper) Step(g core.Regime) (core.Step, error) {
+	if !(g.M > 0) || !(g.N > 0) || !(g.K > 0) {
+		return core.Step{}, fmt.Errorf("%w: regime coefficients m=%v, n=%v, k=%v must be positive",
+			core.ErrInvalidParams, g.M, g.N, g.K)
 	}
-
-	region := p.RegionAt(x, y)
-	for arcIdx := 0; arcIdx < opts.MaxArcs; arcIdx++ {
-		lin := p.RegionLinear(region)
-		if !(lin.M > 0) || !(lin.N > 0) || !(k > 0) {
-			return res, fmt.Errorf("%w: regime coefficients m=%v, n=%v, k=%v must be positive",
-				core.ErrInvalidParams, lin.M, lin.N, k)
+	// Entered at or beyond a wall and moving further out: an immediate
+	// hit, as the closed-form stepper's entry-knot check rules.
+	if g.Buffer {
+		switch {
+		case g.X0 >= g.XHi && g.Y0 > 0:
+			return core.Step{Wall: core.OutcomeOverflow, X: g.X0, Y: g.Y0}, nil
+		case g.X0 <= g.XLo && g.Y0 < 0:
+			return core.Step{Wall: core.OutcomeUnderflow, X: g.X0, Y: g.Y0}, nil
 		}
-		ext.add(x)
-
-		// Entered at or beyond a boundary and moving further out: an
-		// immediate hit, as the closed path's entry-knot check rules.
-		if !opts.IgnoreBuffer {
-			switch {
-			case x >= xHi && y > 0:
-				finish(tGlobal, x, y)
-				res.Outcome = core.OutcomeOverflow
-				return res, nil
-			case x <= xLo && y < 0:
-				finish(tGlobal, x, y)
-				res.Outcome = core.OutcomeUnderflow
-				return res, nil
-			}
-		}
-
-		seg, err := s.integrateArc(lin, k, region, x, y, tolX, tolY, xLo, xHi, opts.IgnoreBuffer)
-		if err != nil {
-			return res, err
-		}
-		if seg.hasExtremum {
-			isMax := y > 0 || (y == 0 && x < 0)
-			res.Extrema++
-			ext.extremum(tGlobal+seg.tExtremum, seg.xExtremum, isMax)
-		}
-		if seg.boundary {
-			finish(tGlobal+seg.tEnd, seg.xEnd, seg.yEnd)
-			if seg.hiBoundary {
-				res.Outcome = core.OutcomeOverflow
-			} else {
-				res.Outcome = core.OutcomeUnderflow
-			}
-			return res, nil
-		}
-		res.Arcs++
-
-		xNext, yNext := seg.xEnd, seg.yEnd
-		tGlobal += seg.tEnd
-
-		if !seg.switched {
-			finish(tGlobal, xNext, yNext)
-			res.Outcome = core.OutcomeConverged
-			return res, nil
-		}
-
-		next := core.Increase
-		if yNext > 0 {
-			next = core.Decrease
-		}
-		res.Crossings++
-		if opts.OnCrossing != nil {
-			opts.OnCrossing(tGlobal, xNext, yNext, next)
-		}
-		region = next
-		if next == core.Decrease {
-			s.enterDecrease = append(s.enterDecrease, math.Abs(xNext))
-			bufferCheckedRounds++
-		}
-
-		if math.Abs(xNext) < tolX && math.Abs(yNext) < tolY {
-			finish(tGlobal, xNext, yNext)
-			res.Outcome = core.OutcomeConverged
-			return res, nil
-		}
-
-		if n := len(s.enterDecrease); n >= 2 && s.enterDecrease[n-2] > 0 {
-			rho := s.enterDecrease[n-1] / s.enterDecrease[n-2]
-			res.Rho = rho
-			switch {
-			case math.Abs(rho-1) <= opts.CycleTol:
-				finish(tGlobal, xNext, yNext)
-				res.Outcome = core.OutcomeLimitCycle
-				return res, nil
-			case rho > 1+opts.CycleTol:
-				if opts.IgnoreBuffer {
-					finish(tGlobal, xNext, yNext)
-					res.Outcome = core.OutcomeDiverging
-					return res, nil
-				}
-			case !opts.DisableShortCircuit && bufferCheckedRounds >= 2:
-				finish(tGlobal, xNext, yNext)
-				res.Outcome = core.OutcomeConverged
-				return res, nil
-			}
-		}
-		x, y = xNext, yNext
 	}
-	finish(tGlobal, x, y)
-	res.Outcome = core.OutcomeHorizon
-	return res, nil
+	return r.integrateArc(g)
 }
 
 // integrateArc integrates one regime from (x0, y0) until the state exits
 // through the switching line, hits a buffer boundary, or settles into
 // the convergence box. The horizon doubles until one of those happens.
-func (s *Solver) integrateArc(lin core.Linear, k float64, region core.Region, x0, y0, tolX, tolY, xLo, xHi float64, ignoreBuffer bool) (rkSegment, error) {
+func (r *rkStepper) integrateArc(g core.Regime) (core.Step, error) {
+	lin, k, x0, y0 := g.Linear, g.K, g.X0, g.Y0
 	f := func(_ float64, st, d []float64) {
 		d[0] = st[1]
 		d[1] = -lin.N*st[0] - lin.M*st[1]
@@ -170,7 +51,7 @@ func (s *Solver) integrateArc(lin core.Linear, k float64, region core.Region, x0
 	// Exit direction: s = x + k·y rises out of the increase region and
 	// falls out of the decrease region (ṡ = y at the line).
 	dir := +1
-	if region == core.Decrease {
+	if g.Region == core.Decrease {
 		dir = -1
 	}
 	// The y-zero event is armed past epsArm with the sign y takes just
@@ -196,19 +77,19 @@ func (s *Solver) integrateArc(lin core.Linear, k float64, region core.Region, x0
 				return st[1]
 			}},
 	}
-	if !ignoreBuffer {
+	if g.Buffer {
 		events = append(events,
 			ode.Event{Name: "hi", Direction: +1, Terminal: true,
-				G: func(_ float64, st []float64) float64 { return st[0] - xHi }},
+				G: func(_ float64, st []float64) float64 { return st[0] - g.XHi }},
 			ode.Event{Name: "lo", Direction: -1, Terminal: true,
-				G: func(_ float64, st []float64) float64 { return st[0] - xLo }},
+				G: func(_ float64, st []float64) float64 { return st[0] - g.XLo }},
 		)
 	}
 
-	if cap(s.rk.y0) < 2 {
-		s.rk.y0 = make([]float64, 2)
+	if cap(r.y0) < 2 {
+		r.y0 = make([]float64, 2)
 	}
-	y0v := s.rk.y0[:2]
+	y0v := r.y0[:2]
 
 	horizon := 8 * scale
 	for attempt := 0; attempt < 40; attempt++ {
@@ -219,45 +100,46 @@ func (s *Solver) integrateArc(lin core.Linear, k float64, region core.Region, x0
 			Events:  events,
 		})
 		if err != nil {
-			return rkSegment{}, fmt.Errorf("analytic: rk45 segment: %w", err)
+			return core.Step{}, fmt.Errorf("analytic: rk45 segment: %w", err)
 		}
-		var seg rkSegment
+		var st core.Step
 		for i := range sol.Events {
 			hit := &sol.Events[i]
 			switch hit.Name {
 			case "yzero":
-				if !seg.hasExtremum && hit.T > epsArm {
-					seg.hasExtremum = true
-					seg.tExtremum, seg.xExtremum = hit.T, hit.Y[0]
+				if !st.Extremum && hit.T > epsArm {
+					st.Extremum, st.ExtT, st.ExtX = true, hit.T, hit.Y[0]
 				}
 			case "switch":
-				seg.tEnd, seg.xEnd, seg.yEnd = hit.T, hit.Y[0], hit.Y[1]
-				seg.switched = true
-			case "hi", "lo":
-				seg.tEnd, seg.xEnd, seg.yEnd = hit.T, hit.Y[0], hit.Y[1]
-				seg.boundary = true
-				seg.hiBoundary = hit.Name == "hi"
+				st.End, st.X, st.Y = hit.T, hit.Y[0], hit.Y[1]
+				st.Switched = true
+			case "hi":
+				st.End, st.X, st.Y = hit.T, hit.Y[0], hit.Y[1]
+				st.Wall, st.WallT = core.OutcomeOverflow, hit.T
+			case "lo":
+				st.End, st.X, st.Y = hit.T, hit.Y[0], hit.Y[1]
+				st.Wall, st.WallT = core.OutcomeUnderflow, hit.T
 			}
 		}
-		if seg.switched || seg.boundary {
-			return seg, nil
+		if st.Switched || st.Wall != 0 {
+			return st, nil
 		}
 		// No exit inside the horizon: a glide that has settled into the
 		// convergence box ends the trajectory; otherwise widen and retry.
 		_, yEnd := sol.Last()
 		xe, ye := yEnd[0], yEnd[1]
-		if math.Abs(xe) < tolX && math.Abs(ye) < tolY {
-			seg.tEnd, seg.xEnd, seg.yEnd = horizon, xe, ye
-			return seg, nil
+		if math.Abs(xe) < g.TolX && math.Abs(ye) < g.TolY {
+			st.End, st.X, st.Y = horizon, xe, ye
+			return st, nil
 		}
 		horizon *= 2
 	}
-	return rkSegment{}, fmt.Errorf("analytic: rk45 segment found no exit within %g characteristic times", 8*math.Pow(2, 40))
+	return core.Step{}, fmt.Errorf("analytic: rk45 segment found no exit within %g characteristic times", 8*math.Pow(2, 40))
 }
 
 // regimeScale is the regime's characteristic time: the spiral half-turn
 // period, or 1/|λ_slow| for (near-)real eigenvalues — the same quantity
-// core.Arc.TimeScale reports, used here only to size steps and horizons.
+// core.Arc.TimeScale reports outside the near-degenerate band, used here only to size steps and horizons.
 func regimeScale(lin core.Linear) float64 {
 	disc := lin.M*lin.M - 4*lin.N
 	if disc < 0 {

@@ -33,10 +33,11 @@ type GainGrid struct {
 	// of the grid's identity: rows computed under one policy must never
 	// replay under another.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the row engine ("on", "auto", "off"); empty means
-	// on. On/auto rows come from the sampling-free closed-form engine
-	// (internal/analytic) and report exact extrema; off rows come from
-	// the classic sampled core.Solve. The analytic engine carries no
+	// Analytic selects the row engine ("on" or "off"; "auto" is an alias
+	// of "on" and shares its fingerprint); empty means on. On rows come
+	// from the sampling-free closed-form engine (internal/analytic) and
+	// report exact extrema; off rows come from the classic sampled
+	// core.Solve. The analytic engine carries no
 	// invariant instrumentation, so any non-off Invariants policy forces
 	// the classic path regardless of this field. Like Invariants it is
 	// part of the grid's identity: max_q_bits differs between exact and
@@ -228,7 +229,7 @@ const rowFormat = "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s"
 // which is what makes "byte-identical to a single-node run" a property
 // instead of a hope.
 //
-// When the grid's engine mode is on/auto and its invariant policy is
+// When the grid's engine mode is on and its invariant policy is
 // off, the verdict comes from the sampling-free closed-form engine
 // (internal/analytic) and the linear columns from the Routh–Hurwitz
 // criterion directly — no sampled trajectory is built at all, which is

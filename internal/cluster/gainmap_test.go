@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -109,6 +110,35 @@ func TestGridFingerprintSeparatesEngines(t *testing.T) {
 	}
 	if fpExplicit != fpOn {
 		t.Error(`Analytic "" and "on" must share a fingerprint (same rows)`)
+	}
+}
+
+// TestGridAutoIsOn: "auto" is only a spelling of "on", so an auto grid
+// shares the on grid's fingerprint (its journal keys) and its rows.
+func TestGridAutoIsOn(t *testing.T) {
+	on, auto := testGrid(3), testGrid(3)
+	on.Analytic, auto.Analytic = "on", "auto"
+	fpOn, err := on.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpAuto, err := auto.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fpAuto != fpOn {
+		t.Error(`Analytic "auto" and "on" must share a fingerprint`)
+	}
+	rowsOn := make([]Row, len(on.Points()))
+	rowsAuto := make([]Row, len(rowsOn))
+	if err := on.EvalBatch(context.Background(), on.Points(), rowsOn, EvalMetrics{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := auto.EvalBatch(context.Background(), auto.Points(), rowsAuto, EvalMetrics{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(RenderCSV(rowsOn), RenderCSV(rowsAuto)) {
+		t.Error(`Analytic "auto" rows differ from "on" rows`)
 	}
 }
 

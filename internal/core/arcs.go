@@ -39,23 +39,25 @@ func (k ArcKind) String() string {
 //
 //	x' = y,  y' = −n·x − m·y
 //
-// from a fixed initial state. Time t is measured from the arc's start.
-type Arc interface {
-	// At evaluates the state at arc time t ≥ 0.
-	At(t float64) (x, y float64)
-	// FirstYZero returns the first time strictly greater than after at
-	// which y(t) = 0 (an extremum of x), and whether one exists.
-	FirstYZero(after float64) (float64, bool)
-	// FirstSwitch returns the first time strictly greater than after at
-	// which x + k·y = 0 (a switching-line crossing), and whether one
-	// exists. k is fixed at construction.
-	FirstSwitch(after float64) (float64, bool)
-	// Kind reports the solution family.
-	Kind() ArcKind
-	// TimeScale returns a characteristic time of the regime (used to
-	// scale numeric epsilons): the half-turn period for spirals,
-	// 1/|λ_slow| for nodes.
-	TimeScale() float64
+// from a fixed initial state, held by value: the solution family, the
+// x, y and switch-coordinate s = x + k·y components, and the regime's
+// time scale. Time t is measured from the arc's start. The zero Arc
+// (Kind 0) is no solution; NewArc builds the valid ones.
+type Arc struct {
+	kind    ArcKind
+	x, y, s form
+	// scale is the characteristic time reported by TimeScale.
+	scale float64
+}
+
+// form is one scalar component of an arc, read according to the arc's
+// kind:
+//
+//	spiral:   a·e^{b·t}·cos(c·t + d)   amplitude, α, β, phase (eq. 12)
+//	node:     a·e^{b·t} + c·e^{d·t}    c₁, λ₁, c₂, λ₂ with λ₁ < λ₂ (eq. 21)
+//	critical: (a + b·t)·e^{c·t}        p, q, λ; d unused (eq. 29)
+type form struct {
+	a, b, c, d float64
 }
 
 // ArcDiscTol is the relative half-width of the near-degenerate band:
@@ -70,67 +72,29 @@ const ArcDiscTol = 1e-13
 // from the initial state (x0, y0), with switching line x + k·y = 0.
 func NewArc(m, n, k, x0, y0 float64) (Arc, error) {
 	if !(m > 0) || !(n > 0) {
-		return nil, fmt.Errorf("%w: regime coefficients m=%v, n=%v must be positive", ErrInvalidParams, m, n)
+		return Arc{}, fmt.Errorf("%w: regime coefficients m=%v, n=%v must be positive", ErrInvalidParams, m, n)
 	}
 	if !(k > 0) {
-		return nil, fmt.Errorf("%w: switching slope k=%v must be positive", ErrInvalidParams, k)
+		return Arc{}, fmt.Errorf("%w: switching slope k=%v must be positive", ErrInvalidParams, k)
 	}
 	disc := m*m - 4*n
 	if d := ArcDiscTol * m * m; disc < d && disc > -d {
-		return newCriticalArc(-m/2, k, x0, y0), nil
+		return criticalArc(-m/2, k, x0, y0), nil
 	}
 	switch {
 	case disc < 0:
-		alpha := -m / 2
-		beta := math.Sqrt(-disc) / 2
-		return newSpiralArc(alpha, beta, k, x0, y0), nil
+		return spiralArc(-m/2, math.Sqrt(-disc)/2, k, x0, y0), nil
 	case disc > 0:
 		s := math.Sqrt(disc)
-		l1 := (-m - s) / 2
-		l2 := (-m + s) / 2
-		return newNodeArc(l1, l2, k, x0, y0), nil
+		return nodeArc((-m-s)/2, (-m+s)/2, k, x0, y0), nil
 	default:
-		return newCriticalArc(-m/2, k, x0, y0), nil
+		return criticalArc(-m/2, k, x0, y0), nil
 	}
 }
 
-// cosForm is the damped sinusoid A·e^{αt}·cos(βt + φ).
-type cosForm struct {
-	A, alpha, beta, phi float64
-}
-
-func (c cosForm) at(t float64) float64 {
-	return c.A * math.Exp(c.alpha*t) * math.Cos(c.beta*t+c.phi)
-}
-
-// firstZeroAfter returns the first zero strictly after time t0. Zeros sit
-// at βt + φ = π/2 + nπ. A zero always exists when A ≠ 0 and β > 0.
-func (c cosForm) firstZeroAfter(t0 float64) (float64, bool) {
-	if c.A == 0 || c.beta <= 0 {
-		return 0, false
-	}
-	// Smallest integer n with t_n = (π/2 + nπ − φ)/β > t0.
-	nf := (c.beta*t0 + c.phi - math.Pi/2) / math.Pi
-	n := math.Floor(nf) + 1
-	t := (math.Pi/2 + n*math.Pi - c.phi) / c.beta
-	// Guard against roundoff returning t ≈ t0.
-	for t <= t0 {
-		n++
-		t = (math.Pi/2 + n*math.Pi - c.phi) / c.beta
-	}
-	return t, true
-}
-
-// spiralArc is the H-form solution (paper eq. 12): a logarithmic spiral
-// with x(t) = A e^{αt} cos(βt+φ).
-type spiralArc struct {
-	alpha, beta float64
-	x, y, s     cosForm // s is x + k·y
-}
-
-var _ Arc = (*spiralArc)(nil)
-
-func newSpiralArc(alpha, beta, k, x0, y0 float64) *spiralArc {
+// spiralArc is the H-form (paper eq. 12) for eigenvalues α ± iβ: a
+// logarithmic spiral with x(t) = A e^{αt} cos(βt+φ).
+func spiralArc(alpha, beta, k, x0, y0 float64) Arc {
 	// x = A e^{αt} cos(βt+φ) with A cosφ = x0, A sinφ = (αx0 − y0)/β.
 	sinTerm := (alpha*x0 - y0) / beta
 	amp := math.Hypot(x0, sinTerm)
@@ -142,147 +106,208 @@ func newSpiralArc(alpha, beta, k, x0, y0 float64) *spiralArc {
 	// s = x + k y = A e^{αt}[(1+kα)cos θ − kβ sin θ] = A·ρs·cos(θ+ψs).
 	rhoS := math.Hypot(1+k*alpha, k*beta)
 	psiS := math.Atan2(k*beta, 1+k*alpha)
-	return &spiralArc{
-		alpha: alpha, beta: beta,
-		x: cosForm{A: amp, alpha: alpha, beta: beta, phi: phi},
-		y: cosForm{A: amp * rhoY, alpha: alpha, beta: beta, phi: phi + psiY},
-		s: cosForm{A: amp * rhoS, alpha: alpha, beta: beta, phi: phi + psiS},
+	return Arc{
+		kind:  ArcSpiral,
+		x:     form{amp, alpha, beta, phi},
+		y:     form{amp * rhoY, alpha, beta, phi + psiY},
+		s:     form{amp * rhoS, alpha, beta, phi + psiS},
+		scale: math.Pi / beta,
 	}
 }
 
-func (a *spiralArc) At(t float64) (float64, float64) { return a.x.at(t), a.y.at(t) }
-
-func (a *spiralArc) FirstYZero(after float64) (float64, bool) {
-	return a.y.firstZeroAfter(after)
-}
-
-func (a *spiralArc) FirstSwitch(after float64) (float64, bool) {
-	return a.s.firstZeroAfter(after)
-}
-
-func (a *spiralArc) Kind() ArcKind { return ArcSpiral }
-
-func (a *spiralArc) TimeScale() float64 { return math.Pi / a.beta }
-
-// Eigen returns α and β of the complex pair α ± iβ.
-func (a *spiralArc) Eigen() (alpha, beta float64) { return a.alpha, a.beta }
-
-// twoExp is c1·e^{λ1 t} + c2·e^{λ2 t} with λ1 < λ2.
-type twoExp struct {
-	c1, l1, c2, l2 float64
-}
-
-func (f twoExp) at(t float64) float64 {
-	return f.c1*math.Exp(f.l1*t) + f.c2*math.Exp(f.l2*t)
-}
-
-// firstZeroAfter solves c1 e^{λ1 t} = −c2 e^{λ2 t}: at most one root.
-func (f twoExp) firstZeroAfter(t0 float64) (float64, bool) {
-	if f.c1 == 0 || f.c2 == 0 {
-		return 0, false // identically signed (or zero) — no isolated root
-	}
-	r := -f.c2 / f.c1
-	if r <= 0 {
-		return 0, false
-	}
-	// e^{(l1−l2) t} = r.
-	t := math.Log(r) / (f.l1 - f.l2)
-	if t <= t0 {
-		return 0, false
-	}
-	return t, true
-}
-
-// nodeArc is the F-form solution (paper eq. 21) with λ1 < λ2 < 0.
-type nodeArc struct {
-	l1, l2  float64
-	x, y, s twoExp
-}
-
-var _ Arc = (*nodeArc)(nil)
-
-func newNodeArc(l1, l2, k, x0, y0 float64) *nodeArc {
+// nodeArc is the F-form (paper eq. 21) for real eigenvalues λ1 < λ2 < 0.
+func nodeArc(l1, l2, k, x0, y0 float64) Arc {
 	a1 := (l2*x0 - y0) / (l2 - l1)
 	a2 := (l1*x0 - y0) / (l1 - l2)
-	return &nodeArc{
-		l1: l1, l2: l2,
-		x: twoExp{c1: a1, l1: l1, c2: a2, l2: l2},
-		y: twoExp{c1: a1 * l1, l1: l1, c2: a2 * l2, l2: l2},
-		s: twoExp{c1: a1 * (1 + k*l1), l1: l1, c2: a2 * (1 + k*l2), l2: l2},
+	return Arc{
+		kind:  ArcNode,
+		x:     form{a1, l1, a2, l2},
+		y:     form{a1 * l1, l1, a2 * l2, l2},
+		s:     form{a1 * (1 + k*l1), l1, a2 * (1 + k*l2), l2},
+		scale: 1 / math.Abs(l2),
 	}
 }
 
-func (a *nodeArc) At(t float64) (float64, float64) { return a.x.at(t), a.y.at(t) }
-
-func (a *nodeArc) FirstYZero(after float64) (float64, bool) {
-	return a.y.firstZeroAfter(after)
-}
-
-func (a *nodeArc) FirstSwitch(after float64) (float64, bool) {
-	return a.s.firstZeroAfter(after)
-}
-
-func (a *nodeArc) Kind() ArcKind { return ArcNode }
-
-func (a *nodeArc) TimeScale() float64 { return 1 / math.Abs(a.l2) }
-
-// Eigen returns the two real eigenvalues λ1 < λ2 < 0.
-func (a *nodeArc) Eigen() (l1, l2 float64) { return a.l1, a.l2 }
-
-// linExp is (p + q·t)·e^{λt}.
-type linExp struct {
-	p, q, l float64
-}
-
-func (f linExp) at(t float64) float64 {
-	return (f.p + f.q*t) * math.Exp(f.l*t)
-}
-
-func (f linExp) firstZeroAfter(t0 float64) (float64, bool) {
-	if f.q == 0 {
-		return 0, false
-	}
-	t := -f.p / f.q
-	if t <= t0 {
-		return 0, false
-	}
-	return t, true
-}
-
-// criticalArc is the L-form solution (paper eq. 29) with repeated
-// eigenvalue λ = −m/2.
-type criticalArc struct {
-	l       float64
-	x, y, s linExp
-}
-
-var _ Arc = (*criticalArc)(nil)
-
-func newCriticalArc(l, k, x0, y0 float64) *criticalArc {
+// criticalArc is the L-form (paper eq. 29) for the repeated eigenvalue λ.
+func criticalArc(l, k, x0, y0 float64) Arc {
 	a3 := x0
 	a4 := y0 - l*x0
-	return &criticalArc{
-		l: l,
-		x: linExp{p: a3, q: a4, l: l},
-		y: linExp{p: a3*l + a4, q: a4 * l, l: l},
+	return Arc{
+		kind: ArcCritical,
+		x:    form{a: a3, b: a4, c: l},
+		y:    form{a: a3*l + a4, b: a4 * l, c: l},
 		// s = x + ky = e^{λt}[a3(1+kλ) + k·a4 + a4(1+kλ)t].
-		s: linExp{p: a3*(1+k*l) + k*a4, q: a4 * (1 + k*l), l: l},
+		s:     form{a: a3*(1+k*l) + k*a4, b: a4 * (1 + k*l), c: l},
+		scale: 1 / math.Abs(l),
 	}
 }
 
-func (a *criticalArc) At(t float64) (float64, float64) { return a.x.at(t), a.y.at(t) }
-
-func (a *criticalArc) FirstYZero(after float64) (float64, bool) {
-	return a.y.firstZeroAfter(after)
+func (f form) at(kind ArcKind, t float64) float64 {
+	switch kind {
+	case ArcSpiral:
+		return f.a * math.Exp(f.b*t) * math.Cos(f.c*t+f.d)
+	case ArcNode:
+		return f.a*math.Exp(f.b*t) + f.c*math.Exp(f.d*t)
+	default:
+		return (f.a + f.b*t) * math.Exp(f.c*t)
+	}
 }
 
-func (a *criticalArc) FirstSwitch(after float64) (float64, bool) {
-	return a.s.firstZeroAfter(after)
+// firstZeroAfter returns the first zero of the component strictly after
+// t0, and whether one exists.
+func (f form) firstZeroAfter(kind ArcKind, t0 float64) (float64, bool) {
+	switch kind {
+	case ArcSpiral:
+		// Zeros sit at βt + φ = π/2 + nπ; one always exists when A ≠ 0
+		// and β > 0. Take the smallest integer n with t_n > t0.
+		if f.a == 0 || f.c <= 0 {
+			return 0, false
+		}
+		nf := (f.c*t0 + f.d - math.Pi/2) / math.Pi
+		n := math.Floor(nf) + 1
+		t := (math.Pi/2 + n*math.Pi - f.d) / f.c
+		// Guard against roundoff returning t ≈ t0.
+		for t <= t0 {
+			n++
+			t = (math.Pi/2 + n*math.Pi - f.d) / f.c
+		}
+		return t, true
+	case ArcNode:
+		// c1 e^{λ1 t} = −c2 e^{λ2 t} has at most one root.
+		if f.a == 0 || f.c == 0 {
+			return 0, false // identically signed (or zero) — no isolated root
+		}
+		r := -f.c / f.a
+		if r <= 0 {
+			return 0, false
+		}
+		// e^{(λ1−λ2) t} = r.
+		t := math.Log(r) / (f.b - f.d)
+		if t <= t0 {
+			return 0, false
+		}
+		return t, true
+	default:
+		if f.b == 0 {
+			return 0, false
+		}
+		t := -f.a / f.b
+		if t <= t0 {
+			return 0, false
+		}
+		return t, true
+	}
 }
 
-func (a *criticalArc) Kind() ArcKind { return ArcCritical }
+// At evaluates the state at arc time t ≥ 0.
+func (a Arc) At(t float64) (x, y float64) {
+	return a.x.at(a.kind, t), a.y.at(a.kind, t)
+}
 
-func (a *criticalArc) TimeScale() float64 { return 1 / math.Abs(a.l) }
+// FirstYZero returns the first time strictly greater than after at which
+// y(t) = 0 (an extremum of x), and whether one exists.
+func (a Arc) FirstYZero(after float64) (float64, bool) {
+	return a.y.firstZeroAfter(a.kind, after)
+}
 
-// Eigen returns the repeated eigenvalue.
-func (a *criticalArc) Eigen() float64 { return a.l }
+// FirstSwitch returns the first time strictly greater than after at
+// which x + k·y = 0 (a switching-line crossing), and whether one exists.
+// k is fixed at construction.
+func (a Arc) FirstSwitch(after float64) (float64, bool) {
+	return a.s.firstZeroAfter(a.kind, after)
+}
+
+// Kind reports the solution family.
+func (a Arc) Kind() ArcKind { return a.kind }
+
+// TimeScale returns a characteristic time of the regime (used to scale
+// numeric epsilons): the half-turn period for spirals, 1/|λ_slow| for
+// nodes and 1/|λ| for the repeated eigenvalue.
+func (a Arc) TimeScale() float64 { return a.scale }
+
+// Eigen returns the regime's eigenvalues: (α, β) of the complex pair
+// α ± iβ for a spiral, (λ1, λ2) with λ1 < λ2 for a node, and (λ, λ) for
+// the repeated eigenvalue.
+func (a Arc) Eigen() (float64, float64) {
+	switch a.kind {
+	case ArcSpiral:
+		return a.x.b, a.x.c
+	case ArcNode:
+		return a.x.b, a.x.d
+	default:
+		return a.x.c, a.x.c
+	}
+}
+
+// glideTime finds a time by which a non-switching arc is inside the
+// convergence box, by doubling from the arc's characteristic time.
+func (a *Arc) glideTime(tolX, tolY float64) float64 {
+	t := a.scale
+	for i := 0; i < 200; i++ {
+		x, y := a.At(t)
+		if math.Abs(x) < tolX && math.Abs(y) < tolY {
+			return t
+		}
+		t *= 2
+	}
+	return t
+}
+
+// firstWallHit finds the earliest time in (0, tEnd] at which x(t)
+// reaches xLo or xHi, reporting OutcomeOverflow for xHi and
+// OutcomeUnderflow for xLo (0 when neither is reached). Within one arc,
+// x(t) is monotone between y-zeros and the arc contains at most one
+// y-zero before its end (at tz when hasZ), so checking the entry point,
+// the extremum and the endpoint is exact; the crossing time is then
+// refined by bisection on the monotone piece.
+//
+// An entry state resting exactly on a wall (the canonical start at an
+// empty queue, x = −q0) is not a hit: the trajectory is entering the
+// interior.
+func (a *Arc) firstWallHit(tz float64, hasZ bool, tEnd, xLo, xHi float64) (float64, Outcome) {
+	type knot struct{ t, x float64 }
+	var knots [3]knot
+	knots[0] = knot{0, a.x.at(a.kind, 0)}
+	n := 1
+	if hasZ {
+		knots[n] = knot{tz, a.x.at(a.kind, tz)}
+		n++
+	}
+	knots[n] = knot{tEnd, a.x.at(a.kind, tEnd)}
+	n++
+
+	for i := 1; i < n; i++ {
+		ka, kb := knots[i-1], knots[i]
+		switch {
+		case kb.x >= xHi && ka.x < xHi:
+			return a.refineWall(ka.t, kb.t, xHi, true), OutcomeOverflow
+		case kb.x <= xLo && ka.x > xLo:
+			return a.refineWall(ka.t, kb.t, xLo, false), OutcomeUnderflow
+		case i == 1 && (ka.x >= xHi && kb.x > ka.x):
+			// Entered at/beyond the ceiling and moving out.
+			return ka.t, OutcomeOverflow
+		case i == 1 && (ka.x <= xLo && kb.x < ka.x):
+			// Entered at/below the floor and moving further out.
+			return ka.t, OutcomeUnderflow
+		}
+	}
+	return 0, 0
+}
+
+// refineWall bisects for x(t) = c on [lo, hi] where x(lo) is inside and
+// x(hi) outside.
+func (a *Arc) refineWall(lo, hi, c float64, upper bool) float64 {
+	for i := 0; i < 80; i++ {
+		mid := 0.5 * (lo + hi)
+		if mid == lo || mid == hi {
+			break
+		}
+		x := a.x.at(a.kind, mid)
+		if (upper && x < c) || (!upper && x > c) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}

@@ -207,11 +207,10 @@ func TestSpiralDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, ok := arc.(*spiralArc)
-	if !ok {
+	if arc.Kind() != ArcSpiral {
 		t.Fatal("expected spiral")
 	}
-	alpha, beta := sp.Eigen()
+	alpha, beta := arc.Eigen()
 	period := 2 * math.Pi / beta
 	x0, y0 := arc.At(1)
 	x1, y1 := arc.At(1 + period)
@@ -333,8 +332,10 @@ func TestQuickNodeExtremumFormula(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		na := arc.(*nodeArc)
-		l1, l2 := na.Eigen()
+		if arc.Kind() != ArcNode {
+			return false
+		}
+		l1, l2 := arc.Eigen()
 		a1 := (l2*x0 - y0) / (l2 - l1)
 		a2 := (l1*x0 - y0) / (l1 - l2)
 		var want float64

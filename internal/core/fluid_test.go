@@ -147,12 +147,11 @@ func TestCriticalArcEigen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, ok := arc.(*criticalArc)
-	if !ok {
-		t.Fatalf("want critical arc, got %T", arc)
+	if arc.Kind() != ArcCritical {
+		t.Fatalf("want critical arc, got %v", arc.Kind())
 	}
-	if got := ca.Eigen(); got != -2 {
-		t.Errorf("Eigen = %v, want -2", got)
+	if l1, l2 := arc.Eigen(); l1 != -2 || l2 != -2 {
+		t.Errorf("Eigen = (%v, %v), want (-2, -2)", l1, l2)
 	}
 }
 

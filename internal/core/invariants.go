@@ -64,17 +64,18 @@ func (g *solveGuard) point(r Region, t, x, y float64) (float64, float64, error) 
 	// σ-sign consistency with the active branch: inside the increase
 	// region the switch coordinate s = x + k·y is negative (σ > 0),
 	// inside the decrease region positive. Arc junctions land exactly on
-	// the line, so the check carries a relative slack.
+	// the line, so the check carries a relative slack. The condition is
+	// tested inline so a passing sample boxes no Failf arguments.
 	s := x + g.k*y
 	tol := 1e-6 * (g.p.Q0 + math.Abs(x) + g.k*math.Abs(y))
-	switch r {
-	case Increase:
-		if err := g.chk.Check(PredSigmaBranch, t, s <= tol,
+	switch {
+	case r == Increase && !(s <= tol):
+		if err := g.chk.Failf(PredSigmaBranch, t,
 			"increase-branch state has s=x+ky=%g > 0 (x=%g, y=%g)", s, x, y); err != nil {
 			return x, y, err
 		}
-	case Decrease:
-		if err := g.chk.Check(PredSigmaBranch, t, s >= -tol,
+	case r == Decrease && !(s >= -tol):
+		if err := g.chk.Failf(PredSigmaBranch, t,
 			"decrease-branch state has s=x+ky=%g < 0 (x=%g, y=%g)", s, x, y); err != nil {
 			return x, y, err
 		}

@@ -112,3 +112,21 @@ func TestAnalyzeThreadsChecker(t *testing.T) {
 		t.Fatalf("violations = %+v", an.Trajectory.Violations)
 	}
 }
+
+// TestSolveRecordAllocs gates the guard's pass path: a Record-policy
+// solve of the figure example samples ~200 points, and the allocations
+// must stay per-solve (trajectory, slice growth, checker tallies), not
+// per-sample. Boxing the σ-branch detail arguments on every passing
+// sample costs three allocations each, over 600 per solve.
+func TestSolveRecordAllocs(t *testing.T) {
+	p := FigureExample()
+	allocs := testing.AllocsPerRun(20, func() {
+		tr, err := Solve(p, SolveOptions{Invariants: invariant.NewPolicy(invariant.Record)})
+		if err != nil || tr.Violations.Total != 0 {
+			t.Fatalf("record solve: err=%v violations=%+v", err, tr.Violations)
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("Record-policy Solve: %.0f allocs/run, want <= 100", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // AnalyticRho computes the per-round contraction ratio of the linearized
@@ -20,41 +21,18 @@ func AnalyticRho(p Params) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	k := p.K()
 	// Reference crossing entering the decrease region: y > 0 on the
 	// switching line. The amplitude scale is arbitrary (linearity).
 	y0 := p.C
-	x0 := -k * y0
-
-	ld := p.RegionLinear(Decrease)
-	arcD, err := NewArc(ld.M, ld.N, k, x0, y0)
+	_, x1, y1, err := halfRound(p, Decrease, -p.K()*y0, y0)
 	if err != nil {
 		return 0, err
 	}
-	tBack, ok := arcD.FirstSwitch(1e-9 * arcD.TimeScale())
-	if !ok {
-		return 0, fmt.Errorf("core: decrease arc glides to the origin (no return round; %v)", p.Case())
-	}
-	x1, y1 := arcD.At(tBack)
-
-	li := p.RegionLinear(Increase)
-	arcI, err := NewArc(li.M, li.N, k, x1, y1)
+	_, _, y2, err := halfRound(p, Increase, x1, y1)
 	if err != nil {
 		return 0, err
 	}
-	tBack2, ok := arcI.FirstSwitch(1e-9 * arcI.TimeScale())
-	if !ok {
-		return 0, fmt.Errorf("core: increase arc glides to the origin (no return round; %v)", p.Case())
-	}
-	_, y2 := arcI.At(tBack2)
-	if y0 == 0 {
-		return 0, fmt.Errorf("core: degenerate reference amplitude")
-	}
-	rho := y2 / y0
-	if rho < 0 {
-		rho = -rho
-	}
-	return rho, nil
+	return math.Abs(y2 / y0), nil
 }
 
 // RoundDurations returns the closed-form durations of one steady
@@ -67,29 +45,29 @@ func RoundDurations(p Params) (ti, td float64, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, 0, err
 	}
-	k := p.K()
-	y0 := p.C
-	x0 := -k * y0
-
-	ld := p.RegionLinear(Decrease)
-	arcD, err := NewArc(ld.M, ld.N, k, x0, y0)
+	td, x1, y1, err := halfRound(p, Decrease, -p.K()*p.C, p.C)
 	if err != nil {
 		return 0, 0, err
 	}
-	tBack, ok := arcD.FirstSwitch(1e-9 * arcD.TimeScale())
-	if !ok {
-		return 0, 0, fmt.Errorf("core: decrease arc glides (no oscillation round; %v)", p.Case())
-	}
-	x1, y1 := arcD.At(tBack)
-
-	li := p.RegionLinear(Increase)
-	arcI, err := NewArc(li.M, li.N, k, x1, y1)
+	ti, _, _, err = halfRound(p, Increase, x1, y1)
 	if err != nil {
 		return 0, 0, err
 	}
-	tBack2, ok := arcI.FirstSwitch(1e-9 * arcI.TimeScale())
-	if !ok {
-		return 0, 0, fmt.Errorf("core: increase arc glides (no oscillation round; %v)", p.Case())
+	return ti, td, nil
+}
+
+// halfRound follows region r's arc from (x, y) on the switching line to
+// its next crossing, returning the arc's duration and the crossing state.
+func halfRound(p Params, r Region, x, y float64) (t, x1, y1 float64, err error) {
+	lin := p.RegionLinear(r)
+	arc, err := NewArc(lin.M, lin.N, p.K(), x, y)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return tBack2, tBack, nil
+	t, ok := arc.FirstSwitch(1e-9 * arc.TimeScale())
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("core: %v arc glides to the origin (no return round; %v)", r, p.Case())
+	}
+	x1, y1 = arc.At(t)
+	return t, x1, y1, nil
 }

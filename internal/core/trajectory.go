@@ -195,17 +195,8 @@ type SolveOptions struct {
 }
 
 func (o SolveOptions) withDefaults(p Params) SolveOptions {
-	if o.MaxArcs <= 0 {
-		o.MaxArcs = 1_000_000
-	}
 	if o.SamplesPerArc <= 0 {
 		o.SamplesPerArc = 64
-	}
-	if o.ConvergeTol <= 0 {
-		o.ConvergeTol = 1e-3
-	}
-	if o.CycleTol <= 0 {
-		o.CycleTol = 1e-6
 	}
 	if o.Start == nil {
 		o.Start = &[2]float64{-p.Q0, 0}
@@ -215,8 +206,10 @@ func (o SolveOptions) withDefaults(p Params) SolveOptions {
 
 // Solve stitches closed-form arcs of the linearized switched system from
 // the initial state, enforcing the buffer strip and classifying the
-// outcome. It is the analytic engine behind every phase-portrait figure
-// and stability verdict in this repository. When SolveOptions.Invariants
+// outcome: Stitch with the closed-form ArcStepper and an observer that
+// samples each arc into the polyline. It is the engine behind every
+// phase-portrait figure and sampled stability verdict in this
+// repository. When SolveOptions.Invariants
 // attaches a checker, every sampled point is self-checked at runtime and
 // the violation tallies are returned in Trajectory.Violations.
 func Solve(p Params, opts SolveOptions) (*Trajectory, error) {
@@ -249,232 +242,136 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 		}
 	}
 	opts = opts.withDefaults(p)
-	guard := newSolveGuard(chk, p, !opts.IgnoreBuffer)
-	k := p.K()
 	tr := &Trajectory{
 		Params: p,
 		MaxX:   math.Inf(-1),
 		MinX:   math.Inf(1),
 	}
+	s := &sampler{tr: tr, guard: newSolveGuard(chk, p, !opts.IgnoreBuffer), samples: opts.SamplesPerArc}
 
 	x, y := opts.Start[0], opts.Start[1]
-	tGlobal := 0.0
-
+	t := 0.0
 	if opts.WarmupFromRate != nil {
-		t0, err := p.WarmupTime(*opts.WarmupFromRate)
-		if err != nil {
+		var err error
+		if t, err = s.warmup(*opts.WarmupFromRate); err != nil {
 			return nil, err
 		}
-		tr.launchEnd = t0
-		tGlobal, y, err = appendWarmup(tr, guard, p, *opts.WarmupFromRate, opts.SamplesPerArc)
-		if err != nil {
-			return nil, err
-		}
-		x = -p.Q0
+		x, y = -p.Q0, 0
 	}
-
-	tolX := opts.ConvergeTol * p.Q0
-	tolY := opts.ConvergeTol * p.C
-	xHi := p.B - p.Q0 // overflow boundary
-	xLo := -p.Q0      // underflow boundary
-
-	// Same-side return amplitudes for contraction measurement: the
-	// |distance from origin| at crossings entering the Decrease region.
-	var enterDecrease []float64
-	bufferCheckedRounds := 0
-
-	// The active region is carried across crossings explicitly: crossing
-	// points land on the switching line only up to roundoff, so
-	// re-deriving the region from the state there would be fragile.
-	region := p.RegionAt(x, y)
-	for arcIdx := 0; arcIdx < opts.MaxArcs; arcIdx++ {
-		lin := p.RegionLinear(region)
-		arc, err := NewArc(lin.M, lin.N, k, x, y)
-		if err != nil {
-			// An unconstructible regime (e.g. a negative gain slipped
-			// past validation under Record/Clamp) aborts a Strict run
-			// with a structured violation and ends a Record/Clamp run
-			// gracefully at the horizon with the breakage tallied.
-			if !chk.Enabled() {
-				return nil, err
-			}
-			if ferr := chk.Fail(PredRegimeValid, tGlobal, err.Error()); ferr != nil {
-				return nil, ferr
-			}
-			finish(tr, tGlobal, x, y)
-			tr.Outcome = OutcomeHorizon
-			return tr, nil
-		}
-		eps := 1e-9 * arc.TimeScale()
-
-		tSwitch, hasSwitch := arc.FirstSwitch(eps)
-		var tEnd float64
-		if hasSwitch {
-			tEnd = tSwitch
-		} else {
-			// Terminal arc gliding to the origin: integrate until
-			// inside the convergence ball.
-			tEnd = glideTime(arc, tolX, tolY)
-		}
-
-		// Record the extremum (if any) inside this arc. x is at a
-		// maximum when y falls through zero, i.e. the arc entered
-		// with y > 0 (or with y = 0 and dy/dt = −n·x > 0).
-		if tz, ok := arc.FirstYZero(eps); ok && tz < tEnd {
-			xz, _ := arc.At(tz)
-			isMax := y > 0 || (y == 0 && x < 0)
-			tr.Extrema = append(tr.Extrema, Extremum{T: tGlobal + tz, X: xz, Max: isMax})
-		}
-
-		// Buffer enforcement: earliest boundary hit inside (eps, tEnd].
-		if !opts.IgnoreBuffer {
-			if tb, hi, ok := firstBoundaryHit(arc, eps, tEnd, xLo, xHi); ok {
-				if err := sampleArc(tr, guard, region, arc, tGlobal, tb, opts.SamplesPerArc, x, y); err != nil {
-					return nil, err
-				}
-				xb, yb := arc.At(tb)
-				finish(tr, tGlobal+tb, xb, yb)
-				if hi {
-					tr.Outcome = OutcomeOverflow
-				} else {
-					tr.Outcome = OutcomeUnderflow
-				}
-				return tr, nil
-			}
-		}
-
-		if err := sampleArc(tr, guard, region, arc, tGlobal, tEnd, opts.SamplesPerArc, x, y); err != nil {
-			return nil, err
-		}
-		tr.Segments = append(tr.Segments, Segment{
-			Region: region, Kind: arc.Kind(), T0: tGlobal, Duration: tEnd, X0: x, Y0: y,
-		})
-
-		xNext, yNext := arc.At(tEnd)
-		tGlobal += tEnd
-
-		if !hasSwitch {
-			// Glided to the origin inside this region.
-			finish(tr, tGlobal, xNext, yNext)
-			tr.Outcome = OutcomeConverged
-			return tr, nil
-		}
-
-		// Crossing bookkeeping: on the line σ̇ = −y, so y > 0 enters
-		// the decrease region.
-		next := Increase
-		if yNext > 0 {
-			next = Decrease
-		}
-		tr.Crossings = append(tr.Crossings, SwitchCrossing{T: tGlobal, X: xNext, Y: yNext, To: next})
-		region = next
-		if next == Decrease {
-			enterDecrease = append(enterDecrease, math.Abs(xNext))
-			bufferCheckedRounds++
-		}
-
-		// Convergence at the crossing point.
-		if math.Abs(xNext) < tolX && math.Abs(yNext) < tolY {
-			finish(tr, tGlobal, xNext, yNext)
-			tr.Outcome = OutcomeConverged
-			return tr, nil
-		}
-
-		// Contraction ratio after two same-side returns.
-		if n := len(enterDecrease); n >= 2 && enterDecrease[n-2] > 0 {
-			rho := enterDecrease[n-1] / enterDecrease[n-2]
-			tr.Rho = rho
-			switch {
-			case math.Abs(rho-1) <= opts.CycleTol:
-				finish(tr, tGlobal, xNext, yNext)
-				tr.Outcome = OutcomeLimitCycle
-				return tr, nil
-			case rho > 1+opts.CycleTol:
-				// Diverging returns: the trajectory will
-				// eventually hit the buffer unless stopped.
-				if opts.IgnoreBuffer {
-					finish(tr, tGlobal, xNext, yNext)
-					tr.Outcome = OutcomeDiverging
-					return tr, nil
-				}
-			case !opts.DisableShortCircuit && bufferCheckedRounds >= 2:
-				// Strict contraction measured and the widest
-				// (first) round cleared the buffer strip:
-				// later rounds scale down by ρ < 1, so the
-				// system converges without further excursions.
-				finish(tr, tGlobal, xNext, yNext)
-				tr.Outcome = OutcomeConverged
-				return tr, nil
-			}
-		}
-		x, y = xNext, yNext
+	v, err := Stitch(p, StitchOptions{
+		MaxArcs:             opts.MaxArcs,
+		ConvergeTol:         opts.ConvergeTol,
+		CycleTol:            opts.CycleTol,
+		DisableShortCircuit: opts.DisableShortCircuit,
+		IgnoreBuffer:        opts.IgnoreBuffer,
+	}, t, x, y, ArcStepper{}, s)
+	if err != nil {
+		return nil, err
 	}
-	t := tGlobal
-	finish(tr, t, x, y)
-	tr.Outcome = OutcomeHorizon
+	tr.Outcome, tr.Rho = v.Outcome, v.Rho
+	tr.EndT, tr.EndX, tr.EndY = v.EndT, v.EndX, v.EndY
 	return tr, nil
 }
 
-// appendWarmup emits the empty-queue acceleration phase onto tr and
-// returns the elapsed time and final y (which is 0 by construction).
-func appendWarmup(tr *Trajectory, guard *solveGuard, p Params, mu float64, samples int) (tEnd, yEnd float64, err error) {
+// sampler is Solve's Observer: it samples every arc into the polyline
+// through the invariant guard (which may clamp samples) and lists the
+// segments, crossings and extrema.
+type sampler struct {
+	tr      *Trajectory
+	guard   *solveGuard
+	samples int
+}
+
+// warmup emits the empty-queue acceleration phase (§IV-C) from the
+// per-source rate mu and returns its duration; it ends at (−q0, 0).
+func (s *sampler) warmup(mu float64) (float64, error) {
+	p := s.tr.Params
 	t0, err := p.WarmupTime(mu)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
+	s.tr.launchEnd = t0
 	y0 := float64(p.N)*mu - p.C
 	accel := p.A() * p.Q0
-	for i := 0; i <= samples; i++ {
-		t := t0 * float64(i) / float64(samples)
-		x, y := -p.Q0, y0+accel*t
-		if x, y, err = guard.point(Increase, t, x, y); err != nil {
-			return 0, 0, err
+	for i := 0; i <= s.samples; i++ {
+		t := t0 * float64(i) / float64(s.samples)
+		x, y, err := s.guard.point(Increase, t, -p.Q0, y0+accel*t)
+		if err != nil {
+			return 0, err
 		}
-		appendPoint(tr, t, x, y)
+		s.point(t, x, y)
 	}
-	tr.Segments = append(tr.Segments, Segment{
+	s.tr.Segments = append(s.tr.Segments, Segment{
 		Region: Increase, Kind: ArcCritical /* degenerate boundary slide */, T0: 0, Duration: t0, X0: -p.Q0, Y0: y0,
 	})
-	return t0, 0, nil
+	return t0, nil
 }
 
-// glideTime finds a time by which the non-switching arc is inside the
-// convergence box, by doubling from the arc's characteristic time.
-func glideTime(arc Arc, tolX, tolY float64) float64 {
-	t := arc.TimeScale()
-	for i := 0; i < 200; i++ {
-		x, y := arc.At(t)
-		if math.Abs(x) < tolX && math.Abs(y) < tolY {
-			return t
-		}
-		t *= 2
+func (s *sampler) Arc(r Region, t, x, y float64, st Step) error {
+	if st.Extremum {
+		s.tr.Extrema = append(s.tr.Extrema, Extremum{T: t + st.ExtT, X: st.ExtX, Max: st.ExtMax})
 	}
-	return t
+	if st.Wall != 0 {
+		return s.sample(r, st.Arc, t, st.WallT, x, y)
+	}
+	if err := s.sample(r, st.Arc, t, st.End, x, y); err != nil {
+		return err
+	}
+	s.tr.Segments = append(s.tr.Segments, Segment{
+		Region: r, Kind: st.Arc.Kind(), T0: t, Duration: st.End, X0: x, Y0: y,
+	})
+	return nil
 }
 
-// sampleArc appends the arc polyline on [0, tEnd] at the given resolution,
-// running every sample through the invariant guard (which may clamp it).
-// The entry state (x0, y0) is used verbatim for the first sample so that
+func (s *sampler) Crossing(t, x, y float64, to Region) {
+	s.tr.Crossings = append(s.tr.Crossings, SwitchCrossing{T: t, X: x, Y: y, To: to})
+}
+
+func (s *sampler) Finish(t, x, y float64) {
+	s.point(t, x, y)
+	if tr := s.tr; len(tr.T) > 0 && math.IsInf(tr.MaxX, -1) {
+		tr.MaxX, tr.MinX = tr.X[0], tr.X[0]
+	}
+}
+
+// StepFailed handles an unconstructible regime (e.g. a negative gain
+// slipped past validation under Record/Clamp): it aborts a run without
+// a checker with the plain error and a Strict run with a structured
+// violation, and ends a Record/Clamp run at the horizon with the
+// breakage tallied.
+func (s *sampler) StepFailed(t float64, err error) error {
+	chk := s.guard.chk
+	if !chk.Enabled() {
+		return err
+	}
+	return chk.Fail(PredRegimeValid, t, err.Error())
+}
+
+// sample appends the arc polyline on [0, tEnd] at the sampler's
+// resolution, running every sample through the invariant guard. The
+// entry state (x0, y0) is used verbatim for the first sample so that
 // closed-form roundoff does not perturb recorded junction points.
-func sampleArc(tr *Trajectory, guard *solveGuard, region Region, arc Arc, tGlobal, tEnd float64, samples int, x0, y0 float64) error {
-	x0, y0, err := guard.point(region, tGlobal, x0, y0)
+func (s *sampler) sample(r Region, arc Arc, t0, tEnd, x0, y0 float64) error {
+	x0, y0, err := s.guard.point(r, t0, x0, y0)
 	if err != nil {
 		return err
 	}
-	appendPoint(tr, tGlobal, x0, y0)
-	for i := 1; i <= samples; i++ {
-		t := tEnd * float64(i) / float64(samples)
+	s.point(t0, x0, y0)
+	for i := 1; i <= s.samples; i++ {
+		t := tEnd * float64(i) / float64(s.samples)
 		x, y := arc.At(t)
-		x, y, err := guard.point(region, tGlobal+t, x, y)
+		x, y, err := s.guard.point(r, t0+t, x, y)
 		if err != nil {
 			return err
 		}
-		appendPoint(tr, tGlobal+t, x, y)
+		s.point(t0+t, x, y)
 	}
 	return nil
 }
 
-func appendPoint(tr *Trajectory, t, x, y float64) {
+// point appends one polyline sample and folds it into the extremes.
+func (s *sampler) point(t, x, y float64) {
+	tr := s.tr
 	// Skip duplicate junction points.
 	if n := len(tr.T); n > 0 && tr.T[n-1] == t {
 		return
@@ -495,77 +392,6 @@ func appendPoint(tr *Trajectory, t, x, y float64) {
 	if x < tr.MinX {
 		tr.MinX = x
 	}
-}
-
-func finish(tr *Trajectory, t, x, y float64) {
-	appendPoint(tr, t, x, y)
-	tr.EndT, tr.EndX, tr.EndY = t, x, y
-	if len(tr.T) > 0 && math.IsInf(tr.MaxX, -1) {
-		tr.MaxX, tr.MinX = tr.X[0], tr.X[0]
-	}
-}
-
-// firstBoundaryHit finds the earliest time in (0, tEnd] at which x(t)
-// reaches xLo or xHi; hi is true for an xHi (overflow) hit. Within one
-// arc, x(t) is monotone between y-zeros and the arc contains at most one
-// y-zero before its end, so checking the entry point, the extremum and the
-// endpoint is exact; the crossing time is then refined by bisection on the
-// monotone piece.
-//
-// An entry state resting exactly on a boundary (the canonical start at an
-// empty queue, x = −q0) is not a hit: the trajectory is entering the
-// interior.
-func firstBoundaryHit(arc Arc, eps, tEnd, xLo, xHi float64) (t float64, hi, ok bool) {
-	type knot struct{ t, x float64 }
-	x0, _ := arc.At(0)
-	knots := []knot{{0, x0}}
-	if tz, okz := arc.FirstYZero(eps); okz && tz < tEnd {
-		xz, _ := arc.At(tz)
-		knots = append(knots, knot{tz, xz})
-	}
-	xe, _ := arc.At(tEnd)
-	knots = append(knots, knot{tEnd, xe})
-
-	for i := 1; i < len(knots); i++ {
-		a, b := knots[i-1], knots[i]
-		switch {
-		case b.x >= xHi && a.x < xHi:
-			return refineBoundary(arc, a.t, b.t, xHi, true), true, true
-		case b.x <= xLo && a.x > xLo:
-			return refineBoundary(arc, a.t, b.t, xLo, false), false, true
-		case i == 1 && (a.x >= xHi && b.x > a.x):
-			// Entered at/beyond the ceiling and moving out.
-			return a.t, true, true
-		case i == 1 && (a.x <= xLo && b.x < a.x):
-			// Entered at/below the floor and moving further out.
-			return a.t, false, true
-		}
-	}
-	return 0, false, false
-}
-
-// refineBoundary bisects for x(t) = c on [lo, hi] where x(lo) is inside
-// and x(hi) outside.
-func refineBoundary(arc Arc, lo, hi, c float64, upper bool) float64 {
-	inside := func(x float64) bool {
-		if upper {
-			return x < c
-		}
-		return x > c
-	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if mid == lo || mid == hi {
-			break
-		}
-		x, _ := arc.At(mid)
-		if inside(x) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
 }
 
 // Analyze solves the trajectory from the canonical start and summarizes

@@ -285,7 +285,9 @@ func (c *Checker) Failf(pred string, t float64, format string, args ...any) erro
 }
 
 // Check asserts ok; a false ok is a violation of pred. The detail string
-// is only built on failure.
+// is only formatted on failure, but the caller boxes args into the
+// ...any slice on every call, passing or not; a hot path should test its
+// condition inline and call Failf only when it fails.
 func (c *Checker) Check(pred string, t float64, ok bool, format string, args ...any) error {
 	if ok || !c.Enabled() {
 		return nil

@@ -35,6 +35,24 @@ func TestSpecKeySeparatesEngines(t *testing.T) {
 	}
 }
 
+// TestSpecKeyAutoIsOn: "auto" is only a spelling of "on", so both map
+// to one dedup key and one cached artifact.
+func TestSpecKeyAutoIsOn(t *testing.T) {
+	on, auto := solveSpec(), solveSpec()
+	on.Analytic, auto.Analytic = "on", "auto"
+	kOn, err := on.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kAuto, err := auto.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kAuto != kOn {
+		t.Error(`analytic "auto" and "on" hash differently`)
+	}
+}
+
 // TestSpecRejectsBadAnalytic and shard-level analytic: shard jobs carry
 // the engine choice inside the grid (part of the grid fingerprint); a
 // spec-level override would desynchronize shards of one sweep.

@@ -97,13 +97,14 @@ type Spec struct {
 	// Unlike the timeout it shapes the result, so it is part of the
 	// dedup identity.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the solve engine for solve and sweep jobs ("on",
-	// "auto", "off"); empty uses the server default. On/auto runs the
-	// sampling-free closed-form engine (internal/analytic) whenever the
-	// effective invariant policy is off; "off" keeps the classic sampled
-	// core.Solve. It shapes the artifact (exact versus sampled extrema),
-	// so it is part of the dedup identity. Shard jobs carry the mode
-	// inside the grid instead, like the invariant policy.
+	// Analytic selects the solve engine for solve and sweep jobs ("on" or
+	// "off"; "auto" is an alias of "on" and shares its dedup key); empty
+	// uses the server default. On runs the sampling-free closed-form
+	// engine (internal/analytic) whenever the effective invariant policy
+	// is off; "off" keeps the classic sampled core.Solve. It shapes the
+	// artifact (exact versus sampled extrema), so it is part of the
+	// dedup identity. Shard jobs carry the mode inside the grid instead,
+	// like the invariant policy.
 	Analytic string `json:"analytic,omitempty"`
 
 	Solve  *SolveSpec         `json:"solve,omitempty"`
