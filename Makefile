@@ -52,9 +52,11 @@ figures-check:
 	echo "figures-check: $$(ls "$$tmp/out" | wc -l) files, $$n differ from out/" && test $$n -eq 0
 
 # The full pre-merge gate: static checks, build, race-enabled tests,
-# the fuzz seed corpora, the metamorphic relations, the benchmark
-# module build and the committed closed-form figures.
-check: vet build bench-build race fuzz-seeds metamorphic figures-check
+# the plain test suite (gates that skip under -race, such as the
+# analytic speedup and telemetry-overhead bounds, run only there), the
+# fuzz seed corpora, the metamorphic relations, the benchmark module
+# build and the committed closed-form figures.
+check: vet build bench-build race test fuzz-seeds metamorphic figures-check
 
 # Run every benchmark once (override BENCHTIME for real measurements,
 # e.g. BENCHTIME=2s) and parse the stream into machine-readable

@@ -72,8 +72,6 @@ type (
 	row       = cluster.Row
 )
 
-const csvHeader = cluster.CSVHeader
-
 // localBatchSize is the span length the journal-free local sweep hands
 // one worker slot at a time (see cluster.GainGrid.EvalBatch).
 const localBatchSize = 64
@@ -238,14 +236,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}, opts)
 	}
 
-	var csv strings.Builder
-	fmt.Fprintln(&csv, csvHeader)
-	var failed []string
-	interrupted := 0
+	var (
+		rows        []row
+		failed      []string
+		interrupted int
+	)
 	for _, r := range results {
 		switch {
 		case r.Err == nil:
-			fmt.Fprintln(&csv, r.Value.CSV)
+			rows = append(rows, r.Value)
 			done++
 		case ctx.Err() != nil && runstate.Interrupted(r.Err):
 			// Drained by the run-level shutdown. A per-point deadline
@@ -257,7 +256,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			failed = append(failed, fmt.Sprintf("Gi=%g Gd=%g: %v", r.Point.Gi, r.Point.Gd, r.Err))
 		}
 	}
-	fmt.Fprint(out, csv.String())
+	csv := cluster.RenderCSV(rows)
+	if _, err := out.Write(csv); err != nil {
+		return fmt.Errorf("write map.csv: %w", err)
+	}
 	for _, f := range failed {
 		fmt.Fprintln(os.Stderr, "bcnsweep: point failed:", f)
 	}
@@ -299,7 +301,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// Publish the completed map atomically into the run directory: the
 	// whole sweep either has a complete map.csv or none.
 	if *resume != "" {
-		if err := runstate.WriteFileAtomic(filepath.Join(*resume, "map.csv"), []byte(csv.String()), 0o644); err != nil {
+		if err := runstate.WriteFileAtomic(filepath.Join(*resume, "map.csv"), csv, 0o644); err != nil {
 			return err
 		}
 	}

@@ -25,7 +25,7 @@ func TestRunSweepCSV(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if lines[0] != csvHeader {
+	if lines[0] != cluster.CSVHeader {
 		t.Errorf("header = %q", lines[0])
 	}
 	if len(lines) != 1+3*3 {
@@ -149,7 +149,7 @@ func TestRunSweepDegradesOnPointTimeout(t *testing.T) {
 		t.Fatal("expired per-point deadline reported no error")
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if lines[0] != csvHeader {
+	if lines[0] != cluster.CSVHeader {
 		t.Errorf("header lost on degraded sweep: %q", lines[0])
 	}
 }
@@ -385,7 +385,7 @@ func TestClusterModeStampsQoSHeadersAndRetries(t *testing.T) {
 		}
 		w.Header().Set("Bcn-Fresh", "4")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(csvHeader + "\n"))
+		_, _ = w.Write([]byte(cluster.CSVHeader + "\n"))
 	}))
 	defer stub.Close()
 
@@ -397,7 +397,7 @@ func TestClusterModeStampsQoSHeadersAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster mode: %v", err)
 	}
-	if !strings.HasPrefix(out.String(), csvHeader) {
+	if !strings.HasPrefix(out.String(), cluster.CSVHeader) {
 		t.Errorf("output is not the coordinator CSV:\n%s", out.String())
 	}
 	mu.Lock()

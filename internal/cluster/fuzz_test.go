@@ -3,7 +3,11 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+
+	"bcnphase/internal/core"
 )
 
 // FuzzDecodeSweepRequest hammers the coordinator's grid-submission
@@ -130,6 +134,67 @@ func FuzzDecodeWorkerStatus(f *testing.F) {
 		}
 		if st.Workers < 0 || st.Queued < 0 || st.InFlight < 0 {
 			t.Fatalf("accepted status with negative occupancy: %+v", st)
+		}
+	})
+}
+
+// sprintfRowLayout is the fmt layout map.csv rows were rendered with
+// before the strconv appender; it survives only here, as the oracle.
+const sprintfRowLayout = "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s"
+
+// FuzzAppendRow holds verdict.appendCSV to the Sprintf layout it
+// replaced, byte for byte, over arbitrary float bits, case numbers,
+// outcomes (named or not), violation counts and predicate strings.
+// Every journal key, shard digest and golden map depends on rows
+// keeping their exact bytes.
+func FuzzAppendRow(f *testing.F) {
+	add := func(v verdict) {
+		f.Add(math.Float64bits(v.gi), math.Float64bits(v.gd), int(v.kind), v.linearStable, v.theorem1OK,
+			math.Float64bits(v.theorem1Bound), int(v.outcome), math.Float64bits(v.maxQueue),
+			math.Float64bits(v.rho), v.violations, v.firstPred)
+	}
+	// Where %g's form is delicate: non-finite values, signed zero,
+	// subnormals, and both sides of the exponent-form switches
+	// (1e20/1e21 and 1e-4/1e-5).
+	specials := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308,
+		1e20, 1e21, -1e21, 123456789012345678901, 1e-4, 1e-5, 0.00012345, -0.000012345,
+		math.MaxFloat64, -math.MaxFloat64, 0.1, 1.0 / 3, 5e6, 12.8, 0.0009765625,
+	}
+	for i, x := range specials {
+		y := specials[(i+7)%len(specials)]
+		add(verdict{gi: x, gd: y, kind: core.CaseKind(i%6 + 1), linearStable: i%2 == 0, theorem1OK: i%3 == 0,
+			theorem1Bound: y, outcome: core.OutcomeConverged, maxQueue: x, rho: y})
+	}
+	// Every outcome, plus the unnamed ones on either side.
+	for o := core.Outcome(0); o <= core.OutcomeHorizon+1; o++ {
+		add(verdict{gi: 0.05, gd: 0.5, kind: core.Case1, linearStable: true, theorem1OK: true,
+			theorem1Bound: 1.25e7, outcome: o, maxQueue: 4.2e6, rho: 0.93})
+	}
+	// Classic rows under a recording policy: nonzero tallies and a
+	// first predicate.
+	for _, first := range []string{"queue-bounds", "finite", "params-valid", "a,b", "\xff"} {
+		add(verdict{gi: 1.6, gd: 0.01, kind: core.Case4, theorem1Bound: math.Inf(1),
+			outcome: core.OutcomeOverflow, maxQueue: 5e6, rho: math.NaN(), violations: 3, firstPred: first})
+	}
+	add(verdict{kind: -1, outcome: -1, violations: math.MaxUint64})
+
+	f.Fuzz(func(t *testing.T, gi, gd uint64, kind int, lin, thm bool, bound uint64, outcome int,
+		maxQ, rho, violations uint64, first string) {
+		v := verdict{
+			gi: math.Float64frombits(gi), gd: math.Float64frombits(gd), kind: core.CaseKind(kind),
+			linearStable: lin, theorem1OK: thm, theorem1Bound: math.Float64frombits(bound),
+			outcome: core.Outcome(outcome), maxQueue: math.Float64frombits(maxQ),
+			rho: math.Float64frombits(rho), violations: violations, firstPred: first,
+		}
+		want := fmt.Sprintf(sprintfRowLayout, v.gi, v.gd, int(v.kind), v.linearStable, v.theorem1OK,
+			v.theorem1Bound, v.outcome, v.outcome.StronglyStable(), v.maxQueue, v.rho, v.violations, v.firstPred)
+		if got := string(v.appendCSV([]byte("prefix:"))); got != "prefix:"+want {
+			t.Fatalf("appender %q, Sprintf %q", got, "prefix:"+want)
+		}
+		if got := v.row(); got.CSV != want || got.Violations != violations || got.FirstPred != first {
+			t.Fatalf("row %+v, want CSV %q", got, want)
 		}
 	})
 }

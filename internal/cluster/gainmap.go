@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"bcnphase/internal/analytic"
@@ -63,7 +64,10 @@ type GainPoint struct {
 // coordinator journal and a bcnsweep -resume journal are
 // interchangeable.
 type Row struct {
-	// CSV is the rendered output line.
+	// CSV is the rendered output line, without its newline. The rows
+	// one EvalBatch span renders share backing storage: each CSV is a
+	// substring of one span-wide string, so keeping any row of a span
+	// keeps the whole span's text alive.
 	CSV string
 	// Violations and FirstPred summarize the point's runtime invariant
 	// tallies for sweep-level aggregation.
@@ -74,8 +78,8 @@ type Row struct {
 // InvariantViolations implements sweep.InvariantReporter.
 func (r Row) InvariantViolations() (uint64, string) { return r.Violations, r.FirstPred }
 
-// CSVHeader is the merged map.csv header row, identical to
-// cmd/bcnsweep's.
+// CSVHeader is the map.csv header row. RenderCSV writes it for every
+// map: bcnsweep's local run and the coordinator's merge alike.
 const CSVHeader = "gi,gd,case,linear_stable,theorem1_ok,theorem1_bound_bits,outcome,strongly_stable,max_q_bits,rho,violations,first_violation"
 
 // gridIdentity fingerprints everything that shapes a row's value. The
@@ -218,9 +222,65 @@ type EvalMetrics struct {
 	Analytic *analytic.Metrics
 }
 
-// rowFormat is the Sprintf layout of one map.csv row; both engines
-// render through it so the column shapes cannot drift apart.
-const rowFormat = "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s"
+// verdict is one grid point's map.csv columns, in header order
+// (strongly_stable derives from outcome). Both engines fill one and
+// render it through appendCSV, so the column shapes cannot drift apart.
+type verdict struct {
+	gi, gd        float64
+	kind          core.CaseKind
+	linearStable  bool
+	theorem1OK    bool
+	theorem1Bound float64
+	outcome       core.Outcome
+	maxQueue, rho float64
+	violations    uint64
+	firstPred     string
+}
+
+// maxAnalyticRowLen bounds one analytic-engine row plus its newline:
+// five shortest-form floats of at most 24 bytes ("-2.2250738585072014e-308"),
+// a case number, three bools, the longest outcome name, the zero
+// violation count, an empty first predicate and eleven commas.
+// EvalBatch sizes its span buffer with it so the buffer never regrows.
+const maxAnalyticRowLen = 5*24 + 20 + 3*len("false") + len("horizon reached") + len("0") + 11 + 1
+
+// appendCSV appends the verdict's map.csv row (no trailing newline) to
+// b. Every float is strconv's shortest 'g' form, which is exactly what
+// fmt's %g prints, so rows keep the bytes of the fmt layout
+// "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s" that existing journals, shard
+// digests and golden maps hold (FuzzAppendRow pins the two together),
+// without boxing twelve arguments per row.
+func (v *verdict) appendCSV(b []byte) []byte {
+	b = strconv.AppendFloat(b, v.gi, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, v.gd, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(v.kind), 10)
+	b = append(b, ',')
+	b = strconv.AppendBool(b, v.linearStable)
+	b = append(b, ',')
+	b = strconv.AppendBool(b, v.theorem1OK)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, v.theorem1Bound, 'g', -1, 64)
+	b = append(b, ',')
+	b = append(b, v.outcome.String()...)
+	b = append(b, ',')
+	b = strconv.AppendBool(b, v.outcome.StronglyStable())
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, v.maxQueue, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, v.rho, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, v.violations, 10)
+	b = append(b, ',')
+	return append(b, v.firstPred...)
+}
+
+// row renders the verdict as a standalone Row.
+func (v *verdict) row() Row {
+	var buf [maxAnalyticRowLen]byte
+	return Row{CSV: string(v.appendCSV(buf[:0])), Violations: v.violations, FirstPred: v.firstPred}
+}
 
 // Eval evaluates one grid point to its CSV row: the linear criterion of
 // [4], the Theorem 1 sufficient condition, and the phase-plane ground
@@ -252,9 +312,10 @@ func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, e
 		if err != nil {
 			return Row{}, err
 		}
-		return analyticRow(p, pt, res), nil
+		v := analyticVerdict(p, pt, res)
+		return v.row(), nil
 	}
-	v, err := linear.Compare(p)
+	lin, err := linear.Compare(p)
 	if err != nil {
 		return Row{}, err
 	}
@@ -265,30 +326,32 @@ func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, e
 	if err != nil {
 		return Row{}, err
 	}
-	return Row{
-		CSV: fmt.Sprintf(rowFormat,
-			pt.Gi, pt.Gd, int(p.Case()), v.LinearStable, v.Theorem1OK,
-			core.Theorem1Bound(p), tr.Outcome, tr.Outcome.StronglyStable(),
-			tr.MaxQueue(), tr.Rho, tr.Violations.Total, tr.Violations.FirstPredicate()),
-		Violations: tr.Violations.Total,
-		FirstPred:  tr.Violations.FirstPredicate(),
-	}, nil
+	v := verdict{
+		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
+		linearStable: lin.LinearStable, theorem1OK: lin.Theorem1OK,
+		theorem1Bound: core.Theorem1Bound(p),
+		outcome:       tr.Outcome,
+		maxQueue:      tr.MaxQueue(), rho: tr.Rho,
+		violations: tr.Violations.Total, firstPred: tr.Violations.FirstPredicate(),
+	}
+	return v.row(), nil
 }
 
-// analyticRow renders one closed-form verdict as a map.csv row. The
-// linear columns are computed directly: LinearStable is the pure
-// Routh–Hurwitz criterion of [4] (no trajectory needed) and Theorem1OK
-// the paper's closed-form sufficient condition — exactly the values
-// linear.Compare reports, minus its redundant inner solve. The
-// invariant columns are structurally zero because the analytic path
-// only runs under the off policy.
-func analyticRow(p core.Params, pt GainPoint, res analytic.Result) Row {
-	linStable := linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease)
-	return Row{
-		CSV: fmt.Sprintf(rowFormat,
-			pt.Gi, pt.Gd, int(p.Case()), linStable, core.Theorem1Satisfied(p),
-			core.Theorem1Bound(p), res.Outcome, res.Outcome.StronglyStable(),
-			res.MaxQueue(p), res.Rho, uint64(0), ""),
+// analyticVerdict assembles one closed-form verdict. The linear columns
+// are computed directly: LinearStable is the pure Routh–Hurwitz
+// criterion of [4] (no trajectory needed) and Theorem1OK the paper's
+// closed-form sufficient condition — exactly the values linear.Compare
+// reports, minus its redundant inner solve. The invariant columns are
+// structurally zero because the analytic path only runs under the off
+// policy.
+func analyticVerdict(p core.Params, pt GainPoint, res analytic.Result) verdict {
+	return verdict{
+		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
+		linearStable:  linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease),
+		theorem1OK:    core.Theorem1Satisfied(p),
+		theorem1Bound: core.Theorem1Bound(p),
+		outcome:       res.Outcome,
+		maxQueue:      res.MaxQueue(p), rho: res.Rho,
 	}
 }
 
@@ -298,6 +361,11 @@ func analyticRow(p core.Params, pt GainPoint, res analytic.Result) Row {
 // engine's buffer reuse pays off: one warm Solver serves the whole span
 // instead of a pool round-trip per point. Rows are byte-identical to
 // per-point Eval calls.
+//
+// On the analytic path every row of the span is appended into one
+// pre-sized buffer and converted to one string, so the span's Row.CSV
+// values are substrings sharing that string's backing storage: a span
+// costs a constant handful of allocations, not several per point.
 func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m EvalMetrics) error {
 	if len(out) != len(pts) {
 		return fmt.Errorf("cluster: eval batch: %d outputs for %d points", len(out), len(pts))
@@ -315,7 +383,8 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 	s := analytic.NewSolver()
 	opts := analytic.Options{Mode: g.AnalyticMode(), Metrics: m.Analytic}
 	base := g.Base()
-	for i, pt := range pts {
+	buf := make([]byte, 0, len(pts)*maxAnalyticRowLen)
+	for _, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -326,19 +395,36 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 		if err != nil {
 			return err
 		}
-		out[i] = analyticRow(p, pt, res)
+		v := analyticVerdict(p, pt, res)
+		buf = append(v.appendCSV(buf), '\n')
+	}
+	// Analytic rows never contain a newline (no first predicate), so the
+	// separators split the span string back into its rows.
+	rows := string(buf)
+	for i := range out {
+		n := strings.IndexByte(rows, '\n')
+		out[i] = Row{CSV: rows[:n]}
+		rows = rows[n+1:]
 	}
 	return nil
 }
 
-// RenderCSV assembles the merged map.csv from rows in grid order.
+// RenderCSV assembles the merged map.csv from rows in grid order: the
+// header and every row, each newline-terminated, appended into one
+// buffer sized up front.
 func RenderCSV(rows []Row) []byte {
-	var b strings.Builder
-	fmt.Fprintln(&b, CSVHeader)
+	n := len(CSVHeader) + 1
 	for _, r := range rows {
-		fmt.Fprintln(&b, r.CSV)
+		n += len(r.CSV) + 1
 	}
-	return []byte(b.String())
+	b := make([]byte, 0, n)
+	b = append(b, CSVHeader...)
+	b = append(b, '\n')
+	for _, r := range rows {
+		b = append(b, r.CSV...)
+		b = append(b, '\n')
+	}
+	return b
 }
 
 func geomAt(lo, hi float64, i, n int) float64 {

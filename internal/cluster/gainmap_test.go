@@ -76,6 +76,31 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 	}
 }
 
+// TestEvalBatchAllocs is the row kernel's allocation gate: a warm
+// analytic-mode EvalBatch appends its whole span into one buffer and
+// one string, so it allocates a small constant number of times per
+// span — not per point — however long the span is.
+func TestEvalBatchAllocs(t *testing.T) {
+	g := testGrid(8)
+	pts := g.Points() // 64 points
+	ctx := context.Background()
+	for _, n := range []int{16, len(pts)} {
+		span, rows := pts[:n], make([]Row, n)
+		if err := g.EvalBatch(ctx, span, rows, EvalMetrics{}); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			if err := g.EvalBatch(ctx, span, rows, EvalMetrics{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d-point span: %.1f allocations", n, avg)
+		if avg > 4 {
+			t.Errorf("warm %d-point EvalBatch allocates %.1f times per span, want <= 4", n, avg)
+		}
+	}
+}
+
 // TestEvalBatchRejectsLengthMismatch guards the BatchFunc contract.
 func TestEvalBatchRejectsLengthMismatch(t *testing.T) {
 	g := testGrid(2)
@@ -179,3 +204,25 @@ func TestEvalInvariantPolicyForcesClassicPath(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEvalBatchRenderCSV is the local sweep's row kernel: a 32×32
+// analytic grid evaluated in 64-point EvalBatch spans, then rendered
+// to map.csv.
+func BenchmarkEvalBatchRenderCSV(b *testing.B) {
+	g := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 12.8, GdLo: 1.0 / 1024, GdHi: 0.5, Steps: 32}
+	pts := g.Points()
+	rows := make([]Row, len(pts))
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < len(pts); lo += 64 {
+			if err := g.EvalBatch(ctx, pts[lo:lo+64], rows[lo:lo+64], EvalMetrics{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchCSV = RenderCSV(rows)
+	}
+	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+var benchCSV []byte

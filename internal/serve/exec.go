@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"sync/atomic"
 
 	"bcnphase/internal/analytic"
@@ -270,9 +271,7 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode anal
 					if err != nil {
 						return err
 					}
-					out[i] = rowVal{CSV: fmt.Sprintf("%g,%g,%s,%v,%g,%g,%d",
-						p.Gi, p.Gd, r.Outcome, r.Outcome.StronglyStable(),
-						r.MaxQueue(p), r.Rho, 0)}
+					out[i] = rowVal{CSV: sweepRow(p, r.Outcome, r.MaxQueue(p), r.Rho, 0)}
 				}
 				return nil
 			}, inner)
@@ -289,9 +288,7 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode anal
 				return rowVal{}, err
 			}
 			return rowVal{
-				CSV: fmt.Sprintf("%g,%g,%s,%v,%g,%g,%d",
-					p.Gi, p.Gd, tr.Outcome, tr.Outcome.StronglyStable(),
-					tr.MaxQueue(), tr.Rho, tr.Violations.Total),
+				CSV:        sweepRow(p, tr.Outcome, tr.MaxQueue(), tr.Rho, tr.Violations.Total),
 				Violations: tr.Violations.Total,
 			}, nil
 		}, inner)
@@ -381,6 +378,30 @@ func runNetsim(ctx context.Context, s *NetsimSpec, pol invariant.Policy, jm jobM
 		Violations:     res.Invariants.Total,
 		FirstViolation: res.Invariants.FirstPredicate(),
 	}, nil
+}
+
+// sweepRow renders one served sweep row in the SweepResult.Header
+// layout (gi,gd,outcome,strongly_stable,max_q_bits,rho,violations).
+// Both engines render through it. Floats use strconv's shortest 'g'
+// form, which is what fmt's %g prints, so rows keep the bytes of the
+// fmt layout "%g,%g,%s,%v,%g,%g,%d" that journaled artifacts hold
+// (TestSweepRowMatchesSprintf pins the two together).
+func sweepRow(p core.Params, o core.Outcome, maxQ, rho float64, violations uint64) string {
+	var buf [128]byte
+	b := strconv.AppendFloat(buf[:0], p.Gi, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, p.Gd, 'g', -1, 64)
+	b = append(b, ',')
+	b = append(b, o.String()...)
+	b = append(b, ',')
+	b = strconv.AppendBool(b, o.StronglyStable())
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, maxQ, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, rho, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, violations, 10)
+	return string(b)
 }
 
 func geomAt(lo, hi float64, i, n int) float64 {
