@@ -617,6 +617,18 @@ func TestClusterOrphanShardsReExecuteOnlyMissingPoints(t *testing.T) {
 	if _, ok := j.Lookup(DoneKey(strayFP, 0)); !ok {
 		t.Error("stray marker was removed")
 	}
+	// A second Run replays the whole grid and sees the same stray marker:
+	// it was counted already, so the counter stays put.
+	out, err = c.Run(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Replayed != len(grid.Points()) {
+		t.Errorf("second run replayed %d of %d points", out.Replayed, len(grid.Points()))
+	}
+	if got := c.m.StrayRecords.Value(); got != 1 {
+		t.Errorf("cluster_journal_stray_records_total = %d after a second run, want 1", got)
+	}
 }
 
 func TestClusterHeartbeatLossRedistributes(t *testing.T) {

@@ -133,6 +133,9 @@ type Coordinator struct {
 	lastSeen []time.Time // monotonic: last healthy probe (or start)
 	inflight []map[*context.CancelFunc]struct{}
 	runs     map[*sweepState]struct{}
+	// strays holds the foreign done markers already counted, so each
+	// adds to StrayRecords once however many Runs see it.
+	strays map[string]struct{}
 
 	stop     chan struct{}
 	hbDone   chan struct{}
@@ -226,6 +229,7 @@ func New(cfg Config) (*Coordinator, error) {
 		lastSeen: make([]time.Time, len(cfg.Workers)),
 		inflight: make([]map[*context.CancelFunc]struct{}, len(cfg.Workers)),
 		runs:     make(map[*sweepState]struct{}),
+		strays:   make(map[string]struct{}),
 		stop:     make(chan struct{}),
 		hbDone:   make(chan struct{}),
 		registry: cfg.Registry,
@@ -454,8 +458,8 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 					missing.Keys = append(missing.Keys, key)
 					continue
 				}
-				var row Row
-				if err := json.Unmarshal(raw, &row); err != nil || row.CSV == "" {
+				row, err := decodeRow(raw)
+				if err != nil || row.CSV == "" {
 					// CRC-valid but failing row re-validation: schema drift
 					// across versions. Classified, counted and re-evaluated
 					// rather than resurrected — same contract as
@@ -473,7 +477,7 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 		} else {
 			missing = sh
 		}
-		_, done := false, false
+		done := false
 		if j != nil {
 			_, done = j.Lookup(DoneKey(fp, sh.Index))
 		}
@@ -509,19 +513,27 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 
 // countStrays counts done markers left by other grids in this journal —
 // stale fingerprints are expected across re-parameterized runs, but
-// operators deserve a series that says so.
+// operators deserve a series that says so. Each marker counts once per
+// coordinator, not once per Run that sees it.
 func (c *Coordinator) countStrays(fp string) {
 	type keyser interface{ Keys() []string }
 	j, ok := c.cfg.Journal.(keyser)
 	if !ok {
 		return
 	}
+	keys := j.Keys()
 	stray := 0
-	for _, key := range j.Keys() {
-		if strings.HasPrefix(key, "shard-done:") && !strings.HasPrefix(key, "shard-done:"+fp+":") {
+	c.mu.Lock()
+	for _, key := range keys {
+		if !strings.HasPrefix(key, "shard-done:") || strings.HasPrefix(key, "shard-done:"+fp+":") {
+			continue
+		}
+		if _, seen := c.strays[key]; !seen {
+			c.strays[key] = struct{}{}
 			stray++
 		}
 	}
+	c.mu.Unlock()
 	if stray > 0 {
 		c.m.StrayRecords.Add(uint64(stray))
 		c.logf("journal holds %d shard markers from other grids (stale fingerprints); ignored", stray)
@@ -764,17 +776,22 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 		return fmt.Errorf("%w: term %d lease invalid at merge of shard %d", ErrLeaseLost, c.cfg.Term, sr.shard.Index)
 	}
 	if j := c.cfg.Journal; j != nil {
+		// Every record is a capped window of one growing buffer, never
+		// overwritten once recorded, so a journal may keep the slice.
+		n := 0
+		for i := range res.Rows {
+			n += rowJSONLen(&res.Rows[i])
+		}
+		buf := make([]byte, 0, n)
 		for i, key := range sr.shard.Keys {
 			if !sr.revoked {
 				if raw, ok := j.Lookup(key); ok && validRowBytes(raw) {
 					continue
 				}
 			}
-			raw, err := json.Marshal(res.Rows[i])
-			if err != nil {
-				return fmt.Errorf("cluster: encode row: %w", err)
-			}
-			if err := j.Record(key, raw); err != nil {
+			at := len(buf)
+			buf = appendRowJSON(buf, &res.Rows[i])
+			if err := j.Record(key, buf[at:len(buf):len(buf)]); err != nil {
 				return fmt.Errorf("cluster: journal row: %w", err)
 			}
 		}
@@ -840,8 +857,8 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 // a usable row. merge overwrites (supersedes) anything that does not,
 // instead of skipping it as "already present".
 func validRowBytes(raw []byte) bool {
-	var row Row
-	return json.Unmarshal(raw, &row) == nil && row.CSV != ""
+	row, err := decodeRow(raw)
+	return err == nil && row.CSV != ""
 }
 
 func (c *Coordinator) recordDone(fp string, sh Shard) error {

@@ -3,9 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strconv"
-
-	"bcnphase/internal/runstate"
 )
 
 // ErrDigest wraps every shard-result integrity failure: absent or
@@ -15,30 +12,21 @@ import (
 // unlike ErrWire, which is a terminal verdict about the message shape.
 var ErrDigest = errors.New("cluster: shard result failed integrity check")
 
-// RowSum is the per-row content checksum: runstate.HashJSON of the row,
+// RowSum is the per-row content checksum: the hex SHA-256 of the row's
+// JSON encoding (what runstate.HashJSON of the row has always been),
 // computed by the worker that evaluated it. The coordinator recomputes
 // it on receipt, so a row corrupted in flight (truncated or bit-flipped
 // anywhere between evaluation and merge) is caught before it can reach
 // the journal.
 func RowSum(r Row) string {
-	sum, err := runstate.HashJSON(r)
-	if err != nil {
-		// Row is a flat struct of strings and integers; its JSON encoding
-		// cannot fail. Make the impossible loud instead of threading an
-		// error that no caller could act on.
-		panic(fmt.Sprintf("cluster: hash row: %v", err))
-	}
-	return sum
+	return hexString(rowSum(&r))
 }
 
 // ShardDigest chains a shard's index and its per-row checksums into the
-// shard-level digest, via the same length-prefixed runstate hashing the
-// journal keys use.
+// shard-level digest: the hex SHA-256 of the length-prefixed parts
+// "shard:<index>", rowSums[0], rowSums[1], ….
 func ShardDigest(index int, rowSums []string) string {
-	parts := make([]string, 0, len(rowSums)+1)
-	parts = append(parts, "shard:"+strconv.Itoa(index))
-	parts = append(parts, rowSums...)
-	return runstate.HashChain(parts...)
+	return hexString(shardDigestSum(index, rowSums))
 }
 
 // SignShardResult fills res.RowSums and res.Digest from its rows. The
@@ -66,12 +54,12 @@ func VerifyShardResult(res ShardResult) error {
 	if len(res.RowSums) != len(res.Rows) {
 		return fmt.Errorf("%w: shard %d has %d row checksums for %d rows", ErrDigest, res.Index, len(res.RowSums), len(res.Rows))
 	}
-	for i, r := range res.Rows {
-		if RowSum(r) != res.RowSums[i] {
+	for i := range res.Rows {
+		if !hexEqual(rowSum(&res.Rows[i]), res.RowSums[i]) {
 			return fmt.Errorf("%w: shard %d row %d does not match its checksum", ErrDigest, res.Index, i)
 		}
 	}
-	if ShardDigest(res.Index, res.RowSums) != res.Digest {
+	if !hexEqual(shardDigestSum(res.Index, res.RowSums), res.Digest) {
 		return fmt.Errorf("%w: shard %d digest does not cover its row checksums", ErrDigest, res.Index)
 	}
 	return nil

@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,6 +70,20 @@ func TestVerifyShardResultRejectsTampering(t *testing.T) {
 	}
 }
 
+// hashChain is the shard digest's reference definition: the hex SHA-256
+// of every part prefixed by its length as a big-endian uint64, hashed
+// part by part.
+func hashChain(parts ...string) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write([]byte(p))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestShardDigestIsLengthPrefixed(t *testing.T) {
 	// The chain must distinguish where one part ends and the next begins;
 	// plain concatenation would collapse these two.
@@ -73,6 +92,17 @@ func TestShardDigestIsLengthPrefixed(t *testing.T) {
 	}
 	if ShardDigest(1, []string{"ab"}) == ShardDigest(2, []string{"ab"}) {
 		t.Error("digest ignores the shard index")
+	}
+	// Small and large shards (the latter past the digest's stack buffer)
+	// hash exactly as the reference chain does.
+	for _, n := range []int{0, 1, 32, 33, MaxShardPoints} {
+		sums := signedResult(n).RowSums
+		for _, index := range []int{0, 7, -3, math.MaxInt} {
+			want := hashChain(append([]string{"shard:" + strconv.Itoa(index)}, sums...)...)
+			if got := ShardDigest(index, sums); got != want {
+				t.Errorf("ShardDigest(%d, %d sums) = %s, reference chain %s", index, n, got, want)
+			}
+		}
 	}
 }
 

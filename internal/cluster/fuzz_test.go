@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"bcnphase/internal/core"
@@ -71,7 +73,9 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 
 // FuzzDecodeShardArtifact hammers the worker-artifact decoder: no
 // panic, every rejection wraps ErrWire, and every accepted result
-// matches the assignment it claims to answer.
+// matches the assignment it claims to answer. Whenever the canonical
+// parser accepts an input, json.Unmarshal must accept it too and
+// decode the same envelope.
 func FuzzDecodeShardArtifact(f *testing.F) {
 	seeds := []string{
 		`{"key":"k","kind":"shard","shard":{"index":0,"rows":[{"CSV":"a"},{"CSV":"b"}]}}`,
@@ -83,6 +87,16 @@ func FuzzDecodeShardArtifact(f *testing.F) {
 		`{"kind":"shard","shard":{"index":0,"rows":[{"CSV":"a"}]}}`,
 		`{"kind":"shard","shard":{"index":0,"rows":[{"CSV":""},{"CSV":"b"}]}}`,
 		`{"kind":"shard"}`, ``, `null`, `{{{`, `[]`,
+		// The canonical served form, signed and unsigned, and its edges.
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":0,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":2,"FirstPred":"q"}],"row_sums":["x","y"],"digest":"z"}}`,
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":0,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":""}]}}` + "\n",
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":0,"rows":[],"row_sums":[],"digest":""}}`,
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":-3,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":""}]}}`,
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":-0,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":""}]}}`,
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":0,"rows":[{"CSV":"a\u003c","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":"\xff"}]}}`,
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":0,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":""}],"digest":"d","digest":"e"}}`,
+		`{"key":"k","kind":"solve","invariants":"off","shard":{"index":0,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":""}]}}`,
+		`{"key":"k","kind":"shard","invariants":"off","shard":{"index":0,"rows":[{"CSV":"a","Violations":0,"FirstPred":""},{"CSV":"b","Violations":0,"FirstPred":""}]}}x`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -93,6 +107,17 @@ func FuzzDecodeShardArtifact(f *testing.F) {
 		Points: []GainPoint{{Gi: 0.05, Gd: 0.001}, {Gi: 0.05, Gd: 0.1}},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		r := wireReader{s: string(raw), ok: true}
+		fast := r.artifact(len(want.Points))
+		if r.end(); r.ok {
+			var ref shardArtifact
+			if err := json.Unmarshal(raw, &ref); err != nil {
+				t.Fatalf("canonical parser accepted %q; json.Unmarshal rejects it: %v", raw, err)
+			}
+			if ref.Key != fast.Key || ref.Kind != fast.Kind || ref.Shard == nil || !reflect.DeepEqual(*ref.Shard, *fast.Shard) {
+				t.Fatalf("canonical parse of %q = %+v %+v; json.Unmarshal = %+v %+v", raw, fast, fast.Shard, ref, ref.Shard)
+			}
+		}
 		res, err := DecodeShardArtifact(raw, want)
 		if err != nil {
 			if !errors.Is(err, ErrWire) {

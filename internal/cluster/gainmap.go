@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"strconv"
@@ -202,15 +203,19 @@ func (g GainGrid) Fingerprint() (string, error) {
 
 // PointKey is the journal key of one grid point under the grid
 // fingerprint — the same content key cmd/bcnsweep journals rows under.
+// It is the hex SHA-256 of {"FP":…,"Gi":…,"Gd":…} exactly as
+// runstate.HashJSON has always spelled it. A non-finite gain has no
+// JSON spelling; its key fails closed as a cache miss.
 func PointKey(fingerprint string, pt GainPoint) string {
-	key, err := runstate.HashJSON(struct {
-		FP     string
-		Gi, Gd float64
-	}{fingerprint, pt.Gi, pt.Gd})
-	if err != nil { // unreachable for plain floats; fail closed as a cache miss
+	if math.IsNaN(pt.Gi) || math.IsInf(pt.Gi, 0) || math.IsNaN(pt.Gd) || math.IsInf(pt.Gd, 0) {
 		return fmt.Sprintf("unhashable:%g,%g", pt.Gi, pt.Gd)
 	}
-	return key
+	var buf [160]byte
+	b := append(buf[:0], `{"FP":`...)
+	b = appendJSONString(b, fingerprint)
+	b = appendJSONFloat(append(b, `,"Gi":`...), pt.Gi)
+	b = appendJSONFloat(append(b, `,"Gd":`...), pt.Gd)
+	return hexString(sha256.Sum256(append(b, '}')))
 }
 
 // EvalMetrics bundles the per-engine instruments a row evaluation may

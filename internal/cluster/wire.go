@@ -64,6 +64,11 @@ func (s *ShardSpec) Validate() error {
 // worker signs over them (digest.go). The integrity fields live only on
 // the wire — journal point records stay plain Rows, so coordinator
 // journals remain interchangeable with cmd/bcnsweep -resume journals.
+//
+// A result DecodeShardArtifact reads in canonical form shares backing
+// storage: every Row.CSV, Row.FirstPred and RowSums entry is a
+// substring of one copy of the artifact, so keeping any of them keeps
+// the whole artifact's text alive.
 type ShardResult struct {
 	Index int   `json:"index"`
 	Rows  []Row `json:"rows"`
@@ -117,20 +122,23 @@ func PlanShards(grid GainGrid, size int) (fingerprint string, points []GainPoint
 		return "", nil, nil, err
 	}
 	points = grid.Points()
+	// One backing array each for the grid indices and keys of every
+	// shard; each shard gets a capped window of them.
+	gridIdx := make([]int, len(points))
+	keys := make([]string, len(points))
+	for i, pt := range points {
+		gridIdx[i] = i
+		keys[i] = PointKey(fingerprint, pt)
+	}
+	shards = make([]Shard, 0, (len(points)+size-1)/size)
 	for lo := 0; lo < len(points); lo += size {
-		hi := lo + size
-		if hi > len(points) {
-			hi = len(points)
-		}
-		sh := Shard{
-			Index:  len(shards),
-			Points: points[lo:hi:hi],
-		}
-		for i := lo; i < hi; i++ {
-			sh.GridIdx = append(sh.GridIdx, i)
-			sh.Keys = append(sh.Keys, PointKey(fingerprint, points[i]))
-		}
-		shards = append(shards, sh)
+		hi := min(lo+size, len(points))
+		shards = append(shards, Shard{
+			Index:   len(shards),
+			Points:  points[lo:hi:hi],
+			GridIdx: gridIdx[lo:hi:hi],
+			Keys:    keys[lo:hi:hi],
+		})
 	}
 	return fingerprint, points, shards, nil
 }
@@ -199,13 +207,20 @@ type shardArtifact struct {
 // DecodeShardArtifact parses a worker's job artifact into its
 // ShardResult, validating it against the assignment it answers: same
 // shard index, exactly one Row per assigned point, every row non-empty.
-// It never panics on arbitrary input (fuzzed in fuzz_test.go).
+// It never panics on arbitrary input (fuzzed in fuzz_test.go). The
+// canonical artifact a worker serves is read by the row codec
+// (rowcodec.go); anything else goes through encoding/json, with the
+// same verdicts either way.
 func DecodeShardArtifact(raw []byte, want *ShardSpec) (ShardResult, error) {
 	if int64(len(raw)) > MaxWireBytes {
 		return ShardResult{}, fmt.Errorf("%w: artifact of %d bytes exceeds cap", ErrWire, len(raw))
 	}
-	var art shardArtifact
-	if err := json.Unmarshal(raw, &art); err != nil {
+	n := 0
+	if want != nil {
+		n = len(want.Points)
+	}
+	art, err := decodeArtifact(raw, n)
+	if err != nil {
 		return ShardResult{}, fmt.Errorf("%w: %v", ErrWire, err)
 	}
 	if art.Kind != "shard" || art.Shard == nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -367,21 +366,4 @@ func HashJSON(v any) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// HashChain folds an ordered sequence of strings into one hex SHA-256
-// digest. Every part is length-prefixed before hashing, so ("ab", "c")
-// and ("a", "bc") cannot collide. The cluster layer chains per-row
-// content hashes into a shard-level digest with it; any ordered
-// composition of already-hashed parts belongs here rather than in ad-hoc
-// concatenation.
-func HashChain(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
