@@ -240,8 +240,10 @@ func TestSolveGolden(t *testing.T) {
 }
 
 // TestGainGridGolden pins the map.csv bytes of a 16×16 grid spanning all
-// outcome classes, under the analytic engine, the classic solver and the
-// classic solver with Record invariants.
+// outcome classes, under each engine mode and each invariant policy. A
+// strict grid aborts at its first violating point, so its case
+// evaluates point by point and pins which points abort (and on which
+// predicate) beside the clean rows.
 func TestGainGridGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
@@ -253,6 +255,8 @@ func TestGainGridGolden(t *testing.T) {
 		{"on", "off", "20c6ed5946fa47d9a8c3554d9b5e33e7547e0013dae723b100d9fca03e5da0db"},
 		{"off", "off", "5da8a5350536995b3b86dca15c9431f2b2958c4cc2935c7cb52148d04b2062b6"},
 		{"on", "record", "0a53cdb84f9f92e8476ba54fd947743dde2e39ee31b636e3b068f2ead455290b"},
+		{"on", "strict", "9b8fbcb7088c1209fd9b386590e79a77f74952fa13ad2c62f4a78afc05dea1af"},
+		{"on", "clamp", "0a53cdb84f9f92e8476ba54fd947743dde2e39ee31b636e3b068f2ead455290b"},
 	} {
 		g := cluster.GainGrid{
 			BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 16,
@@ -261,9 +265,20 @@ func TestGainGridGolden(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		ctx := context.Background()
 		pts := g.Points()
 		rows := make([]cluster.Row, len(pts))
-		if err := g.EvalBatch(context.Background(), pts, rows, cluster.EvalMetrics{}); err != nil {
+		if tc.invariants == "strict" {
+			for i, pt := range pts {
+				row, err := g.Eval(ctx, pt, cluster.EvalMetrics{})
+				if v, ok := invariant.StrictAbort(err); ok {
+					row = cluster.Row{CSV: fmt.Sprintf("%g,%g,strict abort: %s", pt.Gi, pt.Gd, v.Predicate)}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				rows[i] = row
+			}
+		} else if err := g.EvalBatch(ctx, pts, rows, cluster.EvalMetrics{}); err != nil {
 			t.Fatal(err)
 		}
 		if got := digest(string(cluster.RenderCSV(rows))); got != tc.want {
