@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-build figures-check check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
+.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-build figures-check check stress bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
 
 all: check
 
@@ -57,6 +57,13 @@ figures-check:
 # fuzz seed corpora, the metamorphic relations, the benchmark module
 # build and the committed closed-form figures.
 check: vet build bench-build race test fuzz-seeds metamorphic figures-check
+
+# Flake hunt: the packages whose tests race real goroutines and sockets
+# (chaos proxy, cluster, serve), under the race detector, 15 times over,
+# with the packages running in parallel. A new flake shows up here
+# before it merges.
+stress:
+	$(GO) test -race -count=15 ./internal/chaosnet ./internal/cluster ./internal/serve
 
 # Run every benchmark once (override BENCHTIME for real measurements,
 # e.g. BENCHTIME=2s) and parse the stream into machine-readable

@@ -262,17 +262,17 @@ func BenchmarkPaperScale(b *testing.B) { benchExperiment(b, experiments.PaperSca
 func BenchmarkFaultTolerance(b *testing.B) { benchExperiment(b, experiments.FaultTolerance) }
 
 // --- Analytic sweep engine: the paper-scale gain grid through the ---
-// --- canonical row evaluator, sampling-free vs classic sampled.    ---
+// --- canonical row evaluator, unchecked and invariant-checked.     ---
 
 // benchSweepEngine times cluster.GainGrid.EvalBatch — the row pipeline
 // behind bcnsweep, serve sweep jobs, and cluster shards — over a
-// 16×16 (Gi, Gd) grid and reports throughput as points/s, the gauge
-// BENCH_<n>.json trajectory comparisons gate on.
-func benchSweepEngine(b *testing.B, engine string) {
+// 16×16 (Gi, Gd) grid under an invariant policy and reports throughput
+// as points/s, the gauge BENCH_<n>.json trajectory comparisons gate on.
+func benchSweepEngine(b *testing.B, invariants string) {
 	b.Helper()
 	g := cluster.GainGrid{
 		BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1,
-		Steps: 16, Analytic: engine,
+		Steps: 16, Invariants: invariants,
 	}
 	pts := g.Points()
 	rows := make([]cluster.Row, len(pts))
@@ -289,12 +289,13 @@ func benchSweepEngine(b *testing.B, engine string) {
 }
 
 // BenchmarkSweepAnalytic is the sampling-free closed-form path
-// (default engine).
-func BenchmarkSweepAnalytic(b *testing.B) { benchSweepEngine(b, "on") }
+// (default engine, invariants off).
+func BenchmarkSweepAnalytic(b *testing.B) { benchSweepEngine(b, "") }
 
-// BenchmarkSweepClassic is the classic sampled-solver path the
-// analytic engine replaced as the sweep default.
-func BenchmarkSweepClassic(b *testing.B) { benchSweepEngine(b, "off") }
+// BenchmarkSweepRecord is the same grid under the record policy: the
+// invariant guard runs at every exact knot, plus each arc's rate
+// minimum.
+func BenchmarkSweepRecord(b *testing.B) { benchSweepEngine(b, "record") }
 
 // BenchmarkSweepRK45 solves the same grid by pure numerical
 // integration (the analytic engine's fallback integrator), the

@@ -41,7 +41,6 @@ import (
 
 	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
-	"bcnphase/internal/core"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/qos"
 	"bcnphase/internal/runstate"
@@ -95,7 +94,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout  = fs.Duration("point-timeout", time.Minute, "hard deadline per grid point (0 = none)")
 		resume   = fs.String("resume", "", "run directory holding the journal; completed points are skipped on restart and map.csv is written here")
 		invPol   = fs.String("invariants", "off", "runtime invariant checking per point: off, record, strict or clamp")
-		engine   = fs.String("analytic", "on", "row engine: on (sampling-free closed-form solver; exact extrema) or off (classic sampled solver). Non-off -invariants forces the classic path")
+		engine   = fs.String("analytic", "on", "row stepper: on (closed-form arcs; exact extrema) or off (RK45 integration of every arc, the validation baseline, several times slower). Every row under every -invariants policy comes from the analytic engine")
 		telem    = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 		clusterC = fs.String("cluster", "", "submit the grid to a bcnd coordinator instead of evaluating locally; comma-separated URLs name an HA replica group and the client fails over between them")
 		tenant   = fs.String("tenant", "", "cluster mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
@@ -138,7 +137,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			pps.Set(float64(done) / wall)
 		}
 	}()
-	solveMetrics := core.NewSolveMetrics(reg)
 	analyticMetrics := analytic.NewMetrics(reg)
 	policy, err := invariant.ParsePolicy(*invPol)
 	if err != nil {
@@ -177,7 +175,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	points := grid.Points()
-	em := cluster.EvalMetrics{Solve: solveMetrics, Analytic: analyticMetrics}
+	em := cluster.EvalMetrics{Analytic: analyticMetrics}
 	eval := func(ctx context.Context, pt gainPoint) (row, error) {
 		if evalHook != nil {
 			evalHook(pt)
@@ -268,9 +266,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			tally.Dirty, tally.Points, tally.Total, tally.ByPredicate)
 	}
 
-	// Rate and engine summary: how fast the grid went and which engine
-	// stitched its arcs. -analytic=off rows come from the classic
-	// sampled solver, not the engine, so rk45 arcs here can only come
+	// Rate and engine summary: how fast the grid went and which stepper
+	// stitched its arcs. Under -analytic=on, rk45 arcs can only come
 	// from the engine's non-finite fallback: nonzero counts deserve a
 	// look.
 	if wall := time.Since(began).Seconds(); wall > 0 {

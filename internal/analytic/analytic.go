@@ -8,13 +8,18 @@
 // K parameter points per call.
 //
 // The engine exists for the hot paths: gain-plane sweeps (cmd/bcnsweep,
-// cluster shards) and bcnd solve/sweep jobs classify millions of
-// parameter points and need only the verdict (outcome, extrema,
-// contraction ratio), never the polyline. core.Solve remains the
-// engine behind figures, invariant-checked runs and anything that needs
-// sampled trajectories. Because both run one loop over one arc type,
-// they agree bit-for-bit on every finite verdict (asserted across the
-// sweep grid in engine_test.go and continuously by invariant/xcheck).
+// cluster shards, bcnd sweep jobs) and bcnd solve jobs classify
+// millions of parameter points and need only the verdict (outcome,
+// extrema, contraction ratio), never the polyline. Every gain-plane
+// row comes from here, under every invariant policy: an attached
+// checker runs core.Guard, the predicates core.Solve checks at its
+// samples, at the exact knots instead. core.Solve remains the engine
+// behind figures, SVG portraits and anything else that needs sampled
+// trajectories, and behind checked solve jobs, which may integrate
+// through parameters this engine refuses. Because both run one loop
+// over one arc type, they agree bit-for-bit on every finite verdict
+// (asserted across the sweep grid in engine_test.go and continuously by
+// invariant/xcheck).
 //
 // Two escape hatches keep the closed forms honest, both running the
 // same loop with a Dormand-Prince stepper (internal/ode) that knows
@@ -33,6 +38,7 @@ import (
 	"sync"
 
 	"bcnphase/internal/core"
+	"bcnphase/internal/invariant"
 )
 
 // Mode selects the solving strategy.
@@ -123,6 +129,21 @@ type Options struct {
 	// one nil check per crossing; the xcheck harness uses it to capture
 	// junction points without the engine allocating a crossing list.
 	OnCrossing func(t, x, y float64, to core.Region)
+	// Invariants optionally attaches a runtime invariant checker, as
+	// core.SolveOptions.Invariants does for the sampled solver. Its
+	// guard runs at every exact knot, in time order: each arc's entry
+	// junction and x-extremum (where the arc reaches it), and the
+	// terminal state. Nothing between knots can fail a bound the knots
+	// pass: x-extrema are knots and walls end the arc, and the rate
+	// y′ = −n·x − m·y = −n·(x + k·y) (m = k·n) vanishes only on the
+	// switching line, so y is monotone along every arc and its extremes
+	// are the arc's end knots. Under Strict the first violation aborts
+	// Solve with a *invariant.InvariantError; under Record and Clamp
+	// the tallies accumulate in the checker and the verdict is unchanged
+	// (knots are exact, so Clamp repairs nothing). Solve refuses
+	// parameters Params.Validate rejects under every policy. The checker
+	// must be fresh, or Reset, for each solve.
+	Invariants *invariant.Checker
 	// Metrics optionally attaches engine counters. Nil costs one
 	// comparison per solve.
 	Metrics *Metrics
@@ -198,6 +219,8 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 			if opts.Metrics != nil {
 				opts.Metrics.RK45Fallbacks.Inc()
 			}
+			// The re-run starts over from t = 0.
+			opts.Invariants.Reset()
 			err = s.stitch(p, opts, start, &s.rk, PathRK45)
 		}
 	} else {
@@ -215,7 +238,7 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 // stitch runs the shared stitch loop with the given stepper, leaving
 // the result in s.track.
 func (s *Solver) stitch(p core.Params, opts Options, start [2]float64, st core.Stepper, path Path) error {
-	s.track.reset(path, opts.OnCrossing)
+	s.track.reset(path, p, &opts)
 	v, err := core.Stitch(p, core.StitchOptions{
 		MaxArcs:             opts.MaxArcs,
 		ConvergeTol:         opts.ConvergeTol,

@@ -32,12 +32,16 @@ func (closedStepper) Step(g core.Regime) (core.Step, error) {
 // arbitrarily close to it (its MinX tends to the launch value −q0 as
 // sample density grows), the tracker reports that infimum directly: the
 // t = 0 knot counts, so a canonical launch has MinX = −q0 exactly.
+//
+// With an invariant checker attached, the tracker also runs core's
+// Guard at the knots, in time order (see Options.Invariants).
 type tracker struct {
 	res        Result
 	onCrossing func(t, x, y float64, to core.Region)
+	guard      core.Guard
 }
 
-func (k *tracker) reset(path Path, onCrossing func(t, x, y float64, to core.Region)) {
+func (k *tracker) reset(path Path, p core.Params, opts *Options) {
 	nan := math.NaN()
 	k.res = Result{
 		Path: path,
@@ -45,7 +49,11 @@ func (k *tracker) reset(path Path, onCrossing func(t, x, y float64, to core.Regi
 		FirstMaxT: nan, FirstMaxX: nan,
 		FirstMinT: nan, FirstMinX: nan,
 	}
-	k.onCrossing = onCrossing
+	k.onCrossing = opts.OnCrossing
+	k.guard = core.Guard{}
+	if opts.Invariants.Enabled() {
+		k.guard = core.NewGuard(opts.Invariants, p, !opts.IgnoreBuffer)
+	}
 }
 
 // knot folds one exact x value into the excursion extremes.
@@ -58,7 +66,12 @@ func (k *tracker) knot(x float64) {
 	}
 }
 
-func (k *tracker) Arc(_ core.Region, t, x, _ float64, st core.Step) error {
+func (k *tracker) Arc(r core.Region, t, x, y float64, st core.Step) error {
+	if k.guard.Enabled() {
+		if err := k.guardArc(r, t, x, y, st); err != nil {
+			return err
+		}
+	}
 	// Entry knot: the junction state is exact (carried across the
 	// crossing verbatim, as core's sampler records it).
 	k.knot(x)
@@ -101,6 +114,20 @@ func (k *tracker) Arc(_ core.Region, t, x, _ float64, st core.Step) error {
 	return nil
 }
 
+// guardArc checks the arc's knots up to where it stops, in time order:
+// the entry junction, then the x-extremum (y = 0). The exit state is
+// checked as the next arc's entry, or by Finish.
+func (k *tracker) guardArc(r core.Region, t, x, y float64, st core.Step) error {
+	if _, _, err := k.guard.Point(r, t, x, y); err != nil {
+		return err
+	}
+	if st.Extremum && (st.Wall == 0 || st.ExtT < st.WallT) {
+		_, _, err := k.guard.Point(r, t+st.ExtT, st.ExtX, 0)
+		return err
+	}
+	return nil
+}
+
 func (k *tracker) Crossing(t, x, y float64, to core.Region) {
 	k.res.Crossings++
 	if k.onCrossing != nil {
@@ -108,7 +135,14 @@ func (k *tracker) Crossing(t, x, y float64, to core.Region) {
 	}
 }
 
-func (k *tracker) Finish(_, x, _ float64) { k.knot(x) }
+func (k *tracker) Finish(r core.Region, t, x, y float64) error {
+	k.knot(x)
+	if k.guard.Enabled() {
+		_, _, err := k.guard.Point(r, t, x, y)
+		return err
+	}
+	return nil
+}
 
 func (k *tracker) StepFailed(_ float64, err error) error { return err }
 

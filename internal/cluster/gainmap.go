@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"bcnphase/internal/analytic"
 	"bcnphase/internal/core"
@@ -35,15 +34,13 @@ type GainGrid struct {
 	// of the grid's identity: rows computed under one policy must never
 	// replay under another.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the row engine ("on" or "off"; "auto" is an alias
-	// of "on" and shares its fingerprint); empty means on. On rows come
-	// from the sampling-free closed-form engine (internal/analytic) and
-	// report exact extrema; off rows come from the classic sampled
-	// core.Solve. The analytic engine carries no
-	// invariant instrumentation, so any non-off Invariants policy forces
-	// the classic path regardless of this field. Like Invariants it is
-	// part of the grid's identity: max_q_bits differs between exact and
-	// sampled extrema, so rows from one engine must never replay as the
+	// Analytic selects the stepper of the row engine ("on" or "off";
+	// "auto" is an alias of "on" and shares its fingerprint); empty means
+	// on. Every row, under every policy, comes from analytic.Solver: on
+	// stitches closed-form arcs, off integrates every arc with RK45 (the
+	// validation baseline, several times slower). Like Invariants it is
+	// part of the grid's identity: the two steppers agree only to the
+	// integrator's tolerance, so rows from one must never replay as the
 	// other's.
 	Analytic string `json:"analytic,omitempty"`
 }
@@ -146,12 +143,6 @@ func (g GainGrid) AnalyticMode() analytic.Mode {
 	return m
 }
 
-// analyticActive reports whether rows come from the closed-form engine:
-// the mode allows it and no invariant instrumentation is requested.
-func (g GainGrid) analyticActive() bool {
-	return g.AnalyticMode() != analytic.ModeOff && g.Policy() == invariant.Off
-}
-
 // Base materializes the shared parameter set every point perturbs: the
 // figure example with the grid's buffer multiple, exactly as
 // cmd/bcnsweep builds it.
@@ -191,7 +182,11 @@ func (g GainGrid) Fingerprint() (string, error) {
 		// Format 3: rows may come from the analytic engine (exact extrema
 		// in max_q_bits), so the engine mode joins the identity and every
 		// pre-engine journal key is retired.
-		Format:  3,
+		// Format 4: checked rows come from the analytic engine too, with
+		// violations counted at exact knots instead of polyline samples,
+		// and analytic=off means RK45; no sampled row replays as a
+		// knot-checked one.
+		Format:  4,
 		BOverQ0: g.BOverQ0,
 		GiLo:    g.GiLo, GiHi: g.GiHi,
 		GdLo: g.GdLo, GdHi: g.GdHi,
@@ -218,18 +213,18 @@ func PointKey(fingerprint string, pt GainPoint) string {
 	return hexString(sha256.Sum256(append(b, '}')))
 }
 
-// EvalMetrics bundles the per-engine instruments a row evaluation may
-// touch. The zero value is inert.
+// EvalMetrics bundles the instruments a row evaluation may touch. The
+// zero value is inert.
 type EvalMetrics struct {
-	// Solve instruments the classic sampled path (core.Solve).
+	// Solve is kept for callers that still set it; no row reads it,
+	// since no row comes from core.Solve.
 	Solve *core.SolveMetrics
-	// Analytic instruments the closed-form engine path.
+	// Analytic instruments the row engine.
 	Analytic *analytic.Metrics
 }
 
 // verdict is one grid point's map.csv columns, in header order
-// (strongly_stable derives from outcome). Both engines fill one and
-// render it through appendCSV, so the column shapes cannot drift apart.
+// (strongly_stable derives from outcome), rendered by appendCSV.
 type verdict struct {
 	gi, gd        float64
 	kind          core.CaseKind
@@ -242,12 +237,12 @@ type verdict struct {
 	firstPred     string
 }
 
-// maxAnalyticRowLen bounds one analytic-engine row plus its newline:
-// five shortest-form floats of at most 24 bytes ("-2.2250738585072014e-308"),
-// a case number, three bools, the longest outcome name, the zero
-// violation count, an empty first predicate and eleven commas.
-// EvalBatch sizes its span buffer with it so the buffer never regrows.
-const maxAnalyticRowLen = 5*24 + 20 + 3*len("false") + len("horizon reached") + len("0") + 11 + 1
+// maxAnalyticRowLen bounds one row: five shortest-form floats of at
+// most 24 bytes ("-2.2250738585072014e-308"), a case number, three
+// bools, the longest outcome name, a 20-digit violation count, the
+// longest predicate core's guard reports and eleven commas. EvalBatch
+// sizes its span buffer with it so the buffer never regrows.
+const maxAnalyticRowLen = 5*24 + 20 + 3*len("false") + len("horizon reached") + 20 + len(core.PredMonotoneTime) + 11
 
 // appendCSV appends the verdict's map.csv row (no trailing newline) to
 // b. Every float is strconv's shortest 'g' form, which is exactly what
@@ -281,75 +276,22 @@ func (v *verdict) appendCSV(b []byte) []byte {
 	return append(b, v.firstPred...)
 }
 
-// row renders the verdict as a standalone Row.
-func (v *verdict) row() Row {
-	var buf [maxAnalyticRowLen]byte
-	return Row{CSV: string(v.appendCSV(buf[:0])), Violations: v.violations, FirstPred: v.firstPred}
-}
-
 // Eval evaluates one grid point to its CSV row: the linear criterion of
 // [4], the Theorem 1 sufficient condition, and the phase-plane ground
-// truth. It is the single canonical row evaluation — bcnsweep, the
-// shard executor in internal/serve, and the chaos tests all call it,
-// which is what makes "byte-identical to a single-node run" a property
-// instead of a hope.
-//
-// When the grid's engine mode is on and its invariant policy is
-// off, the verdict comes from the sampling-free closed-form engine
-// (internal/analytic) and the linear columns from the Routh–Hurwitz
-// criterion directly — no sampled trajectory is built at all, which is
-// where the sweep's order-of-magnitude speedup lives. Otherwise the row
-// runs the classic instrumented core.Solve.
+// truth. It is EvalBatch on a one-point span, so its row is
+// byte-identical to the batch's.
 func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, error) {
-	// Cooperative cancellation point: a drained point fails with ctx.Err
-	// (and is not journaled) instead of racing the shutdown.
-	if err := ctx.Err(); err != nil {
-		return Row{}, err
-	}
-	p := g.Base()
-	p.Gi = pt.Gi
-	p.Gd = pt.Gd
-	if g.analyticActive() {
-		res, err := analytic.SolveOne(p, analytic.Options{
-			Mode:    g.AnalyticMode(),
-			Metrics: m.Analytic,
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		v := analyticVerdict(p, pt, res)
-		return v.row(), nil
-	}
-	lin, err := linear.Compare(p)
-	if err != nil {
-		return Row{}, err
-	}
-	tr, err := core.Solve(p, core.SolveOptions{
-		Invariants: invariant.NewPolicy(g.Policy()),
-		Telemetry:  m.Solve,
-	})
-	if err != nil {
-		return Row{}, err
-	}
-	v := verdict{
-		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
-		linearStable: lin.LinearStable, theorem1OK: lin.Theorem1OK,
-		theorem1Bound: core.Theorem1Bound(p),
-		outcome:       tr.Outcome,
-		maxQueue:      tr.MaxQueue(), rho: tr.Rho,
-		violations: tr.Violations.Total, firstPred: tr.Violations.FirstPredicate(),
-	}
-	return v.row(), nil
+	var out [1]Row
+	err := g.EvalBatch(ctx, []GainPoint{pt}, out[:], m)
+	return out[0], err
 }
 
 // analyticVerdict assembles one closed-form verdict. The linear columns
 // are computed directly: LinearStable is the pure Routh–Hurwitz
 // criterion of [4] (no trajectory needed) and Theorem1OK the paper's
 // closed-form sufficient condition — exactly the values linear.Compare
-// reports, minus its redundant inner solve. The invariant columns are
-// structurally zero because the analytic path only runs under the off
-// policy.
-func analyticVerdict(p core.Params, pt GainPoint, res analytic.Result) verdict {
+// reports, minus its redundant inner solve.
+func analyticVerdict(p core.Params, pt GainPoint, res analytic.Result, chk *invariant.Checker) verdict {
 	return verdict{
 		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
 		linearStable:  linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease),
@@ -357,59 +299,65 @@ func analyticVerdict(p core.Params, pt GainPoint, res analytic.Result) verdict {
 		theorem1Bound: core.Theorem1Bound(p),
 		outcome:       res.Outcome,
 		maxQueue:      res.MaxQueue(p), rho: res.Rho,
+		violations: chk.Violations(), firstPred: chk.FirstPredicate(),
 	}
 }
 
 // EvalBatch evaluates a contiguous span of grid points, writing the row
-// of pts[i] into out[i] (len(out) must equal len(pts)). It is Eval's
-// batch shape — sweep.BatchFunc compatible — and is where the analytic
-// engine's buffer reuse pays off: one warm Solver serves the whole span
-// instead of a pool round-trip per point. Rows are byte-identical to
-// per-point Eval calls.
+// of pts[i] into out[i] (len(out) must equal len(pts)). It is the single
+// canonical row evaluation — bcnsweep, the shard and sweep executors in
+// internal/serve, and the chaos tests all reach it, which is what makes
+// "byte-identical to a single-node run" a property instead of a hope.
+// It is sweep.BatchFunc compatible.
 //
-// On the analytic path every row of the span is appended into one
-// pre-sized buffer and converted to one string, so the span's Row.CSV
-// values are substrings sharing that string's backing storage: a span
-// costs a constant handful of allocations, not several per point.
+// Every row comes from one warm analytic.Solver, under every invariant
+// policy: a non-off policy attaches one checker, Reset per point, whose
+// guard runs at the trajectory's exact knots and whose tallies fill the
+// violations and first_violation columns. A strict violation aborts the
+// span with the *invariant.InvariantError.
+//
+// Every row of the span is appended into one pre-sized buffer and
+// converted to one string, so the span's Row.CSV values are substrings
+// sharing that string's backing storage: a span costs a constant
+// handful of allocations, not several per point.
 func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m EvalMetrics) error {
 	if len(out) != len(pts) {
 		return fmt.Errorf("cluster: eval batch: %d outputs for %d points", len(out), len(pts))
 	}
-	if !g.analyticActive() {
-		for i, pt := range pts {
-			row, err := g.Eval(ctx, pt, m)
-			if err != nil {
-				return err
-			}
-			out[i] = row
-		}
-		return nil
-	}
 	s := analytic.NewSolver()
-	opts := analytic.Options{Mode: g.AnalyticMode(), Metrics: m.Analytic}
+	chk := invariant.NewPolicy(g.Policy())
+	opts := analytic.Options{Mode: g.AnalyticMode(), Invariants: chk, Metrics: m.Analytic}
 	base := g.Base()
 	buf := make([]byte, 0, len(pts)*maxAnalyticRowLen)
-	for _, pt := range pts {
+	// ends records where each row stops in buf; typical spans fit the
+	// stack array.
+	var endBuf [64]int
+	ends := endBuf[:0]
+	if len(pts) > len(endBuf) {
+		ends = make([]int, 0, len(pts))
+	}
+	for i, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		p := base
 		p.Gi = pt.Gi
 		p.Gd = pt.Gd
+		chk.Reset()
 		res, err := s.Solve(p, opts)
 		if err != nil {
 			return err
 		}
-		v := analyticVerdict(p, pt, res)
-		buf = append(v.appendCSV(buf), '\n')
+		v := analyticVerdict(p, pt, res, chk)
+		buf = v.appendCSV(buf)
+		ends = append(ends, len(buf))
+		out[i] = Row{Violations: v.violations, FirstPred: v.firstPred}
 	}
-	// Analytic rows never contain a newline (no first predicate), so the
-	// separators split the span string back into its rows.
 	rows := string(buf)
-	for i := range out {
-		n := strings.IndexByte(rows, '\n')
-		out[i] = Row{CSV: rows[:n]}
-		rows = rows[n+1:]
+	start := 0
+	for i, end := range ends {
+		out[i].CSV = rows[start:end]
+		start = end
 	}
 	return nil
 }

@@ -3,100 +3,123 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"bcnphase/internal/core"
+	"bcnphase/internal/invariant"
+	"bcnphase/internal/linear"
 )
 
-// TestEvalAnalyticAgreesWithClassic compares the closed-form row engine
-// against the classic sampled one across a small grid: the verdict
-// columns (case, linear, Theorem 1, outcome, strong stability) must be
-// identical — the engines share the arc formulas bit for bit — while
-// max_q_bits may differ only by the sampling resolution the analytic
+// TestEvalAnalyticAgreesWithClassic compares rows against the classic
+// sampled solver, core.Solve, as the oracle: the verdict columns (case,
+// linear, Theorem 1, outcome, strong stability) must be identical — the
+// engines share the arc formulas bit for bit — while max_q_bits may
+// exceed the sampled peak only by the sampling resolution the row
 // engine removed.
 func TestEvalAnalyticAgreesWithClassic(t *testing.T) {
-	fast := testGrid(4) // Analytic defaults to on
-	slow := testGrid(4)
-	slow.Analytic = "off"
+	g := testGrid(4)
 	ctx := context.Background()
-	for _, pt := range fast.Points() {
-		fr, err := fast.Eval(ctx, pt, EvalMetrics{})
+	for _, pt := range g.Points() {
+		row, err := g.Eval(ctx, pt, EvalMetrics{})
 		if err != nil {
-			t.Fatalf("analytic eval %+v: %v", pt, err)
+			t.Fatalf("eval %+v: %v", pt, err)
 		}
-		sr, err := slow.Eval(ctx, pt, EvalMetrics{})
+		p := g.Base()
+		p.Gi, p.Gd = pt.Gi, pt.Gd
+		lin, err := linear.Compare(p)
 		if err != nil {
-			t.Fatalf("classic eval %+v: %v", pt, err)
+			t.Fatal(err)
 		}
-		ff := strings.Split(fr.CSV, ",")
-		sf := strings.Split(sr.CSV, ",")
-		if len(ff) != 12 || len(sf) != 12 {
-			t.Fatalf("column count: analytic %d classic %d", len(ff), len(sf))
+		tr, err := core.Solve(p, core.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// gi, gd, case, linear_stable, theorem1_ok, theorem1_bound_bits,
-		// outcome, strongly_stable must be byte-identical.
-		for _, i := range []int{0, 1, 2, 3, 4, 5, 6, 7} {
-			if ff[i] != sf[i] {
-				t.Errorf("point %+v column %d: analytic %q classic %q", pt, i, ff[i], sf[i])
-			}
+		want := fmt.Sprintf("%g,%g,%d,%v,%v,%g,%s,%v", pt.Gi, pt.Gd, p.Case(), lin.LinearStable, lin.Theorem1OK,
+			core.Theorem1Bound(p), tr.Outcome, tr.Outcome.StronglyStable())
+		f := strings.Split(row.CSV, ",")
+		if len(f) != 12 {
+			t.Fatalf("row %q has %d columns", row.CSV, len(f))
 		}
-		if ff[10] != "0" || ff[11] != "" {
-			t.Errorf("point %+v: analytic invariant columns %q,%q, want 0 and empty", pt, ff[10], ff[11])
+		if got := strings.Join(f[:8], ","); got != want {
+			t.Errorf("point %+v: row verdict %q, core.Solve %q", pt, got, want)
 		}
-		if fr.Violations != 0 || fr.FirstPred != "" {
-			t.Errorf("point %+v: analytic row carries violations %d %q", pt, fr.Violations, fr.FirstPred)
+		maxQ, err := strconv.ParseFloat(f[8], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sampled := tr.MaxQueue(); maxQ < sampled || maxQ > sampled*(1+1e-3) {
+			t.Errorf("point %+v: exact max_q_bits %v, sampled %v", pt, maxQ, sampled)
+		}
+		if f[10] != "0" || f[11] != "" || row.Violations != 0 || row.FirstPred != "" {
+			t.Errorf("point %+v: off-policy row carries violations: %+v", pt, row)
 		}
 	}
 }
 
 // TestEvalBatchMatchesEval requires span evaluation to be byte-identical
-// to per-point evaluation under both engines — EvalBatch is the shard
-// executors' and bcnsweep's hot path, and the merged map must not
-// depend on which path computed a row.
+// to per-point evaluation under both engines and a checked policy —
+// EvalBatch is the shard executors' and bcnsweep's hot path, the merged
+// map must not depend on which path computed a row, and a span's one
+// checker must not carry tallies from point to point.
 func TestEvalBatchMatchesEval(t *testing.T) {
-	for _, engine := range []string{"", "off"} {
-		g := testGrid(3)
-		g.Analytic = engine
+	dirty := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 4, Invariants: "record"}
+	for _, g := range []GainGrid{testGrid(3), {BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3, Analytic: "off"}, dirty} {
 		pts := g.Points()
 		ctx := context.Background()
 		rows := make([]Row, len(pts))
 		if err := g.EvalBatch(ctx, pts, rows, EvalMetrics{}); err != nil {
-			t.Fatalf("engine %q: batch: %v", engine, err)
+			t.Fatalf("%+v: batch: %v", g, err)
 		}
 		for i, pt := range pts {
 			want, err := g.Eval(ctx, pt, EvalMetrics{})
 			if err != nil {
-				t.Fatalf("engine %q: eval: %v", engine, err)
+				t.Fatalf("%+v: eval: %v", g, err)
 			}
 			if rows[i] != want {
-				t.Errorf("engine %q point %d: batch row %+v, eval row %+v", engine, i, rows[i], want)
+				t.Errorf("%+v point %d: batch row %+v, eval row %+v", g, i, rows[i], want)
 			}
 		}
 	}
 }
 
 // TestEvalBatchAllocs is the row kernel's allocation gate: a warm
-// analytic-mode EvalBatch appends its whole span into one buffer and
-// one string, so it allocates a small constant number of times per
-// span — not per point — however long the span is.
+// EvalBatch appends its whole span into one buffer and one string, so
+// it allocates a small constant number of times per span — not per
+// point — however long the span is. A record-policy span adds its one
+// checker; on clean rows (this grid has no violations) its tallies
+// allocate nothing.
 func TestEvalBatchAllocs(t *testing.T) {
-	g := testGrid(8)
-	pts := g.Points() // 64 points
-	ctx := context.Background()
-	for _, n := range []int{16, len(pts)} {
-		span, rows := pts[:n], make([]Row, n)
-		if err := g.EvalBatch(ctx, span, rows, EvalMetrics{}); err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(10, func() {
+	for _, tc := range []struct {
+		invariants string
+		max        float64
+	}{{"", 4}, {"record", 4}} {
+		g := testGrid(8)
+		g.Invariants = tc.invariants
+		pts := g.Points() // 64 points
+		ctx := context.Background()
+		for _, n := range []int{16, len(pts)} {
+			span, rows := pts[:n], make([]Row, n)
 			if err := g.EvalBatch(ctx, span, rows, EvalMetrics{}); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%d-point span: %.1f allocations", n, avg)
-		if avg > 4 {
-			t.Errorf("warm %d-point EvalBatch allocates %.1f times per span, want <= 4", n, avg)
+			for _, r := range rows {
+				if r.Violations != 0 {
+					t.Fatalf("invariants=%q: dirty row %+v; the gate needs clean rows", tc.invariants, r)
+				}
+			}
+			avg := testing.AllocsPerRun(10, func() {
+				if err := g.EvalBatch(ctx, span, rows, EvalMetrics{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("invariants=%q, %d-point span: %.1f allocations", tc.invariants, n, avg)
+			if avg > tc.max {
+				t.Errorf("invariants=%q: warm %d-point EvalBatch allocates %.1f times per span, want <= %v",
+					tc.invariants, n, avg, tc.max)
+			}
 		}
 	}
 }
@@ -109,9 +132,10 @@ func TestEvalBatchRejectsLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestGridFingerprintSeparatesEngines: rows computed by one engine must
-// never replay as the other's — max_q_bits is exact on one side and
-// sampled on the other — so the engine mode is part of the identity.
+// TestGridFingerprintSeparatesEngines: rows computed by one stepper must
+// never replay as the other's — closed-form and RK45 verdicts agree only
+// to the integrator's tolerance — so the engine mode is part of the
+// identity.
 func TestGridFingerprintSeparatesEngines(t *testing.T) {
 	on := testGrid(3)
 	off := testGrid(3)
@@ -179,29 +203,46 @@ func TestGridValidateRejectsBadAnalytic(t *testing.T) {
 	}
 }
 
-// TestEvalInvariantPolicyForcesClassicPath: the analytic engine has no
-// invariant instrumentation, so a grid that asks for invariant checking
-// must get the classic path — byte-identically to Analytic "off" —
-// regardless of the engine field.
-func TestEvalInvariantPolicyForcesClassicPath(t *testing.T) {
-	checked := testGrid(3)
-	checked.Invariants = "record"
-	classic := checked
-	classic.Analytic = "off"
-	sm := core.NewSolveMetrics(nil)
+// TestEvalRecordPolicyMatchesSampledOracle: a record-policy row comes
+// from the analytic engine with its guard at the exact knots; its tally
+// must flag the points core.Solve's sampled guard flags, on the same
+// first predicate, and its verdict columns must be the off-policy row's.
+// TestKnotGuardMatchesSampledGuard runs the same oracle over 856 points.
+func TestEvalRecordPolicyMatchesSampledOracle(t *testing.T) {
+	checked := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 4, Invariants: "record"}
+	plain := checked
+	plain.Invariants = ""
 	ctx := context.Background()
+	flagged := 0
 	for _, pt := range checked.Points() {
-		a, err := checked.Eval(ctx, pt, EvalMetrics{Solve: sm})
+		rec, err := checked.Eval(ctx, pt, EvalMetrics{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := classic.Eval(ctx, pt, EvalMetrics{Solve: sm})
+		off, err := plain.Eval(ctx, pt, EvalMetrics{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Errorf("point %+v: record-policy rows differ by engine field: %+v vs %+v", pt, a, b)
+		p := checked.Base()
+		p.Gi, p.Gd = pt.Gi, pt.Gd
+		tr, err := core.Solve(p, core.SolveOptions{Invariants: invariant.NewPolicy(invariant.Record)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if (rec.Violations > 0) != (tr.Violations.Total > 0) || rec.FirstPred != tr.Violations.FirstPredicate() {
+			t.Errorf("point %+v: row tally %d %q, sampled %d %q",
+				pt, rec.Violations, rec.FirstPred, tr.Violations.Total, tr.Violations.FirstPredicate())
+		}
+		if rec.Violations > 0 {
+			flagged++
+		}
+		suffix := fmt.Sprintf(",%d,%s", rec.Violations, rec.FirstPred)
+		if !strings.HasSuffix(rec.CSV, suffix) || strings.TrimSuffix(rec.CSV, suffix) != strings.TrimSuffix(off.CSV, ",0,") {
+			t.Errorf("point %+v: record row %q, off row %q", pt, rec.CSV, off.CSV)
+		}
+	}
+	if flagged == 0 {
+		t.Error("no point of the grid is flagged; the oracle checks nothing")
 	}
 }
 

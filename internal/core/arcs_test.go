@@ -420,3 +420,51 @@ func TestArcKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRateMonotoneAlongArcs pins why a checked solve needs no rate knot
+// between an arc's ends: every regime has m = k·n, so
+// y′ = −n·x − m·y = −n·(x + k·y) vanishes only on the switching line,
+// and y rises monotonically through every increase arc and falls
+// through every decrease arc. The rate extremes are the arc's end knots.
+func TestRateMonotoneAlongArcs(t *testing.T) {
+	base := FigureExample()
+	giCrit := base.AThreshold() / (base.Ru * float64(base.N))
+	for _, g := range []struct{ gi, gd float64 }{
+		{0.05, 0.001}, {8, 0.4}, {giCrit, 0.01}, {1, base.BThreshold()}, {40 * giCrit, 20 * base.BThreshold()},
+	} {
+		p := base
+		p.Gi, p.Gd = g.gi, g.gd
+		for _, r := range []Region{Increase, Decrease} {
+			for i := 0; i < 16; i++ {
+				// Entry states on an ellipse with semi-axes q0 and q0/k, which
+				// the switching line x + k·y = 0 cuts in half; each region
+				// keeps the states on its side.
+				ang := 2 * math.Pi * float64(i) / 16
+				x0, y0 := p.Q0*math.Cos(ang), p.Q0/p.K()*math.Sin(ang)
+				if s := x0 + p.K()*y0; s == 0 || (s < 0) != (r == Increase) {
+					continue
+				}
+				st, err := ArcStepper{}.Step(Regime{
+					Region: r, Linear: p.RegionLinear(r), X0: x0, Y0: y0, K: p.K(),
+					TolX: 1e-3 * p.Q0, TolY: 1e-3 * p.C,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := 1.0
+				if r == Decrease {
+					dir = -1
+				}
+				prev := y0
+				for j := 1; j <= 256; j++ {
+					_, y := st.Arc.At(st.End * float64(j) / 256)
+					if dir*(y-prev) < -1e-9*p.C {
+						t.Fatalf("gi=%v gd=%v %v arc from (%v, %v): y turns at sample %d (%v after %v)",
+							g.gi, g.gd, r, x0, y0, j, y, prev)
+					}
+					prev = y
+				}
+			}
+		}
+	}
+}

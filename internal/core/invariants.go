@@ -29,30 +29,35 @@ const (
 	PredSigmaBranch = "sigma-branch"
 )
 
-// solveGuard evaluates the model invariants at every sampled point of a
-// stitched trajectory. A guard with a nil / Off checker costs one branch
-// per sample.
-type solveGuard struct {
+// Guard evaluates the model invariants at points of a stitched
+// trajectory. It is the one predicate set behind every checked solve:
+// Solve's sampler runs it at every polyline sample, the analytic
+// engine's tracker at every exact knot (junctions, extrema, the rate
+// minimum and the terminal state). A Guard with a nil / Off checker
+// costs one branch per point.
+type Guard struct {
 	chk *invariant.Checker
 	p   Params
 	k   float64
-	// checkBuffer gates the queue-bounds predicate (off when
-	// SolveOptions.IgnoreBuffer requested the unconstrained portrait).
+	// checkBuffer gates the queue-bounds predicate (off when the solve
+	// ignores the buffer and draws the unconstrained portrait).
 	checkBuffer bool
 }
 
-func newSolveGuard(chk *invariant.Checker, p Params, checkBuffer bool) *solveGuard {
-	return &solveGuard{chk: chk, p: p, k: p.K(), checkBuffer: checkBuffer}
+// NewGuard returns the guard of a solve of p under chk; checkBuffer
+// enables the queue-bounds predicate.
+func NewGuard(chk *invariant.Checker, p Params, checkBuffer bool) Guard {
+	return Guard{chk: chk, p: p, k: p.K(), checkBuffer: checkBuffer}
 }
 
-// enabled reports whether the guard performs any work; nil-safe.
-func (g *solveGuard) enabled() bool { return g != nil && g.chk.Enabled() }
+// Enabled reports whether the guard performs any work.
+func (g *Guard) Enabled() bool { return g.chk.Enabled() }
 
-// point checks one sampled state (t, x, y) in region r against the model
+// Point checks one state (t, x, y) in region r against the model
 // invariants, returning the (possibly clamped) state. Under the Strict
 // policy the first violation surfaces as a *invariant.InvariantError.
-func (g *solveGuard) point(r Region, t, x, y float64) (float64, float64, error) {
-	if !g.enabled() {
+func (g *Guard) Point(r Region, t, x, y float64) (float64, float64, error) {
+	if !g.Enabled() {
 		return x, y, nil
 	}
 	if err := g.chk.Finite2(t, x, y); err != nil {

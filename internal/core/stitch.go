@@ -90,8 +90,9 @@ type Observer interface {
 	Arc(r Region, t, x, y float64, st Step) error
 	// Crossing sees each switching-line crossing.
 	Crossing(t, x, y float64, to Region)
-	// Finish sees the final state.
-	Finish(t, x, y float64)
+	// Finish sees the final state, in region r. An error aborts the
+	// solve.
+	Finish(r Region, t, x, y float64) error
 	// StepFailed decides the fate of a step the Stepper could not take
 	// at global time t: nil ends the solve at the horizon, an error
 	// aborts it.
@@ -142,8 +143,15 @@ func Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper, obs Observer)
 		Buffer: !o.IgnoreBuffer,
 	}
 	var v Verdict
+	// The active region is carried across crossings explicitly: crossing
+	// points land on the switching line only up to roundoff, so
+	// re-deriving the region from the state there would be fragile. The
+	// end state belongs to the last region entered.
+	region := p.RegionAt(x, y)
 	end := func(out Outcome) (Verdict, error) {
-		obs.Finish(t, x, y)
+		if err := obs.Finish(region, t, x, y); err != nil {
+			return Verdict{}, err
+		}
 		v.Outcome, v.EndT, v.EndX, v.EndY = out, t, x, y
 		return v, nil
 	}
@@ -153,10 +161,6 @@ func Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper, obs Observer)
 	var prev, last float64
 	entries := 0
 
-	// The active region is carried across crossings explicitly: crossing
-	// points land on the switching line only up to roundoff, so
-	// re-deriving the region from the state there would be fragile.
-	region := p.RegionAt(x, y)
 	for arcIdx := 0; arcIdx < o.MaxArcs; arcIdx++ {
 		g.Region, g.Linear, g.X0, g.Y0 = region, p.RegionLinear(region), x, y
 		st, err := s.Step(g)

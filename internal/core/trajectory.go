@@ -247,7 +247,7 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 		MaxX:   math.Inf(-1),
 		MinX:   math.Inf(1),
 	}
-	s := &sampler{tr: tr, guard: newSolveGuard(chk, p, !opts.IgnoreBuffer), samples: opts.SamplesPerArc}
+	s := &sampler{tr: tr, guard: NewGuard(chk, p, !opts.IgnoreBuffer), samples: opts.SamplesPerArc}
 
 	x, y := opts.Start[0], opts.Start[1]
 	t := 0.0
@@ -278,7 +278,7 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 // segments, crossings and extrema.
 type sampler struct {
 	tr      *Trajectory
-	guard   *solveGuard
+	guard   Guard
 	samples int
 }
 
@@ -295,7 +295,7 @@ func (s *sampler) warmup(mu float64) (float64, error) {
 	accel := p.A() * p.Q0
 	for i := 0; i <= s.samples; i++ {
 		t := t0 * float64(i) / float64(s.samples)
-		x, y, err := s.guard.point(Increase, t, -p.Q0, y0+accel*t)
+		x, y, err := s.guard.Point(Increase, t, -p.Q0, y0+accel*t)
 		if err != nil {
 			return 0, err
 		}
@@ -327,11 +327,14 @@ func (s *sampler) Crossing(t, x, y float64, to Region) {
 	s.tr.Crossings = append(s.tr.Crossings, SwitchCrossing{T: t, X: x, Y: y, To: to})
 }
 
-func (s *sampler) Finish(t, x, y float64) {
+// Finish records the final state; the guard already saw it as the last
+// sample of its arc.
+func (s *sampler) Finish(_ Region, t, x, y float64) error {
 	s.point(t, x, y)
 	if tr := s.tr; len(tr.T) > 0 && math.IsInf(tr.MaxX, -1) {
 		tr.MaxX, tr.MinX = tr.X[0], tr.X[0]
 	}
+	return nil
 }
 
 // StepFailed handles an unconstructible regime (e.g. a negative gain
@@ -352,7 +355,7 @@ func (s *sampler) StepFailed(t float64, err error) error {
 // entry state (x0, y0) is used verbatim for the first sample so that
 // closed-form roundoff does not perturb recorded junction points.
 func (s *sampler) sample(r Region, arc Arc, t0, tEnd, x0, y0 float64) error {
-	x0, y0, err := s.guard.point(r, t0, x0, y0)
+	x0, y0, err := s.guard.Point(r, t0, x0, y0)
 	if err != nil {
 		return err
 	}
@@ -360,7 +363,7 @@ func (s *sampler) sample(r Region, arc Arc, t0, tEnd, x0, y0 float64) error {
 	for i := 1; i <= s.samples; i++ {
 		t := tEnd * float64(i) / float64(s.samples)
 		x, y := arc.At(t)
-		x, y, err := s.guard.point(r, t0+t, x, y)
+		x, y, err := s.guard.Point(r, t0+t, x, y)
 		if err != nil {
 			return err
 		}

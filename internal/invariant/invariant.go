@@ -253,6 +253,30 @@ func (c *Checker) Violations() uint64 {
 	return c.stats.Total
 }
 
+// FirstPredicate returns the predicate of the earliest retained
+// violation, or "" when the run was clean; nil-safe. Unlike
+// Stats().FirstPredicate it copies nothing.
+func (c *Checker) FirstPredicate() string {
+	if c == nil {
+		return ""
+	}
+	return c.stats.FirstPredicate()
+}
+
+// Reset clears the tallies and the monotone-time clock, keeping the
+// policy and the tally storage, so one Checker can serve a run of
+// independent solves (the points of a sweep span, or a solve restarted
+// from t = 0); nil-safe.
+func (c *Checker) Reset() {
+	if c == nil {
+		return
+	}
+	c.stats.Total, c.stats.Clamped = 0, 0
+	clear(c.stats.ByPredicate)
+	c.stats.First = c.stats.First[:0]
+	c.lastT, c.haveLast = 0, false
+}
+
 // Fail records a violation of pred at time t with the given state detail
 // and returns the policy's verdict: a *InvariantError under Strict, nil
 // otherwise (the run continues).

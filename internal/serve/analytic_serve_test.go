@@ -108,34 +108,36 @@ func TestRunSolveEngineSelection(t *testing.T) {
 	}
 }
 
-// TestRunSweepEnginesAgree: the batched analytic sweep and the classic
-// per-point sweep must produce the same stable count and row count.
+// TestRunSweepEnginesAgree: a served sweep is the map.csv of the grid
+// its spec names, under either engine mode and any policy — the rows
+// come from the same canonical evaluator as bcnsweep's and the
+// cluster's.
 func TestRunSweepEnginesAgree(t *testing.T) {
 	s := sweepSpec().Sweep
 	jm := newJobMetrics(nil)
 	ctx := context.Background()
-	fast, err := runSweep(ctx, s, invariant.Off, analytic.ModeOn, jm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := runSweep(ctx, s, invariant.Off, analytic.ModeOff, jm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Points != slow.Points || fast.Failed != 0 || slow.Failed != 0 {
-		t.Errorf("sweep shapes differ: analytic %d/%d failed, classic %d/%d failed",
-			fast.Points, fast.Failed, slow.Points, slow.Failed)
-	}
-	if len(fast.Rows) != len(slow.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(fast.Rows), len(slow.Rows))
-	}
-	// Verdict columns (gi, gd, outcome, strongly_stable) must match
-	// row for row; max_q_bits may differ by sampling resolution only.
-	for i := range fast.Rows {
-		ff := strings.SplitN(fast.Rows[i], ",", 5)
-		sf := strings.SplitN(slow.Rows[i], ",", 5)
-		if ff[0] != sf[0] || ff[1] != sf[1] || ff[2] != sf[2] || ff[3] != sf[3] {
-			t.Errorf("row %d: analytic %q classic %q", i, fast.Rows[i], slow.Rows[i])
+	for _, tc := range []struct {
+		pol  invariant.Policy
+		mode analytic.Mode
+	}{{invariant.Off, analytic.ModeOn}, {invariant.Off, analytic.ModeOff}, {invariant.Record, analytic.ModeOn}} {
+		res, err := runSweep(ctx, s, tc.pol, tc.mode, jm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := cluster.GainGrid{BOverQ0: s.BOverQ0, GiLo: s.GiLo, GiHi: s.GiHi, GdLo: s.GdLo, GdHi: s.GdHi,
+			Steps: s.Steps, Invariants: tc.pol.String(), Analytic: tc.mode.String()}
+		pts := grid.Points()
+		rows := make([]cluster.Row, len(pts))
+		if err := grid.EvalBatch(ctx, pts, rows, cluster.EvalMetrics{}); err != nil {
+			t.Fatal(err)
+		}
+		if res.Header != cluster.CSVHeader || res.Points != len(pts) || res.Failed != 0 || len(res.Rows) != len(rows) {
+			t.Fatalf("%v/%v: sweep shape %q %d points %d failed %d rows", tc.pol, tc.mode, res.Header, res.Points, res.Failed, len(res.Rows))
+		}
+		for i, r := range rows {
+			if res.Rows[i] != r.CSV {
+				t.Errorf("%v/%v row %d: served %q, grid %q", tc.pol, tc.mode, i, res.Rows[i], r.CSV)
+			}
 		}
 	}
 }

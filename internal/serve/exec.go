@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
 	"sync/atomic"
 
 	"bcnphase/internal/analytic"
@@ -48,12 +46,15 @@ type SolveResult struct {
 	FirstViolation string  `json:"first_violation,omitempty"`
 	// Engine tags which engine produced the verdict: "analytic" or
 	// "rk45" (the closed-form engine's two paths); empty for the classic
-	// sampled core.Solve, which any non-off invariant policy selects.
+	// sampled core.Solve, which serves solve jobs under a non-off
+	// invariant policy (they may integrate through parameters the
+	// engine refuses). Every sweep and shard row comes from the engine.
 	Engine string `json:"engine,omitempty"`
 }
 
 // SweepResult carries the gain-plane map as rendered CSV rows plus the
-// aggregate tallies.
+// aggregate tallies. Header and rows are map.csv's (cluster.CSVHeader):
+// the same bytes bcnsweep prints for the same grid.
 type SweepResult struct {
 	Header     string   `json:"header"`
 	Rows       []string `json:"rows"`
@@ -161,9 +162,9 @@ func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, erro
 }
 
 func runSolve(s *SolveSpec, pol invariant.Policy, mode analytic.Mode, jm jobMetrics) (*SolveResult, error) {
-	// The analytic engine carries no invariant instrumentation, so it
-	// serves only uninstrumented jobs; any checked policy keeps the
-	// classic sampled path below.
+	// A checked solve job keeps the classic sampled path below: under
+	// record or clamp it must integrate through parameters that
+	// Params.Validate rejects, which the analytic engine refuses.
 	if mode != analytic.ModeOff && pol == invariant.Off {
 		return runSolveAnalytic(s, mode, jm)
 	}
@@ -234,69 +235,20 @@ func runSolveAnalytic(s *SolveSpec, mode analytic.Mode, jm jobMetrics) (*SolveRe
 	}, nil
 }
 
+// runSweep answers a sweep job through the canonical row evaluator: the
+// spec names a cluster.GainGrid (same fields), and its rows are the
+// map.csv rows bcnsweep and the cluster print for that grid.
 func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode analytic.Mode, jm jobMetrics) (*SweepResult, error) {
-	base := core.FigureExample()
-	base.B = s.BOverQ0 * base.Q0
-	var points []core.Params
-	for i := 0; i < s.Steps; i++ {
-		p := base
-		p.Gi = geomAt(s.GiLo, s.GiHi, i, s.Steps)
-		for j := 0; j < s.Steps; j++ {
-			q := p
-			q.Gd = geomAt(s.GdLo, s.GdHi, j, s.Steps)
-			points = append(points, q)
-		}
+	grid := cluster.GainGrid{
+		BOverQ0: s.BOverQ0,
+		GiLo:    s.GiLo, GiHi: s.GiHi,
+		GdLo: s.GdLo, GdHi: s.GdHi,
+		Steps:      s.Steps,
+		Invariants: pol.String(),
+		Analytic:   mode.String(),
 	}
-	type rowVal struct {
-		CSV        string
-		Violations uint64
-	}
-	// The job already occupies one worker slot; a modest inner pool
-	// keeps a single sweep job from monopolizing the host while the
-	// service runs other work.
-	inner := sweep.Options{Workers: 2, ContinueOnError: true, Metrics: jm.sweep}
-	var results []sweep.Result[core.Params, rowVal]
-	if mode != analytic.ModeOff && pol == invariant.Off {
-		// Sampling-free path: batch points per worker slot so one warm
-		// Solver (and one supervision round) serves a whole span.
-		results, _ = sweep.RunBatched(ctx, points, execBatchSize,
-			func(ctx context.Context, ps []core.Params, out []rowVal) error {
-				solver := analytic.NewSolver()
-				opts := analytic.Options{Mode: mode, Metrics: jm.analytic}
-				for i, p := range ps {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					r, err := solver.Solve(p, opts)
-					if err != nil {
-						return err
-					}
-					out[i] = rowVal{CSV: sweepRow(p, r.Outcome, r.MaxQueue(p), r.Rho, 0)}
-				}
-				return nil
-			}, inner)
-	} else {
-		results, _ = sweep.Run(ctx, points, func(ctx context.Context, p core.Params) (rowVal, error) {
-			if err := ctx.Err(); err != nil {
-				return rowVal{}, err
-			}
-			tr, err := core.Solve(p, core.SolveOptions{
-				Invariants: invariant.NewPolicy(pol),
-				Telemetry:  jm.solve,
-			})
-			if err != nil {
-				return rowVal{}, err
-			}
-			return rowVal{
-				CSV:        sweepRow(p, tr.Outcome, tr.MaxQueue(), tr.Rho, tr.Violations.Total),
-				Violations: tr.Violations.Total,
-			}, nil
-		}, inner)
-	}
-	res := &SweepResult{
-		Header: "gi,gd,outcome,strongly_stable,max_q_bits,rho,violations",
-		Points: len(points),
-	}
+	results := evalRows(ctx, grid, grid.Points(), jm)
+	res := &SweepResult{Header: cluster.CSVHeader, Points: len(results)}
 	for _, r := range results {
 		if r.Err != nil {
 			// A strict abort anywhere in the grid is the job's verdict:
@@ -323,21 +275,30 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode anal
 // responsive.
 const execBatchSize = 64
 
+// evalRows evaluates grid points in batched spans through
+// cluster.GainGrid.EvalBatch, so one warm Solver serves a whole span.
+// The job already occupies one worker slot; a modest inner pool keeps a
+// single job from monopolizing the host while the service runs other
+// work.
+func evalRows(ctx context.Context, grid cluster.GainGrid, pts []cluster.GainPoint, jm jobMetrics) []sweep.Result[cluster.GainPoint, cluster.Row] {
+	em := cluster.EvalMetrics{Analytic: jm.analytic}
+	results, _ := sweep.RunBatched(ctx, pts, execBatchSize,
+		func(ctx context.Context, pts []cluster.GainPoint, out []cluster.Row) error {
+			return grid.EvalBatch(ctx, pts, out, em)
+		}, sweep.Options{Workers: 2, ContinueOnError: true, Metrics: jm.sweep})
+	return results
+}
+
 // runShard evaluates one cluster sweep shard through the shared
 // canonical row evaluator (cluster.GainGrid.EvalBatch) — the same code
 // path cmd/bcnsweep runs locally, which is what lets the coordinator
-// promise a byte-identical merged map. Points run in batched spans so
-// an analytic-mode grid reuses one warm Solver per span. Every point
-// must produce a row: a shard with holes is worthless to the merge, so
-// the first error (including a strict invariant abort, which feeds the
-// worker's own region breaker) fails the whole job and the coordinator
-// re-assigns it.
+// promise a byte-identical merged map. Every point must produce a row:
+// a shard with holes is worthless to the merge, so the first error
+// (including a strict invariant abort, which feeds the worker's own
+// region breaker) fails the whole job and the coordinator re-assigns
+// it.
 func runShard(ctx context.Context, s *cluster.ShardSpec, jm jobMetrics) (*cluster.ShardResult, error) {
-	em := cluster.EvalMetrics{Solve: jm.solve, Analytic: jm.analytic}
-	results, _ := sweep.RunBatched(ctx, s.Points, execBatchSize,
-		func(ctx context.Context, pts []cluster.GainPoint, out []cluster.Row) error {
-			return s.Grid.EvalBatch(ctx, pts, out, em)
-		}, sweep.Options{Workers: 2, ContinueOnError: true, Metrics: jm.sweep})
+	results := evalRows(ctx, s.Grid, s.Points, jm)
 	res := &cluster.ShardResult{Index: s.Index, Rows: make([]cluster.Row, len(results))}
 	for i, r := range results {
 		if r.Err != nil {
@@ -378,33 +339,4 @@ func runNetsim(ctx context.Context, s *NetsimSpec, pol invariant.Policy, jm jobM
 		Violations:     res.Invariants.Total,
 		FirstViolation: res.Invariants.FirstPredicate(),
 	}, nil
-}
-
-// sweepRow renders one served sweep row in the SweepResult.Header
-// layout (gi,gd,outcome,strongly_stable,max_q_bits,rho,violations).
-// Both engines render through it. Floats use strconv's shortest 'g'
-// form, which is what fmt's %g prints, so rows keep the bytes of the
-// fmt layout "%g,%g,%s,%v,%g,%g,%d" that journaled artifacts hold
-// (TestSweepRowMatchesSprintf pins the two together).
-func sweepRow(p core.Params, o core.Outcome, maxQ, rho float64, violations uint64) string {
-	var buf [128]byte
-	b := strconv.AppendFloat(buf[:0], p.Gi, 'g', -1, 64)
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, p.Gd, 'g', -1, 64)
-	b = append(b, ',')
-	b = append(b, o.String()...)
-	b = append(b, ',')
-	b = strconv.AppendBool(b, o.StronglyStable())
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, maxQ, 'g', -1, 64)
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, rho, 'g', -1, 64)
-	b = append(b, ',')
-	b = strconv.AppendUint(b, violations, 10)
-	return string(b)
-}
-
-func geomAt(lo, hi float64, i, n int) float64 {
-	f := float64(i) / float64(n-1)
-	return lo * math.Pow(hi/lo, f)
 }

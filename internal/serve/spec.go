@@ -97,12 +97,13 @@ type Spec struct {
 	// Unlike the timeout it shapes the result, so it is part of the
 	// dedup identity.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the solve engine for solve and sweep jobs ("on" or
+	// Analytic selects the engine for solve and sweep jobs ("on" or
 	// "off"; "auto" is an alias of "on" and shares its dedup key); empty
-	// uses the server default. On runs the sampling-free closed-form
-	// engine (internal/analytic) whenever the effective invariant policy
-	// is off; "off" keeps the classic sampled core.Solve. It shapes the
-	// artifact (exact versus sampled extrema), so it is part of the
+	// uses the server default. Sweep rows always come from the analytic
+	// engine: on stitches closed-form arcs, off integrates them with
+	// RK45. A solve job runs the closed-form engine when on and its
+	// effective invariant policy is off, and the classic sampled
+	// core.Solve otherwise. It shapes the artifact, so it is part of the
 	// dedup identity. Shard jobs carry the mode inside the grid instead,
 	// like the invariant policy.
 	Analytic string `json:"analytic,omitempty"`
@@ -413,7 +414,11 @@ type specIdentity struct {
 // (exact extrema, engine tag), so the engine mode joins the identity
 // and pre-engine journal artifacts re-execute instead of replaying in
 // the sampled shape.
-const artifactFormat = 3
+// Format 4: sweep artifacts carry map.csv rows (cluster.CSVHeader) from
+// the analytic engine under every policy, with violations counted at
+// exact knots, and analytic=off means RK45; no sampled sweep replays as
+// a knot-checked one.
+const artifactFormat = 4
 
 // Key returns the spec's content-hash dedup key: the hex SHA-256 of the
 // canonical identity. Execution knobs (timeout_ms) are excluded, so the
