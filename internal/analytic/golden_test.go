@@ -253,10 +253,10 @@ func TestGainGridGolden(t *testing.T) {
 		want                 string
 	}{
 		{"on", "off", "20c6ed5946fa47d9a8c3554d9b5e33e7547e0013dae723b100d9fca03e5da0db"},
-		{"off", "off", "5da8a5350536995b3b86dca15c9431f2b2958c4cc2935c7cb52148d04b2062b6"},
-		{"on", "record", "0a53cdb84f9f92e8476ba54fd947743dde2e39ee31b636e3b068f2ead455290b"},
-		{"on", "strict", "9b8fbcb7088c1209fd9b386590e79a77f74952fa13ad2c62f4a78afc05dea1af"},
-		{"on", "clamp", "0a53cdb84f9f92e8476ba54fd947743dde2e39ee31b636e3b068f2ead455290b"},
+		{"off", "off", "135149200c21cd5c3e5668652ffde25f2c6cd307686f3bb14c0bbd993b5820a1"},
+		{"on", "record", "0598c6d8b470de65636889afad1fbcaaa8a4356a0a1549a05780ec9c4495b5b0"},
+		{"on", "strict", "475d9e131da85cbe98d584e1d41507312d9019578c9bee3696c6eab7ce3d318d"},
+		{"on", "clamp", "0598c6d8b470de65636889afad1fbcaaa8a4356a0a1549a05780ec9c4495b5b0"},
 	} {
 		g := cluster.GainGrid{
 			BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 16,

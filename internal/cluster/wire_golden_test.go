@@ -25,9 +25,8 @@ type wireGolden struct {
 }
 
 // TestShardWireGolden pins the cluster's per-row wire and journal bytes
-// on a fixed 16×16 grid, once on the analytic engine and once under
-// the record policy (the classic path, whose rows carry Violations and
-// FirstPred). A real coordinator merges shards from a worker that
+// on a fixed 16×16 grid, once unchecked and once under the record
+// policy (whose rows carry Violations and FirstPred). A real coordinator merges shards from a worker that
 // evaluates and signs them, so the journal digest covers exactly what
 // merge records. Any change to how rows, point keys, row checksums or
 // shard digests are encoded shows up here first. Digests are recorded
@@ -41,19 +40,20 @@ func TestShardWireGolden(t *testing.T) {
 		want       wireGolden
 	}{
 		{"", wireGolden{
-			fingerprint: "53390e09bfcebf8bbfe3a3e67d7bef8a8791808a02ea71d4c2b0facdf016eb40",
-			keys:        "e18bdd3fb003c1012498db480219b9e4eedad43dcee377b551d381ea033a0436",
+			fingerprint: "652c490806c146d91709121e581d553fc1e0c6c581f339d0dde98acfbfd1cc26",
+			keys:        "fda962e8543e9cf0f92a15f818adaf684f9f1280ec053cc930c4373593bf00c6",
 			signatures:  "33d44e54df5ddf1770337b69d47b670644ad45a67156775e1bf3e36b90c4d693",
-			journal:     "da3956d95423ab8abcc8cfda2110984002c6da00f1d5628975de5a2c9c08bad9",
+			journal:     "1f3c28d4c4eb6e0a5e00aa1b220b7322fe07fbb95607a4daa354917e9a8dc3e6",
 			mapCSV:      "c8e150179dcfbb2d860fd9181dbaf8ea1385bee69d88c6f5060c041cfc5a3ac6",
 		}},
-		// 60 of these rows carry nonzero Violations and a FirstPred.
+		// 60 of these rows carry nonzero Violations (one rate-bounds knot
+		// each) and a FirstPred.
 		{"record", wireGolden{
-			fingerprint: "8be17e3a2783cf2a06f2fbcc93078e7d81665cabe3a221a3a758fe97fb80763d",
-			keys:        "e25970dfb1d30ce4d4c5b62b03cd24695a064541344817936df2fc2d6dca75b3",
-			signatures:  "ba6303711e19e6ab9c3a46b4b43eef8c61cd0293361d8dd119db27546b46e865",
-			journal:     "9e4ddf19a0f712b2d63c7f59773364546d1ffd57516717803f52c2a750a45cfc",
-			mapCSV:      "9e98824b3830168b38bb8920973f57a0c9691b44829f8cee8449770fa347d0e5",
+			fingerprint: "04f7d227bb321e9e27418a49f40684bef0f4265473f614fe3258cadbea73308a",
+			keys:        "f7c80efce0eba211188338de2a7baa7ca0d322029b7c70702b8e803940ee7394",
+			signatures:  "df9fe5723d0893c26bb59d41e7c05d6147128e88a288b6fa66aecc274484b412",
+			journal:     "4e2a0b97dda28acaf35f6b5f477e210ca4439b9cae9003fbd7b7a2ebe499cb4c",
+			mapCSV:      "a8b77bbf2f6a8ba6e44ad675ca619dd9307399035bb732c8f9f0cd402769564a",
 		}},
 	} {
 		t.Run("invariants="+tc.invariants, func(t *testing.T) {

@@ -18,8 +18,8 @@ func TestSweepArtifactGolden(t *testing.T) {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	for _, tc := range []struct{ invariants, want string }{
-		{"", "8075dd98a07446447c1843424859737ac56bed0aa42ea60c76816cb7b12568fc"},
-		{"record", "074e81945ce2859c29f809ca7d1c141cc69444e384aaaa517d361821c2358502"},
+		{"", "22f8cb16e82301b05397fe5baf154a251b7a728e39fa26cc59c1d18a5c077560"},
+		{"record", "9a48ff421a30b7d891c34b8040e1066668d8f973b96c8c4b8308e36fbc1078be"},
 	} {
 		t.Run("invariants="+tc.invariants, func(t *testing.T) {
 			_, ts := newTestServer(t, Config{})
