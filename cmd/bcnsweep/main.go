@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout  = fs.Duration("point-timeout", time.Minute, "hard deadline per grid point (0 = none)")
 		resume   = fs.String("resume", "", "run directory holding the journal; completed points are skipped on restart and map.csv is written here")
 		invPol   = fs.String("invariants", "off", "runtime invariant checking per point: off, record, strict or clamp")
-		engine   = fs.String("analytic", "on", "row stepper: on (closed-form arcs; exact extrema) or off (RK45 integration of every arc, the validation baseline, several times slower). Every row under every -invariants policy comes from the analytic engine")
+		engine   = fs.String("analytic", "on", "row stepper: on (closed-form arcs; exact extrema) or off (RK45 integration of every arc: the validation baseline, ~80x slower, which no benchmark workload runs). Every row, under every -invariants policy, comes from the analytic engine; checked rows run the invariant guard at exact knots")
 		telem    = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 		clusterC = fs.String("cluster", "", "submit the grid to a bcnd coordinator instead of evaluating locally; comma-separated URLs name an HA replica group and the client fails over between them")
 		tenant   = fs.String("tenant", "", "cluster mode: tenant key sent as Bcn-Tenant (empty = anonymous)")

@@ -72,9 +72,6 @@ func (b *Batch) Solve(params []core.Params, opts Options) {
 	// aggregate instead of len(params) registry touches.
 	m := opts.Metrics
 	opts.Metrics = nil
-	// A batch has no violation columns, and one checker cannot span
-	// independent solves: check points through Solver.Solve instead.
-	opts.Invariants = nil
 
 	var agg batchAgg
 	for i := range params {

@@ -38,7 +38,7 @@ type GainGrid struct {
 	// "auto" is an alias of "on" and shares its fingerprint); empty means
 	// on. Every row, under every policy, comes from analytic.Solver: on
 	// stitches closed-form arcs, off integrates every arc with RK45 (the
-	// validation baseline, several times slower). Like Invariants it is
+	// validation baseline, about 80× slower). Like Invariants it is
 	// part of the grid's identity: the two steppers agree only to the
 	// integrator's tolerance, so rows from one must never replay as the
 	// other's.

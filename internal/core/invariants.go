@@ -32,9 +32,9 @@ const (
 // Guard evaluates the model invariants at points of a stitched
 // trajectory. It is the one predicate set behind every checked solve:
 // Solve's sampler runs it at every polyline sample, the analytic
-// engine's tracker at every exact knot (junctions, extrema, the rate
-// minimum and the terminal state). A Guard with a nil / Off checker
-// costs one branch per point.
+// engine's tracker at every exact knot (junctions, x-extrema and the
+// terminal state). A Guard with a nil / Off checker costs one branch
+// per point.
 type Guard struct {
 	chk *invariant.Checker
 	p   Params
