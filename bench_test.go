@@ -188,6 +188,45 @@ func BenchmarkIncast16(b *testing.B) {
 	reportEvents(b, events)
 }
 
+// BenchmarkNetsimPacketOp runs perfbench's netsim-packet operation: the
+// paper's Theorem 1 example as a dumbbell (buffer 1.05× the bound) for
+// 30 ms, then a 16-server incast on the same link for 20 ms, with the
+// seed cycling over 32 values as the end-to-end workload's does.
+func BenchmarkNetsimPacketOp(b *testing.B) {
+	p := core.PaperExample()
+	p.B = core.Theorem1Bound(p) * 1.05
+	sustained, err := workload.FromParams(p, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bursty, err := workload.Incast(16, p.C, 2e6, 0.5e-3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runs := []struct {
+		cfg netsim.Config
+		dur float64
+	}{{sustained, 0.03}, {bursty, 0.02}}
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			cfg := r.cfg
+			cfg.Seed = int64(i%32) + 1
+			net, err := netsim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := net.Run(r.dur)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += res.Events
+		}
+	}
+	reportEvents(b, events)
+}
+
 // BenchmarkMessageRoundTrip times BCN message encode+decode.
 func BenchmarkMessageRoundTrip(b *testing.B) {
 	m := &bcn.Message{

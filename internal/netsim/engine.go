@@ -23,23 +23,30 @@
 //
 // # Event core
 //
-// Sim keeps its pending events in a binary min-heap of event values
-// ordered by (at, seq): the timestamp, then a sequence number stamped at
-// scheduling time. Because seq is unique the order is total, so the
-// sequence of executed events — and with it every Result field and every
-// Config.Trace byte — depends only on the order in which events are
-// scheduled, never on how the heap lays them out. That total order is the
+// Every pending event waits in one of three places: a binary min-heap
+// of event values, or one of two FIFO delay lanes beside it. The lanes
+// hold events the network schedules at non-decreasing times: lane 0
+// the fixed-delay link crossings (frame arrivals, the multihop
+// edge→core hop, unjittered feedback), lane 1 the dumbbell's service
+// completions. A push that would put a lane out of time order goes to
+// the heap instead. Every event is stamped at scheduling time with a
+// sequence number, and the next event to run is the least of the heap
+// top and the lane heads under (at, seq): the timestamp, then that
+// sequence number. Because seq is unique the order is total, so the
+// sequence of executed events — and with it every Result field and
+// every Config.Trace byte — depends only on the order in which events
+// are scheduled, never on where they wait. That total order is the
 // determinism contract of the engine: a change that schedules the same
 // events in the same order must reproduce a run exactly.
 //
 // The data path (source sends, frame arrivals, queue departures and
-// feedback deliveries) uses typed events: a kind plus a source, queue or
-// wire-slot index, handed by value to the owning network's dispatch
-// switch. Encoded feedback frames wait in a recycled slot pool and
-// switch queues are ring buffers, so a run allocates nothing per event
-// once its buffers have grown. The evFunc kind, which runs a closure, is
-// the only closure path; it serves Sim.At/After and the rare control
-// events (recorder ticks, XOFF/XON, pause-quanta expiry).
+// feedback deliveries) uses typed 32-byte events: a kind plus a source,
+// queue or wire-slot index, handed by value to the owning network's
+// dispatch switch. Encoded feedback frames wait in a recycled slot
+// table and switch queues are ring buffers, so a run allocates nothing
+// per event once its buffers have grown. The evFunc kind runs a closure
+// parked in the Sim's own slot table; it serves Sim.At/After and the
+// rare control events (recorder ticks, XOFF/XON, pause-quanta expiry).
 package netsim
 
 import (
@@ -77,15 +84,15 @@ func FromSeconds(s float64) Nanos {
 // ErrNegativeDelay is returned when scheduling into the past.
 var ErrNegativeDelay = errors.New("netsim: negative delay")
 
-// evKind selects how an event runs. evFunc calls the event's closure;
+// evKind selects how an event runs. evFunc calls a parked closure;
 // every other kind is a data-path event that the Sim hands, by value, to
 // the owning network's dispatch switch, so the per-frame hot path never
 // allocates a closure.
 type evKind uint8
 
 const (
-	// evFunc runs ev.fn: Sim.At/After and the rare control events
-	// (recorder tick, XOFF/XON, pause-quanta expiry).
+	// evFunc runs the closure parked in slot arg: Sim.At/After and the
+	// rare control events (recorder tick, XOFF/XON, pause-quanta expiry).
 	evFunc evKind = iota
 	// evSend: source arg transmits its next frame.
 	evSend
@@ -103,24 +110,37 @@ const (
 	evFeedback
 )
 
-// event is one scheduled occurrence. It is a small value: the heap holds
-// events, not pointers, so scheduling allocates nothing once the heap has
-// grown to its working size.
+// event is one scheduled occurrence, 32 bytes. The heap and the lanes
+// hold events, not pointers, so scheduling allocates nothing once they
+// have grown to their working size.
 type event struct {
 	at   Nanos
 	seq  uint64
-	fn   func()   // evFunc only
 	tag  bcn.CPID // evArrive, evForward: the frame's congestion-point tag
-	arg  int32    // source index, queue index or wire slot
+	arg  int32    // source index, queue index, wire slot or closure slot
 	kind evKind
 }
 
-// before is the heap order: time, then scheduling sequence. seq is unique,
-// so this is a total order and the pop sequence does not depend on how the
-// heap is laid out.
+// before is the execution order: time, then scheduling sequence. seq is
+// unique, so this is a total order and the pop sequence does not depend
+// on where an event waits.
 func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
+
+// Delay lanes: FIFO queues beside the heap for events a network
+// schedules at non-decreasing times.
+const (
+	// laneProp carries fixed-delay link crossings: evArrive, evForward
+	// and unjittered evFeedback.
+	laneProp = iota
+	// laneDepart carries the dumbbell's evDepart service completions.
+	laneDepart
+	numLanes
+)
+
+// fromHeap is the source index next reports for the heap top.
+const fromHeap = numLanes
 
 // Sim is a single-threaded discrete-event engine. Events scheduled for the
 // same instant run in scheduling order (FIFO tie-break), which keeps runs
@@ -128,8 +148,12 @@ func before(a, b *event) bool {
 type Sim struct {
 	now       Nanos
 	seq       uint64
-	events    []event // binary min-heap under before
+	events    []event               // binary min-heap under before
+	lanes     [numLanes]ring[event] // FIFO delay lanes, each in (at, seq) order
 	processed uint64
+
+	// fns parks the closures of pending evFunc events.
+	fns slots[func()]
 
 	// dispatch runs every event whose kind is not evFunc; the network
 	// that owns the Sim installs it.
@@ -158,13 +182,29 @@ func (s *Sim) Now() Nanos { return s.now }
 func (s *Sim) Processed() uint64 { return s.processed }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
+func (s *Sim) Pending() int {
+	n := len(s.events)
+	for i := range s.lanes {
+		n += s.lanes[i].len()
+	}
+	return n
+}
 
 // At schedules fn at absolute time t (>= Now).
-func (s *Sim) At(t Nanos, fn func()) error { return s.schedule(t, event{fn: fn}) }
+func (s *Sim) At(t Nanos, fn func()) error {
+	if t < s.now {
+		return fmt.Errorf("%w: t=%d < now=%d", ErrNegativeDelay, t, s.now)
+	}
+	return s.schedule(t, event{kind: evFunc, arg: s.fns.put(fn)})
+}
 
 // After schedules fn a delay d from now.
-func (s *Sim) After(d Nanos, fn func()) error { return s.after(d, event{fn: fn}) }
+func (s *Sim) After(d Nanos, fn func()) error {
+	if d < 0 {
+		return fmt.Errorf("%w: d=%d", ErrNegativeDelay, d)
+	}
+	return s.At(s.now+d, fn)
+}
 
 // after schedules ev a delay d from now.
 func (s *Sim) after(d Nanos, ev event) error {
@@ -172,6 +212,22 @@ func (s *Sim) after(d Nanos, ev event) error {
 		return fmt.Errorf("%w: d=%d", ErrNegativeDelay, d)
 	}
 	return s.schedule(s.now+d, ev)
+}
+
+// afterLane schedules ev a delay d from now on lane l when that keeps
+// the lane's times non-decreasing, and on the heap otherwise. Either
+// way ev gets the next sequence number, so the execution order is the
+// one after would give.
+func (s *Sim) afterLane(l int, d Nanos, ev event) error {
+	t := s.now + d
+	q := &s.lanes[l]
+	if d < 0 || t < s.now || q.len() > 0 && t < q.back().at {
+		return s.after(d, ev)
+	}
+	s.seq++
+	ev.at, ev.seq = t, s.seq
+	q.push(ev)
+	return nil
 }
 
 // schedule stamps ev with time t and the next sequence number and sifts
@@ -197,13 +253,35 @@ func (s *Sim) schedule(t Nanos, ev event) error {
 	return nil
 }
 
-// pop removes and returns the earliest event. The heap must be non-empty.
+// next returns where the earliest pending event waits (a lane index or
+// fromHeap) and its time; ok is false when nothing is pending. Every lane
+// is sorted by (at, seq), so the minimum is among the heap top and the
+// lane heads.
+func (s *Sim) next() (src int, at Nanos, ok bool) {
+	var top *event
+	src = fromHeap
+	if len(s.events) > 0 {
+		top = &s.events[0]
+	}
+	for i := range s.lanes {
+		if q := &s.lanes[i]; q.len() > 0 {
+			if h := q.front(); top == nil || before(h, top) {
+				top, src = h, i
+			}
+		}
+	}
+	if top == nil {
+		return 0, 0, false
+	}
+	return src, top.at, true
+}
+
+// pop removes and returns the heap top. The heap must be non-empty.
 func (s *Sim) pop() event {
 	h := s.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // drop the closure reference
 	h = h[:n]
 	s.events = h
 	if n > 0 {
@@ -232,7 +310,7 @@ func (s *Sim) exec(ev event) {
 	s.now = ev.at
 	s.processed++
 	if ev.kind == evFunc {
-		ev.fn()
+		s.fns.take(ev.arg)()
 	} else {
 		s.dispatch(ev)
 	}
@@ -256,8 +334,17 @@ func (s *Sim) RunChecked(until Nanos, every uint64, check func() error) error {
 			return err
 		}
 	}
-	for len(s.events) > 0 && s.events[0].at <= until {
-		ev := s.pop()
+	for {
+		src, at, ok := s.next()
+		if !ok || at > until {
+			break
+		}
+		var ev event
+		if src == fromHeap {
+			ev = s.pop()
+		} else {
+			ev = s.lanes[src].pop()
+		}
 		s.exec(ev)
 		if s.Monitor != nil {
 			if err := s.Monitor(ev.at); err != nil {
@@ -279,9 +366,14 @@ func (s *Sim) RunChecked(until Nanos, every uint64, check func() error) error {
 // Step executes exactly one event if any is pending, returning whether an
 // event ran.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
+	src, _, ok := s.next()
+	if !ok {
 		return false
 	}
-	s.exec(s.pop())
+	if src == fromHeap {
+		s.exec(s.pop())
+	} else {
+		s.exec(s.lanes[src].pop())
+	}
 	return true
 }

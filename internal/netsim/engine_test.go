@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNanosConversions(t *testing.T) {
@@ -122,38 +123,114 @@ func TestSimStep(t *testing.T) {
 }
 
 // TestQuickEventOrder: random schedules always execute in non-decreasing
-// time order with FIFO tie-break.
+// time order with FIFO tie-break, whether an event waits on the heap (At
+// closures, and lane pushes that would break a lane's time order) or on a
+// delay lane. Step and Pending follow a reference model that keeps the
+// pending events in scheduling order and runs the earliest-scheduled of
+// the earliest-timed ones; Run must finish in the stable-sort order.
 func TestQuickEventOrder(t *testing.T) {
 	prop := func(seed int64, nRaw uint8) bool {
 		n := 1 + int(nRaw%64)
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSim()
-		times := make([]Nanos, n)
 		var got []int
+		s := newSim(func(ev event) { got = append(got, int(ev.arg)) })
+		type ref struct {
+			at Nanos
+			id int
+		}
+		var pending []ref // the model: scheduled, not yet run, in scheduling order
+		next := 0
+		schedule := func() bool {
+			id := next
+			next++
+			// A narrow time range forces many same-instant ties, and lane
+			// pushes often go back in time, taking the heap fallback.
+			d := Nanos(rng.Int63n(20))
+			var err error
+			if rng.Intn(3) == 0 {
+				err = s.At(s.Now()+d, func() { got = append(got, id) })
+			} else {
+				err = s.afterLane(rng.Intn(numLanes), d, event{kind: evSend, arg: int32(id)})
+			}
+			pending = append(pending, ref{s.Now() + d, id})
+			return err == nil
+		}
 		for i := 0; i < n; i++ {
-			// A narrow time range forces many same-instant ties.
-			times[i] = Nanos(rng.Int63n(20))
-			if err := s.At(times[i], func() { got = append(got, i) }); err != nil {
+			if !schedule() {
 				return false
 			}
 		}
-		s.Run(2000)
-		want := make([]int, n)
-		for i := range want {
-			want[i] = i
+		// Step through half the events, scheduling more as the clock
+		// advances.
+		for len(pending) > n/2 {
+			if s.Pending() != len(pending) {
+				return false
+			}
+			best := 0
+			for j := range pending {
+				if pending[j].at < pending[best].at {
+					best = j
+				}
+			}
+			want := pending[best]
+			pending = append(pending[:best], pending[best+1:]...)
+			got = got[:0]
+			if !s.Step() || len(got) != 1 || got[0] != want.id || s.Now() != want.at {
+				return false
+			}
+			if next < 2*n && rng.Intn(2) == 0 && !schedule() {
+				return false
+			}
 		}
-		sort.SliceStable(want, func(a, b int) bool { return times[want[a]] < times[want[b]] })
-		if len(got) != n {
+		if s.Pending() != len(pending) {
+			return false
+		}
+		sort.SliceStable(pending, func(a, b int) bool { return pending[a].at < pending[b].at })
+		got = got[:0]
+		s.Run(1 << 20)
+		if len(got) != len(pending) || s.Pending() != 0 || s.Step() {
 			return false
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			if got[i] != pending[i].id {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAfterLaneFallback pins where afterLane puts an event: on its lane
+// while the lane's times stay non-decreasing, on the heap otherwise, and
+// nowhere (with ErrNegativeDelay) for a negative delay.
+func TestAfterLaneFallback(t *testing.T) {
+	s := newSim(func(event) {})
+	for _, d := range []Nanos{5, 5, 9, 7, 9} {
+		if err := s.afterLane(laneProp, d, event{kind: evSend}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.lanes[laneProp].len(); got != 4 {
+		t.Errorf("lane holds %d events, want 4", got)
+	}
+	if got := len(s.events); got != 1 || s.events[0].at != 7 {
+		t.Errorf("heap = %+v, want the one event at 7", s.events)
+	}
+	if err := s.afterLane(laneDepart, -1, event{kind: evDepart}); !errors.Is(err, ErrNegativeDelay) {
+		t.Errorf("negative delay err = %v", err)
+	}
+	if s.Pending() != 5 {
+		t.Errorf("Pending = %d, want 5", s.Pending())
+	}
+}
+
+// TestEventSize pins the event value at 32 bytes: the heap and the lanes
+// move events by value, so a field that grows it slows every event.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("event is %d bytes, want 32", got)
 	}
 }

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"math"
+	"sort"
 	"testing"
 
 	"bcnphase/internal/faults"
@@ -56,6 +58,63 @@ func FuzzConfigValidate(f *testing.F) {
 		if math.IsNaN(res.MaxQueueBits) || math.IsNaN(res.Throughput) ||
 			math.IsInf(res.MaxQueueBits, 0) || math.IsInf(res.Throughput, 0) {
 			t.Fatalf("non-finite result from accepted config: %+v", res)
+		}
+	})
+}
+
+// FuzzSojournStats holds the selection-based sojournStats to a sort-based
+// oracle: the p99 is the same order statistic, the mean is the
+// delivery-order sum over n, and the samples are only permuted. The input
+// is a little-endian float64 sequence; NaN (which no sojourn can be) is
+// skipped.
+func FuzzSojournStats(f *testing.F) {
+	seq := func(n int, at func(i int) float64) []byte {
+		b := make([]byte, 0, 8*n)
+		for i := 0; i < n; i++ {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(at(i)))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	f.Add(seq(1, func(int) float64 { return 3e-6 }))
+	f.Add(seq(200, func(int) float64 { return 1.2e-6 }))
+	f.Add(seq(300, func(i int) float64 { return float64(i) * 1e-7 }))
+	f.Add(seq(300, func(i int) float64 { return float64(300-i) * 1e-7 }))
+	f.Add(seq(500, func(i int) float64 { return float64(i%3) * 1.2e-6 }))
+	f.Add(seq(100, func(i int) float64 { return float64(i + 1) }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v []float64
+		for ; len(data) >= 8; data = data[8:] {
+			if x := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(x) {
+				v = append(v, x)
+			}
+		}
+		in := append([]float64(nil), v...)
+		sorted := append([]float64(nil), v...)
+		sort.Float64s(sorted)
+		mean, p99 := sojournStats(v)
+		if len(in) == 0 {
+			if mean != 0 || p99 != 0 {
+				t.Fatalf("empty input: mean %v p99 %v", mean, p99)
+			}
+			return
+		}
+		sum := 0.0
+		for _, x := range in {
+			sum += x
+		}
+		if want := sum / float64(len(in)); math.Float64bits(mean) != math.Float64bits(want) {
+			t.Fatalf("mean %v, want delivery-order %v", mean, want)
+		}
+		idx := max(int(math.Ceil(0.99*float64(len(in))))-1, 0)
+		if p99 != sorted[idx] {
+			t.Fatalf("p99 %v, want sorted[%d] = %v", p99, idx, sorted[idx])
+		}
+		sort.Float64s(v)
+		for i := range v {
+			if v[i] != sorted[i] {
+				t.Fatalf("selection is not a permutation: sorted result differs at %d", i)
+			}
 		}
 	})
 }

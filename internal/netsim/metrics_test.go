@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"bcnphase/internal/telemetry"
@@ -58,5 +59,53 @@ func TestRunMetrics(t *testing.T) {
 func TestNetsimNewMetricsNil(t *testing.T) {
 	if m := NewMetrics(nil); m != nil {
 		t.Fatalf("NewMetrics(nil) = %v, want nil", m)
+	}
+}
+
+// TestRunMetricsSojournOrder: the sojourn histogram folds the samples in
+// delivery order, so its float sum is the plain in-order sum however the
+// p99 selection reorders them afterwards, and attaching Metrics leaves
+// the Result unchanged.
+func TestRunMetricsSojournOrder(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	cfg := testConfig()
+	cfg.Metrics = m
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Metrics event counter chains this monitor, which copies each
+	// sojourn right after the departure that recorded it.
+	var inOrder []float64
+	net.sim.Monitor = func(Nanos) error {
+		inOrder = append(inOrder, net.sojourns[len(inOrder):]...)
+		return nil
+	}
+	res, err := net.Run(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inOrder) == 0 || m.Sojourn.Count() != uint64(len(inOrder)) {
+		t.Fatalf("histogram holds %d samples, run delivered %d", m.Sojourn.Count(), len(inOrder))
+	}
+	sum := 0.0
+	for _, s := range inOrder {
+		sum += s
+	}
+	if got := m.Sojourn.Sum(); got != sum {
+		t.Errorf("netsim_sojourn_seconds sum = %v, want delivery-order sum %v", got, sum)
+	}
+
+	plain, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Run(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("Metrics changed the Result:\n got  %+v\n want %+v", res, want)
 	}
 }

@@ -113,7 +113,7 @@ type mhQueue struct {
 	capacity float64
 	buffer   float64
 
-	frames  fifo
+	frames  ring[frame]
 	bits    float64
 	busy    bool
 	paused  bool
@@ -327,7 +327,7 @@ func NewMultihop(cfg MultihopConfig) (*MultihopNetwork, error) {
 	}
 	n.portB.onDepart = func(f frame) { n.victimDelivered += f.bits }
 	n.edge.onDepart = func(f frame) {
-		_ = n.sim.after(cfg.PropDelay, event{kind: evForward, arg: int32(f.src), tag: f.rrt})
+		_ = n.sim.afterLane(laneProp, cfg.PropDelay, event{kind: evForward, arg: int32(f.src), tag: f.rrt})
 	}
 	n.edge.onDrain = func() {
 		if n.edgeXoff && n.edge.bits < 0.8*cfg.QscEdge {
@@ -402,7 +402,7 @@ func (n *MultihopNetwork) mhSend(src *Source) {
 	if src.sendObs != nil {
 		src.sendObs.OnSend(f.bits)
 	}
-	_ = n.sim.after(n.cfg.PropDelay, event{kind: evArrive, arg: int32(src.id), tag: f.rrt})
+	_ = n.sim.afterLane(laneProp, n.cfg.PropDelay, event{kind: evArrive, arg: int32(src.id), tag: f.rrt})
 	gap := FromSeconds(n.cfg.FrameBits / src.RateAt(n.sim.Now().Seconds()))
 	if gap < 1 {
 		gap = 1
@@ -501,7 +501,7 @@ func (n *MultihopNetwork) deliverMultihopBCN(msg *bcn.Message) {
 // receiveBCN delivers the feedback frame in wire slot to its hot source.
 func (n *MultihopNetwork) receiveBCN(slot int32) {
 	rx := &n.rx
-	if err := n.wires.take(slot, rx); err != nil {
+	if err := n.wires.decode(slot, rx); err != nil {
 		return
 	}
 	idx, ok := n.macToHot[rx.DA]

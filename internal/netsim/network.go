@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -320,7 +321,7 @@ type Network struct {
 	sources []*Source
 	cp      CongestionController // nil when the control loop is disabled
 
-	queue     fifo
+	queue     ring[frame]
 	queueBits float64
 	busy      bool
 
@@ -561,8 +562,10 @@ type Result struct {
 	Invariants invariant.Stats
 }
 
-// sojournStats returns the mean and 99th-percentile of the sojourn
-// samples (0, 0 for an empty run). The input slice is sorted in place.
+// sojournStats returns the mean and 99th percentile of the sojourn
+// samples (0, 0 for an empty run). The mean sums v in delivery order; the
+// p99 is the ⌈0.99·n⌉-th smallest sample, found by selectKth, which
+// reorders v in place.
 func sojournStats(v []float64) (mean, p99 float64) {
 	if len(v) == 0 {
 		return 0, 0
@@ -572,12 +575,66 @@ func sojournStats(v []float64) (mean, p99 float64) {
 		sum += x
 	}
 	mean = sum / float64(len(v))
-	sort.Float64s(v)
 	idx := int(math.Ceil(0.99*float64(len(v)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return mean, v[idx]
+	return mean, selectKth(v, idx)
+}
+
+// selectKth returns the k-th smallest element of v (0-based), reordering v
+// in place. It is a quickselect with a median-of-three pivot and a
+// three-way partition, so a run of equal values (an idle queue gives many
+// frames the same sojourn) settles in one pass; after 2·log₂n rounds
+// without converging it sorts what is left, which bounds the worst case
+// at O(n log n). v must hold no NaN.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v) // v[k] lies in v[lo:hi]
+	for rounds := 2 * bits.Len(uint(len(v))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(v[lo:hi])
+			break
+		}
+		p := median3(v[lo], v[lo+(hi-lo)/2], v[hi-1])
+		// Partition into v[lo:lt] < p, v[lt:gt] == p, v[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := v[i]; {
+			case x < p:
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				v[i], v[gt] = v[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return v[k]
+}
+
+// median3 returns the median of a, b and c.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // jainIndex computes Jain's fairness index of the given allocations.
@@ -779,13 +836,15 @@ func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, er
 		SimSeconds:        elapsed,
 		Invariants:        n.guard.stats(),
 	}
-	res.MeanSojourn, res.P99Sojourn = sojournStats(n.sojourns)
 	if n.cp != nil {
 		res.CPSamples, res.PosMessages, res.NegMessages = n.cp.Stats()
 	}
+	// Metrics fold the sojourns in delivery order, before the p99
+	// selection reorders them.
 	if m := n.cfg.Metrics; m != nil {
 		m.observe(res, n.sojourns)
 	}
+	res.MeanSojourn, res.P99Sojourn = sojournStats(n.sojourns)
 	if runErr != nil {
 		return res, fmt.Errorf("netsim: run aborted at t=%.6fs: %w", elapsed, runErr)
 	}
@@ -839,7 +898,7 @@ func (n *Network) sourceSend(src *Source) {
 			n.trace("x src=%d bits=%.0f", src.id, f.bits)
 		}
 	} else {
-		_ = n.sim.after(n.cfg.PropDelay, event{kind: evArrive, arg: int32(src.id), tag: f.rrt})
+		_ = n.sim.afterLane(laneProp, n.cfg.PropDelay, event{kind: evArrive, arg: int32(src.id), tag: f.rrt})
 	}
 	// Next departure paced by the current rate.
 	gap := FromSeconds(n.cfg.FrameBits / src.RateAt(n.sim.Now().Seconds()))
@@ -904,7 +963,7 @@ func (n *Network) serveNext() {
 	if txTime < 1 {
 		txTime = 1
 	}
-	_ = n.sim.after(txTime, event{kind: evDepart})
+	_ = n.sim.afterLane(laneDepart, txTime, event{kind: evDepart})
 }
 
 // depart completes the head-of-line frame's transmission and starts the
@@ -951,14 +1010,19 @@ func (n *Network) deliverBCN(msg *bcn.Message) {
 			n.trace("fc sigma=%.0f", msg.Sigma)
 		}
 	}
-	delay := n.cfg.PropDelay + Nanos(n.plan.FeedbackDelayNs())
-	_ = n.sim.after(delay, event{kind: evFeedback, arg: slot})
+	ev := event{kind: evFeedback, arg: slot}
+	if jitter := n.plan.FeedbackDelayNs(); jitter != 0 {
+		// Jittered or reordered frames overtake one another: heap.
+		_ = n.sim.after(n.cfg.PropDelay+Nanos(jitter), ev)
+	} else {
+		_ = n.sim.afterLane(laneProp, n.cfg.PropDelay, ev)
+	}
 }
 
 // receiveBCN delivers the feedback frame in wire slot to its source.
 func (n *Network) receiveBCN(slot int32) {
 	rx := &n.rx
-	if err := n.wires.take(slot, rx); err != nil {
+	if err := n.wires.decode(slot, rx); err != nil {
 		n.malformedMsgs++
 		return
 	}
