@@ -3,6 +3,7 @@ package bcnphase_test
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -13,6 +14,8 @@ import (
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/netsim"
 	"bcnphase/internal/ode"
+	"bcnphase/internal/sweep"
+	"bcnphase/internal/telemetry"
 	"bcnphase/internal/workload"
 
 	"bcnphase/internal/bcn"
@@ -362,6 +365,72 @@ func BenchmarkSweepRK45(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(params))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
+
+// sweepLocalGrids draws one seeded 32×32 gain grid of each class the
+// end-to-end sweep-local workload deals: around bcnsweep's default span
+// (spiral/spiral), reaching past both node thresholds, and anchored on
+// the critical Gi (a whole grid row of repeated-eigenvalue points).
+func sweepLocalGrids(seed int64) []cluster.GainGrid {
+	r := rand.New(rand.NewSource(seed))
+	pow2 := func(base, lo, hi float64) float64 { return base * math.Exp2(lo+(hi-lo)*r.Float64()) }
+	fig := core.FigureExample()
+	giCrit, gdCrit := fig.AThreshold()/(fig.Ru*float64(fig.N)), fig.BThreshold()
+	grids := make([]cluster.GainGrid, 3)
+	for k := range grids {
+		g := cluster.GainGrid{
+			BOverQ0: 1.5 + 10.5*r.Float64(),
+			GiLo:    pow2(0.05, -1, 1), GiHi: pow2(12.8, -1, 1),
+			GdLo: pow2(1.0/1024, -1, 1), GdHi: pow2(0.5, -1, 1),
+			Steps: 32,
+		}
+		switch k {
+		case 1:
+			g.GiHi, g.GdHi = pow2(giCrit, 1, 4), pow2(gdCrit, 1, 4)
+		case 2:
+			g.GiLo, g.GiHi = giCrit, pow2(giCrit, 1, 6)
+		}
+		grids[k] = g
+	}
+	return grids
+}
+
+// BenchmarkSweepLocalOp runs the end-to-end sweep-local operation in Go:
+// each op is one 32×32 map per grid class, evaluated by sweep.RunBatched
+// over 64-point EvalBatch spans with the analytic engine metrics
+// attached, then rendered by RenderCSV. It is the ladder rung above
+// BenchmarkEvalBatchRenderCSV: supervision, span fan-out and the
+// registry flush on top of the row kernel.
+func BenchmarkSweepLocalOp(b *testing.B) {
+	grids := sweepLocalGrids(3)
+	reg := telemetry.NewRegistry()
+	em := cluster.EvalMetrics{Analytic: analytic.NewMetrics(reg)}
+	opts := sweep.Options{PointTimeout: time.Minute, ContinueOnError: true, Metrics: sweep.NewMetrics(reg)}
+	ctx := context.Background()
+	points := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range grids {
+			pts := g.Points()
+			results, err := sweep.RunBatched(ctx, pts, 64,
+				func(ctx context.Context, pts []cluster.GainPoint, rows []cluster.Row) error {
+					return g.EvalBatch(ctx, pts, rows, em)
+				}, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := make([]cluster.Row, len(results))
+			for k, r := range results {
+				rows[k] = r.Value
+			}
+			benchMap = cluster.RenderCSV(rows)
+			points += len(pts)
+		}
+	}
+	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+}
+
+var benchMap []byte
 
 // --- Invariant-checker overhead on the X1 scenario. ---
 

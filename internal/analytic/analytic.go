@@ -1,5 +1,5 @@
 // Package analytic is the sampling-free fast path of the phase-plane
-// engine: it runs core.Stitch — the same stitch loop and closed-form
+// engine: it runs core.Stitcher — the same stitch loop and closed-form
 // arcs (paper §IV-B, eqs. 12–34) as core.Solve — with an observer that
 // records only the junction quantities (exact switching times, extrema
 // and boundary-crossing times) instead of a 64-sample polyline per arc.
@@ -189,12 +189,14 @@ func (r Result) MaxQueue(p core.Params) float64 { return p.Q0 + r.MaxX }
 // MinQueue returns the minimum queue length q0 + MinX in bits.
 func (r Result) MinQueue(p core.Params) float64 { return p.Q0 + r.MinX }
 
-// Solver runs core.Stitch with reusable state. The zero value is ready;
-// a Solver is not safe for concurrent use (give each worker its own, or
-// use SolveOne).
+// Solver runs core's stitch loop with reusable state: the Stitcher's
+// regime and step scratch, the tracker and the RK45 buffers, so a warm
+// solve allocates nothing. The zero value is ready; a Solver is not
+// safe for concurrent use (give each worker its own, or use SolveOne).
 type Solver struct {
-	track tracker
-	rk    rkStepper
+	stitcher core.Stitcher
+	track    tracker
+	rk       rkStepper
 }
 
 // NewSolver returns a Solver.
@@ -214,17 +216,17 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 	}
 	var err error
 	if opts.Mode != ModeOff {
-		err = s.stitch(p, opts, start, closedStepper{}, PathAnalytic)
+		err = s.stitch(p, &opts, start, closedStepper{}, PathAnalytic)
 		if errors.Is(err, errNonFinite) {
 			if opts.Metrics != nil {
 				opts.Metrics.RK45Fallbacks.Inc()
 			}
 			// The re-run starts over from t = 0.
 			opts.Invariants.Reset()
-			err = s.stitch(p, opts, start, &s.rk, PathRK45)
+			err = s.stitch(p, &opts, start, &s.rk, PathRK45)
 		}
 	} else {
-		err = s.stitch(p, opts, start, &s.rk, PathRK45)
+		err = s.stitch(p, &opts, start, &s.rk, PathRK45)
 	}
 	if err != nil {
 		return Result{}, err
@@ -237,9 +239,9 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 
 // stitch runs the shared stitch loop with the given stepper, leaving
 // the result in s.track.
-func (s *Solver) stitch(p core.Params, opts Options, start [2]float64, st core.Stepper, path Path) error {
-	s.track.reset(path, p, &opts)
-	v, err := core.Stitch(p, core.StitchOptions{
+func (s *Solver) stitch(p core.Params, opts *Options, start [2]float64, st core.Stepper, path Path) error {
+	s.track.reset(path, p, opts)
+	v, err := s.stitcher.Stitch(p, core.StitchOptions{
 		MaxArcs:             opts.MaxArcs,
 		ConvergeTol:         opts.ConvergeTol,
 		CycleTol:            opts.CycleTol,

@@ -64,7 +64,7 @@ func (b *Batch) Len() int { return len(b.Outcome) }
 
 // Solve classifies every point of params into the batch columns,
 // resizing to len(params). Per-point options apply uniformly; metrics
-// are aggregated locally and flushed to the registry once per call.
+// are tallied locally and flushed to the registry once per call.
 // Point failures land in Err[i] — Solve itself never fails.
 func (b *Batch) Solve(params []core.Params, opts Options) {
 	b.Resize(len(params))
@@ -73,7 +73,7 @@ func (b *Batch) Solve(params []core.Params, opts Options) {
 	m := opts.Metrics
 	opts.Metrics = nil
 
-	var agg batchAgg
+	var tally Tally
 	for i := range params {
 		res, err := b.solver.Solve(params[i], opts)
 		if err != nil {
@@ -93,12 +93,9 @@ func (b *Batch) Solve(params []core.Params, opts Options) {
 		b.EndT[i] = res.EndT
 		b.EndX[i] = res.EndX
 		b.EndY[i] = res.EndY
-		if opts.Mode != ModeOff && res.Path == PathRK45 {
-			agg.fallbacks++
-		}
-		agg.fold(&res)
+		tally.Fold(&res, opts.Mode)
 	}
-	agg.flushTo(m)
+	tally.Flush(m)
 }
 
 // SolveBatch classifies params in one batched call and returns the
@@ -110,16 +107,26 @@ func SolveBatch(params []core.Params, opts Options) *Batch {
 	return b
 }
 
-// batchAgg accumulates metrics locally during a batch loop. Outcome
-// tallies index core.Outcome values directly (small dense enum).
-type batchAgg struct {
+// Tally accumulates engine metrics locally across many solves run with
+// a nil Options.Metrics, so a batch touches the registry once instead of
+// once per point: Batch.Solve folds every point of a call into one, and
+// cluster.GainGrid.EvalBatch every point of a span. The registry totals
+// equal those of attaching the Metrics to each solve. The zero value is
+// ready. Outcome tallies index core.Outcome values directly (small
+// dense enum).
+type Tally struct {
 	solves, arcs       [2]uint64 // indexed by Path-1
 	crossings, extrema uint64
 	fallbacks          uint64
 	outcomes           [8]uint64
 }
 
-func (a *batchAgg) fold(res *Result) {
+// Fold adds one successful solve, run under mode, to the tally. A
+// ModeOn result that took the RK45 path counts as a fallback.
+func (a *Tally) Fold(res *Result, mode Mode) {
+	if mode != ModeOff && res.Path == PathRK45 {
+		a.fallbacks++
+	}
 	if res.Path == PathAnalytic || res.Path == PathRK45 {
 		a.solves[res.Path-1]++
 		a.arcs[res.Path-1] += uint64(res.Arcs)
@@ -131,7 +138,9 @@ func (a *batchAgg) fold(res *Result) {
 	}
 }
 
-func (a *batchAgg) flushTo(m *Metrics) {
+// Flush adds the tally to m's counters; a nil m is inert. Flush does
+// not reset the tally.
+func (a *Tally) Flush(m *Metrics) {
 	if m == nil {
 		return
 	}

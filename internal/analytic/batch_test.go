@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bcnphase/internal/core"
+	"bcnphase/internal/invariant"
 	"bcnphase/internal/telemetry"
 )
 
@@ -105,6 +106,42 @@ func TestBatchSolveAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm batch solve allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// TestCheckedSolveAllocs: a warm Solver owns the stitch loop's scratch
+// (core.Stitcher's regime and step), its tracker and its RK45 buffers,
+// so a solve with an invariant checker and the engine metrics attached
+// still allocates nothing. The points are clean (a violation formats
+// its detail), as on bcnsweep's default grid.
+func TestCheckedSolveAllocs(t *testing.T) {
+	base := core.FigureExample()
+	base.B = 5 * base.Q0
+	var params []core.Params
+	for _, gi := range []float64{0.05, 0.1, 0.3, 1} {
+		for _, gd := range []float64{0.001, 0.005, 0.02, 0.1} {
+			p := base
+			p.Gi, p.Gd = gi, gd
+			params = append(params, p)
+		}
+	}
+	chk := invariant.NewPolicy(invariant.Record)
+	opts := Options{Invariants: chk, Metrics: NewMetrics(telemetry.NewRegistry())}
+	s := NewSolver()
+	solveAll := func() {
+		for _, p := range params {
+			chk.Reset()
+			if _, err := s.Solve(p, opts); err != nil {
+				t.Fatal(err)
+			}
+			if chk.Violations() != 0 {
+				t.Fatalf("gi=%v gd=%v: %d violations; the gate needs clean points", p.Gi, p.Gd, chk.Violations())
+			}
+		}
+	}
+	solveAll() // warm the buffers and the metric series
+	if avg := testing.AllocsPerRun(10, solveAll); avg != 0 {
+		t.Fatalf("warm checked solves allocate %.1f times per %d points, want 0", avg, len(params))
 	}
 }
 

@@ -17,12 +17,14 @@ var errNonFinite = errors.New("analytic: closed form went non-finite")
 // finite.
 type closedStepper struct{}
 
-func (closedStepper) Step(g core.Regime) (core.Step, error) {
-	st, err := core.ArcStepper{}.Step(g)
-	if err == nil && !(finite(st.End) && (st.Wall != 0 || finite(st.X) && finite(st.Y))) {
-		return st, errNonFinite
+func (closedStepper) Step(g *core.Regime, st *core.Step) error {
+	if err := (core.ArcStepper{}).Step(g, st); err != nil {
+		return err
 	}
-	return st, err
+	if !(finite(st.End) && (st.Wall != 0 || finite(st.X) && finite(st.Y))) {
+		return errNonFinite
+	}
+	return nil
 }
 
 // tracker is the engine's core.Observer: instead of sampling, it folds
@@ -66,7 +68,7 @@ func (k *tracker) knot(x float64) {
 	}
 }
 
-func (k *tracker) Arc(r core.Region, t, x, y float64, st core.Step) error {
+func (k *tracker) Arc(r core.Region, t, x, y float64, st *core.Step) error {
 	if k.guard.Enabled() {
 		if err := k.guardArc(r, t, x, y, st); err != nil {
 			return err
@@ -117,7 +119,7 @@ func (k *tracker) Arc(r core.Region, t, x, y float64, st core.Step) error {
 // guardArc checks the arc's knots up to where it stops, in time order:
 // the entry junction, then the x-extremum (y = 0). The exit state is
 // checked as the next arc's entry, or by Finish.
-func (k *tracker) guardArc(r core.Region, t, x, y float64, st core.Step) error {
+func (k *tracker) guardArc(r core.Region, t, x, y float64, st *core.Step) error {
 	if _, _, err := k.guard.Point(r, t, x, y); err != nil {
 		return err
 	}

@@ -3,8 +3,10 @@ package analytic
 import "bcnphase/internal/telemetry"
 
 // Metrics instruments the analytic engine. A nil *Metrics is inert (one
-// nil comparison per solve); batch solves aggregate locally and flush
-// the registry once per batch, not once per point.
+// nil comparison per solve). Solver.Solve with Metrics attached touches
+// the registry once per point; the two batch paths, Batch.Solve and
+// cluster.GainGrid.EvalBatch, solve with Metrics detached, fold each
+// result into a Tally and flush it once per call or span.
 type Metrics struct {
 	// Solves counts classified points, split by execution path.
 	Solves *telemetry.CounterVec

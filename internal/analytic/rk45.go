@@ -18,9 +18,10 @@ type rkStepper struct {
 	y0 []float64
 }
 
-func (r *rkStepper) Step(g core.Regime) (core.Step, error) {
+func (r *rkStepper) Step(g *core.Regime, st *core.Step) error {
+	*st = core.Step{}
 	if !(g.M > 0) || !(g.N > 0) || !(g.K > 0) {
-		return core.Step{}, fmt.Errorf("%w: regime coefficients m=%v, n=%v, k=%v must be positive",
+		return fmt.Errorf("%w: regime coefficients m=%v, n=%v, k=%v must be positive",
 			core.ErrInvalidParams, g.M, g.N, g.K)
 	}
 	// Entered at or beyond a wall and moving further out: an immediate
@@ -28,18 +29,21 @@ func (r *rkStepper) Step(g core.Regime) (core.Step, error) {
 	if g.Buffer {
 		switch {
 		case g.X0 >= g.XHi && g.Y0 > 0:
-			return core.Step{Wall: core.OutcomeOverflow, X: g.X0, Y: g.Y0}, nil
+			st.Wall, st.X, st.Y = core.OutcomeOverflow, g.X0, g.Y0
+			return nil
 		case g.X0 <= g.XLo && g.Y0 < 0:
-			return core.Step{Wall: core.OutcomeUnderflow, X: g.X0, Y: g.Y0}, nil
+			st.Wall, st.X, st.Y = core.OutcomeUnderflow, g.X0, g.Y0
+			return nil
 		}
 	}
-	return r.integrateArc(g)
+	return r.integrateArc(g, st)
 }
 
-// integrateArc integrates one regime from (x0, y0) until the state exits
-// through the switching line, hits a buffer boundary, or settles into
-// the convergence box. The horizon doubles until one of those happens.
-func (r *rkStepper) integrateArc(g core.Regime) (core.Step, error) {
+// integrateArc integrates one regime from (x0, y0) into st until the
+// state exits through the switching line, hits a buffer boundary, or
+// settles into the convergence box. The horizon doubles until one of
+// those happens.
+func (r *rkStepper) integrateArc(g *core.Regime, st *core.Step) error {
 	lin, k, x0, y0 := g.Linear, g.K, g.X0, g.Y0
 	f := func(_ float64, st, d []float64) {
 		d[0] = st[1]
@@ -100,9 +104,9 @@ func (r *rkStepper) integrateArc(g core.Regime) (core.Step, error) {
 			Events:  events,
 		})
 		if err != nil {
-			return core.Step{}, fmt.Errorf("analytic: rk45 segment: %w", err)
+			return fmt.Errorf("analytic: rk45 segment: %w", err)
 		}
-		var st core.Step
+		*st = core.Step{}
 		for i := range sol.Events {
 			hit := &sol.Events[i]
 			switch hit.Name {
@@ -122,7 +126,7 @@ func (r *rkStepper) integrateArc(g core.Regime) (core.Step, error) {
 			}
 		}
 		if st.Switched || st.Wall != 0 {
-			return st, nil
+			return nil
 		}
 		// No exit inside the horizon: a glide that has settled into the
 		// convergence box ends the trajectory; otherwise widen and retry.
@@ -130,11 +134,11 @@ func (r *rkStepper) integrateArc(g core.Regime) (core.Step, error) {
 		xe, ye := yEnd[0], yEnd[1]
 		if math.Abs(xe) < g.TolX && math.Abs(ye) < g.TolY {
 			st.End, st.X, st.Y = horizon, xe, ye
-			return st, nil
+			return nil
 		}
 		horizon *= 2
 	}
-	return core.Step{}, fmt.Errorf("analytic: rk45 segment found no exit within %g characteristic times", 8*math.Pow(2, 40))
+	return fmt.Errorf("analytic: rk45 segment found no exit within %g characteristic times", 8*math.Pow(2, 40))
 }
 
 // regimeScale is the regime's characteristic time: the spiral half-turn

@@ -251,10 +251,17 @@ const maxAnalyticRowLen = 5*24 + 20 + 3*len("false") + len("horizon reached") + 
 // digests and golden maps hold (FuzzAppendRow pins the two together),
 // without boxing twelve arguments per row.
 func (v *verdict) appendCSV(b []byte) []byte {
-	b = strconv.AppendFloat(b, v.gi, 'g', -1, 64)
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, v.gd, 'g', -1, 64)
-	b = append(b, ',')
+	return v.appendVerdict(appendAxis(appendAxis(b, v.gi), v.gd))
+}
+
+// appendAxis appends one gain column and its comma: the "gi," or "gd,"
+// that opens a row.
+func appendAxis(b []byte, gain float64) []byte {
+	return append(strconv.AppendFloat(b, gain, 'g', -1, 64), ',')
+}
+
+// appendVerdict appends the row after its two gain columns.
+func (v *verdict) appendVerdict(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(v.kind), 10)
 	b = append(b, ',')
 	b = strconv.AppendBool(b, v.linearStable)
@@ -291,17 +298,21 @@ func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, e
 // criterion of [4] (no trajectory needed) and Theorem1OK the paper's
 // closed-form sufficient condition — exactly the values linear.Compare
 // reports, minus its redundant inner solve.
-func analyticVerdict(p core.Params, pt GainPoint, res analytic.Result, chk *invariant.Checker) verdict {
+func analyticVerdict(p *core.Params, pt GainPoint, res *analytic.Result, chk *invariant.Checker) verdict {
 	return verdict{
 		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
-		linearStable:  linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease),
-		theorem1OK:    core.Theorem1Satisfied(p),
-		theorem1Bound: core.Theorem1Bound(p),
+		linearStable:  linear.SubsystemStable(*p, core.Increase) && linear.SubsystemStable(*p, core.Decrease),
+		theorem1OK:    core.Theorem1Satisfied(*p),
+		theorem1Bound: core.Theorem1Bound(*p),
 		outcome:       res.Outcome,
-		maxQueue:      res.MaxQueue(p), rho: res.Rho,
+		maxQueue:      res.MaxQueue(*p), rho: res.Rho,
 		violations: chk.Violations(), firstPred: chk.FirstPredicate(),
 	}
 }
+
+// rowMark records where one row starts in EvalBatch's span buffer and
+// where its "gi," text, its "gd," text and the row itself end.
+type rowMark struct{ start, gi, gd, end int }
 
 // EvalBatch evaluates a contiguous span of grid points, writing the row
 // of pts[i] into out[i] (len(out) must equal len(pts)). It is the single
@@ -314,27 +325,36 @@ func analyticVerdict(p core.Params, pt GainPoint, res analytic.Result, chk *inva
 // policy: a non-off policy attaches one checker, Reset per point, whose
 // guard runs at the trajectory's exact knots and whose tallies fill the
 // violations and first_violation columns. A strict violation aborts the
-// span with the *invariant.InvariantError.
+// span with the *invariant.InvariantError. Engine metrics are folded
+// into one analytic.Tally and flushed once per span, also when the
+// span aborts.
 //
 // Every row of the span is appended into one pre-sized buffer and
 // converted to one string, so the span's Row.CSV values are substrings
 // sharing that string's backing storage: a span costs a constant
-// handful of allocations, not several per point.
+// handful of allocations, not several per point. A row whose Gi has the
+// bits of the previous row's copies that row's "gi," text instead of
+// formatting it again, and a row whose Gd has the bits of the row
+// g.Steps earlier (the same column of the previous grid row, in
+// row-major order) copies its "gd," text. Matching on bits makes the
+// copy exact for any point order.
 func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m EvalMetrics) error {
 	if len(out) != len(pts) {
 		return fmt.Errorf("cluster: eval batch: %d outputs for %d points", len(out), len(pts))
 	}
+	var tally analytic.Tally
+	defer tally.Flush(m.Analytic)
 	s := analytic.NewSolver()
 	chk := invariant.NewPolicy(g.Policy())
-	opts := analytic.Options{Mode: g.AnalyticMode(), Invariants: chk, Metrics: m.Analytic}
+	opts := analytic.Options{Mode: g.AnalyticMode(), Invariants: chk}
 	base := g.Base()
 	buf := make([]byte, 0, len(pts)*maxAnalyticRowLen)
-	// ends records where each row stops in buf; typical spans fit the
+	// marks records each row's offsets in buf; typical spans fit the
 	// stack array.
-	var endBuf [64]int
-	ends := endBuf[:0]
-	if len(pts) > len(endBuf) {
-		ends = make([]int, 0, len(pts))
+	var markBuf [64]rowMark
+	marks := markBuf[:0]
+	if len(pts) > len(markBuf) {
+		marks = make([]rowMark, 0, len(pts))
 	}
 	for i, pt := range pts {
 		if err := ctx.Err(); err != nil {
@@ -348,16 +368,28 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 		if err != nil {
 			return err
 		}
-		v := analyticVerdict(p, pt, res, chk)
-		buf = v.appendCSV(buf)
-		ends = append(ends, len(buf))
+		tally.Fold(&res, opts.Mode)
+		v := analyticVerdict(&p, pt, &res, chk)
+		start := len(buf)
+		if i > 0 && math.Float64bits(pt.Gi) == math.Float64bits(pts[i-1].Gi) {
+			buf = append(buf, buf[marks[i-1].start:marks[i-1].gi]...)
+		} else {
+			buf = appendAxis(buf, pt.Gi)
+		}
+		gi := len(buf)
+		if j := i - g.Steps; j >= 0 && j < i && math.Float64bits(pt.Gd) == math.Float64bits(pts[j].Gd) {
+			buf = append(buf, buf[marks[j].gi:marks[j].gd]...)
+		} else {
+			buf = appendAxis(buf, pt.Gd)
+		}
+		gd := len(buf)
+		buf = v.appendVerdict(buf)
+		marks = append(marks, rowMark{start, gi, gd, len(buf)})
 		out[i] = Row{Violations: v.violations, FirstPred: v.firstPred}
 	}
 	rows := string(buf)
-	start := 0
-	for i, end := range ends {
-		out[i].CSV = rows[start:end]
-		start = end
+	for i, mk := range marks {
+		out[i].CSV = rows[mk.start:mk.end]
 	}
 	return nil
 }

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"bcnphase/internal/analytic"
 	"bcnphase/internal/core"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/linear"
+	"bcnphase/internal/telemetry"
 )
 
 // TestEvalAnalyticAgreesWithClassic compares rows against the classic
@@ -63,25 +68,130 @@ func TestEvalAnalyticAgreesWithClassic(t *testing.T) {
 // to per-point evaluation under both engines and a checked policy —
 // EvalBatch is the shard executors' and bcnsweep's hot path, the merged
 // map must not depend on which path computed a row, and a span's one
-// checker must not carry tallies from point to point.
+// checker must not carry tallies from point to point. EvalBatch copies
+// a row's "gi," text from the previous row and its "gd," text from the
+// row Steps earlier when the gain bits match, so the cases also feed it
+// orders the copy must not be fooled by: shuffled points, spans cut
+// across grid rows, repeated gains and gains one ulp apart.
 func TestEvalBatchMatchesEval(t *testing.T) {
 	dirty := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 4, Invariants: "record"}
-	for _, g := range []GainGrid{testGrid(3), {BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3, Analytic: "off"}, dirty} {
-		pts := g.Points()
-		ctx := context.Background()
-		rows := make([]Row, len(pts))
-		if err := g.EvalBatch(ctx, pts, rows, EvalMetrics{}); err != nil {
-			t.Fatalf("%+v: batch: %v", g, err)
+	off := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3, Analytic: "off"}
+	for _, g := range []GainGrid{testGrid(3), off, dirty} {
+		checkSpans(t, "grid order", g, g.Points(), len(g.Points()))
+	}
+
+	g := testGrid(5)
+	pts := g.Points()
+	shuffled := append([]GainPoint(nil), pts...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	checkSpans(t, "shuffled", g, shuffled, len(shuffled))
+	checkSpans(t, "shuffled dirty", dirty, shuffled, 6)
+	for _, n := range []int{1, 3, 7, 13} {
+		checkSpans(t, fmt.Sprintf("%d-point spans", n), g, pts, n)
+	}
+
+	// Repeats: a point twice in a row, a Gi recurring after a different
+	// one, and a Gd recurring Steps rows later under a different Gi. Each
+	// is followed by its one-ulp neighbour in the same position, whose
+	// text differs although the values are all but equal.
+	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	a, b := pts[6], pts[13]
+	reps := []GainPoint{
+		a, a, {up(a.Gi), a.Gd}, {a.Gi, b.Gd}, {b.Gi, b.Gd}, {a.Gi, a.Gd},
+		{b.Gi, up(a.Gd)}, a, {a.Gi, up(b.Gd)}, {up(b.Gi), up(a.Gd)}, {b.Gi, a.Gd},
+	}
+	for _, steps := range []int{-1, 0, 1, 2, 3, 5} {
+		rg := g
+		rg.Steps = steps
+		checkSpans(t, fmt.Sprintf("repeats, Steps=%d", steps), rg, reps, len(reps))
+	}
+
+	// ±0 compare equal but have distinct bits; neither is a valid gain, so
+	// both paths must refuse the point the same way.
+	for _, gi := range []float64{0, math.Copysign(0, -1)} {
+		span := []GainPoint{a, {gi, a.Gd}}
+		errBatch := g.EvalBatch(context.Background(), span, make([]Row, len(span)), EvalMetrics{})
+		_, errEval := g.Eval(context.Background(), span[1], EvalMetrics{})
+		if errBatch == nil || errEval == nil || errBatch.Error() != errEval.Error() {
+			t.Errorf("Gi=%v: batch error %v, eval error %v", gi, errBatch, errEval)
 		}
-		for i, pt := range pts {
-			want, err := g.Eval(ctx, pt, EvalMetrics{})
-			if err != nil {
-				t.Fatalf("%+v: eval: %v", g, err)
-			}
-			if rows[i] != want {
-				t.Errorf("%+v point %d: batch row %+v, eval row %+v", g, i, rows[i], want)
-			}
+	}
+
+	// Shard-sized spans on a 16-step grid, as the cluster dispatches them.
+	g16 := testGrid(16)
+	checkSpans(t, "shards", g16, g16.Points(), DefaultShardSize)
+}
+
+// checkSpans evaluates pts in consecutive EvalBatch spans of at most n
+// points and requires every row to equal g.Eval's row for its point.
+func checkSpans(t *testing.T, name string, g GainGrid, pts []GainPoint, n int) {
+	t.Helper()
+	ctx := context.Background()
+	rows := make([]Row, len(pts))
+	for lo := 0; lo < len(pts); lo += n {
+		hi := min(lo+n, len(pts))
+		if err := g.EvalBatch(ctx, pts[lo:hi], rows[lo:hi], EvalMetrics{}); err != nil {
+			t.Fatalf("%s, %+v: batch: %v", name, g, err)
 		}
+	}
+	for i, pt := range pts {
+		want, err := g.Eval(ctx, pt, EvalMetrics{})
+		if err != nil {
+			t.Fatalf("%s, %+v: eval: %v", name, g, err)
+		}
+		if rows[i] != want {
+			t.Errorf("%s, %+v point %d: batch row %+v, eval row %+v", name, g, i, rows[i], want)
+		}
+	}
+}
+
+// TestEvalBatchMetricTotals: EvalBatch solves with the engine metrics
+// detached and flushes one tally per span; the registry must end with
+// the totals of attaching the metrics to every per-point Solver.Solve.
+// Spans include an aborted one, whose solved points still count.
+func TestEvalBatchMetricTotals(t *testing.T) {
+	g := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 6}
+	pts := g.Points()
+	spanReg, pointReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	m := EvalMetrics{Analytic: analytic.NewMetrics(spanReg)}
+	ctx := context.Background()
+	rows := make([]Row, len(pts))
+	for lo := 0; lo < len(pts); lo += 5 {
+		hi := min(lo+5, len(pts))
+		if err := g.EvalBatch(ctx, pts[lo:hi], rows[lo:hi], m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aborted := []GainPoint{pts[0], pts[1], {Gi: -1, Gd: pts[2].Gd}, pts[3]}
+	if err := g.EvalBatch(ctx, aborted, make([]Row, len(aborted)), m); err == nil {
+		t.Fatal("span with a negative gain did not abort")
+	}
+
+	s := analytic.NewSolver()
+	opts := analytic.Options{Metrics: analytic.NewMetrics(pointReg)}
+	for _, pt := range append(pts, aborted[:2]...) {
+		p := g.Base()
+		p.Gi, p.Gd = pt.Gi, pt.Gd
+		if _, err := s.Solve(p, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	span, point := spanReg.Snapshot(), pointReg.Snapshot()
+	for _, name := range []string{
+		"analytic_solves_total", "analytic_arcs_total", "analytic_crossings_total",
+		"analytic_extrema_total", "analytic_outcomes_total", "analytic_rk45_fallbacks_total",
+	} {
+		got, _ := span.Get(name)
+		want, _ := point.Get(name)
+		if !reflect.DeepEqual(got.Series, want.Series) {
+			t.Errorf("%s: span tallies %+v, per-point solves %+v", name, got.Series, want.Series)
+		}
+	}
+	if f, _ := point.Get("analytic_arcs_total"); len(f.Series) == 0 || f.Series[0].Value == 0 {
+		t.Fatalf("no arcs counted: %+v", f)
 	}
 }
 

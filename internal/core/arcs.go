@@ -71,30 +71,40 @@ const ArcDiscTol = 1e-13
 // NewArc builds the closed-form solution of the linear regime λ²+mλ+n=0
 // from the initial state (x0, y0), with switching line x + k·y = 0.
 func NewArc(m, n, k, x0, y0 float64) (Arc, error) {
+	var a Arc
+	err := a.init(m, n, k, x0, y0)
+	return a, err
+}
+
+// init sets a to NewArc's solution in place, leaving a untouched on
+// error; ArcStepper builds each step's arc this way, inside the step.
+func (a *Arc) init(m, n, k, x0, y0 float64) error {
 	if !(m > 0) || !(n > 0) {
-		return Arc{}, fmt.Errorf("%w: regime coefficients m=%v, n=%v must be positive", ErrInvalidParams, m, n)
+		return fmt.Errorf("%w: regime coefficients m=%v, n=%v must be positive", ErrInvalidParams, m, n)
 	}
 	if !(k > 0) {
-		return Arc{}, fmt.Errorf("%w: switching slope k=%v must be positive", ErrInvalidParams, k)
+		return fmt.Errorf("%w: switching slope k=%v must be positive", ErrInvalidParams, k)
 	}
 	disc := m*m - 4*n
 	if d := ArcDiscTol * m * m; disc < d && disc > -d {
-		return criticalArc(-m/2, k, x0, y0), nil
+		a.critical(-m/2, k, x0, y0)
+		return nil
 	}
 	switch {
 	case disc < 0:
-		return spiralArc(-m/2, math.Sqrt(-disc)/2, k, x0, y0), nil
+		a.spiral(-m/2, math.Sqrt(-disc)/2, k, x0, y0)
 	case disc > 0:
 		s := math.Sqrt(disc)
-		return nodeArc((-m-s)/2, (-m+s)/2, k, x0, y0), nil
+		a.node((-m-s)/2, (-m+s)/2, k, x0, y0)
 	default:
-		return criticalArc(-m/2, k, x0, y0), nil
+		a.critical(-m/2, k, x0, y0)
 	}
+	return nil
 }
 
-// spiralArc is the H-form (paper eq. 12) for eigenvalues α ± iβ: a
+// spiral sets the H-form (paper eq. 12) for eigenvalues α ± iβ: a
 // logarithmic spiral with x(t) = A e^{αt} cos(βt+φ).
-func spiralArc(alpha, beta, k, x0, y0 float64) Arc {
+func (a *Arc) spiral(alpha, beta, k, x0, y0 float64) {
 	// x = A e^{αt} cos(βt+φ) with A cosφ = x0, A sinφ = (αx0 − y0)/β.
 	sinTerm := (alpha*x0 - y0) / beta
 	amp := math.Hypot(x0, sinTerm)
@@ -106,40 +116,34 @@ func spiralArc(alpha, beta, k, x0, y0 float64) Arc {
 	// s = x + k y = A e^{αt}[(1+kα)cos θ − kβ sin θ] = A·ρs·cos(θ+ψs).
 	rhoS := math.Hypot(1+k*alpha, k*beta)
 	psiS := math.Atan2(k*beta, 1+k*alpha)
-	return Arc{
-		kind:  ArcSpiral,
-		x:     form{amp, alpha, beta, phi},
-		y:     form{amp * rhoY, alpha, beta, phi + psiY},
-		s:     form{amp * rhoS, alpha, beta, phi + psiS},
-		scale: math.Pi / beta,
-	}
+	a.kind = ArcSpiral
+	a.x = form{amp, alpha, beta, phi}
+	a.y = form{amp * rhoY, alpha, beta, phi + psiY}
+	a.s = form{amp * rhoS, alpha, beta, phi + psiS}
+	a.scale = math.Pi / beta
 }
 
-// nodeArc is the F-form (paper eq. 21) for real eigenvalues λ1 < λ2 < 0.
-func nodeArc(l1, l2, k, x0, y0 float64) Arc {
+// node sets the F-form (paper eq. 21) for real eigenvalues λ1 < λ2 < 0.
+func (a *Arc) node(l1, l2, k, x0, y0 float64) {
 	a1 := (l2*x0 - y0) / (l2 - l1)
 	a2 := (l1*x0 - y0) / (l1 - l2)
-	return Arc{
-		kind:  ArcNode,
-		x:     form{a1, l1, a2, l2},
-		y:     form{a1 * l1, l1, a2 * l2, l2},
-		s:     form{a1 * (1 + k*l1), l1, a2 * (1 + k*l2), l2},
-		scale: 1 / math.Abs(l2),
-	}
+	a.kind = ArcNode
+	a.x = form{a1, l1, a2, l2}
+	a.y = form{a1 * l1, l1, a2 * l2, l2}
+	a.s = form{a1 * (1 + k*l1), l1, a2 * (1 + k*l2), l2}
+	a.scale = 1 / math.Abs(l2)
 }
 
-// criticalArc is the L-form (paper eq. 29) for the repeated eigenvalue λ.
-func criticalArc(l, k, x0, y0 float64) Arc {
+// critical sets the L-form (paper eq. 29) for the repeated eigenvalue λ.
+func (a *Arc) critical(l, k, x0, y0 float64) {
 	a3 := x0
 	a4 := y0 - l*x0
-	return Arc{
-		kind: ArcCritical,
-		x:    form{a: a3, b: a4, c: l},
-		y:    form{a: a3*l + a4, b: a4 * l, c: l},
-		// s = x + ky = e^{λt}[a3(1+kλ) + k·a4 + a4(1+kλ)t].
-		s:     form{a: a3*(1+k*l) + k*a4, b: a4 * (1 + k*l), c: l},
-		scale: 1 / math.Abs(l),
-	}
+	a.kind = ArcCritical
+	a.x = form{a: a3, b: a4, c: l}
+	a.y = form{a: a3*l + a4, b: a4 * l, c: l}
+	// s = x + ky = e^{λt}[a3(1+kλ) + k·a4 + a4(1+kλ)t].
+	a.s = form{a: a3*(1+k*l) + k*a4, b: a4 * (1 + k*l), c: l}
+	a.scale = 1 / math.Abs(l)
 }
 
 func (f form) at(kind ArcKind, t float64) float64 {
@@ -199,36 +203,49 @@ func (f form) firstZeroAfter(kind ArcKind, t0 float64) (float64, bool) {
 	}
 }
 
-// At evaluates the state at arc time t ≥ 0.
-func (a Arc) At(t float64) (x, y float64) {
-	return a.x.at(a.kind, t), a.y.at(a.kind, t)
+// At evaluates the state at arc time t ≥ 0. The x and y components
+// share their eigenvalues, so each exponential is evaluated once; the
+// products keep form.at's order, so x and y are bit-identical to the
+// components evaluated one at a time.
+func (a *Arc) At(t float64) (x, y float64) {
+	switch a.kind {
+	case ArcSpiral:
+		e := math.Exp(a.x.b * t)
+		return a.x.a * e * math.Cos(a.x.c*t+a.x.d), a.y.a * e * math.Cos(a.y.c*t+a.y.d)
+	case ArcNode:
+		e1, e2 := math.Exp(a.x.b*t), math.Exp(a.x.d*t)
+		return a.x.a*e1 + a.x.c*e2, a.y.a*e1 + a.y.c*e2
+	default:
+		e := math.Exp(a.x.c * t)
+		return (a.x.a + a.x.b*t) * e, (a.y.a + a.y.b*t) * e
+	}
 }
 
 // FirstYZero returns the first time strictly greater than after at which
 // y(t) = 0 (an extremum of x), and whether one exists.
-func (a Arc) FirstYZero(after float64) (float64, bool) {
+func (a *Arc) FirstYZero(after float64) (float64, bool) {
 	return a.y.firstZeroAfter(a.kind, after)
 }
 
 // FirstSwitch returns the first time strictly greater than after at
 // which x + k·y = 0 (a switching-line crossing), and whether one exists.
 // k is fixed at construction.
-func (a Arc) FirstSwitch(after float64) (float64, bool) {
+func (a *Arc) FirstSwitch(after float64) (float64, bool) {
 	return a.s.firstZeroAfter(a.kind, after)
 }
 
 // Kind reports the solution family.
-func (a Arc) Kind() ArcKind { return a.kind }
+func (a *Arc) Kind() ArcKind { return a.kind }
 
 // TimeScale returns a characteristic time of the regime (used to scale
 // numeric epsilons): the half-turn period for spirals, 1/|λ_slow| for
 // nodes and 1/|λ| for the repeated eigenvalue.
-func (a Arc) TimeScale() float64 { return a.scale }
+func (a *Arc) TimeScale() float64 { return a.scale }
 
 // Eigen returns the regime's eigenvalues: (α, β) of the complex pair
 // α ± iβ for a spiral, (λ1, λ2) with λ1 < λ2 for a node, and (λ, λ) for
 // the repeated eigenvalue.
-func (a Arc) Eigen() (float64, float64) {
+func (a *Arc) Eigen() (float64, float64) {
 	switch a.kind {
 	case ArcSpiral:
 		return a.x.b, a.x.c
@@ -257,23 +274,27 @@ func (a *Arc) glideTime(tolX, tolY float64) float64 {
 // reaches xLo or xHi, reporting OutcomeOverflow for xHi and
 // OutcomeUnderflow for xLo (0 when neither is reached). Within one arc,
 // x(t) is monotone between y-zeros and the arc contains at most one
-// y-zero before its end (at tz when hasZ), so checking the entry point,
-// the extremum and the endpoint is exact; the crossing time is then
-// refined by bisection on the monotone piece.
+// y-zero before its end (at tz, where x = xz, when hasZ), so checking
+// the entry point, the extremum and the endpoint (x = xEnd) is exact;
+// the crossing time is then refined by bisection on the monotone piece.
+// The caller passes the extremum and end values it has already
+// evaluated with At, which equal x.at bit for bit.
 //
 // An entry state resting exactly on a wall (the canonical start at an
 // empty queue, x = −q0) is not a hit: the trajectory is entering the
-// interior.
-func (a *Arc) firstWallHit(tz float64, hasZ bool, tEnd, xLo, xHi float64) (float64, Outcome) {
+// interior. The entry knot is x.at(0), not the entry state: the closed
+// form reproduces x0 only up to roundoff, and the resting rule
+// depends on that exact value.
+func (a *Arc) firstWallHit(tz, xz float64, hasZ bool, tEnd, xEnd, xLo, xHi float64) (float64, Outcome) {
 	type knot struct{ t, x float64 }
 	var knots [3]knot
 	knots[0] = knot{0, a.x.at(a.kind, 0)}
 	n := 1
 	if hasZ {
-		knots[n] = knot{tz, a.x.at(a.kind, tz)}
+		knots[n] = knot{tz, xz}
 		n++
 	}
-	knots[n] = knot{tEnd, a.x.at(a.kind, tEnd)}
+	knots[n] = knot{tEnd, xEnd}
 	n++
 
 	for i := 1; i < n; i++ {

@@ -444,10 +444,11 @@ func TestRateMonotoneAlongArcs(t *testing.T) {
 				if s := x0 + p.K()*y0; s == 0 || (s < 0) != (r == Increase) {
 					continue
 				}
-				st, err := ArcStepper{}.Step(Regime{
+				var st Step
+				err := ArcStepper{}.Step(&Regime{
 					Region: r, Linear: p.RegionLinear(r), X0: x0, Y0: y0, K: p.K(),
 					TolX: 1e-3 * p.Q0, TolY: 1e-3 * p.C,
-				})
+				}, &st)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -46,7 +46,10 @@ type Step struct {
 
 // Stepper advances a trajectory through one regime.
 type Stepper interface {
-	Step(g Regime) (Step, error)
+	// Step resolves the regime g into st. Both belong to the caller,
+	// which reuses them from arc to arc: Step overwrites every field of
+	// st and keeps neither pointer after it returns.
+	Step(g *Regime, st *Step) error
 }
 
 // ArcStepper steps by the closed-form arcs of §IV-B: exact switch,
@@ -54,13 +57,15 @@ type Stepper interface {
 type ArcStepper struct{}
 
 // Step builds the regime's closed-form arc and resolves how it ends.
-func (ArcStepper) Step(g Regime) (Step, error) {
-	arc, err := NewArc(g.M, g.N, g.K, g.X0, g.Y0)
-	if err != nil {
-		return Step{}, err
+// The end state is evaluated before the wall check, which reuses it and
+// the extremum instead of evaluating the arc there again.
+func (ArcStepper) Step(g *Regime, st *Step) error {
+	*st = Step{}
+	arc := &st.Arc
+	if err := arc.init(g.M, g.N, g.K, g.X0, g.Y0); err != nil {
+		return err
 	}
 	eps := 1e-9 * arc.TimeScale()
-	st := Step{Arc: arc}
 	st.End, st.Switched = arc.FirstSwitch(eps)
 	if !st.Switched {
 		// Terminal arc gliding to the origin: run until inside the
@@ -71,23 +76,24 @@ func (ArcStepper) Step(g Regime) (Step, error) {
 		st.Extremum, st.ExtT = true, tz
 		st.ExtX, _ = arc.At(tz)
 	}
+	st.X, st.Y = arc.At(st.End)
 	if g.Buffer {
-		if st.WallT, st.Wall = arc.firstWallHit(st.ExtT, st.Extremum, st.End, g.XLo, g.XHi); st.Wall != 0 {
+		if st.WallT, st.Wall = arc.firstWallHit(st.ExtT, st.ExtX, st.Extremum, st.End, st.X, g.XLo, g.XHi); st.Wall != 0 {
 			st.X, st.Y = arc.At(st.WallT)
-			return st, nil
 		}
 	}
-	st.X, st.Y = arc.At(st.End)
-	return st, nil
+	return nil
 }
 
 // Observer records what a solve produces beyond its Verdict. Stitch
 // calls it in trajectory order.
 type Observer interface {
 	// Arc sees each step, entered in region r at global time t from
-	// (x, y), before Stitch classifies how it ends. An error aborts the
-	// solve.
-	Arc(r Region, t, x, y float64, st Step) error
+	// (x, y), before Stitch classifies how it ends. st belongs to the
+	// Stitcher, which reuses it for the next arc: Arc may read it but
+	// must not keep the pointer (copy what it needs). An error aborts
+	// the solve.
+	Arc(r Region, t, x, y float64, st *Step) error
 	// Crossing sees each switching-line crossing.
 	Crossing(t, x, y float64, to Region)
 	// Finish sees the final state, in region r. An error aborts the
@@ -119,14 +125,24 @@ type Verdict struct {
 	EndT, EndX, EndY float64
 }
 
-// Stitch is the trajectory stitcher behind core.Solve and the analytic
-// engine. From the state (x, y) at time t it steps one regime at a time
+// Stitcher is the trajectory stitcher behind core.Solve and the
+// analytic engine. Its Stitch method runs the one stitch loop; the
+// Stitcher itself holds the loop's scratch, the Regime handed to each
+// Step and the Step resolved into, so a Stitcher reused across solves
+// steps without copying or allocating. The zero value is ready; a
+// Stitcher is not safe for concurrent use.
+type Stitcher struct {
+	g  Regime
+	st Step
+}
+
+// Stitch steps from the state (x, y) at time t one regime at a time
 // and classifies the trajectory: buffer hit, glide into the convergence
 // ball, switching-line crossing, contraction ratio ρ (limit cycle,
 // divergence, short-circuit convergence) and the arc horizon. The
 // Stepper decides how one regime is traversed; the Observer records
 // whatever the caller needs beyond the Verdict.
-func Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper, obs Observer) (Verdict, error) {
+func (z *Stitcher) Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper, obs Observer) (Verdict, error) {
 	if o.MaxArcs <= 0 {
 		o.MaxArcs = 1_000_000
 	}
@@ -136,7 +152,8 @@ func Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper, obs Observer)
 	if o.CycleTol <= 0 {
 		o.CycleTol = 1e-6
 	}
-	g := Regime{
+	g, st := &z.g, &z.st
+	*g = Regime{
 		K:    p.K(),
 		TolX: o.ConvergeTol * p.Q0, TolY: o.ConvergeTol * p.C,
 		XLo: -p.Q0, XHi: p.B - p.Q0,
@@ -161,10 +178,14 @@ func Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper, obs Observer)
 	var prev, last float64
 	entries := 0
 
+	// The two regimes, resolved once per solve instead of once per arc.
+	inc, dec := p.RegionLinear(Increase), p.RegionLinear(Decrease)
 	for arcIdx := 0; arcIdx < o.MaxArcs; arcIdx++ {
-		g.Region, g.Linear, g.X0, g.Y0 = region, p.RegionLinear(region), x, y
-		st, err := s.Step(g)
-		if err != nil {
+		g.Region, g.Linear, g.X0, g.Y0 = region, dec, x, y
+		if region == Increase {
+			g.Linear = inc
+		}
+		if err := s.Step(g, st); err != nil {
 			if err := obs.StepFailed(t, err); err != nil {
 				return Verdict{}, err
 			}

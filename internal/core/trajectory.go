@@ -206,12 +206,12 @@ func (o SolveOptions) withDefaults(p Params) SolveOptions {
 
 // Solve stitches closed-form arcs of the linearized switched system from
 // the initial state, enforcing the buffer strip and classifying the
-// outcome: Stitch with the closed-form ArcStepper and an observer that
-// samples each arc into the polyline. It is the engine behind every
+// outcome: a Stitcher with the closed-form ArcStepper and an observer
+// that samples each arc into the polyline. It is the engine behind every
 // phase-portrait figure and sampled stability verdict in this
-// repository. When SolveOptions.Invariants
-// attaches a checker, every sampled point is self-checked at runtime and
-// the violation tallies are returned in Trajectory.Violations.
+// repository. When SolveOptions.Invariants attaches a checker, every
+// sampled point is self-checked at runtime and the violation tallies are
+// returned in Trajectory.Violations.
 func Solve(p Params, opts SolveOptions) (*Trajectory, error) {
 	var began time.Time
 	if opts.Telemetry != nil {
@@ -258,7 +258,8 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 		}
 		x, y = -p.Q0, 0
 	}
-	v, err := Stitch(p, StitchOptions{
+	var z Stitcher
+	v, err := z.Stitch(p, StitchOptions{
 		MaxArcs:             opts.MaxArcs,
 		ConvergeTol:         opts.ConvergeTol,
 		CycleTol:            opts.CycleTol,
@@ -307,14 +308,14 @@ func (s *sampler) warmup(mu float64) (float64, error) {
 	return t0, nil
 }
 
-func (s *sampler) Arc(r Region, t, x, y float64, st Step) error {
+func (s *sampler) Arc(r Region, t, x, y float64, st *Step) error {
 	if st.Extremum {
 		s.tr.Extrema = append(s.tr.Extrema, Extremum{T: t + st.ExtT, X: st.ExtX, Max: st.ExtMax})
 	}
 	if st.Wall != 0 {
-		return s.sample(r, st.Arc, t, st.WallT, x, y)
+		return s.sample(r, &st.Arc, t, st.WallT, x, y)
 	}
-	if err := s.sample(r, st.Arc, t, st.End, x, y); err != nil {
+	if err := s.sample(r, &st.Arc, t, st.End, x, y); err != nil {
 		return err
 	}
 	s.tr.Segments = append(s.tr.Segments, Segment{
@@ -354,7 +355,7 @@ func (s *sampler) StepFailed(t float64, err error) error {
 // resolution, running every sample through the invariant guard. The
 // entry state (x0, y0) is used verbatim for the first sample so that
 // closed-form roundoff does not perturb recorded junction points.
-func (s *sampler) sample(r Region, arc Arc, t0, tEnd, x0, y0 float64) error {
+func (s *sampler) sample(r Region, arc *Arc, t0, tEnd, x0, y0 float64) error {
 	x0, y0, err := s.guard.Point(r, t0, x0, y0)
 	if err != nil {
 		return err
