@@ -732,9 +732,7 @@ func clientDo(req *http.Request, out io.Writer) (status int, retryAfter time.Dur
 	}
 	fmt.Fprintf(os.Stderr, "bcnd: status=%d cache=%s key=%s retry-after=%s\n",
 		resp.StatusCode, resp.Header.Get("X-Cache"), resp.Header.Get("X-Job-Key"), resp.Header.Get("Retry-After"))
-	if secs, perr := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); perr == nil && secs > 0 {
-		retryAfter = time.Duration(secs) * time.Second
-	}
+	retryAfter = qos.RetryAfter(resp.Header)
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, retryAfter, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
 	}

@@ -455,7 +455,7 @@ func runCluster(ctx context.Context, bases []string, grid cluster.GainGrid, resu
 		case cluster.RetryableStatus(resp.StatusCode) && attempt < maxAttempts:
 			// The pacer jitters the coordinator's Retry-After hint so a herd
 			// of shed submitters does not re-collide on the same instant.
-			wait := pacer.Next(cluster.ParseRetryAfterHeader(resp.Header))
+			wait := pacer.Next(qos.RetryAfter(resp.Header))
 			fmt.Fprintf(os.Stderr, "bcnsweep: coordinator answered %d; retry %d/%d in %s\n",
 				resp.StatusCode, attempt, maxAttempts-1, wait.Round(time.Millisecond))
 			select {

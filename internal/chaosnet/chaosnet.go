@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"bcnphase/internal/cluster"
+	"bcnphase/internal/qos"
 )
 
 // ErrConfig marks an invalid proxy configuration.
@@ -236,11 +237,7 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 		if p.shedLeft.Add(-1) >= 0 {
 			atomic.AddUint64(&p.nShed, 1)
 			p.logf("herd: shedding %s %s with Retry-After %v", r.Method, r.URL.Path, p.cfg.ShedRetryAfter)
-			secs := int64(p.cfg.ShedRetryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+			secs := qos.SetRetryAfter(w.Header(), p.cfg.ShedRetryAfter)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
 			fmt.Fprintf(w, `{"error":"chaosnet herd shed","reason":"shed","retry_after_sec":%d}`, secs)

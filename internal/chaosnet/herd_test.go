@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bcnphase/internal/cluster"
+	"bcnphase/internal/qos"
 )
 
 // TestHerdShedThenJitteredRetriesSpread: the proxy sheds the whole
@@ -50,7 +51,7 @@ func TestHerdShedThenJitteredRetriesSpread(t *testing.T) {
 					failures[i] = io.ErrUnexpectedEOF
 					return
 				}
-				time.Sleep(pacer.Next(cluster.ParseRetryAfterHeader(resp.Header)))
+				time.Sleep(pacer.Next(qos.RetryAfter(resp.Header)))
 			}
 			failures[i] = io.EOF // attempts exhausted
 		}(i)

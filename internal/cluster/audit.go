@@ -70,11 +70,11 @@ func (c *Coordinator) auditDispatch(ctx context.Context, st *sweepState, w int, 
 	res, err := c.dispatch(ctx, st, w, sr)
 	switch {
 	case err == nil:
-		c.breaker.Success(w)
+		c.breaker.Success(c.cfg.Workers[w])
 	case sweepWindingDown(ctx, err):
-		c.breaker.Release(w)
+		c.breaker.Release(c.cfg.Workers[w])
 	default:
-		c.breaker.Failure(w)
+		c.breaker.Failure(c.cfg.Workers[w])
 		c.m.WorkerErrors.With(c.cfg.Workers[w]).Inc()
 	}
 	return res, err
@@ -166,7 +166,7 @@ func (c *Coordinator) audit(ctx context.Context, st *sweepState, w int, sr *shar
 // fails loudly instead of looping forever.
 func (c *Coordinator) requeueAudit(st *sweepState, sr *shardRun, producer int) {
 	sr.assignments++
-	if sr.assignments >= c.cfg.MaxAssignments {
+	if sr.assignments >= c.maxAssignments {
 		st.mu.Lock()
 		if st.fatal == nil {
 			st.fatal = fmt.Errorf("cluster: shard %d exhausted %d assignments without an audit quorum (workers cannot agree on its rows)",
@@ -184,10 +184,10 @@ func (c *Coordinator) requeueAudit(st *sweepState, sr *shardRun, producer int) {
 // merged from it without an audit revoked and re-executed. Idempotent —
 // a worker outvoted twice concurrently is processed once.
 func (c *Coordinator) quarantine(q int, why string) {
-	if !c.breaker.Quarantine(q) {
+	name := c.cfg.Workers[q]
+	if !c.breaker.Quarantine(name) {
 		return
 	}
-	name := c.cfg.Workers[q]
 	c.m.AuditQuarantined.Inc()
 	c.logf("audit: worker %s quarantined (%s)", name, why)
 	// Discard its uncommitted leases: in-flight dispatches to it fail now

@@ -1,51 +1,14 @@
 package cluster
 
-import (
-	"sync"
-	"time"
+import "bcnphase/internal/qos"
 
-	"bcnphase/internal/telemetry"
-)
-
-// Breaker state encoding for the cluster_worker_breaker_state gauge.
+// The coordinator's per-worker circuit breaker is qos.Breaker keyed by
+// worker base URL; these name its cluster_worker_breaker_state encoding.
 const (
-	breakerClosed      = 0.0
-	breakerHalfOpen    = 1.0
-	breakerOpen        = 2.0
-	breakerQuarantined = 3.0
+	breakerClosed      = qos.BreakerClosed
+	breakerOpen        = qos.BreakerOpen
+	breakerQuarantined = qos.BreakerQuarantined
 )
-
-// workerBreaker is a per-worker circuit breaker over shard dispatch
-// outcomes — the PR 4 breaker shape (consecutive-failure threshold,
-// cooldown quarantine, single half-open probe) applied to workers
-// instead of parameter regions. A flapping worker is quarantined: the
-// coordinator stops routing shards to it, lets the other workers steal
-// its queue, and probes it once per cooldown instead of hammering a
-// node that is already failing — damping, not amplifying, the retry
-// loop.
-type workerBreaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-	names     []string
-	states    []breakerState
-
-	transitions *telemetry.CounterVec
-	stateGauge  *telemetry.GaugeVec
-}
-
-type breakerState struct {
-	consecutive int
-	openUntil   time.Time
-	probing     bool
-	trips       uint64
-	// quarantined is the audit verdict: the worker was outvoted in a
-	// result-integrity quorum. Unlike an open breaker it never half-opens
-	// — wrong answers are a correctness problem, not a load problem, and
-	// only an operator restart clears it.
-	quarantined bool
-}
 
 // WorkerBreakerStatus is one worker's breaker snapshot for /statusz.
 type WorkerBreakerStatus struct {
@@ -57,180 +20,13 @@ type WorkerBreakerStatus struct {
 	RetryAfterSec int64 `json:"retry_after_sec,omitempty"`
 }
 
-// newWorkerBreaker builds a breaker for the named workers. threshold
-// <= 0 disables tripping (Allow always true); now == nil uses time.Now.
-func newWorkerBreaker(names []string, threshold int, cooldown time.Duration, now func() time.Time, m *Metrics) *workerBreaker {
-	if now == nil {
-		now = time.Now
-	}
-	b := &workerBreaker{
-		threshold:   threshold,
-		cooldown:    cooldown,
-		now:         now,
-		names:       names,
-		states:      make([]breakerState, len(names)),
-		transitions: m.BreakerTransitions,
-		stateGauge:  m.BreakerState,
-	}
-	// Every worker's state series exists from startup, so a dashboard
-	// sees "closed" rather than an absent series before the first trip.
-	for _, name := range names {
-		b.stateGauge.With(name).Set(breakerClosed)
-	}
-	return b
-}
-
-// Allow reports whether a shard may be dispatched to worker w now. An
-// open worker rejects with its remaining cooldown; once the cooldown
-// elapses exactly one probe dispatch is admitted.
-func (b *workerBreaker) Allow(w int) (ok bool, retryAfter time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined {
-		// Quarantine outranks everything, including a disabled breaker:
-		// it is an integrity verdict, not load management.
-		return false, time.Hour
-	}
-	if b.threshold <= 0 {
-		return true, 0
-	}
-	if s.openUntil.IsZero() {
-		return true, 0
-	}
-	if rem := s.openUntil.Sub(b.now()); rem > 0 {
-		return false, rem
-	}
-	if s.probing {
-		return false, b.cooldown / 4
-	}
-	s.probing = true
-	b.transitions.With("half-open").Inc()
-	b.stateGauge.With(b.names[w]).Set(breakerHalfOpen)
-	return true, 0
-}
-
-// Success records a completed dispatch on worker w, closing it. A
-// quarantined worker stays quarantined: answering *something* is not
-// evidence of answering *correctly*.
-func (b *workerBreaker) Success(w int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined || b.threshold <= 0 {
-		return
-	}
-	if !s.openUntil.IsZero() || s.probing {
-		b.transitions.With("closed").Inc()
-	}
-	s.consecutive = 0
-	s.openUntil = time.Time{}
-	s.probing = false
-	b.stateGauge.With(b.names[w]).Set(breakerClosed)
-}
-
-// Failure records a failed dispatch on worker w, opening it at the
-// threshold — and immediately re-opening a half-open worker whose probe
-// failed.
-func (b *workerBreaker) Failure(w int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined || b.threshold <= 0 {
-		return
-	}
-	s.consecutive++
-	if s.probing || s.consecutive >= b.threshold {
-		s.openUntil = b.now().Add(b.cooldown)
-		s.probing = false
-		s.trips++
-		b.transitions.With("open").Inc()
-		b.stateGauge.With(b.names[w]).Set(breakerOpen)
-	}
-}
-
-// Release abandons a half-open probe on worker w without a verdict
-// (the dispatch was cancelled, not failed): the probe slot reopens so
-// the next Allow can claim it.
-func (b *workerBreaker) Release(w int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined || b.threshold <= 0 {
-		return
-	}
-	if s.probing {
-		s.probing = false
-		b.stateGauge.With(b.names[w]).Set(breakerOpen)
-	}
-}
-
-// Open reports whether worker w is currently barred from new dispatches
-// (no probe admissible right now).
-func (b *workerBreaker) Open(w int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined {
-		return true
-	}
-	if b.threshold <= 0 {
-		return false
-	}
-	if s.openUntil.IsZero() {
-		return false
-	}
-	return s.openUntil.Sub(b.now()) > 0 || s.probing
-}
-
-// Quarantine places worker w in the terminal quarantined state: Allow
-// and Open bar it permanently, Success/Failure/Release are no-ops, and
-// no cooldown or probe ever reopens it. Returns false when w was already
-// quarantined, so callers can make the quorum verdict idempotent.
-func (b *workerBreaker) Quarantine(w int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined {
-		return false
-	}
-	s.quarantined = true
-	s.probing = false
-	s.trips++
-	b.transitions.With("quarantined").Inc()
-	b.stateGauge.With(b.names[w]).Set(breakerQuarantined)
-	return true
-}
-
-// Quarantined reports whether worker w has been quarantined.
-func (b *workerBreaker) Quarantined(w int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.states[w].quarantined
-}
-
-// Snapshot lists every worker's breaker state for /statusz.
-func (b *workerBreaker) Snapshot() []WorkerBreakerStatus {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]WorkerBreakerStatus, len(b.names))
-	for w, name := range b.names {
-		s := b.states[w]
-		st := WorkerBreakerStatus{Worker: name, State: "closed", Consecutive: s.consecutive, Trips: s.trips}
-		if s.quarantined {
-			st.State = "quarantined"
-			out[w] = st
-			continue
-		}
-		if !s.openUntil.IsZero() {
-			if rem := s.openUntil.Sub(b.now()); rem > 0 {
-				st.State = "open"
-				st.RetryAfterSec = int64(rem/time.Second) + 1
-			} else {
-				st.State = "half-open"
-			}
-		}
-		out[w] = st
+// BreakerSnapshot lists every worker's breaker state, in worker order.
+func (c *Coordinator) BreakerSnapshot() []WorkerBreakerStatus {
+	snap := c.breaker.Snapshot()
+	out := make([]WorkerBreakerStatus, len(snap))
+	for i, st := range snap {
+		out[i] = WorkerBreakerStatus{Worker: st.Key, State: st.State, Consecutive: st.Consecutive,
+			Trips: st.Trips, RetryAfterSec: st.RetryAfterSec}
 	}
 	return out
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"bcnphase/internal/qos"
 	"bcnphase/internal/telemetry"
 )
 
@@ -237,7 +238,7 @@ func TestBackoffGrowthCapAndRetryAfter(t *testing.T) {
 
 func TestParseRetryAfterAndRetryableStatus(t *testing.T) {
 	h := http.Header{}
-	if d := parseRetryAfter(h); d != 0 {
+	if d := qos.RetryAfter(h); d != 0 {
 		t.Errorf("absent header = %v", d)
 	}
 	for raw, want := range map[string]time.Duration{
@@ -245,13 +246,13 @@ func TestParseRetryAfterAndRetryableStatus(t *testing.T) {
 		"Tue, 29 Oct 2024 16:56:32 GMT": 0,
 	} {
 		h.Set("Retry-After", raw)
-		if d := parseRetryAfter(h); d != want {
-			t.Errorf("parseRetryAfter(%q) = %v, want %v", raw, d, want)
+		if d := qos.RetryAfter(h); d != want {
+			t.Errorf("RetryAfter(%q) = %v, want %v", raw, d, want)
 		}
 	}
 	for code, want := range map[int]bool{429: true, 502: true, 503: true, 504: true, 200: false, 400: false, 500: false} {
-		if got := retryableStatus(code); got != want {
-			t.Errorf("retryableStatus(%d) = %v", code, got)
+		if got := RetryableStatus(code); got != want {
+			t.Errorf("RetryableStatus(%d) = %v", code, got)
 		}
 	}
 }
@@ -259,24 +260,24 @@ func TestParseRetryAfterAndRetryableStatus(t *testing.T) {
 func TestWorkerBreakerLifecycle(t *testing.T) {
 	now := time.Unix(1000, 0)
 	m := NewMetrics(telemetry.NewRegistry())
-	b := newWorkerBreaker([]string{"a", "b"}, 2, time.Second, func() time.Time { return now }, m)
+	b := qos.NewBreaker(2, time.Second, func() time.Time { return now }, m.BreakerTransitions, m.BreakerState, "a", "b")
 
-	if ok, _ := b.Allow(0); !ok {
+	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("closed breaker denied dispatch")
 	}
-	b.Failure(0)
-	if ok, _ := b.Allow(0); !ok {
+	b.Failure("a")
+	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("one failure below threshold tripped the breaker")
 	}
-	b.Failure(0)
-	ok, retryAfter := b.Allow(0)
+	b.Failure("a")
+	ok, retryAfter := b.Allow("a")
 	if ok || retryAfter <= 0 || retryAfter > time.Second {
 		t.Fatalf("tripped breaker: ok=%v retryAfter=%v", ok, retryAfter)
 	}
-	if !b.Open(0) {
+	if !b.Open("a") {
 		t.Fatal("tripped breaker not Open")
 	}
-	if b.Open(1) {
+	if b.Open("b") {
 		t.Fatal("worker b quarantined by a's failures")
 	}
 	if got := m.BreakerState.With("a").Value(); got != breakerOpen {
@@ -285,25 +286,25 @@ func TestWorkerBreakerLifecycle(t *testing.T) {
 
 	// Cooldown elapses: exactly one probe is admitted.
 	now = now.Add(1100 * time.Millisecond)
-	if ok, _ := b.Allow(0); !ok {
+	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("post-cooldown probe denied")
 	}
-	if ok, _ := b.Allow(0); ok {
+	if ok, _ := b.Allow("a"); ok {
 		t.Fatal("second concurrent probe admitted")
 	}
 	// The probe fails: immediate re-open.
-	b.Failure(0)
-	if ok, _ := b.Allow(0); ok {
+	b.Failure("a")
+	if ok, _ := b.Allow("a"); ok {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 
 	// Next cooldown: probe succeeds, breaker closes.
 	now = now.Add(1100 * time.Millisecond)
-	if ok, _ := b.Allow(0); !ok {
+	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("second probe denied")
 	}
-	b.Success(0)
-	if b.Open(0) {
+	b.Success("a")
+	if b.Open("a") {
 		t.Fatal("breaker open after successful probe")
 	}
 	if got := m.BreakerState.With("a").Value(); got != breakerClosed {
@@ -316,14 +317,14 @@ func TestWorkerBreakerLifecycle(t *testing.T) {
 
 	// Release: an abandoned (cancelled, not failed) probe frees the slot
 	// for the next Allow instead of wedging the worker half-open forever.
-	b.Failure(0)
-	b.Failure(0)
+	b.Failure("a")
+	b.Failure("a")
 	now = now.Add(1100 * time.Millisecond)
-	if ok, _ := b.Allow(0); !ok {
+	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("probe after re-trip denied")
 	}
-	b.Release(0)
-	if ok, _ := b.Allow(0); !ok {
+	b.Release("a")
+	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("released probe slot not reclaimable")
 	}
 }

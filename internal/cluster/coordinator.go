@@ -50,13 +50,11 @@ type Config struct {
 	// RetryBase seeds the jittered exponential backoff between dispatch
 	// attempts (default 100ms); RetryCap bounds both the backoff and an
 	// honored Retry-After hint (default 5s). MaxAttempts bounds attempts
-	// per assignment (default 3); MaxAssignments bounds how many times a
-	// shard may move between workers before the sweep fails (default
-	// 4 × workers, minimum 8).
-	RetryBase      time.Duration
-	RetryCap       time.Duration
-	MaxAttempts    int
-	MaxAssignments int
+	// per assignment (default 3). A shard may move between workers
+	// 4 × workers times (minimum 8) before the sweep fails.
+	RetryBase   time.Duration
+	RetryCap    time.Duration
+	MaxAttempts int
 	// BreakerThreshold consecutive dispatch failures quarantine a worker
 	// for BreakerCooldown (defaults 3 and 10s; negative threshold
 	// disables the breaker).
@@ -122,9 +120,12 @@ type Coordinator struct {
 	cfg     Config
 	ring    *ring
 	m       *Metrics
-	breaker *workerBreaker
+	breaker *qos.Breaker
 	client  *http.Client
 	rng     *lockedRand
+	// maxAssignments bounds how many times a shard may move between
+	// workers before the sweep fails: 4 × workers, minimum 8.
+	maxAssignments int
 
 	mu       sync.Mutex
 	alive    []bool
@@ -196,12 +197,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.MaxAssignments <= 0 {
-		cfg.MaxAssignments = 4 * len(cfg.Workers)
-		if cfg.MaxAssignments < 8 {
-			cfg.MaxAssignments = 8
-		}
-	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 3
 	}
@@ -233,8 +228,11 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:     make(chan struct{}),
 		hbDone:   make(chan struct{}),
 		registry: cfg.Registry,
+
+		maxAssignments: max(4*len(cfg.Workers), 8),
 	}
-	c.breaker = newWorkerBreaker(cfg.Workers, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now, c.m)
+	c.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now,
+		c.m.BreakerTransitions, c.m.BreakerState, cfg.Workers...)
 	started := time.Now() // monotonic reading: the heartbeat epoch
 	for w := range cfg.Workers {
 		// Optimistic start: workers are presumed alive until heartbeats
@@ -258,9 +256,6 @@ func (c *Coordinator) Registry() *telemetry.Registry { return c.registry }
 // Metrics exposes the coordinator's instrument set for read-side
 // assertions and embedding daemons.
 func (c *Coordinator) Metrics() *Metrics { return c.m }
-
-// BreakerSnapshot lists every worker's breaker state.
-func (c *Coordinator) BreakerSnapshot() []WorkerBreakerStatus { return c.breaker.Snapshot() }
 
 // Close stops the heartbeat monitor. In-flight Runs keep working (their
 // dispatch failures still drive re-assignment); Close exists so an
@@ -610,7 +605,7 @@ func (c *Coordinator) eligible(w int) bool {
 	c.mu.Lock()
 	ok := c.alive[w] && !c.draining[w]
 	c.mu.Unlock()
-	return ok && !c.breaker.Open(w)
+	return ok && !c.breaker.Open(c.cfg.Workers[w])
 }
 
 // take pops the next shard for worker w: its own queue first, then a
@@ -621,7 +616,7 @@ func (c *Coordinator) take(st *sweepState, w int) (sr *shardRun, stolen bool) {
 		return nil, false
 	}
 	if len(st.queues[w]) > 0 {
-		if ok, _ := c.breaker.Allow(w); !ok {
+		if ok, _ := c.breaker.Allow(c.cfg.Workers[w]); !ok {
 			return nil, false
 		}
 		sr = st.queues[w][0]
@@ -637,7 +632,7 @@ func (c *Coordinator) take(st *sweepState, w int) (sr *shardRun, stolen bool) {
 	if victim < 0 {
 		return nil, false
 	}
-	if ok, _ := c.breaker.Allow(w); !ok {
+	if ok, _ := c.breaker.Allow(c.cfg.Workers[w]); !ok {
 		return nil, false
 	}
 	// Steal from the tail: the head is what the victim would run next.
@@ -681,7 +676,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, st *sweepState, w int) {
 			// concludes about the rows; the breaker tracks availability,
 			// the quorum tracks honesty (Success on a quarantined worker
 			// is a no-op).
-			c.breaker.Success(w)
+			c.breaker.Success(name)
 			v := c.audit(ctx, st, w, sr, res)
 			if !v.merge {
 				continue
@@ -701,7 +696,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, st *sweepState, w int) {
 		case errors.Is(err, errCoordinatorClosed), ctx.Err() != nil:
 			// Sweep cancelled: hand the shard back without blaming the
 			// worker and let the loop exit on the next pass.
-			c.breaker.Release(w)
+			c.breaker.Release(name)
 			st.mu.Lock()
 			st.queues[w] = append(st.queues[w], sr)
 			st.mu.Unlock()
@@ -712,7 +707,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, st *sweepState, w int) {
 			// further dispatch would be fenced the same way — so fail it
 			// now without blaming the worker, and let the HA layer (which
 			// observes the same lease loss) step down.
-			c.breaker.Release(w)
+			c.breaker.Release(name)
 			st.mu.Lock()
 			if st.fatal == nil {
 				st.fatal = err
@@ -721,11 +716,11 @@ func (c *Coordinator) workerLoop(ctx context.Context, st *sweepState, w int) {
 			st.cond.Broadcast()
 			return
 		default:
-			c.breaker.Failure(w)
+			c.breaker.Failure(name)
 			c.m.WorkerErrors.With(name).Inc()
 			sr.assignments++
 			c.logf("worker %s failed shard %d (assignment %d): %v", name, sr.shard.Index, sr.assignments, err)
-			if sr.assignments >= c.cfg.MaxAssignments {
+			if sr.assignments >= c.maxAssignments {
 				st.mu.Lock()
 				if st.fatal == nil {
 					st.fatal = fmt.Errorf("cluster: shard %d exhausted %d assignments (last worker %s): %w",
@@ -812,7 +807,7 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 	switch {
 	case audited:
 		st.audited++
-	case c.breaker.Quarantined(w):
+	case c.breaker.Quarantined(c.cfg.Workers[w]):
 		// w was quarantined while this unaudited merge was in flight, so
 		// the quarantine's revocation sweep may have run before this shard
 		// appeared in st.unaudited. Revoke it here, under the same lock the
@@ -1002,8 +997,8 @@ func (c *Coordinator) postShard(ctx context.Context, w int, sh *ShardSpec, body 
 		}
 		err := fmt.Errorf("cluster: worker %s answered shard %d with status %d: %s",
 			c.cfg.Workers[w], sh.Index, resp.StatusCode, truncate(raw, 200))
-		if retryableStatus(resp.StatusCode) {
-			return ShardResult{}, parseRetryAfter(resp.Header), err
+		if RetryableStatus(resp.StatusCode) {
+			return ShardResult{}, qos.RetryAfter(resp.Header), err
 		}
 		return ShardResult{}, -1, err
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -69,39 +68,18 @@ func (p *RetryPacer) Next(retryAfter time.Duration) time.Duration {
 	return p.b.next(retryAfter)
 }
 
-// RetryableStatus exposes the transient-status classification to the
-// client binaries, so every retry loop shares one verdict table.
-func RetryableStatus(code int) bool { return retryableStatus(code) }
-
-// ParseRetryAfterHeader exposes Retry-After parsing (delay-seconds
-// form only) to the client binaries.
-func ParseRetryAfterHeader(h http.Header) time.Duration { return parseRetryAfter(h) }
-
-// retryableStatus reports whether an HTTP status from a worker is worth
+// RetryableStatus reports whether an HTTP status from a worker is worth
 // retrying: overload shed (429), gateway failures (502, 504) and
 // unavailability (503, e.g. a draining worker) are transient; anything
-// else is a verdict about the request itself.
-func retryableStatus(code int) bool {
+// else is a verdict about the request itself. The coordinator and the
+// client binaries share it, so every retry loop uses one verdict table.
+func RetryableStatus(code int) bool {
 	switch code {
 	case http.StatusTooManyRequests, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		return true
 	}
 	return false
-}
-
-// parseRetryAfter reads a Retry-After header as delay seconds (the only
-// form the serving layer emits); malformed or HTTP-date values yield 0.
-func parseRetryAfter(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }
 
 // lockedRand is a mutex-guarded rand.Rand: dispatch goroutines share

@@ -121,14 +121,7 @@ type clusterError struct {
 }
 
 func (s *Server) reject(w http.ResponseWriter, status int, retryAfter time.Duration, body clusterError) {
-	if retryAfter > 0 {
-		secs := int64(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		body.RetryAfterSec = secs
-	}
+	body.RetryAfterSec = qos.SetRetryAfter(w.Header(), retryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)

@@ -3,6 +3,8 @@ package qos
 import (
 	"context"
 	"fmt"
+	"math"
+	"net/http"
 	"strconv"
 	"time"
 )
@@ -47,6 +49,33 @@ func FormatDeadline(budget time.Duration) string {
 		ms = 1
 	}
 	return strconv.FormatInt(ms, 10)
+}
+
+// SetRetryAfter writes a positive retry hint into h as Retry-After
+// delay-seconds, rounded up and at least 1, and returns the seconds
+// written so a JSON body's retry_after_sec can mirror the header. A
+// non-positive hint writes nothing and returns 0.
+func SetRetryAfter(h http.Header, retryAfter time.Duration) int64 {
+	if retryAfter <= 0 {
+		return 0
+	}
+	secs := int64(math.Ceil(retryAfter.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	h.Set("Retry-After", strconv.FormatInt(secs, 10))
+	return secs
+}
+
+// RetryAfter reads h's Retry-After header as delay-seconds (the only
+// form this repo emits); an absent, negative, malformed, overflowing or
+// HTTP-date value yields 0.
+func RetryAfter(h http.Header) time.Duration {
+	secs, err := strconv.ParseInt(h.Get("Retry-After"), 10, 64)
+	if err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }
 
 // Forward decrements a budget by one hop margin. A non-positive result

@@ -2,6 +2,8 @@ package qos
 
 import (
 	"context"
+	"math"
+	"net/http"
 	"testing"
 	"time"
 )
@@ -82,5 +84,68 @@ func TestWithBudgetTightensLooseParent(t *testing.T) {
 	}
 	if _, ok := Remaining(context.Background()); ok {
 		t.Fatal("Remaining on deadline-free context")
+	}
+}
+
+func TestSetRetryAfter(t *testing.T) {
+	cases := []struct {
+		in     time.Duration
+		header string
+		secs   int64
+	}{
+		{0, "", 0},
+		{-time.Second, "", 0},
+		{time.Nanosecond, "1", 1},
+		{999 * time.Millisecond, "1", 1},
+		{time.Second, "1", 1},
+		{1500 * time.Millisecond, "2", 2},
+		{60 * time.Second, "60", 60},
+		{time.Duration(math.MaxInt64), "9223372037", 9223372037},
+	}
+	for _, c := range cases {
+		h := http.Header{}
+		secs := SetRetryAfter(h, c.in)
+		if got := h.Get("Retry-After"); got != c.header || secs != c.secs {
+			t.Errorf("SetRetryAfter(%v) = header %q, secs %d; want %q, %d", c.in, got, secs, c.header, c.secs)
+		}
+		// The serving tier's historical encoding, which must not move.
+		if c.in > 0 {
+			if want := max(int64(math.Ceil(c.in.Seconds())), 1); secs != want {
+				t.Errorf("SetRetryAfter(%v) = %d, ceil encoding gives %d", c.in, secs, want)
+			}
+		}
+	}
+}
+
+func TestRetryAfter(t *testing.T) {
+	cases := []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 0},
+		{"-1", 0},
+		{"abc", 0},
+		{"Tue, 29 Oct 2024 16:56:32 GMT", 0},
+		{"1.5", 0},
+		{"0", 0},
+		{"3", 3 * time.Second},
+		{"99999999999", 0}, // overflows time.Duration
+	}
+	for _, c := range cases {
+		h := http.Header{}
+		if c.in != "" {
+			h.Set("Retry-After", c.in)
+		}
+		if got := RetryAfter(h); got != c.want {
+			t.Errorf("RetryAfter(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	// Round trip: every written hint reads back as its whole seconds.
+	for _, d := range []time.Duration{time.Nanosecond, 1500 * time.Millisecond, time.Minute} {
+		h := http.Header{}
+		secs := SetRetryAfter(h, d)
+		if got := RetryAfter(h); got != time.Duration(secs)*time.Second {
+			t.Errorf("round trip %v -> %v, wrote %ds", d, got, secs)
+		}
 	}
 }

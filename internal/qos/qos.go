@@ -41,6 +41,15 @@
 //     front of the durable journal, so hot re-requests never touch a
 //     worker even in brownout.
 //
+//   - Breaker: the one keyed circuit breaker (consecutive-failure
+//     threshold, cooldown, single half-open probe, terminal quarantine)
+//     that internal/serve keys by parameter region and internal/cluster
+//     by worker base URL.
+//
+//   - Retry-After codec: SetRetryAfter writes every Retry-After header
+//     (whole seconds, rounded up, at least 1) and RetryAfter reads it
+//     back, so every client paces retries from the same hint.
+//
 // Every mechanism emits qos_* series through internal/telemetry.
 package qos
 

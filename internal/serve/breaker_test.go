@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"bcnphase/internal/qos"
 )
 
 // fakeClock is a manually advanced clock for deterministic breaker
@@ -12,7 +14,9 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-func newTestBreaker(clk *fakeClock) *Breaker { return NewBreaker(3, 30*time.Second, clk.now) }
+func newTestBreaker(clk *fakeClock) *qos.Breaker {
+	return qos.NewBreaker(3, 30*time.Second, clk.now, nil, nil)
+}
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {
 	clk := newFakeClock()
@@ -94,7 +98,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if ok, _ := b.Allow(region); ok {
 		t.Error("region closed after failed probe")
 	}
-	snap := b.Snapshot()
+	snap := regionStatuses(b.Snapshot())
 	if len(snap) != 1 || snap[0].Trips < 2 {
 		t.Errorf("expected >=2 trips, snapshot %+v", snap)
 	}
@@ -120,7 +124,7 @@ func TestBreakerReleaseKeepsHalfOpen(t *testing.T) {
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(0, time.Second, nil)
+	b := qos.NewBreaker(0, time.Second, nil, nil, nil)
 	for i := 0; i < 100; i++ {
 		b.Failure("r")
 	}
@@ -137,14 +141,14 @@ func TestBreakerSnapshotStates(t *testing.T) {
 		b.Failure("open")
 	}
 	states := map[string]string{}
-	for _, st := range b.Snapshot() {
+	for _, st := range regionStatuses(b.Snapshot()) {
 		states[st.Region] = st.State
 	}
 	if states["warm"] != "closed" || states["open"] != "open" {
 		t.Errorf("snapshot states %v", states)
 	}
 	clk.advance(31 * time.Second)
-	for _, st := range b.Snapshot() {
+	for _, st := range regionStatuses(b.Snapshot()) {
 		if st.Region == "open" && st.State != "half-open" {
 			t.Errorf("cooled region state %s", st.State)
 		}

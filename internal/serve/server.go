@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -123,7 +122,7 @@ type Config struct {
 // Handler, stop with Drain.
 type Server struct {
 	cfg     Config
-	breaker *Breaker
+	breaker *qos.Breaker
 	cache   Cache
 	now     func() time.Time
 
@@ -205,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		breaker:     NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		cache:       cfg.Cache,
 		now:         cfg.Now,
 		workerSlots: make(chan struct{}, cfg.Workers),
@@ -217,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(s.registry, s)
 	s.jobm = newJobMetrics(s.registry)
-	s.breaker.transitions = s.metrics.breakerTransitions
+	s.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now, s.metrics.breakerTransitions, nil)
 	if cfg.QoS != nil {
 		s.qos = newQoSState(&cfg)
 		// The artifact cache fronts the durable store for every lookup
@@ -313,14 +311,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // reject writes an error response, setting Retry-After when positive.
 func (s *Server) reject(w http.ResponseWriter, status int, retryAfter time.Duration, body errorBody) {
-	if retryAfter > 0 {
-		secs := int64(math.Ceil(retryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		body.RetryAfterSec = secs
-	}
+	body.RetryAfterSec = qos.SetRetryAfter(w.Header(), retryAfter)
 	writeJSON(w, status, body)
 }
 
@@ -774,6 +765,26 @@ type Status struct {
 	Lease *LeaseStatus `json:"lease,omitempty"`
 }
 
+// RegionStatus is one breaker region's snapshot for /statusz.
+type RegionStatus struct {
+	Region      string `json:"region"`
+	State       string `json:"state"` // "closed", "open", "half-open"
+	Consecutive int    `json:"consecutive_failures"`
+	Trips       uint64 `json:"trips"`
+	// RetryAfterSec is the remaining cooldown for an open region.
+	RetryAfterSec int64 `json:"retry_after_sec,omitempty"`
+}
+
+// regionStatuses maps a breaker snapshot onto the /statusz shape.
+func regionStatuses(snap []qos.BreakerStatus) []RegionStatus {
+	out := make([]RegionStatus, len(snap))
+	for i, st := range snap {
+		out[i] = RegionStatus{Region: st.Key, State: st.State, Consecutive: st.Consecutive,
+			Trips: st.Trips, RetryAfterSec: st.RetryAfterSec}
+	}
+	return out
+}
+
 // StatusSnapshot assembles the live Status.
 func (s *Server) StatusSnapshot() Status {
 	s.mu.Lock()
@@ -798,7 +809,7 @@ func (s *Server) StatusSnapshot() Status {
 		BreakerRejects: s.metrics.breakerRejects.Value(),
 		BreakerTrips:   s.metrics.breakerTransitions.With("open").Value(),
 		JournalLen:     s.cache.Len(),
-		Breaker:        s.breaker.Snapshot(),
+		Breaker:        regionStatuses(s.breaker.Snapshot()),
 		QoS:            s.qosStatus(),
 		Lease:          s.witness.status(),
 	}
