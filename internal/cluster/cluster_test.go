@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -326,6 +327,32 @@ func TestWorkerBreakerLifecycle(t *testing.T) {
 	b.Release("a")
 	if ok, _ := b.Allow("a"); !ok {
 		t.Fatal("released probe slot not reclaimable")
+	}
+}
+
+// TestDecodeSweepRequestTrailing: only JSON whitespace may follow a
+// grid, and a grid padded past the body cap is refused as too large.
+func TestDecodeSweepRequestTrailing(t *testing.T) {
+	const grid = `{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}`
+	for _, tc := range []struct {
+		suffix string
+		ok     bool
+	}{
+		{"", true}, {" \t\r\n", true},
+		{"]", false}, {"}", false}, {"} garbage", false}, {" ]", false},
+		{" x", false}, {"{}", false},
+	} {
+		_, err := DecodeSweepRequest(strings.NewReader(grid+tc.suffix), 0)
+		if (err == nil) != tc.ok {
+			t.Errorf("grid + %q: err = %v, want ok=%v", tc.suffix, err, tc.ok)
+		}
+		if err != nil && !errors.Is(err, ErrWire) {
+			t.Errorf("grid + %q: error does not wrap ErrWire: %v", tc.suffix, err)
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if _, err := DecodeSweepRequest(strings.NewReader(grid+strings.Repeat(" ", 64)), int64(len(grid)+32)); !errors.As(err, &tooBig) || !errors.Is(err, ErrWire) {
+		t.Errorf("grid padded past the cap: err = %v, want ErrWire and *http.MaxBytesError", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bcnphase/internal/canonjson"
 	"bcnphase/internal/core"
 )
 
@@ -31,6 +32,10 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"invariants":"dance"}`,
 		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"bogus":1}`,
 		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3} trailing`,
+		// Trailing closers and garbage after a complete grid.
+		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}]`,
+		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
+		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}} garbage`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -107,9 +112,9 @@ func FuzzDecodeShardArtifact(f *testing.F) {
 		Points: []GainPoint{{Gi: 0.05, Gd: 0.001}, {Gi: 0.05, Gd: 0.1}},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r := wireReader{s: string(raw), ok: true}
-		fast := r.artifact(len(want.Points))
-		if r.end(); r.ok {
+		r := canonjson.NewReader(string(raw))
+		fast := readArtifact(&r, len(want.Points))
+		if r.End(); r.OK() {
 			var ref shardArtifact
 			if err := json.Unmarshal(raw, &ref); err != nil {
 				t.Fatalf("canonical parser accepted %q; json.Unmarshal rejects it: %v", raw, err)

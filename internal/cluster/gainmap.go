@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"strconv"
 
 	"bcnphase/internal/analytic"
+	"bcnphase/internal/canonjson"
 	"bcnphase/internal/core"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/linear"
@@ -177,7 +177,7 @@ func (g GainGrid) Fingerprint() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cluster: %v", err)
 	}
-	return runstate.HashJSON(gridIdentity{
+	id := gridIdentity{
 		Experiment: "bcnsweep/gainmap",
 		// Format 3: rows may come from the analytic engine (exact extrema
 		// in max_q_bits), so the engine mode joins the identity and every
@@ -193,7 +193,13 @@ func (g GainGrid) Fingerprint() (string, error) {
 		Steps:      g.Steps,
 		Invariants: pol.String(),
 		Analytic:   mode.String(),
-	})
+	}
+	if !g.finite() {
+		// No JSON spelling: encoding/json names the failure.
+		return runstate.HashJSON(id)
+	}
+	var buf [320]byte
+	return canonjson.Hash(appendGridIdentity(buf[:0], &id)), nil
 }
 
 // PointKey is the journal key of one grid point under the grid
@@ -207,10 +213,10 @@ func PointKey(fingerprint string, pt GainPoint) string {
 	}
 	var buf [160]byte
 	b := append(buf[:0], `{"FP":`...)
-	b = appendJSONString(b, fingerprint)
-	b = appendJSONFloat(append(b, `,"Gi":`...), pt.Gi)
-	b = appendJSONFloat(append(b, `,"Gd":`...), pt.Gd)
-	return hexString(sha256.Sum256(append(b, '}')))
+	b = canonjson.AppendString(b, fingerprint)
+	b = canonjson.AppendFloat(append(b, `,"Gi":`...), pt.Gi)
+	b = canonjson.AppendFloat(append(b, `,"Gd":`...), pt.Gd)
+	return canonjson.Hash(append(b, '}'))
 }
 
 // EvalMetrics bundles the instruments a row evaluation may touch. The

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -89,12 +88,21 @@ type NetsimResult struct {
 var execHook atomic.Pointer[func(Spec)]
 
 // execute runs one validated spec to its artifact bytes under the
-// job's context deadline. Supervision (panic recovery, abandonment of a
-// hung evaluation) comes from sweep.One, so execute can be handed any
-// parameter set that passed validation without risking the caller's
-// goroutine. A strict invariant abort surfaces as an
-// *invariant.InvariantError for the breaker to classify.
+// job's context deadline.
 func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, error) {
+	art, err := s.run(ctx, sp, key)
+	if err != nil {
+		return nil, err
+	}
+	return encodeArtifact(art)
+}
+
+// run runs one validated spec to its artifact. Supervision (panic
+// recovery, abandonment of a hung evaluation) comes from sweep.One, so
+// run can be handed any parameter set that passed validation without
+// risking the caller's goroutine. A strict invariant abort surfaces as
+// an *invariant.InvariantError for the breaker to classify.
+func (s *Server) run(ctx context.Context, sp Spec, key string) (*Artifact, error) {
 	pol, err := invariant.ParsePolicy(sp.Invariants)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
@@ -116,7 +124,7 @@ func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, erro
 		// defaults.
 		pol = sp.Shard.Grid.Policy()
 	}
-	art, err := sweep.One(ctx, sp, func(ctx context.Context, sp Spec) (*Artifact, error) {
+	return sweep.One(ctx, sp, func(ctx context.Context, sp Spec) (*Artifact, error) {
 		if h := execHook.Load(); h != nil {
 			(*h)(sp)
 		}
@@ -151,14 +159,6 @@ func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, erro
 		}
 		return art, nil
 	}, sweep.Options{PointTimeout: sp.Timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(art)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encode artifact: %w", err)
-	}
-	return raw, nil
 }
 
 func runSolve(s *SolveSpec, pol invariant.Policy, mode analytic.Mode, jm jobMetrics) (*SolveResult, error) {

@@ -236,8 +236,21 @@ func TestSweepJob(t *testing.T) {
 
 func TestLoadSheddingExplicitFeedback(t *testing.T) {
 	checkGoroutines(t)
-	installChaosHook(t)
+	// Slow jobs hold their worker until the test releases them, so the
+	// saturated state holds however long admission takes on a loaded
+	// host.
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	setExecHook(t, func(sp Spec) {
+		if sp.Solve != nil && sp.Solve.MaxArcs == markSlow {
+			started <- struct{}{}
+			<-release
+		}
+	})
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // before the server closes, even on a failure
 
 	// One slow job occupies the worker, one occupies the waiting room;
 	// distinct params keep them from coalescing.
@@ -258,8 +271,14 @@ func TestLoadSheddingExplicitFeedback(t *testing.T) {
 	}
 	launch(4.0)
 	launch(4.5)
-	// Wait until both are admitted (worker busy + queue full).
-	waitFor(t, time.Second, func() bool {
+	// Wait until both are admitted: one has started on the worker, and
+	// the other waits in the queue until the release.
+	select {
+	case <-started:
+	case <-time.After(time.Minute):
+		t.Fatal("no slow job started")
+	}
+	waitFor(t, time.Minute, func() bool {
 		st := statusOf(t, ts.URL)
 		return st.InFlight == 1 && st.Queued == 1
 	})
@@ -289,6 +308,7 @@ func TestLoadSheddingExplicitFeedback(t *testing.T) {
 	if ready.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz at shed threshold: status %d", ready.StatusCode)
 	}
+	unblock()
 	wg.Wait()
 }
 

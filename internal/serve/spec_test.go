@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,38 @@ func TestDecodeSpecRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		} else if !errors.Is(err, ErrSpec) {
 			t.Errorf("%s: error does not wrap ErrSpec: %v", name, err)
+		}
+	}
+}
+
+// TestDecodeSpecTrailing: only JSON whitespace may follow a spec, on the
+// canonical path and the encoding/json path alike, and a spec padded
+// past the body cap is refused as too large.
+func TestDecodeSpecTrailing(t *testing.T) {
+	for name, body := range map[string]string{
+		"canonical": `{"kind":"sweep","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
+		"reordered": `{"sweep":{"steps":3,"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1},"kind":"sweep"}`,
+	} {
+		for _, tc := range []struct {
+			suffix string
+			ok     bool
+		}{
+			{"", true}, {" \t\r\n", true},
+			{"]", false}, {"}", false}, {"} garbage", false}, {" ]", false},
+			{" x", false}, {"{}", false}, {"\x00", false},
+		} {
+			_, err := DecodeSpec(strings.NewReader(body+tc.suffix), 0)
+			if (err == nil) != tc.ok {
+				t.Errorf("%s + %q: err = %v, want ok=%v", name, tc.suffix, err, tc.ok)
+			}
+			if err != nil && !errors.Is(err, ErrSpec) {
+				t.Errorf("%s + %q: error does not wrap ErrSpec: %v", name, tc.suffix, err)
+			}
+		}
+		padded := body + strings.Repeat(" ", 64)
+		var tooBig *http.MaxBytesError
+		if _, err := DecodeSpec(strings.NewReader(padded), int64(len(body)+32)); !errors.As(err, &tooBig) || !errors.Is(err, ErrSpec) {
+			t.Errorf("%s padded past the cap: err = %v, want ErrSpec and *http.MaxBytesError", name, err)
 		}
 	}
 }
