@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bcnphase/internal/netsim"
-	"bcnphase/internal/ode"
 	"bcnphase/internal/plot"
 	"bcnphase/internal/stats"
 	"bcnphase/internal/workload"
@@ -31,22 +30,7 @@ func DelaySensitivity() (*Report, error) {
 	}
 
 	// Zero-delay fluid reference.
-	y0 := float64(p.N)*cfg0.InitialRate - p.C
-	opts := ode.DefaultOptions()
-	opts.MaxStep = duration / 2000
-	sol, err := ode.DormandPrince(p.FluidRHS(), 0, []float64{-p.Q0, y0}, duration, opts)
-	if err != nil {
-		return nil, fmt.Errorf("delay: fluid: %w", err)
-	}
-	fq := make([]float64, sol.Len())
-	for i := range fq {
-		q := sol.Y[i][0] + p.Q0
-		if q < 0 {
-			q = 0
-		}
-		fq[i] = q
-	}
-	fluid, err := stats.NewSeries(sol.T, fq)
+	fluid, err := fluidQueue(cfg0, p, duration)
 	if err != nil {
 		return nil, fmt.Errorf("delay: %w", err)
 	}
@@ -55,7 +39,7 @@ func DelaySensitivity() (*Report, error) {
 	table := Table{Name: "agreement vs delay", Header: []string{"one-way delay", "NRMSE", "peak q", "drops"}}
 	var dx, dn []float64
 	chart := plot.NewChart("Queue trajectories vs propagation delay", "t (s)", "queue (bits)")
-	chart.Add(plot.Series{Name: "fluid (zero delay)", X: sol.T, Y: fq, Width: 2})
+	chart.Add(plot.Series{Name: "fluid (zero delay)", X: fluid.T, Y: fluid.V, Width: 2})
 	for _, d := range delays {
 		cfg := cfg0
 		cfg.PropDelay = netsim.FromSeconds(d)

@@ -8,7 +8,6 @@ import (
 	"bcnphase/internal/core"
 	"bcnphase/internal/faults"
 	"bcnphase/internal/netsim"
-	"bcnphase/internal/ode"
 	"bcnphase/internal/plot"
 	"bcnphase/internal/stats"
 	"bcnphase/internal/sweep"
@@ -170,30 +169,4 @@ func FaultTolerance() (*Report, error) {
 			"effective feedback rate and jitter stales it, so the guaranteed peak erodes gracefully "+
 			"rather than cliffing — the margin column tracks how much of the buffer headroom survives")
 	return rep, nil
-}
-
-// fluidNRMSE integrates the fluid model of the scenario and returns the
-// NRMSE of the packet queue trajectory against it (the validation
-// experiment's agreement metric).
-func fluidNRMSE(cfg netsim.Config, p core.Params, duration float64, packetQ stats.Series) (float64, error) {
-	y0 := float64(p.N)*cfg.InitialRate - p.C
-	opts := ode.DefaultOptions()
-	opts.MaxStep = duration / 2000
-	sol, err := ode.DormandPrince(p.FluidRHS(), 0, []float64{-p.Q0, y0}, duration, opts)
-	if err != nil {
-		return 0, fmt.Errorf("fluid integration: %w", err)
-	}
-	fluidQ := make([]float64, sol.Len())
-	for i := range fluidQ {
-		q := sol.Y[i][0] + p.Q0
-		if q < 0 {
-			q = 0
-		}
-		fluidQ[i] = q
-	}
-	fluid, err := stats.NewSeries(sol.T, fluidQ)
-	if err != nil {
-		return 0, err
-	}
-	return stats.NRMSE(fluid, packetQ, 512)
 }

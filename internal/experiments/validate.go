@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"bcnphase/internal/core"
 	"bcnphase/internal/netsim"
 	"bcnphase/internal/ode"
 	"bcnphase/internal/plot"
@@ -38,29 +39,11 @@ func FluidVsPacket() (*Report, error) {
 		return nil, fmt.Errorf("validate: %w", err)
 	}
 
-	// Fluid level: same initial condition — empty queue, aggregate rate
-	// at the configured overload.
-	y0 := float64(p.N)*cfg.InitialRate - p.C
-	rhs := p.FluidRHS()
-	opts := ode.DefaultOptions()
-	opts.MaxStep = duration / 2000
-	sol, err := ode.DormandPrince(rhs, 0, []float64{-p.Q0, y0}, duration, opts)
-	if err != nil {
-		return nil, fmt.Errorf("validate: fluid integration: %w", err)
-	}
-	fluidT := sol.T
-	fluidQ := make([]float64, sol.Len())
-	for i := range fluidT {
-		q := sol.Y[i][0] + p.Q0
-		if q < 0 {
-			q = 0 // physical clamp for comparison
-		}
-		fluidQ[i] = q
-	}
-	fluidSeries, err := stats.NewSeries(fluidT, fluidQ)
+	fluidSeries, err := fluidQueue(cfg, p, duration)
 	if err != nil {
 		return nil, fmt.Errorf("validate: %w", err)
 	}
+	fluidT, fluidQ := fluidSeries.T, fluidSeries.V
 
 	// Agreement metrics.
 	nrmse, err := stats.NRMSE(fluidSeries, res.Queue, 512)
@@ -100,4 +83,38 @@ func FluidVsPacket() (*Report, error) {
 			"per sampled frame) refreshes much faster than the oscillation period; the paper's fluid "+
 			"model makes exactly this continuous-feedback assumption")
 	return rep, nil
+}
+
+// fluidQueue integrates the nonlinear fluid model (eq. 8) of a packet
+// scenario from its initial condition (empty queue, every source at the
+// configured initial rate) and returns the queue, clamped at 0 for
+// comparison with the packet simulator. It is the one fluid reference
+// that the validation, delay and fault-tolerance experiments score
+// packet runs against.
+func fluidQueue(cfg netsim.Config, p core.Params, duration float64) (stats.Series, error) {
+	y0 := float64(p.N)*cfg.InitialRate - p.C
+	opts := ode.DefaultOptions()
+	opts.MaxStep = duration / 2000
+	sol, err := ode.DormandPrince(p.FluidRHS(), 0, []float64{-p.Q0, y0}, duration, opts)
+	if err != nil {
+		return stats.Series{}, fmt.Errorf("fluid integration: %w", err)
+	}
+	q := make([]float64, sol.Len())
+	for i := range q {
+		if q[i] = sol.Y[i][0] + p.Q0; q[i] < 0 {
+			q[i] = 0
+		}
+	}
+	return stats.NewSeries(sol.T, q)
+}
+
+// fluidNRMSE returns the NRMSE of a packet queue trajectory against the
+// scenario's fluid reference (the validation experiment's agreement
+// metric).
+func fluidNRMSE(cfg netsim.Config, p core.Params, duration float64, packetQ stats.Series) (float64, error) {
+	fluid, err := fluidQueue(cfg, p, duration)
+	if err != nil {
+		return 0, err
+	}
+	return stats.NRMSE(fluid, packetQ, 512)
 }
