@@ -14,6 +14,7 @@ import (
 
 	"bcnphase/internal/core"
 	"bcnphase/internal/faults"
+	"bcnphase/internal/invariant"
 )
 
 // Chaos markers: the exec hook turns jobs whose MaxArcs carries one of
@@ -156,6 +157,46 @@ func TestSubmitSolveAndCacheHit(t *testing.T) {
 	defer get.Body.Close()
 	if get.StatusCode != http.StatusOK {
 		t.Errorf("GET by key: status %d", get.StatusCode)
+	}
+}
+
+// TestDedupKeyNamesDefaultPolicy: a spec that names no invariant policy
+// runs under the server's default, so two servers with different
+// defaults sharing one store must not answer each other's artifacts.
+// A server whose default is off keys such a spec exactly as Spec.Key
+// does.
+func TestDedupKeyNamesDefaultPolicy(t *testing.T) {
+	cache := NewMemCache()
+	_, rec := newTestServer(t, Config{Invariants: invariant.Record, Cache: cache})
+	_, off := newTestServer(t, Config{Cache: cache})
+	body := marshalSpec(t, solveSpec())
+	for _, tc := range []struct {
+		url, policy string
+	}{{rec.URL, "record"}, {off.URL, "off"}} {
+		resp := postSpec(t, tc.url, body)
+		raw := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s default: status %d: %s", tc.policy, resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Errorf("%s default: X-Cache=%q, want a fresh run", tc.policy, got)
+		}
+		var art Artifact
+		if err := json.Unmarshal(raw, &art); err != nil {
+			t.Fatal(err)
+		}
+		if art.Invariants != tc.policy {
+			t.Errorf("%s default: served an artifact computed under %q", tc.policy, art.Invariants)
+		}
+		if tc.policy == "off" {
+			want, err := solveSpec().Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Header.Get("X-Job-Key"); got != want {
+				t.Errorf("off default: key %s, Spec.Key %s", got, want)
+			}
+		}
 	}
 }
 
