@@ -50,7 +50,6 @@ func run(args []string, out io.Writer) error {
 		size   = fs.Bool("size", false, "print inverse provisioning: max flows/Gi, min Gd, max q0 for this buffer")
 		trans  = fs.Bool("transient", false, "print transient metrics (overshoot, period, settling)")
 		invPol = fs.String("invariants", "off", "runtime invariant checking: off, record, strict or clamp")
-		engine = fs.String("analytic", "on", "cross-check against the sampling-free analytic engine: on or off. Skipped automatically under -warmup")
 		xc     = fs.Bool("xcheck", false, "cross-validate the stitched trajectory against an independent numerical integration")
 		telem  = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 	)
@@ -58,10 +57,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	policy, err := invariant.ParsePolicy(*invPol)
-	if err != nil {
-		return err
-	}
-	mode, err := analytic.ParseMode(*engine)
 	if err != nil {
 		return err
 	}
@@ -121,17 +116,20 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	v, err := linear.Compare(p)
+	// The verdict comes from the sampling-free engine, always from the
+	// canonical start; the sampled solve above only draws the polyline.
+	res, err := analytic.SolveOne(p, analytic.Options{})
 	if err != nil {
 		return err
 	}
+	linearStable := linear.Stable(p)
 
 	fmt.Fprintf(out, "parameters: N=%d C=%.4g Ru=%.4g Gi=%.4g Gd=%.6g w=%.3g pm=%.3g q0=%.4g B=%.4g\n",
 		p.N, p.C, p.Ru, p.Gi, p.Gd, p.W, p.Pm, p.Q0, p.B)
 	fmt.Fprintf(out, "derived:    a=%.6g  b=%.6g  k=%.6g  thresholds a<%.4g b<%.4g\n",
 		p.A(), p.Bcoef(), p.K(), p.AThreshold(), p.BThreshold())
 	fmt.Fprintf(out, "case:       %v\n", rep.Case)
-	fmt.Fprintf(out, "linear analysis [4]:    stable=%v (Proposition 1: always for valid params)\n", v.LinearStable)
+	fmt.Fprintf(out, "linear analysis [4]:    stable=%v (Proposition 1: always for valid params)\n", linearStable)
 	fmt.Fprintf(out, "Theorem 1:  bound=%.6g bits, satisfied=%v (buffer %.6g)\n",
 		rep.Theorem1Bound, rep.Theorem1OK, p.B)
 	if rep.Exact {
@@ -149,18 +147,14 @@ func run(args []string, out io.Writer) error {
 	// with the sampled trajectory on the classification (they share the
 	// closed forms bit for bit). The analytic engine knows nothing about
 	// warmup starts, so those runs skip it.
-	if mode != analytic.ModeOff && *warmup < 0 {
-		res, err := analytic.SolveOne(p, analytic.Options{Mode: mode})
-		if err != nil {
-			return err
-		}
+	if *warmup < 0 {
 		fmt.Fprintf(out, "engine:     path=%s outcome=%v  exact max q=%.6g min q=%.6g\n",
 			res.Path, res.Outcome, res.MaxQueue(p), res.MinQueue(p))
 		if res.Outcome != tr.Outcome {
 			return fmt.Errorf("analytic engine disagrees with sampled solve: %v vs %v", res.Outcome, tr.Outcome)
 		}
 	}
-	if v.Disagreement {
+	if linearStable && !res.Outcome.StronglyStable() {
 		fmt.Fprintln(out, "NOTE: linear theory declares this system stable, but it is NOT strongly stable")
 	}
 	if policy != invariant.Off {

@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout  = fs.Duration("point-timeout", time.Minute, "hard deadline per grid point (0 = none)")
 		resume   = fs.String("resume", "", "run directory holding the journal; completed points are skipped on restart and map.csv is written here")
 		invPol   = fs.String("invariants", "off", "runtime invariant checking per point: off, record, strict or clamp")
-		engine   = fs.String("analytic", "on", "row stepper: on (closed-form arcs; exact extrema) or off (RK45 integration of every arc: the validation baseline, ~80x slower, which no benchmark workload runs). Every row, under every -invariants policy, comes from the analytic engine; checked rows run the invariant guard at exact knots")
 		telem    = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 		clusterC = fs.String("cluster", "", "submit the grid to a bcnd coordinator instead of evaluating locally; comma-separated URLs name an HA replica group and the client fails over between them")
 		tenant   = fs.String("tenant", "", "cluster mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
@@ -142,17 +141,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mode, err := analytic.ParseMode(*engine)
-	if err != nil {
-		return err
-	}
 	grid := cluster.GainGrid{
 		BOverQ0: *bOverQ0,
 		GiLo:    *giLo, GiHi: *giHi,
 		GdLo: *gdLo, GdHi: *gdHi,
 		Steps:      *steps,
 		Invariants: policy.String(),
-		Analytic:   mode.String(),
 	}
 	if base := grid.Base(); base.B <= base.Q0 {
 		return fmt.Errorf("buffer multiple %v leaves B <= q0", *bOverQ0)
@@ -267,9 +261,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// Rate and engine summary: how fast the grid went and which stepper
-	// stitched its arcs. Under -analytic=on, rk45 arcs can only come
-	// from the engine's non-finite fallback: nonzero counts deserve a
-	// look.
+	// stitched its arcs. rk45 arcs can only come from the engine's
+	// non-finite fallback: nonzero counts deserve a look.
 	if wall := time.Since(began).Seconds(); wall > 0 {
 		fmt.Fprintf(os.Stderr, "bcnsweep: %d points in %.3gs (%.4g points/sec); arcs: analytic=%d rk45=%d (fallbacks=%d)\n",
 			done, wall, float64(done)/wall,

@@ -191,29 +191,9 @@ func TestOnCrossingHook(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{
-		{"", ModeOn, true},
-		{"on", ModeOn, true},
-		{"auto", ModeOn, true}, // alias, never spelled back
-		{"off", ModeOff, true},
-		{"fast", 0, false},
-		{"ON", 0, false},
-	} {
-		got, err := ParseMode(tc.in)
-		if tc.ok != (err == nil) || (tc.ok && got != tc.want) {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	for _, m := range []Mode{ModeOn, ModeOff} {
-		back, err := ParseMode(m.String())
-		if err != nil || back != m {
-			t.Errorf("round trip %v: got %v, %v", m, back, err)
-		}
+func TestModeAndPathNames(t *testing.T) {
+	if ModeOn.String() != "on" || ModeOff.String() != "off" || Mode(7).String() != "Mode(7)" {
+		t.Errorf("mode names: %q, %q, %q", ModeOn, ModeOff, Mode(7))
 	}
 	if PathAnalytic.String() != "analytic" || PathRK45.String() != "rk45" {
 		t.Errorf("path names: %q, %q", PathAnalytic, PathRK45)

@@ -240,7 +240,7 @@ func TestSolveGolden(t *testing.T) {
 }
 
 // TestGainGridGolden pins the map.csv bytes of a 16×16 grid spanning all
-// outcome classes, under each engine mode and each invariant policy. A
+// outcome classes, under each invariant policy. A
 // strict grid aborts at its first violating point, so its case
 // evaluates point by point and pins which points abort (and on which
 // predicate) beside the clean rows.
@@ -249,18 +249,17 @@ func TestGainGridGolden(t *testing.T) {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	for _, tc := range []struct {
-		analytic, invariants string
-		want                 string
+		invariants string
+		want       string
 	}{
-		{"on", "off", "20c6ed5946fa47d9a8c3554d9b5e33e7547e0013dae723b100d9fca03e5da0db"},
-		{"off", "off", "135149200c21cd5c3e5668652ffde25f2c6cd307686f3bb14c0bbd993b5820a1"},
-		{"on", "record", "0598c6d8b470de65636889afad1fbcaaa8a4356a0a1549a05780ec9c4495b5b0"},
-		{"on", "strict", "475d9e131da85cbe98d584e1d41507312d9019578c9bee3696c6eab7ce3d318d"},
-		{"on", "clamp", "0598c6d8b470de65636889afad1fbcaaa8a4356a0a1549a05780ec9c4495b5b0"},
+		{"off", "20c6ed5946fa47d9a8c3554d9b5e33e7547e0013dae723b100d9fca03e5da0db"},
+		{"record", "0598c6d8b470de65636889afad1fbcaaa8a4356a0a1549a05780ec9c4495b5b0"},
+		{"strict", "475d9e131da85cbe98d584e1d41507312d9019578c9bee3696c6eab7ce3d318d"},
+		{"clamp", "0598c6d8b470de65636889afad1fbcaaa8a4356a0a1549a05780ec9c4495b5b0"},
 	} {
 		g := cluster.GainGrid{
 			BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 16,
-			Analytic: tc.analytic, Invariants: tc.invariants,
+			Invariants: tc.invariants,
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
@@ -282,7 +281,7 @@ func TestGainGridGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := digest(string(cluster.RenderCSV(rows))); got != tc.want {
-			t.Errorf("analytic=%s invariants=%s: map.csv digest %s, want %s", tc.analytic, tc.invariants, got, tc.want)
+			t.Errorf("invariants=%s: map.csv digest %s, want %s", tc.invariants, got, tc.want)
 		}
 	}
 }

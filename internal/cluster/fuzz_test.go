@@ -36,6 +36,9 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}]`,
 		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
 		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}} garbage`,
+		// The retired analytic knob is an unknown field.
+		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"analytic":"off"}`,
+		`{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"invariants":"record","analytic":"on"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

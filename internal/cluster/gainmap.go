@@ -34,15 +34,6 @@ type GainGrid struct {
 	// of the grid's identity: rows computed under one policy must never
 	// replay under another.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the stepper of the row engine ("on" or "off";
-	// "auto" is an alias of "on" and shares its fingerprint); empty means
-	// on. Every row, under every policy, comes from analytic.Solver: on
-	// stitches closed-form arcs, off integrates every arc with RK45 (the
-	// validation baseline, about 80× slower). Like Invariants it is
-	// part of the grid's identity: the two steppers agree only to the
-	// integrator's tolerance, so rows from one must never replay as the
-	// other's.
-	Analytic string `json:"analytic,omitempty"`
 }
 
 // MaxClusterSteps caps the per-axis resolution a coordinator accepts
@@ -94,7 +85,6 @@ type gridIdentity struct {
 	GdLo, GdHi float64
 	Steps      int
 	Invariants string
-	Analytic   string
 }
 
 // Validate checks the grid's structural and physical feasibility.
@@ -123,9 +113,6 @@ func (g GainGrid) Validate() error {
 	if _, err := invariant.ParsePolicy(g.Invariants); err != nil {
 		return fail("%v", err)
 	}
-	if _, err := analytic.ParseMode(g.Analytic); err != nil {
-		return fail("%v", err)
-	}
 	return nil
 }
 
@@ -134,13 +121,6 @@ func (g GainGrid) Validate() error {
 func (g GainGrid) Policy() invariant.Policy {
 	pol, _ := invariant.ParsePolicy(g.Invariants)
 	return pol
-}
-
-// AnalyticMode returns the grid's parsed engine mode (ModeOn for
-// empty). The grid must have passed Validate.
-func (g GainGrid) AnalyticMode() analytic.Mode {
-	m, _ := analytic.ParseMode(g.Analytic)
-	return m
 }
 
 // Base materializes the shared parameter set every point perturbs: the
@@ -173,10 +153,6 @@ func (g GainGrid) Fingerprint() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cluster: %v", err)
 	}
-	mode, err := analytic.ParseMode(g.Analytic)
-	if err != nil {
-		return "", fmt.Errorf("cluster: %v", err)
-	}
 	id := gridIdentity{
 		Experiment: "bcnsweep/gainmap",
 		// Format 3: rows may come from the analytic engine (exact extrema
@@ -186,13 +162,15 @@ func (g GainGrid) Fingerprint() (string, error) {
 		// violations counted at exact knots instead of polyline samples,
 		// and analytic=off means RK45; no sampled row replays as a
 		// knot-checked one.
-		Format:  4,
+		// Format 5: the analytic knob is gone (every row stitches
+		// closed-form arcs), so the engine mode leaves the identity and
+		// no RK45 row replays as a closed-form one.
+		Format:  5,
 		BOverQ0: g.BOverQ0,
 		GiLo:    g.GiLo, GiHi: g.GiHi,
 		GdLo: g.GdLo, GdHi: g.GdHi,
 		Steps:      g.Steps,
 		Invariants: pol.String(),
-		Analytic:   mode.String(),
 	}
 	if !g.finite() {
 		// No JSON spelling: encoding/json names the failure.
@@ -303,11 +281,11 @@ func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, e
 // are computed directly: LinearStable is the pure Routh–Hurwitz
 // criterion of [4] (no trajectory needed) and Theorem1OK the paper's
 // closed-form sufficient condition — exactly the values linear.Compare
-// reports, minus its redundant inner solve.
+// reports, without its second solve.
 func analyticVerdict(p *core.Params, pt GainPoint, res *analytic.Result, chk *invariant.Checker) verdict {
 	return verdict{
 		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
-		linearStable:  linear.SubsystemStable(*p, core.Increase) && linear.SubsystemStable(*p, core.Decrease),
+		linearStable:  linear.Stable(*p),
 		theorem1OK:    core.Theorem1Satisfied(*p),
 		theorem1Bound: core.Theorem1Bound(*p),
 		outcome:       res.Outcome,
@@ -352,7 +330,7 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 	defer tally.Flush(m.Analytic)
 	s := analytic.NewSolver()
 	chk := invariant.NewPolicy(g.Policy())
-	opts := analytic.Options{Mode: g.AnalyticMode(), Invariants: chk}
+	opts := analytic.Options{Invariants: chk}
 	base := g.Base()
 	buf := make([]byte, 0, len(pts)*maxAnalyticRowLen)
 	// marks records each row's offsets in buf; typical spans fit the

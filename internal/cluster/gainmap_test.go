@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -65,7 +65,7 @@ func TestEvalAnalyticAgreesWithClassic(t *testing.T) {
 }
 
 // TestEvalBatchMatchesEval requires span evaluation to be byte-identical
-// to per-point evaluation under both engines and a checked policy —
+// to per-point evaluation, unchecked and under a checked policy —
 // EvalBatch is the shard executors' and bcnsweep's hot path, the merged
 // map must not depend on which path computed a row, and a span's one
 // checker must not carry tallies from point to point. EvalBatch copies
@@ -75,8 +75,8 @@ func TestEvalAnalyticAgreesWithClassic(t *testing.T) {
 // across grid rows, repeated gains and gains one ulp apart.
 func TestEvalBatchMatchesEval(t *testing.T) {
 	dirty := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 4, Invariants: "record"}
-	off := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3, Analytic: "off"}
-	for _, g := range []GainGrid{testGrid(3), off, dirty} {
+	small := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3}
+	for _, g := range []GainGrid{testGrid(3), small, dirty} {
 		checkSpans(t, "grid order", g, g.Points(), len(g.Points()))
 	}
 
@@ -242,74 +242,20 @@ func TestEvalBatchRejectsLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestGridFingerprintSeparatesEngines: rows computed by one stepper must
-// never replay as the other's — closed-form and RK45 verdicts agree only
-// to the integrator's tolerance — so the engine mode is part of the
-// identity.
-func TestGridFingerprintSeparatesEngines(t *testing.T) {
-	on := testGrid(3)
-	off := testGrid(3)
-	off.Analytic = "off"
-	fpOn, err := on.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpOff, err := off.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpOn == fpOff {
-		t.Error("analytic on and off share a fingerprint")
-	}
-	explicit := testGrid(3)
-	explicit.Analytic = "on"
-	fpExplicit, err := explicit.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpExplicit != fpOn {
-		t.Error(`Analytic "" and "on" must share a fingerprint (same rows)`)
-	}
-}
-
-// TestGridAutoIsOn: "auto" is only a spelling of "on", so an auto grid
-// shares the on grid's fingerprint (its journal keys) and its rows.
-func TestGridAutoIsOn(t *testing.T) {
-	on, auto := testGrid(3), testGrid(3)
-	on.Analytic, auto.Analytic = "on", "auto"
-	fpOn, err := on.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpAuto, err := auto.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpAuto != fpOn {
-		t.Error(`Analytic "auto" and "on" must share a fingerprint`)
-	}
-	rowsOn := make([]Row, len(on.Points()))
-	rowsAuto := make([]Row, len(rowsOn))
-	if err := on.EvalBatch(context.Background(), on.Points(), rowsOn, EvalMetrics{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := auto.EvalBatch(context.Background(), auto.Points(), rowsAuto, EvalMetrics{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(RenderCSV(rowsOn), RenderCSV(rowsAuto)) {
-		t.Error(`Analytic "auto" rows differ from "on" rows`)
-	}
-}
-
-// TestGridValidateRejectsBadAnalytic covers the new mode field.
+// TestGridValidateRejectsBadAnalytic: the analytic knob is gone (grid
+// Format 5), so a submission that still names it, with any value, is
+// refused as an unknown field — a 400 (ErrWire), never a silent RK45 or
+// closed-form sweep the client did not ask for.
 func TestGridValidateRejectsBadAnalytic(t *testing.T) {
-	g := testGrid(3)
-	g.Analytic = "fast"
-	if err := g.Validate(); err == nil {
-		t.Fatal(`Analytic "fast" accepted`)
+	const grid = `{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3`
+	if _, err := DecodeSweepRequest(strings.NewReader(grid+`}`), 0); err != nil {
+		t.Fatalf("plain grid refused: %v", err)
 	}
-	if _, err := g.Fingerprint(); err == nil {
-		t.Fatal(`Fingerprint accepted Analytic "fast"`)
+	for _, mode := range []string{"on", "off", "auto", "", "fast"} {
+		body := grid + `,"analytic":"` + mode + `"}`
+		if _, err := DecodeSweepRequest(strings.NewReader(body), 0); !errors.Is(err, ErrWire) {
+			t.Errorf("%s: err = %v, want ErrWire", body, err)
+		}
 	}
 }
 

@@ -127,14 +127,13 @@ func TestKnotGuardMatchesSampledGuard(t *testing.T) {
 			// It may stitch a different number of rounds (its ρ agrees only
 			// to the integrator's tolerance), so only the flag and the first
 			// predicate must match.
-			g := grid
-			g.Invariants, g.Analytic = "record", "off"
-			rk, err := g.Eval(ctx, op.pt, EvalMetrics{})
-			if err != nil {
+			chk := invariant.NewPolicy(invariant.Record)
+			if _, err := analytic.NewSolver().Solve(p, analytic.Options{Mode: analytic.ModeOff, Invariants: chk}); err != nil {
 				t.Fatal(err)
 			}
-			if (rk.Violations > 0) != (rec.Violations > 0) || rk.FirstPred != rec.FirstPred {
-				t.Errorf("%+v: rk45 record row %+v, closed-form record row %+v", op, rk, rec)
+			if (chk.Violations() > 0) != (rec.Violations > 0) || chk.FirstPredicate() != rec.FirstPred {
+				t.Errorf("%+v: rk45 record solve flags %d (first %q), closed-form record row %+v",
+					op, chk.Violations(), chk.FirstPredicate(), rec)
 			}
 		}
 	}

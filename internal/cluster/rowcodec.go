@@ -197,9 +197,6 @@ func appendGainGrid(b []byte, g *GainGrid) []byte {
 	if g.Invariants != "" {
 		b = canonjson.AppendString(append(b, `,"invariants":`...), g.Invariants)
 	}
-	if g.Analytic != "" {
-		b = canonjson.AppendString(append(b, `,"analytic":`...), g.Analytic)
-	}
 	return append(b, '}')
 }
 
@@ -220,9 +217,6 @@ func readGainGrid(r *canonjson.Reader, g *GainGrid) {
 	g.Steps = int(r.Int(strconv.IntSize))
 	if r.Opt(`,"invariants":`) {
 		g.Invariants = r.Enum("off", "record", "strict", "clamp")
-	}
-	if r.Opt(`,"analytic":`) {
-		g.Analytic = r.Enum("on", "off", "auto")
 	}
 	r.Lit(`}`)
 }
@@ -292,7 +286,7 @@ func gridRow(g *GainGrid) int {
 // shardSpecLen is a capacity hint for a shard spec's JSON: the grid and
 // two shortest-form floats per point.
 func shardSpecLen(s *ShardSpec) int {
-	return 256 + len(s.Grid.Invariants) + len(s.Grid.Analytic) + 56*len(s.Points)
+	return 256 + len(s.Grid.Invariants) + 56*len(s.Points)
 }
 
 // ReadShardSpec reads a shard spec in AppendShardSpec's form. An empty
@@ -355,6 +349,5 @@ func appendGridIdentity(b []byte, id *gridIdentity) []byte {
 	b = canonjson.AppendFloat(append(b, `,"GdHi":`...), id.GdHi)
 	b = strconv.AppendInt(append(b, `,"Steps":`...), int64(id.Steps), 10)
 	b = canonjson.AppendString(append(b, `,"Invariants":`...), id.Invariants)
-	b = canonjson.AppendString(append(b, `,"Analytic":`...), id.Analytic)
 	return append(b, '}')
 }

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"testing"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/canonjson"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/runstate"
@@ -85,16 +84,16 @@ func FuzzRowCodec(f *testing.F) {
 			checkRowParser(t, raw)
 		}
 		policies := []string{"", "off", "record", "strict", "clamp", first}
-		modes := []string{"", "on", "off", "auto", csv}
 		checkShardSpecCodec(t, &ShardSpec{
 			Grid: GainGrid{
 				BOverQ0: pt.Gi, GiLo: pt.Gd, GiHi: pt.Gi, GdLo: pt.Gd, GdHi: pt.Gi, Steps: int(int32(violations)),
-				Invariants: policies[violations%uint64(len(policies))], Analytic: modes[violations%uint64(len(modes))],
+				Invariants: policies[violations%uint64(len(policies))],
 			},
 			Index:  int(int32(violations >> 32)),
 			Points: []GainPoint{pt, {Gi: pt.Gd, Gd: pt.Gi}},
 		}, int64(violations))
-		checkShardSpecCodec(t, &ShardSpec{Grid: GainGrid{Invariants: first, Analytic: csv}}, 0)
+		checkShardSpecCodec(t, &ShardSpec{Grid: GainGrid{Invariants: first}}, 0)
+		checkShardSpecCodec(t, &ShardSpec{Grid: GainGrid{Invariants: csv}}, 0)
 		// Grid-ordered points, whose repeated axis values the codec
 		// copies and reuses, cut at an unaligned offset and labelled
 		// with the true row length and a wrong one.
@@ -119,14 +118,10 @@ func reflectiveFingerprint(g GainGrid) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cluster: %v", err)
 	}
-	mode, err := analytic.ParseMode(g.Analytic)
-	if err != nil {
-		return "", fmt.Errorf("cluster: %v", err)
-	}
 	return runstate.HashJSON(gridIdentity{
-		Experiment: "bcnsweep/gainmap", Format: 4,
+		Experiment: "bcnsweep/gainmap", Format: 5,
 		BOverQ0: g.BOverQ0, GiLo: g.GiLo, GiHi: g.GiHi, GdLo: g.GdLo, GdHi: g.GdHi, Steps: g.Steps,
-		Invariants: pol.String(), Analytic: mode.String(),
+		Invariants: pol.String(),
 	})
 }
 

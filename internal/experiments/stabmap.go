@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"bcnphase/internal/core"
 	"bcnphase/internal/linear"
 	"bcnphase/internal/plot"
-	"bcnphase/internal/sweep"
 )
 
 // StabilityMap sweeps the gain plane (Gi, Gd) at a fixed buffer and
@@ -42,53 +40,45 @@ func StabilityMap() (*Report, error) {
 	var stX, stY, unX, unY []float64
 	table := Table{Name: "grid (subsample)", Header: []string{"Gi", "Gd", "linear", "thm1", "outcome"}}
 
-	// Every grid point is an independent trajectory solve: evaluate the
-	// grid on the concurrent sweep engine.
-	grid := sweep.Grid2(gis, gds)
-	results, err := sweep.Run(context.Background(), grid,
-		func(_ context.Context, pt sweep.Pair[float64, float64]) (linear.Verdict, error) {
+	total := len(gis) * len(gds)
+	for i, gi := range gis {
+		for j, gd := range gds {
 			p := base
-			p.Gi = pt.X
-			p.Gd = pt.Y
-			return linear.Compare(p)
-		}, sweep.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("stabmap: %w", err)
-	}
-	total := len(results)
-	for idx, r := range results {
-		gi, gd := r.Point.X, r.Point.Y
-		v := r.Value
-		if v.LinearStable {
-			linearStable++
-		}
-		if v.Theorem1OK {
-			theoremStable++
-		}
-		if v.TrajectoryStable {
-			trajStable++
-			stX = append(stX, gi)
-			stY = append(stY, gd)
-		} else {
-			unX = append(unX, gi)
-			unY = append(unY, gd)
-		}
-		if v.Theorem1OK && !v.TrajectoryStable {
-			misses++
-		}
-		if !v.Theorem1OK && v.TrajectoryStable {
-			falseAlarm++
-		}
-		if v.Disagreement {
-			disagreements++
-		}
-		i, j := idx/len(gds), idx%len(gds)
-		if i%2 == 0 && j%3 == 0 {
-			table.Rows = append(table.Rows, []string{
-				fmt.Sprintf("%.3g", gi), fmt.Sprintf("%.4g", gd),
-				fmt.Sprintf("%v", v.LinearStable), fmt.Sprintf("%v", v.Theorem1OK),
-				v.Outcome.String(),
-			})
+			p.Gi, p.Gd = gi, gd
+			v, err := linear.Compare(p)
+			if err != nil {
+				return nil, fmt.Errorf("stabmap: %w", err)
+			}
+			if v.LinearStable {
+				linearStable++
+			}
+			if v.Theorem1OK {
+				theoremStable++
+			}
+			if v.TrajectoryStable {
+				trajStable++
+				stX = append(stX, gi)
+				stY = append(stY, gd)
+			} else {
+				unX = append(unX, gi)
+				unY = append(unY, gd)
+			}
+			if v.Theorem1OK && !v.TrajectoryStable {
+				misses++
+			}
+			if !v.Theorem1OK && v.TrajectoryStable {
+				falseAlarm++
+			}
+			if v.Disagreement {
+				disagreements++
+			}
+			if i%2 == 0 && j%3 == 0 {
+				table.Rows = append(table.Rows, []string{
+					fmt.Sprintf("%.3g", gi), fmt.Sprintf("%.4g", gd),
+					fmt.Sprintf("%v", v.LinearStable), fmt.Sprintf("%v", v.Theorem1OK),
+					v.Outcome.String(),
+				})
+			}
 		}
 	}
 	rep.Tables = append(rep.Tables, table)

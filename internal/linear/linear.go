@@ -15,6 +15,7 @@ package linear
 import (
 	"fmt"
 
+	"bcnphase/internal/analytic"
 	"bcnphase/internal/core"
 )
 
@@ -30,6 +31,12 @@ func SubsystemStable(p core.Params, r core.Region) bool {
 	return RouthHurwitz2(l.M, l.N)
 }
 
+// Stable is the combined baseline verdict: both isolated subsystems
+// Hurwitz. This is the criterion of [4] and of Proposition 1.
+func Stable(p core.Params) bool {
+	return SubsystemStable(p, core.Increase) && SubsystemStable(p, core.Decrease)
+}
+
 // Verdict is the result of the baseline analysis on one parameter set,
 // alongside the paper's strong-stability verdicts for contrast.
 type Verdict struct {
@@ -42,7 +49,7 @@ type Verdict struct {
 	// Theorem1OK is the paper's strong-stability sufficient condition.
 	Theorem1OK bool
 	// TrajectoryStable is the trajectory-level strong-stability verdict
-	// from the stitched phase-plane solution.
+	// from the stitched phase-plane solution (the analytic engine).
 	TrajectoryStable bool
 	// Outcome is the stitched trajectory's ending classification.
 	Outcome core.Outcome
@@ -53,7 +60,8 @@ type Verdict struct {
 }
 
 // Compare runs the baseline criterion and the phase-plane analysis on the
-// same parameters.
+// same parameters. The trajectory verdict comes from the sampling-free
+// analytic engine, which every product verdict shares.
 func Compare(p core.Params) (Verdict, error) {
 	if err := p.Validate(); err != nil {
 		return Verdict{}, fmt.Errorf("compare: %w", err)
@@ -64,12 +72,12 @@ func Compare(p core.Params) (Verdict, error) {
 		Theorem1OK:     core.Theorem1Satisfied(p),
 	}
 	v.LinearStable = v.IncreaseStable && v.DecreaseStable
-	tr, err := core.Solve(p, core.SolveOptions{})
+	res, err := analytic.SolveOne(p, analytic.Options{})
 	if err != nil {
 		return Verdict{}, fmt.Errorf("compare: %w", err)
 	}
-	v.Outcome = tr.Outcome
-	v.TrajectoryStable = tr.Outcome.StronglyStable()
+	v.Outcome = res.Outcome
+	v.TrajectoryStable = res.Outcome.StronglyStable()
 	v.Disagreement = v.LinearStable && !v.TrajectoryStable
 	return v, nil
 }

@@ -1,6 +1,7 @@
 package linear
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -91,5 +92,56 @@ func TestQuickLinearAlwaysStable(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompareMatchesSampledSolve holds Compare's engine to the sampled
+// core.Solve it replaced, on the points the stabmap and theorem1
+// experiments ask about: the 9×10 log grid at B = 5·q0 and the BDP and
+// 1.02× Theorem 1 buffers of the paper example.
+func TestCompareMatchesSampledSolve(t *testing.T) {
+	logspace := func(lo, hi float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = lo * math.Pow(hi/lo, float64(i)/float64(n-1))
+		}
+		return out
+	}
+	var points []core.Params
+	base := core.FigureExample()
+	base.B = 5 * base.Q0
+	for _, gi := range logspace(0.05, 12.8, 9) {
+		for _, gd := range logspace(1.0/1024, 0.5, 10) {
+			p := base
+			p.Gi, p.Gd = gi, gd
+			points = append(points, p)
+		}
+	}
+	paper := core.PaperExample()
+	for _, b := range []float64{5e6, core.Theorem1Bound(paper) * 1.02} {
+		p := paper
+		p.B = b
+		points = append(points, p)
+	}
+	outcomes := map[core.Outcome]int{}
+	for _, p := range points {
+		v, err := Compare(p)
+		if err != nil {
+			t.Fatalf("Compare(Gi=%g Gd=%g B=%g): %v", p.Gi, p.Gd, p.B, err)
+		}
+		tr, err := core.Solve(p, core.SolveOptions{})
+		if err != nil {
+			t.Fatalf("core.Solve(Gi=%g Gd=%g B=%g): %v", p.Gi, p.Gd, p.B, err)
+		}
+		if v.Outcome != tr.Outcome || v.TrajectoryStable != tr.Outcome.StronglyStable() {
+			t.Errorf("Gi=%g Gd=%g B=%g: Compare says %v (strongly stable %v), core.Solve %v",
+				p.Gi, p.Gd, p.B, v.Outcome, v.TrajectoryStable, tr.Outcome)
+		}
+		outcomes[v.Outcome]++
+	}
+	// The grid must reach both sides of the verdict, or agreement
+	// shows nothing.
+	if outcomes[core.OutcomeConverged] == 0 || outcomes[core.OutcomeOverflow] == 0 {
+		t.Errorf("outcome mix %v: want converged and overflow points", outcomes)
 	}
 }

@@ -2,148 +2,148 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 
 	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
+	"bcnphase/internal/core"
 	"bcnphase/internal/invariant"
+	"bcnphase/internal/linear"
 )
 
-// TestSpecKeySeparatesEngines: a solve computed by the analytic engine
-// reports exact extrema, one computed by the sampled solver reports
-// sampled ones — the cached artifacts differ, so the dedup key must too.
+// TestSpecKeySeparatesEngines: a solve job under the off policy comes
+// from the analytic engine (exact extrema), one under a checked policy
+// from the sampled core.Solve (sampled extrema) — the cached artifacts
+// differ, so the dedup keys must too. The policy names the engine, so
+// the key needs no engine field of its own.
 func TestSpecKeySeparatesEngines(t *testing.T) {
-	on := solveSpec()
-	off := solveSpec()
-	off.Analytic = "off"
-	kOn, err := on.Key()
-	if err != nil {
-		t.Fatal(err)
+	keys := map[string]string{}
+	for _, pol := range []string{"", "off", "record"} {
+		sp := solveSpec()
+		sp.Invariants = pol
+		k, err := sp.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[pol] = k
 	}
-	kOff, err := off.Key()
-	if err != nil {
-		t.Fatal(err)
+	if keys[""] != keys["off"] {
+		t.Error(`invariants "" and "off" hash differently`)
 	}
-	if kOn == kOff {
-		t.Error("analytic on and off share a dedup key")
-	}
-	explicit := solveSpec()
-	explicit.Analytic = "on"
-	if kExp, _ := explicit.Key(); kExp != kOn {
-		t.Error(`analytic "" and "on" hash differently`)
+	if keys["off"] == keys["record"] {
+		t.Error("analytic (off) and sampled (record) solve jobs share a dedup key")
 	}
 }
 
-// TestSpecKeyAutoIsOn: "auto" is only a spelling of "on", so both map
-// to one dedup key and one cached artifact.
-func TestSpecKeyAutoIsOn(t *testing.T) {
-	on, auto := solveSpec(), solveSpec()
-	on.Analytic, auto.Analytic = "on", "auto"
-	kOn, err := on.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kAuto, err := auto.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kAuto != kOn {
-		t.Error(`analytic "auto" and "on" hash differently`)
-	}
-}
-
-// TestSpecRejectsBadAnalytic and shard-level analytic: shard jobs carry
-// the engine choice inside the grid (part of the grid fingerprint); a
-// spec-level override would desynchronize shards of one sweep.
+// TestSpecRejectsBadAnalytic: the analytic knob is gone (artifact
+// Format 5), so a spec that still names it, with any value and on any
+// kind, is refused as an unknown field: ErrSpec from the decoder, 400
+// from the handler.
 func TestSpecRejectsBadAnalytic(t *testing.T) {
-	sp := solveSpec()
-	sp.Analytic = "fast"
-	if err := sp.Validate(); err == nil {
-		t.Error(`analytic "fast" accepted`)
+	const solve = `"solve":{"params":{"N":50,"C":1e10,"Ru":8e6,"Gi":4,"Gd":0.0078125,"W":2,"Pm":0.01,"Q0":2.5e6,"B":5e6}}`
+	bodies := []string{
+		`{"kind":"solve","analytic":"on",` + solve + `}`,
+		`{"kind":"solve","analytic":"off",` + solve + `}`,
+		`{"kind":"solve","analytic":"auto",` + solve + `}`,
+		`{"kind":"solve","invariants":"record","analytic":"",` + solve + `}`,
+		`{"kind":"solve",` + solve + `,"analytic":"fast"}`,
+		`{"kind":"sweep","analytic":"off","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
+		`{"kind":"shard","analytic":"on","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"points":[{"gi":0.05,"gd":0.001}]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"analytic":"off"},"index":0,"points":[{"gi":0.05,"gd":0.001}]}}`,
 	}
-	body := `{"kind":"solve","analytic":"fast","solve":{"params":{"N":50,"C":1e10,"Ru":8e6,"Gi":4,"Gd":0.0078125,"W":2,"Pm":0.01,"Q0":2.5e6,"B":5e6}}}`
-	if _, err := DecodeSpec(strings.NewReader(body), 0); err == nil {
-		t.Error("decode accepted a bogus analytic mode")
-	}
-	shard := `{"kind":"shard","analytic":"on","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"points":[{"gi":0.05,"gd":0.001}]}}`
-	if _, err := DecodeSpec(strings.NewReader(shard), 0); err == nil {
-		t.Error("decode accepted a spec-level analytic mode on a shard job")
+	_, ts := newTestServer(t, Config{})
+	for _, body := range bodies {
+		if _, err := DecodeSpec(strings.NewReader(body), 0); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: decode err = %v, want ErrSpec", body, err)
+		}
+		if resp := postSpec(t, ts.URL, []byte(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 
-// TestRunSolveEngineSelection: the analytic path stamps the artifact
-// with the engine that produced it and agrees with the classic path on
-// every verdict field; a checked invariant policy forces the classic
-// path even when the engine is on.
+// TestRunSolveEngineSelection: under the off policy a solve job comes
+// from the analytic engine, stamped with the path that produced it, and
+// agrees on every verdict field with the sampled core.Solve and with
+// the RK45 oracle (analytic.ModeOff); a checked policy takes the
+// sampled path, whose linear and Theorem 1 columns are linear.Compare's.
 func TestRunSolveEngineSelection(t *testing.T) {
 	s := solveSpec().Solve
 	jm := newJobMetrics(nil)
-	fast, err := runSolve(s, invariant.Off, analytic.ModeOn, jm)
+	fast, err := runSolve(s, invariant.Off, jm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Engine != "analytic" && fast.Engine != "rk45" {
+	if fast.Engine != "analytic" {
 		t.Errorf("analytic result engine tag %q", fast.Engine)
 	}
-	slow, err := runSolve(s, invariant.Off, analytic.ModeOff, jm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Engine != "" {
-		t.Errorf("classic result carries engine tag %q", slow.Engine)
-	}
-	if fast.Outcome != slow.Outcome || fast.Case != slow.Case ||
-		fast.StronglyStable != slow.StronglyStable ||
-		fast.LinearStable != slow.LinearStable ||
-		fast.Theorem1OK != slow.Theorem1OK {
-		t.Errorf("engines disagree: analytic %+v classic %+v", fast, slow)
-	}
-	checked, err := runSolve(s, invariant.Record, analytic.ModeOn, jm)
+	checked, err := runSolve(s, invariant.Record, jm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if checked.Engine != "" {
 		t.Errorf("record policy still took the analytic path (engine %q)", checked.Engine)
 	}
+	tr, err := core.Solve(s.Params, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk, err := analytic.SolveOne(s.Params, analytic.Options{Mode: analytic.ModeOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := linear.Compare(s.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*SolveResult{fast, checked} {
+		if r.Outcome != tr.Outcome.String() || r.Outcome != rk.Outcome.String() ||
+			r.StronglyStable != tr.Outcome.StronglyStable() || r.Case != s.Params.Case().String() ||
+			r.LinearStable != lin.LinearStable || r.Theorem1OK != lin.Theorem1OK ||
+			r.Theorem1Bound != core.Theorem1Bound(s.Params) {
+			t.Errorf("served %+v; core.Solve %v, rk45 %v, linear %+v", r, tr.Outcome, rk.Outcome, lin)
+		}
+	}
+	if checked.MaxQueueBits != tr.MaxQueue() || checked.Rho != tr.Rho || checked.Crossings != len(tr.Crossings) {
+		t.Errorf("checked solve %+v is not core.Solve's trajectory", checked)
+	}
 }
 
 // TestRunSweepEnginesAgree: a served sweep is the map.csv of the grid
-// its spec names, under either engine mode and any policy — the rows
-// come from the same canonical evaluator as bcnsweep's and the
-// cluster's.
+// its spec names, under any policy — the rows come from the same
+// canonical evaluator as bcnsweep's and the cluster's.
 func TestRunSweepEnginesAgree(t *testing.T) {
 	s := sweepSpec().Sweep
 	jm := newJobMetrics(nil)
 	ctx := context.Background()
-	for _, tc := range []struct {
-		pol  invariant.Policy
-		mode analytic.Mode
-	}{{invariant.Off, analytic.ModeOn}, {invariant.Off, analytic.ModeOff}, {invariant.Record, analytic.ModeOn}} {
-		res, err := runSweep(ctx, s, tc.pol, tc.mode, jm)
+	for _, pol := range []invariant.Policy{invariant.Off, invariant.Record} {
+		res, err := runSweep(ctx, s, pol, jm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		grid := cluster.GainGrid{BOverQ0: s.BOverQ0, GiLo: s.GiLo, GiHi: s.GiHi, GdLo: s.GdLo, GdHi: s.GdHi,
-			Steps: s.Steps, Invariants: tc.pol.String(), Analytic: tc.mode.String()}
+			Steps: s.Steps, Invariants: pol.String()}
 		pts := grid.Points()
 		rows := make([]cluster.Row, len(pts))
 		if err := grid.EvalBatch(ctx, pts, rows, cluster.EvalMetrics{}); err != nil {
 			t.Fatal(err)
 		}
 		if res.Header != cluster.CSVHeader || res.Points != len(pts) || res.Failed != 0 || len(res.Rows) != len(rows) {
-			t.Fatalf("%v/%v: sweep shape %q %d points %d failed %d rows", tc.pol, tc.mode, res.Header, res.Points, res.Failed, len(res.Rows))
+			t.Fatalf("%v: sweep shape %q %d points %d failed %d rows", pol, res.Header, res.Points, res.Failed, len(res.Rows))
 		}
 		for i, r := range rows {
 			if res.Rows[i] != r.CSV {
-				t.Errorf("%v/%v row %d: served %q, grid %q", tc.pol, tc.mode, i, res.Rows[i], r.CSV)
+				t.Errorf("%v row %d: served %q, grid %q", pol, i, res.Rows[i], r.CSV)
 			}
 		}
 	}
 }
 
-// TestRunShardUsesGridEngine: shard execution honors the grid's engine
-// field and produces rows identical to direct grid evaluation.
+// TestRunShardUsesGridEngine: shard execution produces rows identical
+// to direct grid evaluation.
 func TestRunShardUsesGridEngine(t *testing.T) {
 	grid := cluster.GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3}
 	pts := grid.Points()[:4]

@@ -34,9 +34,6 @@ func readSpec(body []byte) (sp Spec, ok bool) {
 	if r.Opt(`,"invariants":`) {
 		sp.Invariants = r.Enum("off", "record", "strict", "clamp")
 	}
-	if r.Opt(`,"analytic":`) {
-		sp.Analytic = r.Enum("on", "off", "auto")
-	}
 	if r.Opt(`,"solve":`) {
 		sp.Solve = readSolveSpec(&r)
 	}
@@ -171,7 +168,6 @@ func appendIdentity(b []byte, id *specIdentity) (_ []byte, ok bool) {
 	b = strconv.AppendInt(append(b, `{"Format":`...), int64(id.Format), 10)
 	b = canonjson.AppendString(append(b, `,"Kind":`...), id.Kind)
 	b = canonjson.AppendString(append(b, `,"Invariants":`...), id.Invariants)
-	b = canonjson.AppendString(append(b, `,"Analytic":`...), id.Analytic)
 	b = append(b, `,"Solve":`...)
 	if id.Solve == nil {
 		b = append(b, "null"...)

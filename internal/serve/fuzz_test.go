@@ -55,6 +55,9 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"kind":"sweep","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}]`,
 		`{"kind":"sweep","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}}`,
 		`{"kind":"sweep","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}} garbage`,
+		// The retired analytic knob is an unknown field.
+		`{"kind":"solve","analytic":"off","solve":{"params":{"N":50,"C":1e10,"Ru":8e6,"Gi":4,"Gd":0.0078125,"W":2,"Pm":0.01,"Q0":2.5e6,"B":5e6}}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2,"analytic":"on"},"index":0,"points":[{"gi":0.05,"gd":0.001}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -127,11 +130,11 @@ func FuzzSpecCodec(f *testing.F) {
 	seeds := []string{
 		// Canonical forms of each kind the reader takes.
 		`{"kind":"solve","solve":{"params":` + params + `}}`,
-		`{"kind":"solve","timeout_ms":250,"invariants":"record","analytic":"off","solve":{"params":` + params + `,"start":[-2500000,0],"max_arcs":10}}`,
+		`{"kind":"solve","timeout_ms":250,"invariants":"record","solve":{"params":` + params + `,"start":[-2500000,0],"max_arcs":10}}`,
 		`{"kind":"solve","invariants":"strict","solve":{"params":{"N":50,"C":10000000000,"Ru":8000000,"Gi":4,"Gd":-1,"W":2,"Pm":0.01,"Q0":2500000,"B":5000000,"Qsc":0}}}`,
 		`{"kind":"sweep","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}` + " \n",
 		`{"kind":"shard","shard":{"grid":` + grid + `},"index":0,"points":[{"gi":0.05,"gd":0.001},{"gi":0.05,"gd":0.1}]}}`,
-		`{"kind":"shard","timeout_ms":2700,"shard":{"grid":` + grid + `,"invariants":"record","analytic":"on"},"index":1,"points":[{"gi":1,"gd":1e-7}]}}`,
+		`{"kind":"shard","timeout_ms":2700,"shard":{"grid":` + grid + `,"invariants":"record"},"index":1,"points":[{"gi":1,"gd":1e-7}]}}`,
 		`{"kind":"shard","shard":{"grid":` + grid + `},"index":0,"points":[]}}`,
 		// Numbers at the edges of the grammar and of float64.
 		`{"kind":"solve","solve":{"params":{"N":50,"C":1E+10,"Ru":8e6,"Gi":-0,"Gd":0.0078125,"W":2.000,"Pm":1e-2,"Q0":2.5e6,"B":5e6,"Qsc":1e-400}}}`,
@@ -162,6 +165,11 @@ func FuzzSpecCodec(f *testing.F) {
 		`{"kind":"solve","solve":{"params":` + params + `}}]`,
 		`{"kind":"solve","solve":{"params":` + params + `}}} x`,
 		``, `{`, `null`,
+		// The retired analytic knob, in the canonical field order it
+		// had: an unknown field on both paths.
+		`{"kind":"solve","invariants":"record","analytic":"off","solve":{"params":` + params + `}}`,
+		`{"kind":"sweep","analytic":"on","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
+		`{"kind":"shard","shard":{"grid":` + grid + `,"analytic":"auto"},"index":0,"points":[{"gi":0.05,"gd":0.001}]}}`,
 	}
 	texts := []string{"", "record", "<>&", "\xff", "é日本", `a"b\c`, "\x00\x1f", "\u2028", "0.05,0.001,1,true"}
 	for i, s := range seeds {
@@ -205,7 +213,7 @@ func FuzzSpecCodec(f *testing.F) {
 		}})
 		checkIdentity(t, Spec{Kind: text, Invariants: "record", Sweep: &SweepSpec{BOverQ0: a, GiLo: b, GiHi: a, GdLo: b, GdHi: a, Steps: n}})
 		shard := &cluster.ShardSpec{
-			Grid:   cluster.GainGrid{BOverQ0: b, GiLo: a, GiHi: b, GdLo: a, GdHi: b, Steps: n, Invariants: text, Analytic: text},
+			Grid:   cluster.GainGrid{BOverQ0: b, GiLo: a, GiHi: b, GdLo: a, GdHi: b, Steps: n, Invariants: text},
 			Index:  -n,
 			Points: []cluster.GainPoint{{Gi: a, Gd: b}, {Gi: b, Gd: a}},
 		}
@@ -278,7 +286,7 @@ func checkShardJob(t *testing.T, sp Spec) {
 	if err != nil {
 		return
 	}
-	if _, ok := readSpec(job); !ok && isPlainASCII(sp.Shard.Grid.Invariants+sp.Shard.Grid.Analytic) {
+	if _, ok := readSpec(job); !ok && isPlainASCII(sp.Shard.Grid.Invariants) {
 		t.Fatalf("shard job %q left the canonical read path", job)
 	}
 }
@@ -296,16 +304,16 @@ func isPlainASCII(s string) bool {
 
 // fuzzArtifact runs an accepted spec to its artifact, for the jobs
 // small enough to run per fuzz input: every solve, and sweeps and
-// shards of at most 64 points on the closed-form engine. netsim
-// artifacts stay on encoding/json and are not run.
+// shards of at most 64 points. netsim artifacts stay on encoding/json
+// and are not run.
 func fuzzArtifact(t *testing.T, srv *Server, sp Spec) *Artifact {
 	t.Helper()
 	switch {
 	case sp.Kind == KindNetsim:
 		return nil
-	case sp.Sweep != nil && (sp.Sweep.Steps > 8 || sp.Analytic == "off"):
+	case sp.Sweep != nil && sp.Sweep.Steps > 8:
 		return nil
-	case sp.Shard != nil && (len(sp.Shard.Points) > 64 || sp.Shard.Grid.Analytic == "off"):
+	case sp.Shard != nil && len(sp.Shard.Points) > 64:
 		return nil
 	}
 	key, err := sp.Key()

@@ -37,7 +37,6 @@ import (
 	"math"
 	"time"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/canonjson"
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
@@ -97,16 +96,6 @@ type Spec struct {
 	// Unlike the timeout it shapes the result, so it is part of the
 	// dedup identity.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the engine for solve and sweep jobs ("on" or
-	// "off"; "auto" is an alias of "on" and shares its dedup key); empty
-	// uses the server default. Sweep rows always come from the analytic
-	// engine: on stitches closed-form arcs, off integrates them with
-	// RK45. A solve job runs the closed-form engine when on and its
-	// effective invariant policy is off, and the classic sampled
-	// core.Solve otherwise. It shapes the artifact, so it is part of the
-	// dedup identity. Shard jobs carry the mode inside the grid instead,
-	// like the invariant policy.
-	Analytic string `json:"analytic,omitempty"`
 
 	Solve  *SolveSpec         `json:"solve,omitempty"`
 	Sweep  *SweepSpec         `json:"sweep,omitempty"`
@@ -210,9 +199,6 @@ func (sp Spec) Validate() error {
 	if _, err := invariant.ParsePolicy(sp.Invariants); err != nil {
 		return fail("%v", err)
 	}
-	if _, err := analytic.ParseMode(sp.Analytic); err != nil {
-		return fail("%v", err)
-	}
 	if sp.TimeoutMs < 0 {
 		return fail("timeout_ms=%d must be non-negative", sp.TimeoutMs)
 	}
@@ -257,11 +243,6 @@ func (sp Spec) Validate() error {
 			// The grid's Invariants field is part of the shard's dedup
 			// identity; a second spec-level policy would be ambiguous.
 			return fail("shard jobs carry the invariant policy in the grid, not the spec")
-		}
-		if sp.Analytic != "" {
-			// Likewise the engine mode: it lives in the grid fingerprint so
-			// every worker in a cluster evaluates rows the same way.
-			return fail("shard jobs carry the analytic mode in the grid, not the spec")
 		}
 		if err := sp.Shard.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrSpec, err)
@@ -401,7 +382,6 @@ type specIdentity struct {
 	Format     int
 	Kind       string
 	Invariants string
-	Analytic   string
 	Solve      *SolveSpec
 	Sweep      *SweepSpec
 	Netsim     *NetsimSpec
@@ -422,7 +402,12 @@ type specIdentity struct {
 // the analytic engine under every policy, with violations counted at
 // exact knots, and analytic=off means RK45; no sampled sweep replays as
 // a knot-checked one.
-const artifactFormat = 4
+// Format 5: the analytic knob is gone. Solve jobs under the off policy
+// and every sweep row come from the closed-form engine, so the engine
+// mode leaves the identity, a spec naming "analytic" is refused as an
+// unknown field, and no RK45 or sampled artifact replays as a
+// closed-form one.
+const artifactFormat = 5
 
 // Key returns the spec's content-hash dedup key: the hex SHA-256 of the
 // canonical identity, json.Marshal's bytes for specIdentity. Execution
@@ -449,15 +434,10 @@ func (sp Spec) identity() (specIdentity, error) {
 	if err != nil {
 		return specIdentity{}, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-	mode, err := analytic.ParseMode(sp.Analytic)
-	if err != nil {
-		return specIdentity{}, fmt.Errorf("%w: %v", ErrSpec, err)
-	}
 	return specIdentity{
 		Format:     artifactFormat,
 		Kind:       sp.Kind,
-		Invariants: pol.String(),  // normalize "" and "none" to "off"
-		Analytic:   mode.String(), // normalize "" to "on"
+		Invariants: pol.String(), // normalize "" and "none" to "off"
 		Solve:      sp.Solve,
 		Sweep:      sp.Sweep,
 		Netsim:     sp.Netsim,

@@ -57,6 +57,11 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"sweep b<=q0":      `{"kind":"sweep","sweep":{"b_over_q0":0.5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
 		"netsim too long":  `{"kind":"netsim","netsim":{"n":4,"capacity":1e9,"buffer_bits":4e6,"q0":5e5,"duration_sec":3600}}`,
 		"netsim bad fault": `{"kind":"netsim","netsim":{"n":4,"capacity":1e9,"buffer_bits":4e6,"q0":5e5,"duration_sec":0.002,"faults":{"FeedbackLoss":2}}}`,
+		// The analytic knob is gone (Format 5): naming it is an unknown
+		// field, whatever its value.
+		"analytic on":    `{"kind":"solve","analytic":"on","solve":{"params":{"N":50,"C":1e10,"Ru":8e6,"Gi":4,"Gd":0.0078125,"W":2,"Pm":0.01,"Q0":2.5e6,"B":5e6}}}`,
+		"analytic off":   `{"kind":"sweep","analytic":"off","sweep":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3}}`,
+		"shard analytic": `{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"analytic":"off"},"index":0,"points":[{"gi":0.05,"gd":0.001}]}}`,
 	}
 	for name, body := range cases {
 		if _, err := DecodeSpec(strings.NewReader(body), 0); err == nil {
