@@ -40,19 +40,19 @@ func TestShardWireGolden(t *testing.T) {
 		want       wireGolden
 	}{
 		{"", wireGolden{
-			fingerprint: "652c490806c146d91709121e581d553fc1e0c6c581f339d0dde98acfbfd1cc26",
-			keys:        "fda962e8543e9cf0f92a15f818adaf684f9f1280ec053cc930c4373593bf00c6",
+			fingerprint: "2c2ff334e55d8e715c11bd9243fad57285ee83f566b979dcd8a9a7b33598aa5b",
+			keys:        "00bad9498e6a91e46e7c56ba6e1b08104d5a957f7069ee9ce487889b7f393f07",
 			signatures:  "33d44e54df5ddf1770337b69d47b670644ad45a67156775e1bf3e36b90c4d693",
-			journal:     "1f3c28d4c4eb6e0a5e00aa1b220b7322fe07fbb95607a4daa354917e9a8dc3e6",
+			journal:     "af2bd5dc875c3e89fb5c4377b5dcc59cb9b0755b1de8e5d667e553d403bb3918",
 			mapCSV:      "c8e150179dcfbb2d860fd9181dbaf8ea1385bee69d88c6f5060c041cfc5a3ac6",
 		}},
 		// 60 of these rows carry nonzero Violations (one rate-bounds knot
 		// each) and a FirstPred.
 		{"record", wireGolden{
-			fingerprint: "04f7d227bb321e9e27418a49f40684bef0f4265473f614fe3258cadbea73308a",
-			keys:        "f7c80efce0eba211188338de2a7baa7ca0d322029b7c70702b8e803940ee7394",
+			fingerprint: "dd37104565b089a1d211d37a8e78c6eed22618de6abfbf5c0974fa5dcaff2729",
+			keys:        "bbe7098bcfcc7f6ecf6cdc3830a24470fcd20f423087e3238d070628d18267b1",
 			signatures:  "df9fe5723d0893c26bb59d41e7c05d6147128e88a288b6fa66aecc274484b412",
-			journal:     "4e2a0b97dda28acaf35f6b5f477e210ca4439b9cae9003fbd7b7a2ebe499cb4c",
+			journal:     "bd2204e9a7d188f336d66f9de8fe501740dd76c720ac574d84b086add3fafbf4",
 			mapCSV:      "a8b77bbf2f6a8ba6e44ad675ca619dd9307399035bb732c8f9f0cd402769564a",
 		}},
 	} {

@@ -40,11 +40,11 @@ func TestSpecKeyGolden(t *testing.T) {
 		sp   Spec
 		want string
 	}{
-		{"solve", solveSpec(), "0bcdb2daa03d55ba0957fc51123e26cffa540a26465c5710261091be8bc5ef02"},
-		{"solve-record", recordSolve, "f6ab934dd0a10e3039a1489a248973e262a6ea10f5cacddc02c8abba699ccf07"},
-		{"sweep", sweepSpec(), "4f06cf7bbe9b999d1e0960aa8456bebc75ef5fe1353f016a12b2e16e7d3ce97e"},
-		{"netsim-faults", faulted, "9b39b19d9f2f562f7644f4118bb3140e4e5b53962098b7437045182e3a4e2393"},
-		{"shard", shard, "1d3140d726dd2627790c9a2ca92a1d8ccfbe8504c33eb170889c2350a8b58f64"},
+		{"solve", solveSpec(), "d56f209792b37445401b887657f51dcd406786840c61a89b11a57826d827889a"},
+		{"solve-record", recordSolve, "152e8354bac4f0fbfc2b9c443760f7b28652fa79b881f10388763d56f9351c78"},
+		{"sweep", sweepSpec(), "d3ed36e02296e5eaeef39bca479bb6ef7c97f0386a1987fef502e5d175bd4a63"},
+		{"netsim-faults", faulted, "3e7b5ac8dbfae4d6db4d7c914f23f8462c615e796d4cd3648372ba4651119366"},
+		{"shard", shard, "acc33ddb841f37f374e2ac34463d986b1f6955668b957555bbcae28064b198fa"},
 	} {
 		key, err := tc.sp.Key()
 		if err != nil {
@@ -61,9 +61,9 @@ func TestSpecKeyGolden(t *testing.T) {
 		sp   Spec
 		want string
 	}{
-		{"solve", solveSpec(), "cc725b9728d64aa90a36092c3f3c9b5e3001ecd392bc29b061689b935aea7ee5"},
-		{"solve-record", recordSolve, "d5d1b2622758d4bdb64891324bb9a2178b922dcf0d2a91778768fbfa2be8f934"},
-		{"shard", shard, "768b308da3239c67c5d995088e1c73fcf34c88c1a484c1d58c23d0b976af8abc"},
+		{"solve", solveSpec(), "c1a51a6d442c82c316b39579cf3e6973f3b34024ba74ab9c5d3ca7dcfdcd644c"},
+		{"solve-record", recordSolve, "4c515d34704b947d8fe68fb3db55c38500854d316187b22a16a739f44b49e39e"},
+		{"shard", shard, "fcb52834acdf7f1a3e8d8174ab89bd5308e321846f6c4b16baadb84f228e6159"},
 	} {
 		resp := postSpec(t, ts.URL, marshalSpec(t, tc.sp))
 		body := readBody(t, resp)

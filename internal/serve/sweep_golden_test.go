@@ -18,8 +18,8 @@ func TestSweepArtifactGolden(t *testing.T) {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	for _, tc := range []struct{ invariants, want string }{
-		{"", "22f8cb16e82301b05397fe5baf154a251b7a728e39fa26cc59c1d18a5c077560"},
-		{"record", "9a48ff421a30b7d891c34b8040e1066668d8f973b96c8c4b8308e36fbc1078be"},
+		{"", "777d505e43dfbb81cdda7cac60997bbac10e8168725075b3df4e80c211fdf848"},
+		{"record", "e16e6d3e9733ea7e4dfb27145013f545d02a16191967740245dcd96572d5ea92"},
 	} {
 		t.Run("invariants="+tc.invariants, func(t *testing.T) {
 			_, ts := newTestServer(t, Config{})
