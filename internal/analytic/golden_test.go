@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bcnphase/internal/analytic"
@@ -62,6 +63,41 @@ func caseExample(k core.CaseKind) func() core.Params {
 }
 
 func defaults(core.Params) core.SolveOptions { return core.SolveOptions{} }
+
+// criticalGains are the figure example's gains at which the increase
+// (Gi) and decrease (Gd) regimes have a repeated eigenvalue.
+func criticalGains() (gi, gd float64) {
+	p := core.FigureExample()
+	return p.AThreshold() / (p.Ru * float64(p.N)), p.BThreshold()
+}
+
+// figureGains is the figure example with Gi and Gd at the given
+// multiples of the critical gains.
+func figureGains(giMul, gdMul float64) func() core.Params {
+	return func() core.Params {
+		p := core.FigureExample()
+		gi, gd := criticalGains()
+		p.Gi, p.Gd = giMul*gi, gdMul*gd
+		return p
+	}
+}
+
+// drain launches from half the target queue with the aggregate rate
+// falling at rateMul·C, fast enough that the first arc empties the
+// queue: a floor hit refined inside a non-canonical first arc.
+func drain(rateMul float64) func(core.Params) core.SolveOptions {
+	return func(p core.Params) core.SolveOptions {
+		return core.SolveOptions{Start: &[2]float64{-p.Q0 / 2, -rateMul * p.C}}
+	}
+}
+
+// floorCases name the golden cases that hit the floor on their first
+// arc, with the arc family each must exercise.
+var floorCases = map[string]core.ArcKind{
+	"floor-spiral":   core.ArcSpiral,
+	"floor-node":     core.ArcNode,
+	"floor-critical": core.ArcCritical,
+}
 
 var goldenCases = []goldenCase{
 	{name: "paper", params: core.PaperExample, opts: defaults,
@@ -164,6 +200,18 @@ var goldenCases = []goldenCase{
 		core: "138f7251cab9534a454e220cfa16f5c3f0954a98bf8bae7ca9aacea5da732e3e",
 		on:   "7a56eae2261e46e206775f4870bd73969e4df6f4826659a91a58eba40b7d1b7e",
 		off:  "7a56eae2261e46e206775f4870bd73969e4df6f4826659a91a58eba40b7d1b7e"},
+	{name: "floor-spiral", params: core.FigureExample, opts: drain(1),
+		core: "c6270a71e7b5d5a83c2baeb83821d6ee14720f9d37c68e0bbd8374e6eb435f7a",
+		on:   "d4cfe1f1d7637ca41553ba5768c40e37f845161e748f3bbaf67dcc86a6be9436",
+		off:  "2b75796b594e14e98bc101ed73cad063a00c6958b3df899a2ab73352ef907feb"},
+	{name: "floor-node", params: figureGains(4, 4), opts: drain(1e7),
+		core: "fef43e5765c20d8eababf914aa68475be8948a104d4041f2e3f579ee6bb81a72",
+		on:   "d58b425b4ade22227511c25e8cf08ef4ec7efc8d996cd291d94d07d673dfb089",
+		off:  "53273c5319515b56c2b9f307835ad058cc2253cab1add9fc318dd068f204f408"},
+	{name: "floor-critical", params: figureGains(1, 1), opts: drain(1e6),
+		core: "147388db93b771bedaecd94822f3acbe414d747a5742b2567f2488df6ff065f1",
+		on:   "1e3889e28acadc7b7f3530d3d7ef1fbc9dd26336179513143cd4d485869d18ea",
+		off:  "d5975cbf68aefb6576035d23fa9bc2a8bc719823fa72318cfa0a583352d09406"},
 }
 
 func digest(parts ...string) string {
@@ -282,6 +330,83 @@ func TestGainGridGolden(t *testing.T) {
 		}
 		if got := digest(string(cluster.RenderCSV(rows))); got != tc.want {
 			t.Errorf("invariants=%s: map.csv digest %s, want %s", tc.invariants, got, tc.want)
+		}
+	}
+}
+
+// TestFloorCasesHitFirstArc holds the floor golden cases to what they
+// are there to pin: each underflows on its first arc (Arcs counts none
+// before the hit), and that arc is of the family the case names.
+func TestFloorCasesHitFirstArc(t *testing.T) {
+	seen := 0
+	for _, gc := range goldenCases {
+		kind, ok := floorCases[gc.name]
+		if !ok {
+			continue
+		}
+		seen++
+		p := gc.params()
+		start := gc.opts(p).Start
+		lin := p.RegionLinear(p.RegionAt(start[0], start[1]))
+		arc, err := core.NewArc(lin.M, lin.N, p.K(), start[0], start[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := analytic.NewSolver().Solve(p, analytic.Options{Start: start})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arc.Kind() != kind || res.Outcome != core.OutcomeUnderflow || res.Arcs != 0 {
+			t.Errorf("%s: first arc %v, outcome %v after %d arcs; want a %v arc that underflows", gc.name, arc.Kind(), res.Outcome, res.Arcs, kind)
+		}
+	}
+	if seen != len(floorCases) {
+		t.Errorf("found %d of %d floor cases in goldenCases", seen, len(floorCases))
+	}
+}
+
+// TestWallGridGolden pins map.csv bytes where the buffer wall decides
+// the rows: a tight buffer on bcnsweep's default axes and the node and
+// critical grid classes of perfbench's sweep-local workload. Every
+// overflow row's max_q_bits is read at a refined wall time, so a wall
+// refinement that moves by one ulp moves these digests. walls is the
+// number of overflow rows each grid must keep.
+func TestWallGridGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	giCrit, gdCrit := criticalGains()
+	for _, tc := range []struct {
+		name  string
+		grid  cluster.GainGrid
+		walls int
+		want  string
+	}{
+		{"b1.5", cluster.GainGrid{BOverQ0: 1.5, GiLo: 0.05, GiHi: 12.8, GdLo: 1.0 / 1024, GdHi: 0.5, Steps: 16}, 159,
+			"98b7726ec1e6cbc0f865f0e0b2491622bde4396d6dc055456d7fc400f8cd19da"},
+		{"node", cluster.GainGrid{BOverQ0: 3, GiLo: 0.05, GiHi: 5.6 * giCrit, GdLo: 1.0 / 1024, GdHi: 5.6 * gdCrit, Steps: 16}, 116,
+			"e0599d315f9acf965fcd255f08e95e33764602196cfc9e15b869bb54b5fa0c85"},
+		{"critical-gi", cluster.GainGrid{BOverQ0: 2, GiLo: giCrit, GiHi: 8 * giCrit, GdLo: 1.0 / 1024, GdHi: 0.5, Steps: 16}, 256,
+			"f889f26a29fdb7e003c8d3c986d2976a80e6f62db929c598d17f199e2ade449f"},
+		{"critical-gd", cluster.GainGrid{BOverQ0: 1.5, GiLo: 0.05, GiHi: 12.8, GdLo: gdCrit, GdHi: 8 * gdCrit, Steps: 16}, 0,
+			"ce50cf502644530da4ab27f3b5809cfaecdfbdbc01ee298397d555e87228785e"},
+	} {
+		pts := tc.grid.Points()
+		rows := make([]cluster.Row, len(pts))
+		if err := tc.grid.EvalBatch(context.Background(), pts, rows, cluster.EvalMetrics{}); err != nil {
+			t.Fatal(err)
+		}
+		walls := 0
+		for _, r := range rows {
+			if strings.Contains(r.CSV, ",overflow,") {
+				walls++
+			}
+		}
+		if walls != tc.walls {
+			t.Errorf("%s: %d overflow rows, want %d", tc.name, walls, tc.walls)
+		}
+		if got := digest(string(cluster.RenderCSV(rows))); got != tc.want {
+			t.Errorf("%s: map.csv digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
