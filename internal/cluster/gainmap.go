@@ -139,7 +139,15 @@ func (g GainGrid) Points() []GainPoint {
 	for i := 0; i < g.Steps; i++ {
 		gi := geomAt(g.GiLo, g.GiHi, i, g.Steps)
 		for j := 0; j < g.Steps; j++ {
-			pts = append(pts, GainPoint{Gi: gi, Gd: geomAt(g.GdLo, g.GdHi, j, g.Steps)})
+			// Each axis value is computed once: later rows take their
+			// Gd from the first row.
+			pt := GainPoint{Gi: gi}
+			if i == 0 {
+				pt.Gd = geomAt(g.GdLo, g.GdHi, j, g.Steps)
+			} else {
+				pt.Gd = pts[j].Gd
+			}
+			pts = append(pts, pt)
 		}
 	}
 	return pts

@@ -16,6 +16,9 @@ type Regime struct {
 	// false when they are ignored.
 	XLo, XHi float64
 	Buffer   bool
+	// shape, when set, is the Stitcher's memo of this region's arc
+	// shape; ArcStepper re-resolves it only when the regime changed.
+	shape *arcShape
 }
 
 // Step is one regime's arc as a Stepper resolved it: where it ends,
@@ -53,7 +56,8 @@ type Stepper interface {
 }
 
 // ArcStepper steps by the closed-form arcs of §IV-B: exact switch,
-// extremum and glide times, with wall hits refined by bisection.
+// extremum and glide times, with wall hits refined by bisection
+// replayed inside a certified band (refineWall).
 type ArcStepper struct{}
 
 // Step builds the regime's closed-form arc and resolves how it ends.
@@ -62,7 +66,13 @@ type ArcStepper struct{}
 func (ArcStepper) Step(g *Regime, st *Step) error {
 	*st = Step{}
 	arc := &st.Arc
-	if err := arc.init(g.M, g.N, g.K, g.X0, g.Y0); err != nil {
+	var local arcShape
+	sh := g.shape
+	if sh == nil {
+		sh = &local
+	}
+	sh.resolve(g.M, g.N, g.K)
+	if err := arc.init(sh, g.X0, g.Y0); err != nil {
 		return err
 	}
 	eps := 1e-9 * arc.TimeScale()
@@ -134,6 +144,12 @@ type Verdict struct {
 type Stitcher struct {
 	g  Regime
 	st Step
+	// shapes memoise the arc shapes of the increase and decrease
+	// regimes, keyed on their exact (M, N, K): every arc of a regime
+	// reuses them, and so does the next solve of a reused Stitcher
+	// while the regime stays put (a gain-map row shares its Gi, so its
+	// increase regime).
+	shapes [2]arcShape
 }
 
 // Stitch steps from the state (x, y) at time t one regime at a time
@@ -181,9 +197,9 @@ func (z *Stitcher) Stitch(p Params, o StitchOptions, t, x, y float64, s Stepper,
 	// The two regimes, resolved once per solve instead of once per arc.
 	inc, dec := p.RegionLinear(Increase), p.RegionLinear(Decrease)
 	for arcIdx := 0; arcIdx < o.MaxArcs; arcIdx++ {
-		g.Region, g.Linear, g.X0, g.Y0 = region, dec, x, y
+		g.Region, g.Linear, g.X0, g.Y0, g.shape = region, dec, x, y, &z.shapes[1]
 		if region == Increase {
-			g.Linear = inc
+			g.Linear, g.shape = inc, &z.shapes[0]
 		}
 		if err := s.Step(g, st); err != nil {
 			if err := obs.StepFailed(t, err); err != nil {
