@@ -121,7 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		leaseTTL     = fs.Duration("lease-ttl", 3*time.Second, "coordinator HA: leadership lease TTL granted by the worker witnesses")
 
 		// Closed-loop QoS (server mode; see internal/qos).
-		qosOn      = fs.Bool("qos", false, "server mode: enable the closed-loop QoS layer — adaptive admission, brownout ladder, per-tenant fairness, deadline propagation, artifact cache")
+		qosOn      = fs.Bool("qos", false, "server mode: enable the closed-loop QoS layer — adaptive admission, brownout ladder, per-tenant fairness, deadline propagation")
 		qosAlpha   = fs.Float64("qos-alpha", 0, "QoS: rate-mismatch feedback gain alpha (0 = default; stability needs alpha^2 < 4*beta)")
 		qosBeta    = fs.Float64("qos-beta", 0, "QoS: queue-excursion feedback gain beta (0 = default)")
 		qosTick    = fs.Duration("qos-interval", 0, "QoS: control-loop tick interval (0 = default)")
@@ -130,8 +130,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		qosGoros   = fs.Int("qos-max-goroutines", 0, "QoS: goroutine count forcing cached-only brownout (0 = default 20000, negative disables)")
 		tenWeights = fs.String("tenant-weights", "", "QoS: per-tenant scheduling weights as name=weight pairs, comma-separated")
 		tenBurst   = fs.Float64("tenant-burst", 0, "QoS: per-tenant bucket burst in seconds of fair-share rate (0 = default)")
-		cacheBytes = fs.Int64("cache-bytes", 0, "QoS: artifact front-cache budget in bytes (0 = default 64 MiB, negative disables)")
-		cacheTTL   = fs.Duration("cache-ttl", 0, "QoS: artifact front-cache entry TTL (0 = default 10m, negative = no expiry)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -206,8 +204,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Weights:      weights,
 				BurstSeconds: *tenBurst,
 			},
-			CacheBytes: *cacheBytes,
-			CacheTTL:   *cacheTTL,
 		}
 	}
 	var journal *runstate.Journal

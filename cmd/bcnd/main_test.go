@@ -238,7 +238,7 @@ func TestServeMetricsAndTelemetryDump(t *testing.T) {
 // and /metrics exports the qos_* series.
 func TestQoSFlagsEndToEnd(t *testing.T) {
 	base, stop := startServer(t,
-		"-qos", "-tenant-weights", "acme=3,batch=0.5", "-cache-bytes", "1048576")
+		"-qos", "-tenant-weights", "acme=3,batch=0.5")
 	specFile := filepath.Join(t.TempDir(), "job.json")
 	if err := os.WriteFile(specFile, solveBody(t), 0o644); err != nil {
 		t.Fatal(err)

@@ -9,39 +9,29 @@ import (
 // the telemetry contract, so a nil registry costs one pointer check per
 // event.
 type Metrics struct {
-	Admitted      *telemetry.Counter
-	Shed          *telemetry.CounterVec // reason: rate|tenant|brownout|deadline|queue
-	TenantAdmit   *telemetry.CounterVec // tenant
-	DeadlineDoom  *telemetry.Counter
-	CacheHits     *telemetry.Counter
-	CacheBackHits *telemetry.Counter
-	CacheMisses   *telemetry.Counter
-	CacheEvict    *telemetry.Counter
-	CacheExpire   *telemetry.Counter
-	StorageDegr   *telemetry.Counter
-	VolatileRecs  *telemetry.Counter
-	FairWait      *telemetry.Histogram
-	Ticks         *telemetry.Counter
+	Admitted     *telemetry.Counter
+	Shed         *telemetry.CounterVec // reason: rate|tenant|brownout|deadline|queue
+	TenantAdmit  *telemetry.CounterVec // tenant
+	DeadlineDoom *telemetry.Counter
+	StorageDegr  *telemetry.Counter
+	VolatileRecs *telemetry.Counter
+	FairWait     *telemetry.Histogram
+	Ticks        *telemetry.Counter
 }
 
 // NewMetrics registers the qos_* families on reg (nil-safe) and wires
-// the live gauges: advertised rate, capacity estimate, brownout level,
-// tracked tenants, and front-cache occupancy.
-func NewMetrics(reg *telemetry.Registry, ctl *Controller, wd *Watchdog, tl *TenantLimiter, cache *ArtifactCache) *Metrics {
+// the live gauges: advertised rate, capacity estimate, brownout level
+// and tracked tenants.
+func NewMetrics(reg *telemetry.Registry, ctl *Controller, wd *Watchdog, tl *TenantLimiter) *Metrics {
 	m := &Metrics{
-		Admitted:      reg.Counter("qos_admitted_total", "Requests admitted past the QoS gates."),
-		Shed:          reg.CounterVec("qos_shed_total", "Requests shed by the QoS layer, by reason.", "reason"),
-		TenantAdmit:   reg.CounterVec("qos_tenant_admitted_total", "Requests admitted, by tenant.", "tenant"),
-		DeadlineDoom:  reg.Counter("qos_deadline_doomed_total", "Requests rejected because their deadline budget could not cover the work."),
-		CacheHits:     reg.Counter("qos_cache_hits_total", "Front-tier artifact cache hits."),
-		CacheBackHits: reg.Counter("qos_cache_backing_hits_total", "Backing-store hits promoted into the front tier."),
-		CacheMisses:   reg.Counter("qos_cache_misses_total", "Artifact cache misses (both tiers)."),
-		CacheEvict:    reg.Counter("qos_cache_evictions_total", "Front-tier entries evicted for the byte budget."),
-		CacheExpire:   reg.Counter("qos_cache_expiries_total", "Front-tier entries expired by TTL."),
-		StorageDegr:   reg.Counter("qos_storage_degraded_total", "Journal write failures that pinned the cached-only brownout."),
-		VolatileRecs:  reg.Counter("qos_volatile_records_total", "Artifacts recorded to the volatile front tier only (journal degraded)."),
-		FairWait:      reg.Histogram("qos_fair_wait_seconds", "Time spent waiting for a worker slot in the fair queue.", telemetry.DefBuckets),
-		Ticks:         reg.Counter("qos_ticks_total", "Control-loop ticks applied."),
+		Admitted:     reg.Counter("qos_admitted_total", "Requests admitted past the QoS gates."),
+		Shed:         reg.CounterVec("qos_shed_total", "Requests shed by the QoS layer, by reason.", "reason"),
+		TenantAdmit:  reg.CounterVec("qos_tenant_admitted_total", "Requests admitted, by tenant.", "tenant"),
+		DeadlineDoom: reg.Counter("qos_deadline_doomed_total", "Requests rejected because their deadline budget could not cover the work."),
+		StorageDegr:  reg.Counter("qos_storage_degraded_total", "Journal write failures that pinned the cached-only brownout."),
+		VolatileRecs: reg.Counter("qos_volatile_records_total", "Artifacts kept in memory only because the journal is degraded."),
+		FairWait:     reg.Histogram("qos_fair_wait_seconds", "Time spent waiting for a worker slot in the fair queue.", telemetry.DefBuckets),
+		Ticks:        reg.Counter("qos_ticks_total", "Control-loop ticks applied."),
 	}
 	if ctl != nil {
 		reg.GaugeFunc("qos_advertised_rate", "Advertised admission rate, jobs/second.", ctl.AdvertisedRate)
@@ -60,38 +50,7 @@ func NewMetrics(reg *telemetry.Registry, ctl *Controller, wd *Watchdog, tl *Tena
 			return float64(tl.Tenants())
 		})
 	}
-	if cache != nil {
-		reg.GaugeFunc("qos_cache_bytes", "Bytes held in the front artifact tier.", func() float64 {
-			return float64(cache.Stats().Bytes)
-		})
-		reg.GaugeFunc("qos_cache_entries", "Entries held in the front artifact tier.", func() float64 {
-			return float64(cache.Stats().Entries)
-		})
-	}
 	return m
-}
-
-// SyncCache folds the cache's internal counters into the qos_cache_*
-// counters. Called from the control tick so the exported series stay
-// monotonic without putting a counter bump on the Lookup hot path.
-func (m *Metrics) SyncCache(cache *ArtifactCache) {
-	if m == nil || cache == nil {
-		return
-	}
-	s := cache.Stats()
-	addTo(m.CacheHits, s.Hits)
-	addTo(m.CacheBackHits, s.BackHits)
-	addTo(m.CacheMisses, s.Misses)
-	addTo(m.CacheEvict, s.Evictions)
-	addTo(m.CacheExpire, s.Expiries)
-}
-
-// addTo raises a counter to the target cumulative value. Counters only
-// move forward, so the delta is never negative.
-func addTo(c *telemetry.Counter, target uint64) {
-	if cur := c.Value(); target > cur {
-		c.Add(target - cur)
-	}
 }
 
 // ObserveWait records a fair-queue wait.

@@ -37,10 +37,6 @@
 //     solver context), and doom work that cannot finish in budget
 //     before it occupies a worker — cancelled early beats shed late.
 //
-//   - ArtifactCache: a byte-bounded LRU+TTL content-addressed cache in
-//     front of the durable journal, so hot re-requests never touch a
-//     worker even in brownout.
-//
 //   - Breaker: the one keyed circuit breaker (consecutive-failure
 //     threshold, cooldown, single half-open probe, terminal quarantine)
 //     that internal/serve keys by parameter region and internal/cluster
@@ -65,12 +61,6 @@ type Config struct {
 	Brownout BrownoutConfig
 	// Tenant tunes per-tenant isolation (weights, burst, idle expiry).
 	Tenant TenantConfig
-	// CacheBytes bounds the in-memory artifact cache (default 64 MiB;
-	// negative disables the front cache).
-	CacheBytes int64
-	// CacheTTL expires cached artifacts (default 10m; negative means no
-	// expiry).
-	CacheTTL time.Duration
 	// HopMargin is the per-hop deadline decrement: the budget a request
 	// forwards downstream is its remaining budget minus this margin, and
 	// a request whose remaining budget is below it is doomed on arrival
@@ -88,12 +78,6 @@ func (c Config) WithDefaults() Config {
 	c.Controller = c.Controller.withDefaults()
 	c.Brownout = c.Brownout.withDefaults()
 	c.Tenant = c.Tenant.withDefaults()
-	if c.CacheBytes == 0 {
-		c.CacheBytes = DefaultCacheBytes
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = DefaultCacheTTL
-	}
 	if c.HopMargin == 0 {
 		c.HopMargin = DefaultHopMargin
 	}

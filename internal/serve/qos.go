@@ -19,17 +19,18 @@ type qosState struct {
 	wd      *qos.Watchdog
 	tenants *qos.TenantLimiter
 	fq      *qos.FairQueue
-	cache   *qos.ArtifactCache
 	metrics *qos.Metrics
+	// volatile keeps the artifacts the configured Cache failed to
+	// record once storage degraded, so they stay servable (not durable)
+	// for the process lifetime.
+	volatile *MemCache
 
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
-// newQoSState wires the QoS layer for a server: the artifact cache
-// wraps the configured Cache (journal or MemCache) as its durable tier,
-// the controller sizes itself on the worker pool, and the watchdog
-// starts at Full.
+// newQoSState wires the QoS layer for a server: the controller sizes
+// itself on the worker pool and the watchdog starts at Full.
 func newQoSState(cfg *Config) *qosState {
 	q := cfg.QoS.WithDefaults()
 	if cfg.QoS.Controller.QueueTarget <= 0 {
@@ -44,15 +45,15 @@ func newQoSState(cfg *Config) *qosState {
 		q.Tenant.Now = cfg.Now
 	}
 	st := &qosState{
-		cfg:     q,
-		ctl:     qos.NewController(q.Controller, cfg.Workers),
-		wd:      qos.NewWatchdog(q.Brownout),
-		tenants: qos.NewTenantLimiter(q.Tenant),
-		fq:      qos.NewFairQueue(cfg.Workers),
-		cache:   qos.NewArtifactCache(cfg.Cache, q.CacheBytes, q.CacheTTL, cfg.Now),
-		stop:    make(chan struct{}),
+		cfg:      q,
+		ctl:      qos.NewController(q.Controller, cfg.Workers),
+		wd:       qos.NewWatchdog(q.Brownout),
+		tenants:  qos.NewTenantLimiter(q.Tenant),
+		fq:       qos.NewFairQueue(cfg.Workers),
+		volatile: NewMemCache(),
+		stop:     make(chan struct{}),
 	}
-	st.metrics = qos.NewMetrics(cfg.Registry, st.ctl, st.wd, st.tenants, st.cache)
+	st.metrics = qos.NewMetrics(cfg.Registry, st.ctl, st.wd, st.tenants)
 	return st
 }
 
@@ -71,9 +72,8 @@ func (q *qosState) run(s *Server) {
 }
 
 // qosTick applies one control-loop step: feed the controller the live
-// queue depth, move the brownout ladder, flip tenant enforcement, and
-// fold cache counters into the exported series. Tests drive it
-// directly with a negative TickInterval.
+// queue depth, move the brownout ladder and flip tenant enforcement.
+// Tests drive it directly with a negative TickInterval.
 func (s *Server) qosTick() {
 	q := s.qos
 	if q == nil {
@@ -85,7 +85,6 @@ func (s *Server) qosTick() {
 	level := q.wd.Observe(frac)
 	q.tenants.Congested(frac >= 0.5 || level > qos.Full)
 	q.metrics.Ticks.Inc()
-	q.metrics.SyncCache(q.cache)
 }
 
 // Close stops the background control loop (no-op without QoS). The
@@ -193,15 +192,15 @@ func (s *Server) qosShed(w http.ResponseWriter, rid, key, reason string, status 
 
 // qosRecordFailure handles a failed artifact Record under QoS: the
 // journal is declared storage-degraded, the brownout ladder pins at
-// cached-only, and the artifact is kept servable in the volatile front
-// tier. The job still succeeds from the client's view — marked
+// cached-only, and the artifact is kept servable in the volatile
+// in-memory store. The job still succeeds from the client's view — marked
 // non-durable via Bcn-Storage-Degraded — because recomputing it later
 // is cheaper than losing it now.
 func (s *Server) qosRecordFailure(w http.ResponseWriter, rid, key string, raw []byte, err error) {
 	q := s.qos
 	q.wd.Pin(qos.CachedOnly, "storage degraded: "+err.Error())
 	q.metrics.StorageDegr.Inc()
-	q.cache.PutVolatile(key, raw)
+	q.volatile.Record(key, raw)
 	q.metrics.VolatileRecs.Inc()
 	w.Header().Set(qos.StorageDegradedHeader, "1")
 	s.logf("rid=%s key=%s storage-degraded err=%q", rid, key, err)
@@ -218,9 +217,6 @@ type QoSStatus struct {
 	Tenants          int               `json:"tenants"`
 	TenantAdmitted   map[string]uint64 `json:"tenant_admitted,omitempty"`
 	FairWaiting      int               `json:"fair_waiting"`
-	CacheEntries     int               `json:"cache_entries"`
-	CacheBytes       int64             `json:"cache_bytes"`
-	CacheMaxBytes    int64             `json:"cache_max_bytes"`
 }
 
 // qosStatus assembles the QoS block, nil without QoS.
@@ -230,7 +226,6 @@ func (s *Server) qosStatus() *QoSStatus {
 		return nil
 	}
 	pinned, reason := q.wd.Pinned()
-	cs := q.cache.Stats()
 	return &QoSStatus{
 		AdvertisedRate:   q.ctl.AdvertisedRate(),
 		CapacityEstimate: q.ctl.Capacity(),
@@ -241,8 +236,5 @@ func (s *Server) qosStatus() *QoSStatus {
 		Tenants:          q.tenants.Tenants(),
 		TenantAdmitted:   q.tenants.Admitted(),
 		FairWaiting:      q.fq.Waiting(),
-		CacheEntries:     cs.Entries,
-		CacheBytes:       cs.Bytes,
-		CacheMaxBytes:    cs.MaxBytes,
 	}
 }

@@ -343,9 +343,11 @@ func TestQoSStorageDegradedBrownout(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, Cache: store, QoS: &qos.Config{TickInterval: -1}})
 
 	durable := marshalSpec(t, uniqueSolveSpec(1))
-	if resp := postSpec(t, ts.URL, durable); resp.StatusCode != http.StatusOK {
-		t.Fatalf("durable solve: %d", resp.StatusCode)
+	first := postSpec(t, ts.URL, durable)
+	if first.StatusCode != http.StatusOK {
+		t.Fatalf("durable solve: %d", first.StatusCode)
 	}
+	durableBody := readBody(t, first)
 
 	store.setFail(fmt.Errorf("%w: append: no space left on device", runstate.ErrStorageDegraded))
 
@@ -357,8 +359,9 @@ func TestQoSStorageDegradedBrownout(t *testing.T) {
 	if resp.Header.Get(qos.StorageDegradedHeader) != "1" {
 		t.Errorf("missing %s on volatile success", qos.StorageDegradedHeader)
 	}
+	volatileBody := readBody(t, resp)
 	var art Artifact
-	if err := json.Unmarshal(readBody(t, resp), &art); err != nil || art.Solve == nil {
+	if err := json.Unmarshal(volatileBody, &art); err != nil || art.Solve == nil {
 		t.Fatalf("volatile artifact: %v %+v", err, art)
 	}
 
@@ -381,6 +384,24 @@ func TestQoSStorageDegradedBrownout(t *testing.T) {
 	}
 	if resp := postSpec(t, ts.URL, volatileSpec); resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
 		t.Errorf("volatile artifact lost: status %d cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	// GET by key reads the same two stores as the POST hit path.
+	for name, want := range map[string]struct {
+		key  string
+		body []byte
+	}{
+		"durable":  {first.Header.Get("X-Job-Key"), durableBody},
+		"volatile": {resp.Header.Get("X-Job-Key"), volatileBody},
+	} {
+		got, err := http.Get(ts.URL + "/v1/jobs/" + want.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, got)
+		got.Body.Close()
+		if got.StatusCode != http.StatusOK || !bytes.Equal(body, want.body) {
+			t.Errorf("GET %s artifact %q: status %d, body equal %v", name, want.key, got.StatusCode, bytes.Equal(body, want.body))
+		}
 	}
 	if got := s.qos.metrics.StorageDegr.Value(); got != 1 {
 		t.Errorf("qos_storage_degraded = %d, want 1", got)

@@ -107,9 +107,9 @@ type Config struct {
 	// QoS, when non-nil, enables the closed-loop overload-protection
 	// layer (internal/qos): RCP-style adaptive admission with
 	// Bcn-Advertised-Rate feedback, the brownout ladder, per-tenant
-	// weighted fair queueing, deadline propagation, and the byte-bounded
-	// artifact cache in front of Cache. Nil keeps the PR-4 static-shed
-	// path byte-for-byte unchanged.
+	// weighted fair queueing, deadline propagation, and a volatile
+	// in-memory store that keeps artifacts servable once Cache fails to
+	// record them. Nil keeps the static-shed path byte-for-byte unchanged.
 	QoS *qos.Config
 }
 
@@ -213,9 +213,6 @@ func New(cfg Config) (*Server, error) {
 	s.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now, s.metrics.breakerTransitions, nil)
 	if cfg.QoS != nil {
 		s.qos = newQoSState(&cfg)
-		// The artifact cache fronts the durable store for every lookup
-		// and write-through from here on.
-		s.cache = s.qos.cache
 		if s.qos.cfg.TickInterval > 0 {
 			go s.qos.run(s)
 		}
@@ -461,7 +458,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// store without touching admission, so resubmits are cheap even
 	// under overload — and byte-identical, because the stored bytes are
 	// served verbatim.
-	if raw, ok := s.cache.Lookup(key); ok {
+	if raw, ok := s.lookup(key); ok {
 		s.metrics.cacheHits.Inc()
 		s.logf("rid=%s kind=%s key=%s cache=hit", rid, sp.Kind, key)
 		s.serveArtifact(w, key, raw, "hit")
@@ -684,6 +681,18 @@ func (s *Server) finishResponse(w http.ResponseWriter, key, region string, raw [
 	}
 }
 
+// lookup reads the artifact store and then, under QoS, the volatile
+// store that holds artifacts computed after storage degraded.
+func (s *Server) lookup(key string) ([]byte, bool) {
+	if raw, ok := s.cache.Lookup(key); ok {
+		return raw, true
+	}
+	if s.qos != nil {
+		return s.qos.volatile.Lookup(key)
+	}
+	return nil, false
+}
+
 func (s *Server) serveArtifact(w http.ResponseWriter, key string, raw []byte, cacheState string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Job-Key", key)
@@ -696,7 +705,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	rid := s.nextRequestID()
 	w.Header().Set("X-Request-ID", rid)
 	key := r.PathValue("key")
-	raw, ok := s.cache.Lookup(key)
+	raw, ok := s.lookup(key)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no artifact for key " + key, Reason: "not-found"})
 		return
