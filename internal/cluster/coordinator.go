@@ -343,6 +343,10 @@ type shardRun struct {
 	shard       Shard
 	assignments int
 	planned     int // ring-planned owner
+	// size is the point count of the planned shard, which shard may
+	// have been pruned below on replay. The done marker records size, so
+	// every coordinator that seals a shard writes the same bytes.
+	size int
 	// revoked marks a shard whose merged rows were withdrawn after its
 	// worker was quarantined: the next merge force-records its rows so
 	// the journal supersedes the distrusted values.
@@ -483,9 +487,9 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 			// Complete: fully replayed.
 		case !done && replayedHere == 0 && j != nil:
 			// Fresh (never started).
-			pending = append(pending, &shardRun{shard: sh})
+			pending = append(pending, &shardRun{shard: sh, size: len(sh.Points)})
 		case j == nil:
-			pending = append(pending, &shardRun{shard: sh})
+			pending = append(pending, &shardRun{shard: sh, size: len(sh.Points)})
 		default:
 			// Rows without a done marker (a worker or coordinator died
 			// mid-shard), or a done marker with rows missing (corrupt or
@@ -493,13 +497,13 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 			// is surfaced and re-executed, not silently trusted.
 			orphans++
 			if len(missing.Points) > 0 {
-				pending = append(pending, &shardRun{shard: missing})
+				pending = append(pending, &shardRun{shard: missing, size: len(sh.Points)})
 			} else {
 				// All rows present, only the marker missing: re-seal.
-				if err := c.recordDone(fp, sh); err == nil {
+				if err := c.recordDone(fp, sh.Index, len(sh.Points)); err == nil {
 					c.m.ShardsDone.Inc()
 				} else {
-					pending = append(pending, &shardRun{shard: missing})
+					pending = append(pending, &shardRun{shard: missing, size: len(sh.Points)})
 				}
 			}
 		}
@@ -785,7 +789,7 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 				return fmt.Errorf("cluster: journal row: %w", err)
 			}
 		}
-		if err := c.recordDone(st.fp, sr.shard); err != nil {
+		if err := c.recordDone(st.fp, sr.shard.Index, sr.size); err != nil {
 			return err
 		}
 	}
@@ -851,13 +855,15 @@ func validRowBytes(raw []byte) bool {
 	return err == nil && row.CSV != ""
 }
 
-func (c *Coordinator) recordDone(fp string, sh Shard) error {
+// recordDone seals shard index of sweep fp, whose plan holds size
+// points.
+func (c *Coordinator) recordDone(fp string, index, size int) error {
 	j := c.cfg.Journal
-	key := DoneKey(fp, sh.Index)
+	key := DoneKey(fp, index)
 	if _, ok := j.Lookup(key); ok {
 		return nil
 	}
-	raw, err := json.Marshal(doneMarker{Index: sh.Index, Points: len(sh.Points)})
+	raw, err := json.Marshal(doneMarker{Index: index, Points: size})
 	if err != nil {
 		return fmt.Errorf("cluster: encode done marker: %w", err)
 	}

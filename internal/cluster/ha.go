@@ -563,7 +563,9 @@ func (n *HANode) resumeSweeps(ctx context.Context, srv *Server) {
 }
 
 // applyRecords writes peer-delivered records into the local journal,
-// idempotently (Lookup before Record on content-hash keys). It runs
+// skipping a record only when the journal already holds the same bytes,
+// so a leader's superseding write (a revoked shard's honest row, a
+// healed row) replaces the stale value here too. It runs
 // under mu held shared — a leadership flip excludes it — and applyMu —
 // concurrent applies serialize. Only followers apply; the caller has
 // checked the role under the same RLock.
@@ -571,7 +573,7 @@ func (n *HANode) applyRecords(recs []ReplicateRecord) (applied int, err error) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	for _, rec := range recs {
-		if _, ok := n.cfg.Journal.Lookup(rec.Key); ok {
+		if old, ok := n.cfg.Journal.Lookup(rec.Key); ok && bytes.Equal(old, rec.Val) {
 			continue
 		}
 		if err := n.cfg.Journal.Record(rec.Key, rec.Val); err != nil {
@@ -671,7 +673,8 @@ func (n *HANode) snapshotSync(src string) error {
 // replJournal is the journal the leading coordinator writes through:
 // local append first (durability), then an asynchronous fan-out to
 // every standby. Its own Lookup-before-Record check (under mu) makes
-// concurrent writers of the same key append once.
+// concurrent writers of the same bytes for a key append once; different
+// bytes supersede the stored value, as merge's force-records require.
 type replJournal struct {
 	mu   sync.Mutex
 	j    HAJournal
@@ -683,7 +686,7 @@ func (r *replJournal) Keys() []string                   { return r.j.Keys() }
 
 func (r *replJournal) Record(key string, val []byte) error {
 	r.mu.Lock()
-	if _, ok := r.j.Lookup(key); ok {
+	if old, ok := r.j.Lookup(key); ok && bytes.Equal(old, val) {
 		r.mu.Unlock()
 		return nil
 	}

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"bcnphase/internal/runstate"
 )
 
 func TestDedupeWorkers(t *testing.T) {
@@ -178,4 +181,60 @@ func TestReplJournalIdempotent(t *testing.T) {
 	if got := len(rj.Keys()); got != 1 {
 		t.Errorf("journal holds %d keys after 10 writes of one key, want 1", got)
 	}
+}
+
+// TestReplJournalSupersedes: merge force-records a revoked shard's honest
+// rows over the rows a quarantined liar left behind. Through the
+// leader's replicating journal over a real runstate.Journal, that
+// superseding write must land — in memory, on disk and in the stream to
+// the standbys — and a follower applying the stream must end with the
+// honest row too. A repeat of the stored bytes is still skipped.
+func TestReplJournalSupersedes(t *testing.T) {
+	openJournal := func(dir string) *runstate.Journal {
+		t.Helper()
+		j, err := runstate.OpenJournal(filepath.Join(dir, runstate.JournalFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	lie := appendRowJSON(nil, &Row{CSV: "0.5,0.5,0.5,0,LIE"})
+	honest := appendRowJSON(nil, &Row{CSV: "0.5,0.5,0.5,0,ok"})
+
+	dir := t.TempDir()
+	lj := openJournal(dir)
+	stream := make(chan ReplicateRecord, 8)
+	rj := &replJournal{j: lj, repl: &replicator{queues: []chan ReplicateRecord{stream}}}
+	for _, val := range [][]byte{lie, lie, honest, honest} {
+		if err := rj.Record("pt", val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertNoLies(t, rj, rj.Lookup)
+	if got := len(stream); got != 2 {
+		t.Errorf("replicated %d records, want 2 (the lie, then the honest row)", got)
+	}
+	if err := lj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openJournal(dir)
+	defer reopened.Close()
+	assertNoLies(t, reopened, reopened.Lookup)
+
+	var recs []ReplicateRecord
+	for len(stream) > 0 {
+		recs = append(recs, <-stream)
+	}
+	recs = append(recs, recs[len(recs)-1]) // a redelivered record changes nothing
+	fj := openJournal(t.TempDir())
+	defer fj.Close()
+	n := &HANode{cfg: HAConfig{Journal: fj}}
+	applied, err := n.applyRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 2 {
+		t.Errorf("follower applied %d records, want 2 (the lie, then the honest row)", applied)
+	}
+	assertNoLies(t, fj, fj.Lookup)
 }

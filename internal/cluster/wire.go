@@ -104,7 +104,8 @@ func DoneKey(fingerprint string, index int) string {
 	return fmt.Sprintf("shard-done:%s:%d", fingerprint, index)
 }
 
-// doneMarker is the done record's JSON value.
+// doneMarker is the done record's JSON value. Points is the planned
+// shard's point count, so the value depends only on the key.
 type doneMarker struct {
 	Index  int `json:"index"`
 	Points int `json:"points"`
