@@ -5,10 +5,10 @@
 // The package exists because the BCN fluid model (a second-order switched
 // nonlinear system) must be integrated numerically to cross-validate the
 // closed-form phase-plane solutions, and no mature ODE library is available
-// offline. It provides fixed-step steppers (Euler, Heun, classic RK4), an
-// adaptive Dormand-Prince RK45 driver with PI step-size control, and event
-// detection (sign-change location by bisection) used to find switching-line
-// and buffer-boundary crossings.
+// offline. It provides the classic fixed-step RK4 step, an adaptive
+// Dormand-Prince RK45 driver with PI step-size control, and event detection
+// (sign-change location by bisection) used to find switching-line and
+// buffer-boundary crossings.
 package ode
 
 import (
@@ -41,80 +41,11 @@ var (
 	ErrOptions = errors.New("ode: invalid options")
 )
 
-// Stepper advances a state vector by one fixed step. Implementations are
-// stateless and safe for concurrent use.
-type Stepper interface {
-	// Step computes y(t+h) from y(t) into out. out must have the same
-	// length as y and may alias y.
-	Step(f Func, t float64, y []float64, h float64, out []float64) error
-	// Order returns the classical order of accuracy of the method.
-	Order() int
-	// Name returns a short human-readable method name.
-	Name() string
-}
-
-// Euler is the explicit (forward) Euler method, order 1.
-type Euler struct{}
-
-var _ Stepper = Euler{}
-
-// Step advances y by one forward-Euler step of size h.
-func (Euler) Step(f Func, t float64, y []float64, h float64, out []float64) error {
-	if err := checkStepArgs(y, h, out); err != nil {
-		return err
-	}
-	n := len(y)
-	k := make([]float64, n)
-	f(t, y, k)
-	for i := 0; i < n; i++ {
-		out[i] = y[i] + h*k[i]
-	}
-	return nil
-}
-
-// Order reports the order of accuracy (1).
-func (Euler) Order() int { return 1 }
-
-// Name reports the method name.
-func (Euler) Name() string { return "euler" }
-
-// Heun is the explicit trapezoidal (improved Euler) method, order 2.
-type Heun struct{}
-
-var _ Stepper = Heun{}
-
-// Step advances y by one Heun step of size h.
-func (Heun) Step(f Func, t float64, y []float64, h float64, out []float64) error {
-	if err := checkStepArgs(y, h, out); err != nil {
-		return err
-	}
-	n := len(y)
-	k1 := make([]float64, n)
-	k2 := make([]float64, n)
-	tmp := make([]float64, n)
-	f(t, y, k1)
-	for i := 0; i < n; i++ {
-		tmp[i] = y[i] + h*k1[i]
-	}
-	f(t+h, tmp, k2)
-	for i := 0; i < n; i++ {
-		out[i] = y[i] + h*0.5*(k1[i]+k2[i])
-	}
-	return nil
-}
-
-// Order reports the order of accuracy (2).
-func (Heun) Order() int { return 2 }
-
-// Name reports the method name.
-func (Heun) Name() string { return "heun" }
-
 // RK4 is the classic fourth-order Runge-Kutta method.
 type RK4 struct{}
 
-var _ Stepper = RK4{}
-
-// Step advances y by one classic RK4 step of size h.
+// Step advances y by one classic RK4 step of size h, computing y(t+h)
+// from y(t) into out. out must have the same length as y and may alias y.
 func (RK4) Step(f Func, t float64, y []float64, h float64, out []float64) error {
 	if err := checkStepArgs(y, h, out); err != nil {
 		return err
@@ -145,12 +76,6 @@ func (RK4) Step(f Func, t float64, y []float64, h float64, out []float64) error 
 	return nil
 }
 
-// Order reports the order of accuracy (4).
-func (RK4) Order() int { return 4 }
-
-// Name reports the method name.
-func (RK4) Name() string { return "rk4" }
-
 func checkStepArgs(y []float64, h float64, out []float64) error {
 	if len(y) == 0 || len(out) != len(y) {
 		return ErrDimension
@@ -159,41 +84,6 @@ func checkStepArgs(y []float64, h float64, out []float64) error {
 		return fmt.Errorf("%w: h=%v", ErrStep, h)
 	}
 	return nil
-}
-
-// FixedIntegrate integrates dy/dt = f from t0 to t1 with the given stepper
-// and uniform step h, recording every accepted state. The final step is
-// shortened to land exactly on t1.
-func FixedIntegrate(s Stepper, f Func, t0 float64, y0 []float64, t1, h float64) (*Solution, error) {
-	if t1 <= t0 {
-		return nil, fmt.Errorf("%w: t1=%v <= t0=%v", ErrStep, t1, t0)
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("%w: h=%v", ErrStep, h)
-	}
-	n := len(y0)
-	sol := &Solution{}
-	y := make([]float64, n)
-	copy(y, y0)
-	sol.append(t0, y)
-	t := t0
-	for t < t1 {
-		step := h
-		if t+step > t1 {
-			step = t1 - t
-		}
-		next := make([]float64, n)
-		if err := s.Step(f, t, y, step, next); err != nil {
-			return sol, err
-		}
-		if !finite(next) {
-			return sol, fmt.Errorf("%w at t=%v", ErrNotFinite, t+step)
-		}
-		t += step
-		y = next
-		sol.append(t, y)
-	}
-	return sol, nil
 }
 
 func finite(y []float64) bool {

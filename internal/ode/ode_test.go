@@ -16,52 +16,45 @@ func harmonic(_ float64, y, dydt []float64) {
 	dydt[1] = -y[0]
 }
 
-func TestFixedSteppersAccuracy(t *testing.T) {
-	cases := []struct {
-		stepper Stepper
-		tol     float64
-	}{
-		{Euler{}, 2e-2},
-		{Heun{}, 2e-4},
-		{RK4{}, 1e-8},
+// rk4Final steps RK4 with uniform step h from t=0 to t1, shortening the
+// last step to land exactly on t1, and returns the final state.
+func rk4Final(t *testing.T, f Func, y0 []float64, t1, h float64) []float64 {
+	t.Helper()
+	y := append([]float64(nil), y0...)
+	for tt := 0.0; tt < t1; {
+		step := math.Min(h, t1-tt)
+		if err := (RK4{}).Step(f, tt, y, step, y); err != nil {
+			t.Fatalf("RK4.Step(t=%g): %v", tt, err)
+		}
+		tt += step
 	}
-	for _, tc := range cases {
-		t.Run(tc.stepper.Name(), func(t *testing.T) {
-			sol, err := FixedIntegrate(tc.stepper, decay, 0, []float64{1}, 2, 1e-3)
-			if err != nil {
-				t.Fatalf("FixedIntegrate: %v", err)
-			}
-			_, y := sol.Last()
-			want := math.Exp(-2)
-			if got := math.Abs(y[0] - want); got > tc.tol {
-				t.Errorf("final error %g > tol %g", got, tc.tol)
-			}
-		})
-	}
+	return y
 }
 
-// TestConvergenceOrder verifies each stepper's empirical order of accuracy
-// by halving the step and measuring the error ratio on the harmonic
+func TestFixedSteppersAccuracy(t *testing.T) {
+	t.Run("rk4", func(t *testing.T) {
+		y := rk4Final(t, decay, []float64{1}, 2, 1e-3)
+		if got := math.Abs(y[0] - math.Exp(-2)); got > 1e-8 {
+			t.Errorf("final error %g > tol 1e-8", got)
+		}
+	})
+}
+
+// TestConvergenceOrder verifies RK4's empirical order of accuracy by
+// halving the step and measuring the error ratio on the harmonic
 // oscillator.
 func TestConvergenceOrder(t *testing.T) {
-	for _, s := range []Stepper{Euler{}, Heun{}, RK4{}} {
-		t.Run(s.Name(), func(t *testing.T) {
-			errAt := func(h float64) float64 {
-				sol, err := FixedIntegrate(s, harmonic, 0, []float64{1, 0}, 1, h)
-				if err != nil {
-					t.Fatalf("FixedIntegrate(h=%g): %v", h, err)
-				}
-				_, y := sol.Last()
-				return math.Hypot(y[0]-math.Cos(1), y[1]+math.Sin(1))
-			}
-			e1 := errAt(1e-2)
-			e2 := errAt(5e-3)
-			order := math.Log2(e1 / e2)
-			if want := float64(s.Order()); math.Abs(order-want) > 0.35 {
-				t.Errorf("empirical order %.2f, want ~%v (e1=%g e2=%g)", order, want, e1, e2)
-			}
-		})
-	}
+	t.Run("rk4", func(t *testing.T) {
+		errAt := func(h float64) float64 {
+			y := rk4Final(t, harmonic, []float64{1, 0}, 1, h)
+			return math.Hypot(y[0]-math.Cos(1), y[1]+math.Sin(1))
+		}
+		e1 := errAt(1e-2)
+		e2 := errAt(5e-3)
+		if order := math.Log2(e1 / e2); math.Abs(order-4) > 0.35 {
+			t.Errorf("empirical order %.2f, want ~4 (e1=%g e2=%g)", order, e1, e2)
+		}
+	})
 }
 
 func TestDormandPrinceAccuracy(t *testing.T) {
@@ -201,10 +194,8 @@ func TestSolutionComponent(t *testing.T) {
 }
 
 func TestInvalidArgs(t *testing.T) {
-	if _, err := FixedIntegrate(RK4{}, decay, 0, []float64{1}, -1, 0.1); !errors.Is(err, ErrStep) {
-		t.Errorf("negative interval: err=%v, want ErrStep", err)
-	}
-	if _, err := FixedIntegrate(RK4{}, decay, 0, []float64{1}, 1, 0); !errors.Is(err, ErrStep) {
+	var zero [1]float64
+	if err := (RK4{}).Step(decay, 0, []float64{1}, 0, zero[:]); !errors.Is(err, ErrStep) {
 		t.Errorf("zero step: err=%v, want ErrStep", err)
 	}
 	if _, err := DormandPrince(decay, 1, []float64{1}, 0, Options{}); !errors.Is(err, ErrStep) {
@@ -217,14 +208,22 @@ func TestInvalidArgs(t *testing.T) {
 	if err := (RK4{}).Step(decay, 0, []float64{1}, math.NaN(), out[:]); !errors.Is(err, ErrStep) {
 		t.Errorf("NaN step: err=%v, want ErrStep", err)
 	}
-	if err := (Euler{}).Step(decay, 0, []float64{1, 2}, 0.1, out[:]); !errors.Is(err, ErrDimension) {
+	if err := (RK4{}).Step(decay, 0, []float64{1, 2}, 0.1, out[:]); !errors.Is(err, ErrDimension) {
 		t.Errorf("mismatched out: err=%v, want ErrDimension", err)
 	}
 }
 
 func TestNotFiniteDetected(t *testing.T) {
-	blow := func(_ float64, y, dydt []float64) { dydt[0] = y[0] * y[0] } // finite-time blowup
-	_, err := FixedIntegrate(RK4{}, blow, 0, []float64{1}, 5, 0.01)
+	// Finite-time blowup (at t=1) whose derivative overflows to +Inf
+	// once the state passes 10.
+	blow := func(_ float64, y, dydt []float64) {
+		if y[0] > 10 {
+			dydt[0] = math.Inf(1)
+			return
+		}
+		dydt[0] = y[0] * y[0]
+	}
+	_, err := DormandPrince(blow, 0, []float64{1}, 5, DefaultOptions())
 	if !errors.Is(err, ErrNotFinite) && !errors.Is(err, ErrStep) {
 		t.Errorf("blowup: err=%v, want ErrNotFinite", err)
 	}
