@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-build figures-check check stress bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
+.PHONY: all build test vet fmt-check race fuzz-seeds fuzz-short metamorphic bench-build figures-check check stress bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
 
 all: check
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when gofmt would rewrite any Go file in the tree, perfbench/
+# included, and name the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -48,12 +53,12 @@ bench-build:
 figures-check:
 	./scripts/figures_check.sh
 
-# The full pre-merge gate: static checks, build, race-enabled tests,
-# the plain test suite (gates that skip under -race, such as the
-# analytic speedup and telemetry-overhead bounds, run only there), the
-# fuzz seed corpora, the metamorphic relations, the benchmark module
-# build and the committed evaluation record (out/).
-check: vet build bench-build race test fuzz-seeds metamorphic figures-check
+# The full pre-merge gate: formatting (gofmt) and static checks, build,
+# race-enabled tests, the plain test suite (gates that skip under -race,
+# such as the analytic speedup and telemetry-overhead bounds, run only
+# there), the fuzz seed corpora, the metamorphic relations, the
+# benchmark module build and the committed evaluation record (out/).
+check: fmt-check vet build bench-build race test fuzz-seeds metamorphic figures-check
 
 # Flake hunt: the packages whose tests race real goroutines and sockets
 # (chaos proxy, cluster, serve) and qos, whose circuit breaker serve and
