@@ -89,26 +89,6 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// AppendFloat appends a finite float64 as encoding/json writes it:
-// shortest 'f' form, or 'e' form for magnitudes below 1e-6 or from 1e21
-// up, with a one-digit negative exponent unpadded (e-9, not e-09).
-// json.Marshal rejects NaN and ±Inf; callers check Finite first and
-// hand such values to encoding/json for its error.
-func AppendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // Finite reports whether f has a JSON spelling.
 func Finite(f float64) bool {
 	return !math.IsNaN(f) && !math.IsInf(f, 0)

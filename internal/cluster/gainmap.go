@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"bcnphase/internal/analytic"
 	"bcnphase/internal/canonjson"
@@ -237,8 +238,9 @@ type verdict struct {
 const maxAnalyticRowLen = 5*24 + 20 + 3*len("false") + len("horizon reached") + 20 + len(core.PredMonotoneTime) + 11
 
 // appendCSV appends the verdict's map.csv row (no trailing newline) to
-// b. Every float is strconv's shortest 'g' form, which is exactly what
-// fmt's %g prints, so rows keep the bytes of the fmt layout
+// b. Every float is strconv's shortest 'g' form, written by
+// canonjson.AppendG, which is exactly what fmt's %g prints, so rows
+// keep the bytes of the fmt layout
 // "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s" that existing journals, shard
 // digests and golden maps hold (FuzzAppendRow pins the two together),
 // without boxing twelve arguments per row.
@@ -249,7 +251,7 @@ func (v *verdict) appendCSV(b []byte) []byte {
 // appendAxis appends one gain column and its comma: the "gi," or "gd,"
 // that opens a row.
 func appendAxis(b []byte, gain float64) []byte {
-	return append(strconv.AppendFloat(b, gain, 'g', -1, 64), ',')
+	return append(canonjson.AppendG(b, gain), ',')
 }
 
 // appendVerdict appends the row after its two gain columns.
@@ -260,15 +262,15 @@ func (v *verdict) appendVerdict(b []byte) []byte {
 	b = append(b, ',')
 	b = strconv.AppendBool(b, v.theorem1OK)
 	b = append(b, ',')
-	b = strconv.AppendFloat(b, v.theorem1Bound, 'g', -1, 64)
+	b = canonjson.AppendG(b, v.theorem1Bound)
 	b = append(b, ',')
 	b = append(b, v.outcome.String()...)
 	b = append(b, ',')
 	b = strconv.AppendBool(b, v.outcome.StronglyStable())
 	b = append(b, ',')
-	b = strconv.AppendFloat(b, v.maxQueue, 'g', -1, 64)
+	b = canonjson.AppendG(b, v.maxQueue)
 	b = append(b, ',')
-	b = strconv.AppendFloat(b, v.rho, 'g', -1, 64)
+	b = canonjson.AppendG(b, v.rho)
 	b = append(b, ',')
 	b = strconv.AppendUint(b, v.violations, 10)
 	b = append(b, ',')
@@ -291,16 +293,22 @@ func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, e
 // closed-form sufficient condition — exactly the values linear.Compare
 // reports, without its second solve.
 func analyticVerdict(p *core.Params, pt GainPoint, res *analytic.Result, chk *invariant.Checker) verdict {
+	bound := core.Theorem1Bound(*p)
 	return verdict{
 		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
 		linearStable:  linear.Stable(*p),
-		theorem1OK:    core.Theorem1Satisfied(*p),
-		theorem1Bound: core.Theorem1Bound(*p),
+		theorem1OK:    bound < p.B, // core.Theorem1Satisfied
+		theorem1Bound: bound,
 		outcome:       res.Outcome,
 		maxQueue:      res.MaxQueue(*p), rho: res.Rho,
 		violations: chk.Violations(), firstPred: chk.FirstPredicate(),
 	}
 }
+
+// spanSolvers lends EvalBatch a warm Solver per span, so the regime
+// shapes it memoises carry from one span to the next. The memo is keyed
+// on exact bits, so a reused Solver writes the rows a fresh one would.
+var spanSolvers = sync.Pool{New: func() any { return analytic.NewSolver() }}
 
 // rowMark records where one row starts in EvalBatch's span buffer and
 // where its "gi," text, its "gd," text and the row itself end.
@@ -313,10 +321,10 @@ type rowMark struct{ start, gi, gd, end int }
 // "byte-identical to a single-node run" a property instead of a hope.
 // It is sweep.BatchFunc compatible.
 //
-// Every row comes from one warm analytic.Solver, under every invariant
-// policy: a non-off policy attaches one checker, Reset per point, whose
-// guard runs at the trajectory's exact knots and whose tallies fill the
-// violations and first_violation columns. A strict violation aborts the
+// Every row comes from one warm analytic.Solver, pooled across spans,
+// under every invariant policy: a non-off policy attaches one checker,
+// Reset per point, whose guard runs at the trajectory's exact knots and
+// whose tallies fill the violations and first_violation columns. A strict violation aborts the
 // span with the *invariant.InvariantError. Engine metrics are folded
 // into one analytic.Tally and flushed once per span, also when the
 // span aborts.
@@ -336,7 +344,8 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 	}
 	var tally analytic.Tally
 	defer tally.Flush(m.Analytic)
-	s := analytic.NewSolver()
+	s := spanSolvers.Get().(*analytic.Solver)
+	defer spanSolvers.Put(s)
 	chk := invariant.NewPolicy(g.Policy())
 	opts := analytic.Options{Invariants: chk}
 	base := g.Base()
