@@ -19,12 +19,34 @@
 #      map byte-identical to a local run, a resubmit must be a pure
 #      journal replay (zero fresh points — nothing lost, nothing
 #      doubled), exactly one live replica may report leadership, and
-#      every surviving process must drain cleanly on SIGTERM.
+#      every surviving process must drain cleanly on SIGTERM. On exit,
+#      passing or failing, no process the stage started is left
+#      running: the proxies, and anything that failed to drain, are
+#      killed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+
+# Every process stage 2 starts in the background is recorded here and
+# killed on exit, passing or failing, before the temp dir goes. Only a
+# PID whose executable still lives under $work is killed, so a PID the
+# system reused after a clean drain is left alone. The shell's notices
+# of the kills are silenced.
+declare -a bg_pids
+teardown() {
+    local pid
+    {
+        for pid in "${bg_pids[@]}"; do
+            case "$(readlink "/proc/$pid/exe")" in
+            "$work"/*) kill -9 "$pid" || true ;;
+            esac
+        done
+        wait || true
+    } 2>/dev/null
+    rm -rf "$work"
+}
+trap teardown EXIT
 
 echo "== stage 1: in-process HA failover soak (race detector) =="
 go test -race -count=1 -run 'TestHAFailoverSoak' -v ./internal/cluster | grep -v '^=== RUN'
@@ -38,7 +60,9 @@ declare -a worker_pid worker_url coord_pid coord_port coord_url coord_workers
 declare -a proxy_admin
 
 # scrape_banner polls a log file for a banner prefix and echoes what
-# follows it, failing loudly if the process never printed it.
+# follows it, failing loudly if the process never printed it. On
+# failure it also prints the process's .err file when it has one, where
+# a bind error lands.
 scrape_banner() { # $1 = file, $2 = sed pattern, $3 = what
     local got=""
     for _ in $(seq 200); do
@@ -49,6 +73,10 @@ scrape_banner() { # $1 = file, $2 = sed pattern, $3 = what
     if [ -z "$got" ]; then
         echo "FAIL: $3 never appeared in $1" >&2
         cat "$1" >&2
+        if [ -f "${1%.out}.err" ]; then
+            echo "-- ${1%.out}.err:" >&2
+            cat "${1%.out}.err" >&2
+        fi
         exit 1
     fi
     echo "$got"
@@ -58,17 +86,21 @@ start_worker() { # $1 = index
     "$work/bcnd" -addr 127.0.0.1:0 -journal "$work/worker$1" -workers 2 \
         > "$work/worker$1.out" 2>&1 &
     worker_pid[$1]=$!
+    bg_pids+=($!)
     worker_url[$1]="http://$(scrape_banner "$work/worker$1.out" \
         's/^bcnd: listening on //p' "worker $1 banner")"
 }
 
 # pick_port finds a TCP port nothing is listening on. The HA replicas
 # need their addresses known up front (-self/-peers are mutual), so
-# they cannot bind :0 like the workers do.
+# they cannot bind :0 like the workers do. It draws from 20000-32767,
+# below the usual ephemeral range (32768 and up on Linux) that the
+# workers, the proxies and every client connection take ports from, so
+# no such port can be taken between the pick and the replica's bind.
 pick_port() {
     local port
     while :; do
-        port=$((20000 + RANDOM % 25000))
+        port=$((20000 + RANDOM % 12768))
         if ! (exec 3<>"/dev/tcp/127.0.0.1/$port") 2>/dev/null; then
             echo "$port"
             return
@@ -92,6 +124,7 @@ for i in 1 2 3; do
     for j in 1 2 3; do
         "$work/chaosproxy" -target "${worker_url[$j]}" -latency 5ms -jitter 5ms \
             > "$work/proxy${i}_${j}.out" 2> "$work/proxy${i}_${j}.err" &
+        bg_pids+=($!)
         data="$(scrape_banner "$work/proxy${i}_${j}.out" \
             's/^chaosproxy: proxying .* on //p' "proxy $i/$j data banner")"
         proxy_admin[$i$j]="http://$(scrape_banner "$work/proxy${i}_${j}.out" \
@@ -112,6 +145,7 @@ start_replica() { # $1 = index
         -shard-size 8 -heartbeat-interval 100ms \
         > "$work/coord$1.out" 2> "$work/coord$1.err" &
     coord_pid[$1]=$!
+    bg_pids+=($!)
     scrape_banner "$work/coord$1.out" 's/^bcnd: HA replica .* on //p' \
         "replica $1 banner" > /dev/null
 }
@@ -165,6 +199,7 @@ echo "replica $leader1 leads the first term"
 "$work/bcnsweep" -cluster "${coord_url[1]},${coord_url[2]},${coord_url[3]}" \
     -steps 23 > "$work/cluster.csv" 2> "$work/cluster.err" &
 client=$!
+bg_pids+=($!)
 
 # Kill the leader once it has merged a few shards — mid-sweep, not
 # after the fact. The proxies' injected latency guarantees plenty of
