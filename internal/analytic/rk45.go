@@ -118,10 +118,10 @@ func (r *rkStepper) integrateArc(g *core.Regime, st *core.Step) error {
 				st.End, st.X, st.Y = hit.T, hit.Y[0], hit.Y[1]
 				st.Switched = true
 			case "hi":
-				st.End, st.X, st.Y = hit.T, hit.Y[0], hit.Y[1]
+				st.End, st.X, st.Y = hit.T, g.XHi, hit.Y[1]
 				st.Wall, st.WallT = core.OutcomeOverflow, hit.T
 			case "lo":
-				st.End, st.X, st.Y = hit.T, hit.Y[0], hit.Y[1]
+				st.End, st.X, st.Y = hit.T, g.XLo, hit.Y[1]
 				st.Wall, st.WallT = core.OutcomeUnderflow, hit.T
 			}
 		}

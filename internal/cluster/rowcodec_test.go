@@ -119,7 +119,7 @@ func reflectiveFingerprint(g GainGrid) (string, error) {
 		return "", fmt.Errorf("cluster: %v", err)
 	}
 	return runstate.HashJSON(gridIdentity{
-		Experiment: "bcnsweep/gainmap", Format: 5,
+		Experiment: "bcnsweep/gainmap", Format: 6,
 		BOverQ0: g.BOverQ0, GiLo: g.GiLo, GiHi: g.GiHi, GdLo: g.GdLo, GdHi: g.GdHi, Steps: g.Steps,
 		Invariants: pol.String(),
 	})

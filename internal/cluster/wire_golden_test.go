@@ -40,20 +40,20 @@ func TestShardWireGolden(t *testing.T) {
 		want       wireGolden
 	}{
 		{"", wireGolden{
-			fingerprint: "2c2ff334e55d8e715c11bd9243fad57285ee83f566b979dcd8a9a7b33598aa5b",
-			keys:        "00bad9498e6a91e46e7c56ba6e1b08104d5a957f7069ee9ce487889b7f393f07",
-			signatures:  "33d44e54df5ddf1770337b69d47b670644ad45a67156775e1bf3e36b90c4d693",
-			journal:     "af2bd5dc875c3e89fb5c4377b5dcc59cb9b0755b1de8e5d667e553d403bb3918",
-			mapCSV:      "c8e150179dcfbb2d860fd9181dbaf8ea1385bee69d88c6f5060c041cfc5a3ac6",
+			fingerprint: "3f9b847a78af0feec83f6bb899337a5ec5e41cb67e3f0a76d8ea448dc5483cd8",
+			keys:        "1a02b663e4a51bc6ed906cbf3f415411dd693f9794ff6df6050bf1655f8542c2",
+			signatures:  "2e96d08b215eff4a371712dc2bc00326b9a79242a7585f354cc8ccb95628fb34",
+			journal:     "31047df8dc1b645fb85b4afb8aa9d1a81be34825cc58bde1642faea59cb3092a",
+			mapCSV:      "fffd2506dd1aef15cfd1002523668ba45834cc2e9914fbdee89eb8b0e586098a",
 		}},
 		// 60 of these rows carry nonzero Violations (one rate-bounds knot
 		// each) and a FirstPred.
 		{"record", wireGolden{
-			fingerprint: "dd37104565b089a1d211d37a8e78c6eed22618de6abfbf5c0974fa5dcaff2729",
-			keys:        "bbe7098bcfcc7f6ecf6cdc3830a24470fcd20f423087e3238d070628d18267b1",
-			signatures:  "df9fe5723d0893c26bb59d41e7c05d6147128e88a288b6fa66aecc274484b412",
-			journal:     "bd2204e9a7d188f336d66f9de8fe501740dd76c720ac574d84b086add3fafbf4",
-			mapCSV:      "a8b77bbf2f6a8ba6e44ad675ca619dd9307399035bb732c8f9f0cd402769564a",
+			fingerprint: "afe11f8f4ca042bb0a4048ff95a8ecc41661c84a3308e555e559e7c228be7284",
+			keys:        "f581113424927ff7f80d2a08497d3175711b28e85ad2e427dc2e54d1a887fb52",
+			signatures:  "b7f4971cb25cb03bbf0d977fb5cd5625fbbdd2d0f54b3dc6c53b33e71eb7cc00",
+			journal:     "aefa8873eeecebf23422ba6ccc4863e115088833675877d76b83e987f77c8002",
+			mapCSV:      "09fd8b0d667e7a36e4c34333a02da82ec1e5ba0c20e89adc4687699ece0b4221",
 		}},
 	} {
 		t.Run("invariants="+tc.invariants, func(t *testing.T) {

@@ -407,7 +407,9 @@ type specIdentity struct {
 // mode leaves the identity, a spec naming "analytic" is refused as an
 // unknown field, and no RK45 or sampled artifact replays as a
 // closed-form one.
-const artifactFormat = 5
+// Format 6: a wall hit stops the trajectory on the wall, so wall rows'
+// max_q_bits and a wall-hit solve's end state sit on the wall exactly.
+const artifactFormat = 6
 
 // Key returns the spec's content-hash dedup key: the hex SHA-256 of the
 // canonical identity, json.Marshal's bytes for specIdentity. Execution

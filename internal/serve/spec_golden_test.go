@@ -40,11 +40,11 @@ func TestSpecKeyGolden(t *testing.T) {
 		sp   Spec
 		want string
 	}{
-		{"solve", solveSpec(), "d56f209792b37445401b887657f51dcd406786840c61a89b11a57826d827889a"},
-		{"solve-record", recordSolve, "152e8354bac4f0fbfc2b9c443760f7b28652fa79b881f10388763d56f9351c78"},
-		{"sweep", sweepSpec(), "d3ed36e02296e5eaeef39bca479bb6ef7c97f0386a1987fef502e5d175bd4a63"},
-		{"netsim-faults", faulted, "3e7b5ac8dbfae4d6db4d7c914f23f8462c615e796d4cd3648372ba4651119366"},
-		{"shard", shard, "acc33ddb841f37f374e2ac34463d986b1f6955668b957555bbcae28064b198fa"},
+		{"solve", solveSpec(), "d762e14fd45da73479cde4bdc5c1aa0553c91334178fa23dd0e2215923a89f95"},
+		{"solve-record", recordSolve, "8049e92538870f4886c653c5e78d43418b1698fe8f43f48fcaed19806ccbc95a"},
+		{"sweep", sweepSpec(), "ae8e08fa170b197602230a313e7759ab5eec02ba5bfc3c308123858c26b0ab4c"},
+		{"netsim-faults", faulted, "db1744dc4218248a4e8cac2bb5574f10a7602209aa4c64063aa2aa183c415631"},
+		{"shard", shard, "f9a45913c43b4a1cfa3b273ea30a77162847109dc0275f3da062d366017efc92"},
 	} {
 		key, err := tc.sp.Key()
 		if err != nil {
@@ -61,9 +61,9 @@ func TestSpecKeyGolden(t *testing.T) {
 		sp   Spec
 		want string
 	}{
-		{"solve", solveSpec(), "c1a51a6d442c82c316b39579cf3e6973f3b34024ba74ab9c5d3ca7dcfdcd644c"},
-		{"solve-record", recordSolve, "4c515d34704b947d8fe68fb3db55c38500854d316187b22a16a739f44b49e39e"},
-		{"shard", shard, "fcb52834acdf7f1a3e8d8174ab89bd5308e321846f6c4b16baadb84f228e6159"},
+		{"solve", solveSpec(), "0099df146e72ab1213e17815a9c6f703ebeb27440c6c1803b8dd6ffcbfd55ee7"},
+		{"solve-record", recordSolve, "1d65e7d1322a96ea9a7840d63f3cb1578b0d7ffc8ae074a172198a8c46ad4814"},
+		{"shard", shard, "fd6951aabda0071b67a4927d0d6348a8c1cd311a4d63714d43061aae97a54ba7"},
 	} {
 		resp := postSpec(t, ts.URL, marshalSpec(t, tc.sp))
 		body := readBody(t, resp)

@@ -18,8 +18,8 @@ func TestSweepArtifactGolden(t *testing.T) {
 		t.Skipf("golden digests are recorded on amd64, not %s", runtime.GOARCH)
 	}
 	for _, tc := range []struct{ invariants, want string }{
-		{"", "777d505e43dfbb81cdda7cac60997bbac10e8168725075b3df4e80c211fdf848"},
-		{"record", "e16e6d3e9733ea7e4dfb27145013f545d02a16191967740245dcd96572d5ea92"},
+		{"", "0fbce7316d11130c94f9f428bfe4755d8a5d4f8f1376caee5283bec959b6f7e9"},
+		{"record", "da90489720bcdbecc3437c460aad832c1d7fd8e1af380dbf543fffe312b50c82"},
 	} {
 		t.Run("invariants="+tc.invariants, func(t *testing.T) {
 			_, ts := newTestServer(t, Config{})
