@@ -122,7 +122,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	linearStable := linear.Stable(p)
+	linearStable := linear.Stable(&p)
 
 	fmt.Fprintf(out, "parameters: N=%d C=%.4g Ru=%.4g Gi=%.4g Gd=%.6g w=%.3g pm=%.3g q0=%.4g B=%.4g\n",
 		p.N, p.C, p.Ru, p.Gi, p.Gd, p.W, p.Pm, p.Q0, p.B)

@@ -204,17 +204,17 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 	}
 	var err error
 	if opts.Mode != ModeOff {
-		err = s.stitch(p, &opts, start, closedStepper{}, PathAnalytic)
+		err = s.stitch(&p, &opts, start, closedStepper{}, PathAnalytic)
 		if errors.Is(err, errNonFinite) {
 			if opts.Metrics != nil {
 				opts.Metrics.RK45Fallbacks.Inc()
 			}
 			// The re-run starts over from t = 0.
 			opts.Invariants.Reset()
-			err = s.stitch(p, &opts, start, &s.rk, PathRK45)
+			err = s.stitch(&p, &opts, start, &s.rk, PathRK45)
 		}
 	} else {
-		err = s.stitch(p, &opts, start, &s.rk, PathRK45)
+		err = s.stitch(&p, &opts, start, &s.rk, PathRK45)
 	}
 	if err != nil {
 		return Result{}, err
@@ -227,7 +227,7 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 
 // stitch runs the shared stitch loop with the given stepper, leaving
 // the result in s.track.
-func (s *Solver) stitch(p core.Params, opts *Options, start [2]float64, st core.Stepper, path Path) error {
+func (s *Solver) stitch(p *core.Params, opts *Options, start [2]float64, st core.Stepper, path Path) error {
 	s.track.reset(path, p, opts)
 	v, err := s.stitcher.Stitch(p, core.StitchOptions{
 		MaxArcs:             opts.MaxArcs,

@@ -43,7 +43,7 @@ type tracker struct {
 	guard      core.Guard
 }
 
-func (k *tracker) reset(path Path, p core.Params, opts *Options) {
+func (k *tracker) reset(path Path, p *core.Params, opts *Options) {
 	nan := math.NaN()
 	k.res = Result{
 		Path: path,
@@ -54,7 +54,7 @@ func (k *tracker) reset(path Path, p core.Params, opts *Options) {
 	k.onCrossing = opts.OnCrossing
 	k.guard = core.Guard{}
 	if opts.Invariants.Enabled() {
-		k.guard = core.NewGuard(opts.Invariants, p, !opts.IgnoreBuffer)
+		k.guard = core.NewGuard(opts.Invariants, *p, !opts.IgnoreBuffer)
 	}
 }
 

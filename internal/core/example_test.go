@@ -19,8 +19,10 @@ func ExampleTheorem1Bound() {
 // ExampleParams_Case classifies a parameter set into the paper's
 // phase-plane cases.
 func ExampleParams_Case() {
-	fmt.Println(core.PaperExample().Case())
-	fmt.Println(core.CaseExample(core.Case4).Case())
+	p := core.PaperExample()
+	fmt.Println(p.Case())
+	p = core.CaseExample(core.Case4)
+	fmt.Println(p.Case())
 	// Output:
 	// case 1 (spiral/spiral)
 	// case 4 (node/node)

@@ -92,7 +92,7 @@ func PaperExample() Params {
 }
 
 // Validate checks the physical feasibility of the parameters.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidParams, fmt.Sprintf(format, args...))
 	}
@@ -131,37 +131,41 @@ func (p Params) Validate() error {
 
 // A returns the aggregate additive-increase coefficient a = Ru·Gi·N
 // (paper §IV-A).
-func (p Params) A() float64 { return p.Ru * p.Gi * float64(p.N) }
+func (p *Params) A() float64 { return p.Ru * p.Gi * float64(p.N) }
 
 // Bcoef returns the multiplicative-decrease coefficient b = Gd.
-func (p Params) Bcoef() float64 { return p.Gd }
+func (p *Params) Bcoef() float64 { return p.Gd }
 
 // K returns the switching-line slope parameter k = w/(pm·C); the switching
 // line is x + k·y = 0.
-func (p Params) K() float64 { return p.W / (p.Pm * p.C) }
+func (p *Params) K() float64 { return p.W / (p.Pm * p.C) }
 
 // AThreshold returns 4·pm²·C²/w², the spiral/node boundary for the
 // increase-region coefficient a (paper Case conditions). Equivalently a
 // region with λ²+k·n·λ+n=0 is a spiral iff n < 4/k².
-func (p Params) AThreshold() float64 {
+func (p *Params) AThreshold() float64 {
 	r := p.Pm * p.C / p.W
 	return 4 * r * r
 }
 
 // BThreshold returns 4·pm²·C/w², the spiral/node boundary for the
-// decrease-region coefficient b = Gd.
-func (p Params) BThreshold() float64 {
+// decrease-region coefficient b = Gd. Unlike the other methods it takes
+// a value receiver, so it reads off a Params returned by value, such as
+// FigureExample().BThreshold().
+func (p Params) BThreshold() float64 { return p.bThreshold() }
+
+func (p *Params) bThreshold() float64 {
 	return 4 * p.Pm * p.Pm * p.C / (p.W * p.W)
 }
 
 // Sigma evaluates the congestion measure σ = −[x + k·y] at the shifted
 // state (x, y). Positive σ means the source should increase its rate.
-func (p Params) Sigma(x, y float64) float64 { return -(x + p.K()*y) }
+func (p *Params) Sigma(x, y float64) float64 { return -(x + p.K()*y) }
 
 // SwitchCoord returns s = x + k·y, the signed distance surrogate from the
 // switching line: s < 0 is the rate-increase region, s > 0 the decrease
 // region.
-func (p Params) SwitchCoord(x, y float64) float64 { return x + p.K()*y }
+func (p *Params) SwitchCoord(x, y float64) float64 { return x + p.K()*y }
 
 // Region identifies which rate-adjustment law is active.
 type Region int
@@ -190,7 +194,7 @@ func (r Region) String() string {
 // Exactly on the switching line the region is decided by the flow
 // direction: σ̇ = −y there, so y > 0 enters Decrease and y < 0 enters
 // Increase (at y = 0 on the line the state is the equilibrium).
-func (p Params) RegionAt(x, y float64) Region {
+func (p *Params) RegionAt(x, y float64) Region {
 	s := p.SwitchCoord(x, y)
 	switch {
 	case s < 0:
@@ -208,7 +212,7 @@ func (p Params) RegionAt(x, y float64) Region {
 // RegionN returns the characteristic-equation constant term n for the
 // region: n = a in Increase, n = b·C in Decrease. The characteristic
 // equation of the linearized regime is λ² + k·n·λ + n = 0 (paper eq. 35).
-func (p Params) RegionN(r Region) float64 {
+func (p *Params) RegionN(r Region) float64 {
 	if r == Increase {
 		return p.A()
 	}
@@ -217,7 +221,7 @@ func (p Params) RegionN(r Region) float64 {
 
 // RegionLinear returns the linearized system of the given region in
 // companion form (paper eq. 9).
-func (p Params) RegionLinear(r Region) Linear {
+func (p *Params) RegionLinear(r Region) Linear {
 	n := p.RegionN(r)
 	return Linear{M: p.K() * n, N: n}
 }
@@ -272,9 +276,9 @@ func (c CaseKind) String() string {
 }
 
 // Case classifies the parameter set into the paper's cases.
-func (p Params) Case() CaseKind {
+func (p *Params) Case() CaseKind {
 	a, b := p.A(), p.Bcoef()
-	ta, tb := p.AThreshold(), p.BThreshold()
+	ta, tb := p.AThreshold(), p.bThreshold()
 	switch {
 	case a == ta || b == tb:
 		return Case5
@@ -293,7 +297,7 @@ func (p Params) Case() CaseKind {
 // acceleration from per-source rate μ until the aggregate rate reaches C
 // while the queue is still empty (paper §IV-C). μ is the initial rate of
 // each source in bits/second; it must satisfy N·μ ≤ C.
-func (p Params) WarmupTime(mu float64) (float64, error) {
+func (p *Params) WarmupTime(mu float64) (float64, error) {
 	if mu < 0 {
 		return 0, fmt.Errorf("%w: negative initial rate %v", ErrInvalidParams, mu)
 	}

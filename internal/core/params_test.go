@@ -128,7 +128,8 @@ func caseParams(c CaseKind) Params {
 }
 
 func TestCaseClassification(t *testing.T) {
-	if got := PaperExample().Case(); got != Case1 {
+	paper := PaperExample()
+	if got := paper.Case(); got != Case1 {
 		t.Errorf("paper example Case() = %v, want Case1", got)
 	}
 	for _, want := range []CaseKind{Case1, Case2, Case3, Case4, Case5} {

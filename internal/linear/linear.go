@@ -26,14 +26,14 @@ func RouthHurwitz2(m, n float64) bool { return m > 0 && n > 0 }
 
 // SubsystemStable reports whether the isolated linear subsystem of the
 // given region is stable in the classical sense.
-func SubsystemStable(p core.Params, r core.Region) bool {
+func SubsystemStable(p *core.Params, r core.Region) bool {
 	l := p.RegionLinear(r)
 	return RouthHurwitz2(l.M, l.N)
 }
 
 // Stable is the combined baseline verdict: both isolated subsystems
 // Hurwitz. This is the criterion of [4] and of Proposition 1.
-func Stable(p core.Params) bool {
+func Stable(p *core.Params) bool {
 	return SubsystemStable(p, core.Increase) && SubsystemStable(p, core.Decrease)
 }
 
@@ -67,8 +67,8 @@ func Compare(p core.Params) (Verdict, error) {
 		return Verdict{}, fmt.Errorf("compare: %w", err)
 	}
 	v := Verdict{
-		IncreaseStable: SubsystemStable(p, core.Increase),
-		DecreaseStable: SubsystemStable(p, core.Decrease),
+		IncreaseStable: SubsystemStable(&p, core.Increase),
+		DecreaseStable: SubsystemStable(&p, core.Decrease),
 		Theorem1OK:     core.Theorem1Satisfied(p),
 	}
 	v.LinearStable = v.IncreaseStable && v.DecreaseStable

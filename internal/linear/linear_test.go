@@ -29,7 +29,7 @@ func TestRouthHurwitz2(t *testing.T) {
 
 func TestSubsystemStableAlwaysForValidParams(t *testing.T) {
 	p := core.PaperExample()
-	if !SubsystemStable(p, core.Increase) || !SubsystemStable(p, core.Decrease) {
+	if !SubsystemStable(&p, core.Increase) || !SubsystemStable(&p, core.Decrease) {
 		t.Error("valid params must yield Hurwitz subsystems (Proposition 1)")
 	}
 }
@@ -88,7 +88,7 @@ func TestQuickLinearAlwaysStable(t *testing.T) {
 		p.Gi = 0.25 + float64(giRaw)/8
 		p.Gd = 1.0 / (1 + float64(gdRaw))
 		p.N = 1 + int(nRaw)
-		return SubsystemStable(p, core.Increase) && SubsystemStable(p, core.Decrease)
+		return SubsystemStable(&p, core.Increase) && SubsystemStable(&p, core.Decrease)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

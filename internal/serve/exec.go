@@ -185,7 +185,7 @@ func runSolve(s *SolveSpec, pol invariant.Policy, jm jobMetrics) (*SolveResult, 
 	// The linear/Theorem-1 verdicts only exist for valid parameters; a
 	// record/clamp run over broken physics reports them zero-valued.
 	if s.Params.Validate() == nil {
-		res.LinearStable = linear.Stable(s.Params)
+		res.LinearStable = linear.Stable(&s.Params)
 		res.Theorem1OK = core.Theorem1Satisfied(s.Params)
 		res.Theorem1Bound = core.Theorem1Bound(s.Params)
 	}
@@ -209,7 +209,7 @@ func runSolveAnalytic(s *SolveSpec, jm jobMetrics) (*SolveResult, error) {
 		Case:           s.Params.Case().String(),
 		Outcome:        res.Outcome.String(),
 		StronglyStable: res.Outcome.StronglyStable(),
-		LinearStable:   linear.Stable(s.Params),
+		LinearStable:   linear.Stable(&s.Params),
 		Theorem1OK:     core.Theorem1Satisfied(s.Params),
 		Theorem1Bound:  core.Theorem1Bound(s.Params),
 		MaxQueueBits:   res.MaxQueue(s.Params),
