@@ -1,12 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"runtime"
-	rpprof "runtime/pprof"
 )
 
 // RegisterPprof mounts the stdlib /debug/pprof handlers on mux so any
@@ -18,38 +14,4 @@ func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// StartCPUProfile begins writing a CPU profile to path and returns the
-// function that stops profiling and closes the file. The profile is
-// streamed, so the file is written directly (not atomically) — a
-// crashed run leaves a truncated but still mostly-usable profile.
-func StartCPUProfile(path string) (stop func() error, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: cpu profile: %w", err)
-	}
-	if err := rpprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("telemetry: cpu profile: %w", err)
-	}
-	return func() error {
-		rpprof.StopCPUProfile()
-		return f.Close()
-	}, nil
-}
-
-// WriteHeapProfile captures a heap profile (after a GC, so the live set
-// is accurate) to path.
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: heap profile: %w", err)
-	}
-	runtime.GC()
-	if err := rpprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: heap profile: %w", err)
-	}
-	return f.Close()
 }
