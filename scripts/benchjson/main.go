@@ -5,11 +5,16 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench=. -benchmem ./... | go run ./scripts/benchjson -o BENCH.json
+//	go test -run='^$' -bench=. -benchmem -count=5 ./... | go run ./scripts/benchjson -o BENCH.json
+//
+// The repeated lines of one benchmark (-count=N) fold into one result:
+// each metric is the median of its runs, with the interquartile range
+// beside it in "iqr" and the number of runs in "runs".
 //
 // Compare mode puts two trajectory points side by side: -against names
 // a committed baseline (e.g. BENCH_10.json) and prints per-metric
-// deltas for every benchmark present in both files. Metrics listed in
+// deltas, median against median, for every benchmark present in both
+// files. Metrics listed in
 // -gauges are higher-is-better (throughput gauges like points/s); a
 // drop of more than 10% in any of them exits nonzero. All other
 // metrics (ns/op, B/op, allocs/op) are informational. The current side
@@ -31,16 +36,22 @@ import (
 	"strings"
 
 	"bcnphase/internal/runstate"
+	"bcnphase/internal/stats"
 )
 
-// Result is one benchmark line. Metrics maps unit → value, e.g.
-// "ns/op": 11031781, "B/op": 123456, "allocs/op": 789.
+// Result is one benchmark: one line, or the folded lines of its runs.
+// Metrics maps unit → value, e.g. "ns/op": 11031781, "B/op": 123456,
+// "allocs/op": 789; over several runs each value is the median (nearest
+// rank) and IQR holds its interquartile range. Iterations sums the
+// runs.
 type Result struct {
 	Pkg        string             `json:"pkg"`
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	Runs       int                `json:"runs,omitempty"`
+	IQR        map[string]float64 `json:"iqr,omitempty"`
 }
 
 // File is the BENCH.json document.
@@ -89,7 +100,13 @@ func main() {
 }
 
 func run(in io.Reader, echo io.Writer, outPath string) (File, error) {
-	var doc File
+	var (
+		doc File
+		// runs holds each result's metric samples, by unit; seen maps a
+		// benchmark's package, name and procs to its result.
+		runs []map[string][]float64
+		seen = map[string]int{}
+	)
 	pkg := ""
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -106,19 +123,55 @@ func run(in io.Reader, echo io.Writer, outPath string) (File, error) {
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(pkg, line); ok {
+			r, ok := parseLine(pkg, line)
+			if !ok {
+				break
+			}
+			key := fmt.Sprintf("%s.%s-%d", r.Pkg, r.Name, r.Procs)
+			i, dup := seen[key]
+			if !dup {
+				i, seen[key] = len(doc.Benchmarks), len(doc.Benchmarks)
 				doc.Benchmarks = append(doc.Benchmarks, r)
+				runs = append(runs, map[string][]float64{})
+			} else {
+				doc.Benchmarks[i].Iterations += r.Iterations
+			}
+			for unit, v := range r.Metrics {
+				runs[i][unit] = append(runs[i][unit], v)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return File{}, err
 	}
+	for i := range doc.Benchmarks {
+		fold(&doc.Benchmarks[i], runs[i])
+	}
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return File{}, err
 	}
 	return doc, runstate.WriteFileAtomic(outPath, append(raw, '\n'), 0o644)
+}
+
+// fold sets each metric of r to the median of its runs and, for a
+// benchmark that ran more than once, records the run count and each
+// metric's interquartile range.
+func fold(r *Result, runs map[string][]float64) {
+	// Percentile fails only on an empty series or a p outside [0, 100].
+	for unit, vs := range runs {
+		r.Metrics[unit], _ = stats.Percentile(vs, 50)
+		if len(vs) < 2 {
+			continue
+		}
+		q1, _ := stats.Percentile(vs, 25)
+		q3, _ := stats.Percentile(vs, 75)
+		if r.IQR == nil {
+			r.IQR = map[string]float64{}
+		}
+		r.IQR[unit] = q3 - q1
+		r.Runs = max(r.Runs, len(vs))
+	}
 }
 
 // load reads a previously written BENCH.json document.

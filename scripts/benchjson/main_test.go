@@ -64,6 +64,56 @@ func TestRunParsesStream(t *testing.T) {
 	}
 }
 
+// fiveRuns is one benchmark run with -count=5 beside a single-run one.
+const fiveRuns = `pkg: bcnphase
+BenchmarkSweepLocalOp-2   	     100	  10 ns/op	  1000 points/s
+BenchmarkSweepLocalOp-2   	     120	  30 ns/op	   850 points/s
+BenchmarkOnce-2   	       7	  70 ns/op
+BenchmarkSweepLocalOp-2   	     110	  20 ns/op	   880 points/s
+BenchmarkSweepLocalOp-2   	      90	  50 ns/op	   990 points/s
+BenchmarkSweepLocalOp-2   	     130	  40 ns/op	  1005 points/s
+PASS
+`
+
+// TestRunFoldsRepeatedRuns: the five lines of one benchmark fold into
+// one result holding each metric's median, its interquartile range and
+// the run count, and -against compares that median: 990 points/s
+// against 1000 is no regression, though the slowest run (850) would be.
+func TestRunFoldsRepeatedRuns(t *testing.T) {
+	var echo strings.Builder
+	doc, err := run(strings.NewReader(fiveRuns), &echo, filepath.Join(t.TempDir(), "BENCH.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if echo.String() != fiveRuns {
+		t.Error("input not echoed verbatim")
+	}
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("got %d results, want 2: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	b := doc.Benchmarks[0]
+	if b.Name != "BenchmarkSweepLocalOp" || b.Runs != 5 || b.Iterations != 550 {
+		t.Errorf("folded result %+v, want 5 runs and 550 iterations", b)
+	}
+	if b.Metrics["ns/op"] != 30 || b.Metrics["points/s"] != 990 {
+		t.Errorf("medians %v, want ns/op 30 and points/s 990", b.Metrics)
+	}
+	if b.IQR["ns/op"] != 20 || b.IQR["points/s"] != 1000-880 {
+		t.Errorf("iqr %v, want ns/op 20 and points/s 120", b.IQR)
+	}
+	if once := doc.Benchmarks[1]; once.Runs != 0 || once.IQR != nil || once.Metrics["ns/op"] != 70 {
+		t.Errorf("single run %+v, want no runs or iqr and ns/op 70", once)
+	}
+	var buf strings.Builder
+	prev := bench("BenchmarkSweepLocalOp", map[string]float64{"points/s": 1000, "ns/op": 25})
+	if regs := compare(File{Benchmarks: doc.Benchmarks[:1]}, prev, gaugeSet("points/s"), &buf); len(regs) != 0 {
+		t.Errorf("median 990 against 1000 gated: %v\n%s", regs, buf.String())
+	}
+	if !strings.Contains(buf.String(), "points/s: 1000 -> 990 (-1.0%)") {
+		t.Errorf("median delta missing:\n%s", buf.String())
+	}
+}
+
 // bench builds a one-benchmark File for compare tests.
 func bench(name string, metrics map[string]float64) File {
 	return File{Benchmarks: []Result{{Pkg: "bcnphase", Name: name, Metrics: metrics}}}
