@@ -190,13 +190,16 @@ type Solver struct {
 // NewSolver returns a Solver.
 func NewSolver() *Solver { return new(Solver) }
 
-// Solve classifies one parameter point. For valid parameters under
-// ModeOn the closed-form stepper handles every arc (the three solution
-// families cover all positive m, n); the RK45 fallback exists for the
-// defensive non-finite case and is counted when taken.
-func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
+// Solve classifies one parameter point into *res. For valid parameters
+// under ModeOn the closed-form stepper handles every arc (the three
+// solution families cover all positive m, n); the RK45 fallback exists
+// for the defensive non-finite case and is counted when taken. p and
+// opts are only read and *res is written only on success; they go by
+// pointer so a batch loop copies neither p nor opts per point, and the
+// result once.
+func (s *Solver) Solve(p *core.Params, opts *Options, res *Result) error {
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	start := [2]float64{-p.Q0, 0}
 	if opts.Start != nil {
@@ -204,25 +207,26 @@ func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
 	}
 	var err error
 	if opts.Mode != ModeOff {
-		err = s.stitch(&p, &opts, start, closedStepper{}, PathAnalytic)
+		err = s.stitch(p, opts, start, closedStepper{}, PathAnalytic)
 		if errors.Is(err, errNonFinite) {
 			if opts.Metrics != nil {
 				opts.Metrics.RK45Fallbacks.Inc()
 			}
 			// The re-run starts over from t = 0.
 			opts.Invariants.Reset()
-			err = s.stitch(&p, &opts, start, &s.rk, PathRK45)
+			err = s.stitch(p, opts, start, &s.rk, PathRK45)
 		}
 	} else {
-		err = s.stitch(&p, &opts, start, &s.rk, PathRK45)
+		err = s.stitch(p, opts, start, &s.rk, PathRK45)
 	}
 	if err != nil {
-		return Result{}, err
+		return err
 	}
+	*res = s.track.res
 	if opts.Metrics != nil {
-		opts.Metrics.observe(&s.track.res)
+		opts.Metrics.observe(res)
 	}
-	return s.track.res, nil
+	return nil
 }
 
 // stitch runs the shared stitch loop with the given stepper, leaving
@@ -253,5 +257,7 @@ var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 func SolveOne(p core.Params, opts Options) (Result, error) {
 	s := solverPool.Get().(*Solver)
 	defer solverPool.Put(s)
-	return s.Solve(p, opts)
+	var res Result
+	err := s.Solve(&p, &opts, &res)
+	return res, err
 }

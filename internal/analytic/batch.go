@@ -74,9 +74,9 @@ func (b *Batch) Solve(params []core.Params, opts Options) {
 	opts.Metrics = nil
 
 	var tally Tally
+	var res Result
 	for i := range params {
-		res, err := b.solver.Solve(params[i], opts)
-		if err != nil {
+		if err := b.solver.Solve(&params[i], &opts, &res); err != nil {
 			b.Err[i] = err
 			b.Outcome[i] = 0
 			b.Path[i] = 0

@@ -16,7 +16,7 @@ func TestBatchMatchesSolve(t *testing.T) {
 	}
 	s := NewSolver()
 	for i, p := range params {
-		res, err := s.Solve(p, Options{})
+		res, err := solve(s, p, Options{})
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
@@ -131,7 +131,7 @@ func TestCheckedSolveAllocs(t *testing.T) {
 	solveAll := func() {
 		for _, p := range params {
 			chk.Reset()
-			if _, err := s.Solve(p, opts); err != nil {
+			if _, err := solve(s, p, opts); err != nil {
 				t.Fatal(err)
 			}
 			if chk.Violations() != 0 {

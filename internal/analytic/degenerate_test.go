@@ -23,11 +23,11 @@ func TestNearDegenerateAgreesWithRK45(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("eps=%g: %v", eps, err)
 		}
-		closed, err := s.Solve(p, Options{})
+		closed, err := solve(s, p, Options{})
 		if err != nil {
 			t.Fatalf("eps=%g closed: %v", eps, err)
 		}
-		rk, err := s.Solve(p, Options{Mode: ModeOff})
+		rk, err := solve(s, p, Options{Mode: ModeOff})
 		if err != nil {
 			t.Fatalf("eps=%g rk45: %v", eps, err)
 		}

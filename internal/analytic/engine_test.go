@@ -7,6 +7,14 @@ import (
 	"bcnphase/internal/core"
 )
 
+// solve runs s.Solve on copies of p and opts and returns the result by
+// value, the form most tests read.
+func solve(s *Solver, p core.Params, opts Options) (Result, error) {
+	var res Result
+	err := s.Solve(&p, &opts, &res)
+	return res, err
+}
+
 // gridParams spans the gain plane used by the sweeps: a log-spaced
 // Gi × Gd grid over the paper's example fabric, hitting all three arc
 // kinds and every outcome class.
@@ -41,7 +49,7 @@ func TestSolveMatchesCoreAcrossGrid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("core.Solve(%+v): %v", p, err)
 			}
-			res, err := s.Solve(p, Options{IgnoreBuffer: ignoreBuffer})
+			res, err := solve(s, p, Options{IgnoreBuffer: ignoreBuffer})
 			if err != nil {
 				t.Fatalf("analytic.Solve(%+v): %v", p, err)
 			}
@@ -128,11 +136,11 @@ func TestRK45AgreesWithClosed(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		closed, err := s.Solve(p, Options{})
+		closed, err := solve(s, p, Options{})
 		if err != nil {
 			t.Fatalf("%s closed: %v", tc.name, err)
 		}
-		rk, err := s.Solve(p, Options{Mode: ModeOff})
+		rk, err := solve(s, p, Options{Mode: ModeOff})
 		if err != nil {
 			t.Fatalf("%s rk45: %v", tc.name, err)
 		}
@@ -173,7 +181,7 @@ func TestOnCrossingHook(t *testing.T) {
 		to      core.Region
 	}
 	var hits []hit
-	res, err := NewSolver().Solve(p, Options{
+	res, err := solve(NewSolver(), p, Options{
 		OnCrossing: func(t, x, y float64, to core.Region) { hits = append(hits, hit{t, x, y, to}) },
 	})
 	if err != nil {
@@ -202,7 +210,7 @@ func TestModeAndPathNames(t *testing.T) {
 
 func TestSolveRejectsInvalidParams(t *testing.T) {
 	var p core.Params // all zero
-	if _, err := NewSolver().Solve(p, Options{}); err == nil {
+	if _, err := solve(NewSolver(), p, Options{}); err == nil {
 		t.Fatal("want validation error for zero params")
 	}
 	if _, err := SolveOne(p, Options{Mode: ModeOff}); err == nil {
@@ -216,7 +224,7 @@ func TestSolveOneMatchesSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSolver().Solve(p, Options{})
+	b, err := solve(NewSolver(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +254,7 @@ func TestStartOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewSolver().Solve(p, Options{Start: &start})
+	res, err := solve(NewSolver(), p, Options{Start: &start})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func FuzzAnalyticVsRK45(f *testing.F) {
 		}
 
 		s := NewSolver()
-		closed, err := s.Solve(p, Options{IgnoreBuffer: ignoreBuffer})
+		closed, err := solve(s, p, Options{IgnoreBuffer: ignoreBuffer})
 		if err != nil {
 			t.Fatalf("closed: %v", err)
 		}
@@ -49,7 +49,7 @@ func FuzzAnalyticVsRK45(f *testing.F) {
 				closed.Outcome, closed.Rho, closed.Crossings, closed.EndT, closed.EndX, closed.EndY,
 				p.Gi, p.Gd, p.N, p.Q0)
 		}
-		rk, err := s.Solve(p, Options{Mode: ModeOff, IgnoreBuffer: ignoreBuffer})
+		rk, err := solve(s, p, Options{Mode: ModeOff, IgnoreBuffer: ignoreBuffer})
 		if err != nil {
 			t.Fatalf("rk45: %v", err)
 		}

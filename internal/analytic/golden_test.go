@@ -279,7 +279,7 @@ func TestSolveGolden(t *testing.T) {
 				mode analytic.Mode
 				want string
 			}{{analytic.ModeOn, gc.on}, {analytic.ModeOff, gc.off}} {
-				res, err := analytic.NewSolver().Solve(p, analyticOptions(opts, m.mode))
+				res, err := analytic.SolveOne(p, analyticOptions(opts, m.mode))
 				if got := resultDigest(res, err); got != m.want {
 					t.Errorf("analytic %v digest %s, want %s", m.mode, got, m.want)
 				}
@@ -353,7 +353,7 @@ func TestFloorCasesHitFirstArc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := analytic.NewSolver().Solve(p, analytic.Options{Start: start})
+		res, err := analytic.SolveOne(p, analytic.Options{Start: start})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -357,6 +357,7 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 	chk := invariant.NewPolicy(g.Policy())
 	opts := analytic.Options{Invariants: chk}
 	p := g.Base()
+	var res analytic.Result
 	buf := make([]byte, 0, len(pts)*maxAnalyticRowLen)
 	// marks records each row's offsets in buf; typical spans fit the
 	// stack array.
@@ -375,8 +376,7 @@ func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m E
 		}
 		p.Gi, p.Gd = pt.Gi, pt.Gd
 		chk.Reset()
-		res, err := s.Solve(p, opts)
-		if err != nil {
+		if err := s.Solve(&p, &opts, &res); err != nil {
 			return err
 		}
 		tally.Fold(&res, opts.Mode)

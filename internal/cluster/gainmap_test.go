@@ -171,10 +171,11 @@ func TestEvalBatchMetricTotals(t *testing.T) {
 
 	s := analytic.NewSolver()
 	opts := analytic.Options{Metrics: analytic.NewMetrics(pointReg)}
+	var res analytic.Result
 	for _, pt := range append(pts, aborted[:2]...) {
 		p := g.Base()
 		p.Gi, p.Gd = pt.Gi, pt.Gd
-		if _, err := s.Solve(p, opts); err != nil {
+		if err := s.Solve(&p, &opts, &res); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -128,7 +128,7 @@ func TestKnotGuardMatchesSampledGuard(t *testing.T) {
 			// to the integrator's tolerance), so only the flag and the first
 			// predicate must match.
 			chk := invariant.NewPolicy(invariant.Record)
-			if _, err := analytic.NewSolver().Solve(p, analytic.Options{Mode: analytic.ModeOff, Invariants: chk}); err != nil {
+			if _, err := analytic.SolveOne(p, analytic.Options{Mode: analytic.ModeOff, Invariants: chk}); err != nil {
 				t.Fatal(err)
 			}
 			if (chk.Violations() > 0) != (rec.Violations > 0) || chk.FirstPredicate() != rec.FirstPred {
@@ -156,7 +156,7 @@ func rateMinimum(t *testing.T, p core.Params) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analytic.NewSolver().Solve(p, analytic.Options{Invariants: chk}); err != nil {
+	if _, err := analytic.SolveOne(p, analytic.Options{Invariants: chk}); err != nil {
 		t.Fatal(err)
 	}
 	lo := math.Inf(1)

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"bcnphase/internal/cluster"
+	"bcnphase/internal/runstate"
 )
 
 func newBenchServer(b *testing.B, cfg Config) (*Server, *httptest.Server) {
@@ -82,15 +84,27 @@ func benchShard(index int) *cluster.ShardSpec {
 // ladder: one 32-point shard job over loopback, as the coordinator
 // posts it (cluster.EncodeShardJob), through decode, key, admission,
 // evaluation, signing and the artifact encode. fresh varies the shard
-// index, which is part of the dedup key, so every job evaluates;
-// cache-hit resubmits one job, answered from the artifact store.
+// index, which is part of the dedup key; repeat resubmits one job,
+// which evaluates again because a worker stores no shard artifact;
+// journal is fresh on a server whose artifact store is an on-disk
+// runstate.Journal, as bcnd -journal runs, so a per-shard record and
+// its fsync would show here.
 func BenchmarkSubmitShardJob(b *testing.B) {
 	for _, tc := range []struct {
-		name  string
-		fresh bool
-	}{{"fresh", true}, {"cache-hit", false}} {
+		name           string
+		fresh, journal bool
+	}{{"fresh", true, false}, {"repeat", false, false}, {"journal", true, true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			_, ts := newBenchServer(b, Config{Workers: 2})
+			cfg := Config{Workers: 2}
+			if tc.journal {
+				j, err := runstate.OpenJournal(filepath.Join(b.TempDir(), runstate.JournalFileName))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { j.Close() })
+				cfg.Cache = j
+			}
+			_, ts := newBenchServer(b, cfg)
 			body, err := cluster.EncodeShardJob(benchShard(0), 2700)
 			if err != nil {
 				b.Fatal(err)

@@ -457,12 +457,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Idempotent replay: a completed job answers from the artifact
 	// store without touching admission, so resubmits are cheap even
 	// under overload — and byte-identical, because the stored bytes are
-	// served verbatim.
-	if raw, ok := s.lookup(key); ok {
-		s.metrics.cacheHits.Inc()
-		s.logf("rid=%s kind=%s key=%s cache=hit", rid, sp.Kind, key)
-		s.serveArtifact(w, key, raw, "hit")
-		return
+	// served verbatim. Shards bypass the store both ways: their rows'
+	// one durable home is the coordinator journal, which replays them,
+	// so a worker copy would only be memory nobody reads. A sequential
+	// duplicate shard recomputes the same deterministic bytes.
+	stored := sp.Kind != KindShard
+	if stored {
+		if raw, ok := s.lookup(key); ok {
+			s.metrics.cacheHits.Inc()
+			s.logf("rid=%s kind=%s key=%s cache=hit", rid, sp.Kind, key)
+			s.serveArtifact(w, key, raw, "hit")
+			return
+		}
 	}
 
 	region := sp.RegionKey()
@@ -595,7 +601,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	span.End()
 	s.logf("rid=%s kind=%s key=%s finished err=%v wall=%s", rid, sp.Kind, key, execErr != nil, wall.Round(time.Microsecond))
 
-	if execErr == nil {
+	if execErr == nil && stored {
 		// Durability before acknowledgment, like the sweep checkpoint
 		// contract: an artifact the store cannot keep is a failed job,
 		// not a silently volatile success. Under QoS a storage failure
@@ -629,7 +635,8 @@ func (s *Server) registerInflight(key string) (*inflightJob, bool) {
 }
 
 // completeInflight publishes the leader's outcome to coalesced waiters
-// and retires the entry (the cache answers future duplicates).
+// and retires the entry (the cache answers future duplicates of stored
+// kinds; a later duplicate shard runs again).
 func (s *Server) completeInflight(key string, job *inflightJob, raw []byte, err error) {
 	s.mu.Lock()
 	job.raw, job.err = raw, err

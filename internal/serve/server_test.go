@@ -310,15 +310,17 @@ func TestLoadSheddingExplicitFeedback(t *testing.T) {
 			}
 		}()
 	}
+	// The second job launches only once the first has started: the
+	// exec hook runs after the first gives up its waiting-room slot, so
+	// the second cannot find the one slot taken and be shed.
 	launch(4.0)
-	launch(4.5)
-	// Wait until both are admitted: one has started on the worker, and
-	// the other waits in the queue until the release.
 	select {
 	case <-started:
 	case <-time.After(time.Minute):
 		t.Fatal("no slow job started")
 	}
+	launch(4.5)
+	// Wait until the second waits in the queue until the release.
 	waitFor(t, time.Minute, func() bool {
 		st := statusOf(t, ts.URL)
 		return st.InFlight == 1 && st.Queued == 1

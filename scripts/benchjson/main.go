@@ -16,7 +16,10 @@
 // deltas, median against median, for every benchmark present in both
 // files. Metrics listed in
 // -gauges are higher-is-better (throughput gauges like points/s); a
-// drop of more than 10% in any of them exits nonzero. All other
+// drop of more than 10% in any of them exits nonzero, unless the drop
+// is within the baseline's spread: a regression's median gap must also
+// exceed the baseline's interquartile range (0 for a single run), so a
+// noisy gauge does not fail on noise its own baseline shows. All other
 // metrics (ns/op, B/op, allocs/op) are informational. The current side
 // comes from stdin as usual, or from an existing JSON file via
 // -current when the benchmarks already ran:
@@ -65,7 +68,7 @@ type File struct {
 func main() {
 	out := flag.String("o", "BENCH.json", "output path for the parsed results")
 	current := flag.String("current", "", "load the current results from this BENCH.json instead of parsing stdin (compare-only mode; skips -o)")
-	against := flag.String("against", "", "baseline BENCH.json to compare against: print per-metric deltas, exit nonzero when a -gauges metric drops more than 10%")
+	against := flag.String("against", "", "baseline BENCH.json to compare against: print per-metric deltas, exit nonzero when a -gauges metric drops more than 10% and by more than the baseline's IQR")
 	gauges := flag.String("gauges", "points/s", "comma-separated higher-is-better metric units gated by -against")
 	flag.Parse()
 	var (
@@ -204,8 +207,9 @@ func gaugeSet(s string) map[string]bool {
 }
 
 // compare prints one delta line per metric shared by both files and
-// returns descriptions of every gauge that regressed beyond the
-// threshold. Benchmarks or metrics present on only one side are noted
+// returns descriptions of every gauge that regressed: dropped by more
+// than the threshold and by more than the baseline's interquartile
+// range. Benchmarks or metrics present on only one side are noted
 // but never gate: a renamed benchmark is a review question, not a perf
 // regression.
 func compare(cur, prev File, gauges map[string]bool, w io.Writer) []string {
@@ -233,8 +237,12 @@ func compare(cur, prev File, gauges map[string]bool, w io.Writer) []string {
 				pct := 100 * (curV - prevV) / prevV
 				line += fmt.Sprintf(" (%+.1f%%)", pct)
 				if gauges[unit] && (prevV-curV)/prevV > regressionThreshold {
-					line += "  REGRESSION"
-					regressions = append(regressions, line)
+					if iqr := pb.IQR[unit]; prevV-curV > iqr {
+						line += "  REGRESSION"
+						regressions = append(regressions, line)
+					} else {
+						line += fmt.Sprintf("  (within baseline IQR %g)", iqr)
+					}
 				}
 			} else if gauges[unit] && curV == 0 {
 				// A gauge that was zero and stayed zero is a dead

@@ -145,6 +145,35 @@ func TestCompareGaugeRegression(t *testing.T) {
 	}
 }
 
+// TestCompareGaugeRegressionNeedsGapBeyondIQR: a drop past the threshold
+// gates only when the median gap also exceeds the baseline's IQR. Both
+// pairs drop 20% (1000 -> 800); the noisy baseline's runs span 300, the
+// quiet one's 50.
+func TestCompareGaugeRegressionNeedsGapBeyondIQR(t *testing.T) {
+	gauges := gaugeSet("points/s")
+	for _, tc := range []struct {
+		name    string
+		iqr     float64
+		regress bool
+	}{
+		{"inside the spread", 300, false},
+		{"outside the spread", 50, true},
+	} {
+		prev := bench("BenchmarkSweepAnalytic", map[string]float64{"points/s": 1000})
+		prev.Benchmarks[0].Runs = 5
+		prev.Benchmarks[0].IQR = map[string]float64{"points/s": tc.iqr}
+		cur := bench("BenchmarkSweepAnalytic", map[string]float64{"points/s": 800})
+		var buf strings.Builder
+		regs := compare(cur, prev, gauges, &buf)
+		if got := len(regs) > 0; got != tc.regress {
+			t.Errorf("%s: regressions %v, want regress=%v\noutput:\n%s", tc.name, regs, tc.regress, buf.String())
+		}
+		if !tc.regress && !strings.Contains(buf.String(), "within baseline IQR 300") {
+			t.Errorf("%s: drop inside the spread not noted:\n%s", tc.name, buf.String())
+		}
+	}
+}
+
 // Lower-is-better metrics (ns/op, B/op, allocs/op) inform but never
 // gate — only named gauges carry the exit code.
 func TestCompareNonGaugeNeverGates(t *testing.T) {
