@@ -3,14 +3,14 @@
 // the Theorem 1 sufficient condition, and the stitched-trajectory ground
 // truth.
 //
-// With -resume <dir> the run is crash-safe: every completed grid point is
+// With -resume <dir> the run is crash-safe: every span of grid points is
 // journaled (append-only JSONL WAL keyed by a content hash of the sweep
-// config and point params) before the sweep moves on, SIGINT/SIGTERM
-// drain in-flight points and exit with the distinct "interrupted,
-// resumable" status 130, and re-running with the same -resume dir skips
-// journaled points and replays their cached rows — an interrupted run
-// resumed to completion produces byte-identical output (stdout and
-// <dir>/map.csv) to a never-interrupted one.
+// config and point params, one fsync per span) before it counts as done,
+// SIGINT/SIGTERM drain in-flight spans and exit with the distinct
+// "interrupted, resumable" status 130, and re-running with the same
+// -resume dir skips journaled points and replays their cached rows — an
+// interrupted run resumed to completion produces byte-identical output
+// (stdout and <dir>/map.csv) to a never-interrupted one.
 //
 // With -cluster <coordinator-url> the grid is not evaluated locally at
 // all: it is submitted to a bcnd coordinator (see internal/cluster),
@@ -71,13 +71,15 @@ type (
 	row       = cluster.Row
 )
 
-// localBatchSize is the span length the journal-free local sweep hands
-// one worker slot at a time (see cluster.GainGrid.EvalBatch).
-const localBatchSize = 64
+// spanSize is the span length the local sweep hands one worker slot at
+// a time (see cluster.GainGrid.EvalBatch). With -resume it is also the
+// unit of journaling: an interrupted run re-executes at most workers ×
+// spanSize points on resume.
+const spanSize = 64
 
-// evalHook, when non-nil, observes every fresh (non-replayed) point
-// evaluation; tests use it to count executions and to interrupt the
-// sweep cooperatively partway through.
+// evalHook, when non-nil, observes every fresh (non-replayed) point as
+// its span starts; tests use it to count executions and to interrupt
+// the sweep cooperatively partway through.
 var evalHook func(gainPoint)
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -170,18 +172,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	points := grid.Points()
 	em := cluster.EvalMetrics{Analytic: analyticMetrics}
-	eval := func(ctx context.Context, pt gainPoint) (row, error) {
-		if evalHook != nil {
-			evalHook(pt)
-		}
-		return grid.Eval(ctx, pt, em)
-	}
 
-	// With -resume, completed points are journaled before the sweep moves
-	// on and replayed (not re-executed) on restart.
+	// With -resume, rows are journaled a span at a time and replayed (not
+	// re-executed) on restart; without it ck and keyFn stay nil and the
+	// runner is plain sweep.RunBatched.
 	var (
-		journal *runstate.Journal
-		keyFn   func(gainPoint) string
+		ck    sweep.Checkpoint
+		keyFn func(gainPoint) string
 	)
 	if *resume != "" {
 		if err := runstate.EnsureWritableDir(*resume); err != nil {
@@ -191,42 +188,35 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		journal, err = runstate.OpenJournal(filepath.Join(*resume, runstate.JournalFileName))
+		journal, err := runstate.OpenJournal(filepath.Join(*resume, runstate.JournalFileName))
 		if err != nil {
 			return err
 		}
 		defer journal.Close()
+		ck = journal
 		keyFn = func(pt gainPoint) string { return cluster.PointKey(fingerprint, pt) }
 	}
 
 	// Continue past bad points: every healthy row is still emitted in
 	// grid order, failures are summarized, and the exit status reflects
-	// the degradation.
+	// the degradation. Points go out in spans per worker slot so one warm
+	// analytic Solver (and one supervision round, and one journal fsync)
+	// serves a whole span.
 	opts := sweep.Options{
 		Workers:         *workers,
 		PointTimeout:    *timeout,
 		ContinueOnError: true,
 		Metrics:         sweep.NewMetrics(reg),
 	}
-	var results []sweep.Result[gainPoint, row]
-	if journal != nil {
-		// The checkpointed path stays per-point: each row must be
-		// journaled before the sweep moves on, so span batching would
-		// widen the crash window.
-		results, _ = sweep.RunCheckpointed(ctx, points, eval, opts, journal, keyFn)
-	} else {
-		// Journal-free sweeps batch points per worker slot so one warm
-		// analytic Solver (and one supervision round) serves a whole span.
-		results, _ = sweep.RunBatched(ctx, points, localBatchSize,
-			func(ctx context.Context, pts []gainPoint, rows []row) error {
-				if evalHook != nil {
-					for _, pt := range pts {
-						evalHook(pt)
-					}
+	results, _ := sweep.RunCheckpointed(ctx, points, spanSize,
+		func(ctx context.Context, pts []gainPoint, rows []row) error {
+			if evalHook != nil {
+				for _, pt := range pts {
+					evalHook(pt)
 				}
-				return grid.EvalBatch(ctx, pts, rows, em)
-			}, opts)
-	}
+			}
+			return grid.EvalBatch(ctx, pts, rows, em)
+		}, opts, ck, keyFn)
 
 	var (
 		rows        []row
@@ -272,7 +262,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	// An interrupted sweep exits resumable without publishing map.csv —
-	// the journal already holds every completed point durably.
+	// the journal already holds every completed span durably.
 	if ctx.Err() != nil {
 		hint := "re-run with -resume to continue"
 		if *resume != "" {

@@ -173,8 +173,11 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 // never re-execute a journaled point, and (b) produce byte-identical
 // stdout and map.csv to a never-interrupted run.
 func TestRunSweepCrashResumeByteIdentical(t *testing.T) {
+	// 12×12 = 144 points: three spans (64, 64, 16), so the cut can land
+	// between whole spans with work on both sides of it.
+	const steps = 12
 	args := func(dir string) []string {
-		return []string{"-steps", "3", "-workers", "1", "-resume", dir}
+		return []string{"-steps", strconv.Itoa(steps), "-workers", "1", "-resume", dir}
 	}
 
 	// Baseline: uninterrupted run.
@@ -188,15 +191,15 @@ func TestRunSweepCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("baseline map.csv: %v", err)
 	}
 
-	// Interrupted run: cancel cooperatively after the 4th point starts.
-	// Workers=1 keeps the cut deterministic enough: at least 3 points
-	// journaled, at least one pending.
+	// Interrupted run: cancel cooperatively as the second span starts,
+	// after the first span has completed and been journaled. Workers=1
+	// makes the cut exact: one whole span journaled, two pending.
 	runDir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var firstEvals atomic.Int64
 	evalHook = func(gainPoint) {
-		if firstEvals.Add(1) == 4 {
+		if firstEvals.Add(1) == spanSize+1 {
 			cancel()
 		}
 	}
@@ -212,8 +215,14 @@ func TestRunSweepCrashResumeByteIdentical(t *testing.T) {
 	if _, statErr := os.Stat(filepath.Join(runDir, "map.csv")); !os.IsNotExist(statErr) {
 		t.Error("interrupted run published map.csv")
 	}
-	if _, statErr := os.Stat(filepath.Join(runDir, runstate.JournalFileName)); statErr != nil {
-		t.Fatalf("interrupted run left no journal: %v", statErr)
+	j, err := runstate.OpenJournal(filepath.Join(runDir, runstate.JournalFileName))
+	if err != nil {
+		t.Fatalf("interrupted run left no journal: %v", err)
+	}
+	journaled := j.Len()
+	j.Close()
+	if journaled < spanSize {
+		t.Fatalf("interrupted run journaled %d points, want at least one whole span of %d", journaled, spanSize)
 	}
 
 	// Resume: journaled points must not be re-executed (execution
@@ -227,15 +236,15 @@ func TestRunSweepCrashResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	total := int64(3 * 3)
+	total := int64(steps * steps)
 	if firstEvals.Load()+resumeEvals.Load() < total {
 		t.Errorf("evals %d + %d < %d points: some points never ran", firstEvals.Load(), resumeEvals.Load(), total)
 	}
 	if resumeEvals.Load() >= total {
 		t.Errorf("resume re-executed all %d points (journal ignored)", resumeEvals.Load())
 	}
-	if resumeEvals.Load() > total-3 {
-		t.Errorf("resume executed %d points; at least 3 were journaled before the cut", resumeEvals.Load())
+	if resumeEvals.Load() > total-spanSize {
+		t.Errorf("resume executed %d points; a whole span of %d was journaled before the cut", resumeEvals.Load(), spanSize)
 	}
 	if resumed.String() != baseline.String() {
 		t.Errorf("resumed stdout differs from uninterrupted baseline:\n--- baseline ---\n%s--- resumed ---\n%s",

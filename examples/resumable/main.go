@@ -1,11 +1,13 @@
 // Resumable: crash-safe sweeps with the run journal.
 //
-// A fine-grained Theorem 1 boundary sweep is interrupted partway (a
-// cancelled context stands in for SIGINT — the bcnsweep binary feeds the
-// sweep the same context from its signal handler), then resumed against
-// the same journal. The journaled points replay from disk instead of
-// re-solving, and the resumed output is identical to what an
-// uninterrupted run would have produced.
+// A Theorem 1 boundary sweep is interrupted partway (a cancelled context
+// stands in for SIGINT — the bcnsweep binary feeds the sweep the same
+// context from its signal handler), then resumed against the same
+// journal. Points are evaluated and journaled a span at a time, with one
+// fsync per span; the journaled spans replay from disk instead of
+// re-solving, and the resumed map is the one an uninterrupted run
+// produces. The grid, row evaluator and point keys are bcnsweep's, so
+// the journal is one `bcnsweep -resume` could pick up.
 //
 //	go run ./examples/resumable
 package main
@@ -16,10 +18,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
-	"bcnphase/internal/core"
-	"bcnphase/internal/linear"
+	"bcnphase/internal/cluster"
 	"bcnphase/internal/runstate"
 	"bcnphase/internal/sweep"
 )
@@ -31,85 +33,64 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A 6×6 grid across the Theorem 1 boundary at B = 5·q0.
-	base := core.FigureExample()
-	base.B = 5 * base.Q0
-	gis, err := sweep.Logspace(0.05, 12.8, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gds, err := sweep.Logspace(1.0/1024, 0.5, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	grid := sweep.Grid2(gis, gds)
+	// A 6×6 grid across the Theorem 1 boundary at B = 5·q0, in spans of
+	// one grid row.
+	grid := cluster.GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 12.8, GdLo: 1.0 / 1024, GdHi: 0.5, Steps: 6}
+	const span = 6
+	points := grid.Points()
 
-	// Every completed point lands in the journal before the sweep moves
-	// on; the key ties the result to the full sweep identity so a config
-	// change can never replay stale rows.
+	// The key ties a row to the grid's full identity (its fingerprint),
+	// so a config change can never replay stale rows.
 	journal, err := runstate.OpenJournal(filepath.Join(dir, runstate.JournalFileName))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer journal.Close()
-	fingerprint, err := runstate.HashJSON(base)
+	fingerprint, err := grid.Fingerprint()
 	if err != nil {
 		log.Fatal(err)
 	}
-	key := func(pt sweep.Pair[float64, float64]) string {
-		k, err := runstate.HashJSON(struct {
-			FP     string
-			Gi, Gd float64
-		}{fingerprint, pt.X, pt.Y})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return k
-	}
+	key := func(pt cluster.GainPoint) string { return cluster.PointKey(fingerprint, pt) }
 
 	var evals atomic.Int64
-	eval := func(_ context.Context, pt sweep.Pair[float64, float64]) (bool, error) {
-		evals.Add(1)
-		p := base
-		p.Gi, p.Gd = pt.X, pt.Y
-		v, err := linear.Compare(p)
-		if err != nil {
-			return false, err
-		}
-		return v.TrajectoryStable, nil
+	eval := func(ctx context.Context, pts []cluster.GainPoint, rows []cluster.Row) error {
+		evals.Add(int64(len(pts)))
+		return grid.EvalBatch(ctx, pts, rows, cluster.EvalMetrics{})
 	}
 
-	// Phase 1: "crash" after the 10th point starts solving.
+	// Phase 1: "crash" as the third span starts, after two spans are
+	// journaled.
 	ctx, cancel := context.WithCancel(context.Background())
-	eval10 := func(c context.Context, pt sweep.Pair[float64, float64]) (bool, error) {
-		if evals.Load() == 9 {
+	evalCut := func(c context.Context, pts []cluster.GainPoint, rows []cluster.Row) error {
+		if evals.Load() == 2*span {
 			cancel()
+			return c.Err()
 		}
-		return eval(c, pt)
+		return eval(c, pts, rows)
 	}
-	_, runErr := sweep.RunCheckpointed(ctx, grid, eval10, sweep.Options{Workers: 1}, journal, key)
+	_, runErr := sweep.RunCheckpointed(ctx, points, span, evalCut, sweep.Options{Workers: 1}, journal, key)
 	fmt.Printf("interrupted run: %d/%d points evaluated, %d journaled (err: %v)\n",
-		evals.Load(), len(grid), journal.Len(), runErr)
+		evals.Load(), len(points), journal.Len(), runErr)
 
 	// Phase 2: resume with the same journal — only the tail re-solves.
 	before := evals.Load()
-	results, err := sweep.RunCheckpointed(context.Background(), grid, eval, sweep.Options{}, journal, key)
+	results, err := sweep.RunCheckpointed(context.Background(), points, span, eval, sweep.Options{}, journal, key)
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed := 0
-	stable := 0
+	replayed, stable := 0, 0
 	for _, r := range results {
 		if r.Cached {
 			replayed++
 		}
-		if r.Value {
+		// Column 8 of a map.csv row is strongly_stable.
+		if strings.Split(r.Value.CSV, ",")[7] == "true" {
 			stable++
 		}
 	}
 	fmt.Printf("resumed run:     %d fresh evaluations, %d replayed from the journal\n",
 		evals.Load()-before, replayed)
-	fmt.Printf("boundary map:    %d of %d grid points strongly stable\n", stable, len(grid))
+	fmt.Printf("boundary map:    %d of %d grid points strongly stable\n", stable, len(points))
 
 	// The journal file itself is an append-only JSONL WAL: torn tails
 	// from a real crash are dropped on replay, checksums keep corrupt

@@ -16,7 +16,6 @@ import (
 	"bcnphase/internal/canonjson"
 	"bcnphase/internal/qos"
 	"bcnphase/internal/runstate"
-	"bcnphase/internal/sweep"
 	"bcnphase/internal/telemetry"
 )
 
@@ -28,9 +27,13 @@ const DefaultShardSize = 32
 
 // Journal is the coordinator's durable store: the merged rows and
 // shard done markers live here. runstate.Journal satisfies it (and its
-// point keys are interchangeable with cmd/bcnsweep -resume journals);
-// sweep.Checkpoint is the same contract.
-type Journal = sweep.Checkpoint
+// point keys and lines are interchangeable with cmd/bcnsweep -resume
+// journals), as does any serve.Cache. Implementations must be safe for
+// concurrent use.
+type Journal interface {
+	Lookup(key string) ([]byte, bool)
+	Record(key string, value []byte) error // durable when it returns
+}
 
 // Config configures a Coordinator. The zero value of every field gets
 // a sensible default from New except Workers, which is required.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzJournalReplay feeds arbitrary bytes to the journal replay path and
@@ -87,6 +88,50 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if rec.Key == "" || !json.Valid(rec.Val) || rec.CRC != recordCRC(rec.Key, rec.Val) {
 			t.Errorf("decodeRecord accepted inconsistent record %+v from %q", rec, line)
+		}
+	})
+}
+
+// FuzzAppendRecord holds the journal's line writer to encoding/json: a
+// record is accepted exactly when its key is non-empty valid UTF-8 and
+// its value is valid JSON, and then the line is json.Marshal of the record whose
+// value is the HTML-escaped compact form and whose checksum covers it,
+// and the line decodes back to that key and value.
+func FuzzAppendRecord(f *testing.F) {
+	f.Add("k", []byte(`{"v":1}`))
+	f.Add("k", []byte(`{"a": 1}`))
+	f.Add("k", []byte(`{"a":"<b>"}`))
+	f.Add("k<&> ", []byte(`"x&y "`))
+	f.Add("bad\xff", []byte("\"\xe2\x80\xa8\""))
+	f.Add("k", []byte(` 1 `))
+	f.Add("k", []byte(`1 2`))
+	f.Add("k", []byte(``))
+	f.Add("", []byte(`1`))
+	f.Fuzz(func(t *testing.T, key string, val []byte) {
+		line, canon, err := appendRecord([]byte("prefix"), key, val)
+		if want := key != "" && utf8.ValidString(key) && json.Valid(val); (err == nil) != want {
+			t.Fatalf("appendRecord(%q, %q) err = %v, want accepted=%v", key, val, err, want)
+		}
+		if err != nil {
+			if string(line) != "prefix" {
+				t.Fatalf("rejected record appended %q", line)
+			}
+			return
+		}
+		wantCanon, err := json.Marshal(json.RawMessage(val))
+		if err != nil || !bytes.Equal(canon, wantCanon) {
+			t.Fatalf("value %q stored as %q, want %q (%v)", val, canon, wantCanon, err)
+		}
+		want, err := json.Marshal(record{Key: key, Val: canon, CRC: recordCRC(key, canon)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(line); got != "prefix"+string(want)+"\n" {
+			t.Fatalf("line %q, want %q", got, "prefix"+string(want)+"\n")
+		}
+		rec, err := decodeRecord(want)
+		if err != nil || rec.Key != key || !bytes.Equal(rec.Val, canon) {
+			t.Fatalf("line %q decodes to %+v, %v; want value %q", want, rec, err, canon)
 		}
 	})
 }

@@ -9,10 +9,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
+	"unicode/utf8"
+
+	"bcnphase/internal/canonjson"
 )
 
 // ErrStorageDegraded marks a journal whose backing file failed a write
@@ -109,21 +114,15 @@ func OpenJournal(path string) (*Journal, error) {
 		return nil, fmt.Errorf("runstate: open journal: %w", err)
 	}
 	j := &Journal{f: f, entries: make(map[string]json.RawMessage), path: path}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeRecord(line)
+	err = scanRecords(f, func(rec record, err error) error {
 		if err != nil {
 			j.dropped++
-			continue
+		} else {
+			j.entries[rec.Key] = rec.Val // decoding copied it out of the line
 		}
-		j.entries[rec.Key] = append(json.RawMessage(nil), rec.Val...)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("runstate: replay journal: %w", err)
 	}
@@ -154,19 +153,35 @@ func (j *Journal) Lookup(key string) ([]byte, bool) {
 }
 
 // Record appends one completed-point record and fsyncs it, so a point's
-// work is durable the moment Record returns. val must be valid JSON.
+// work is durable the moment Record returns: RecordBatch of one.
 func (j *Journal) Record(key string, val []byte) error {
-	if key == "" {
-		return fmt.Errorf("runstate: empty journal key")
+	return j.RecordBatch([]string{key}, [][]byte{val})
+}
+
+// RecordBatch appends the records (keys[i], vals[i]) with one write and
+// one fsync. Keys must be non-empty UTF-8 and values valid JSON; one bad
+// record rejects the batch before any byte is written. Entries change
+// only after the sync succeeds, and a key repeated in the batch resolves
+// as across Records: the last one wins. Values are stored in the
+// compact, HTML-escaped form the line holds (the form every value the
+// program writes already has), so Lookup serves the same bytes before
+// and after a reopen.
+func (j *Journal) RecordBatch(keys []string, vals [][]byte) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("runstate: journal batch of %d keys and %d values", len(keys), len(vals))
 	}
-	if !json.Valid(val) {
-		return fmt.Errorf("runstate: journal value for %s is not valid JSON", key)
+	n := 0
+	for i := range keys {
+		n += len(keys[i]) + len(vals[i]) + len(`{"key":"","val":,"crc":4294967295}`+"\n")
 	}
-	line, err := json.Marshal(record{Key: key, Val: val, CRC: recordCRC(key, val)})
-	if err != nil {
-		return fmt.Errorf("runstate: %w", err)
+	lines := make([]byte, 0, n) // regrows only for escaped keys or values
+	canon := make([]json.RawMessage, len(vals))
+	for i, key := range keys {
+		var err error
+		if lines, canon[i], err = appendRecord(lines, key, vals[i]); err != nil {
+			return err
+		}
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -175,18 +190,41 @@ func (j *Journal) Record(key string, val []byte) error {
 	if j.degraded != nil {
 		return fmt.Errorf("%w: %s", ErrStorageDegraded, j.degraded)
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(lines); err != nil {
 		j.degraded = err
 		return fmt.Errorf("%w: append: %s", ErrStorageDegraded, err)
 	}
 	if err := j.f.Sync(); err != nil {
-		// The line may or may not have reached the platter; either way
-		// durability can no longer be promised for it or anything after.
+		// The lines may or may not have reached the platter; either way
+		// durability can no longer be promised for them or anything after.
 		j.degraded = err
 		return fmt.Errorf("%w: sync: %s", ErrStorageDegraded, err)
 	}
-	j.entries[key] = append(json.RawMessage(nil), val...)
+	for i, key := range keys {
+		j.entries[key] = canon[i]
+	}
 	return nil
+}
+
+// appendRecord validates one record and appends its line to b: the
+// bytes json.Marshal writes for it, with the checksum over the value as
+// the line holds it (FuzzAppendRecord pins both). It returns that value.
+func appendRecord(b []byte, key string, val []byte) ([]byte, json.RawMessage, error) {
+	if key == "" {
+		return b, nil, fmt.Errorf("runstate: empty journal key")
+	}
+	if !utf8.ValidString(key) { // the line would hold U+FFFD instead
+		return b, nil, fmt.Errorf("runstate: journal key %q is not valid UTF-8", key)
+	}
+	// Marshal validates as it compacts; nil would marshal as null.
+	canon, err := json.Marshal(json.RawMessage(val))
+	if len(val) == 0 || err != nil {
+		return b, nil, fmt.Errorf("runstate: journal value for %s is not valid JSON", key)
+	}
+	b = canonjson.AppendString(append(b, `{"key":`...), key)
+	b = append(append(b, `,"val":`...), canon...)
+	b = strconv.AppendUint(append(b, `,"crc":`...), uint64(recordCRC(key, canon)), 10)
+	return append(b, '}', '\n'), canon, nil
 }
 
 // Compact rewrites the journal to exactly one line per live key,
@@ -220,21 +258,18 @@ func (j *Journal) Compact() error {
 		os.Remove(tmp)
 		return fmt.Errorf("runstate: compact journal: %w", err)
 	}
+	var lines []byte
+	for _, k := range keys {
+		var err error
+		if lines, _, err = appendRecord(lines, k, j.entries[k]); err != nil {
+			return fail(nil, err)
+		}
+	}
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fail(nil, err)
 	}
-	w := bufio.NewWriter(f)
-	for _, k := range keys {
-		line, err := json.Marshal(record{Key: k, Val: j.entries[k], CRC: recordCRC(k, j.entries[k])})
-		if err != nil {
-			return fail(f, err)
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return fail(f, err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := f.Write(lines); err != nil {
 		return fail(f, err)
 	}
 	if err := f.Sync(); err != nil {
@@ -274,25 +309,18 @@ func verifyCompacted(path string, want map[string]json.RawMessage) error {
 		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	n := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeRecord(line)
+	err = scanRecords(f, func(rec record, err error) error {
 		if err != nil {
-			return fmt.Errorf("verification: %w", err)
+			return err
 		}
-		have, ok := want[rec.Key]
-		if !ok || !bytes.Equal(have, rec.Val) {
-			return fmt.Errorf("verification: key %s does not match live state", rec.Key)
+		if have, ok := want[rec.Key]; !ok || !bytes.Equal(have, rec.Val) {
+			return fmt.Errorf("key %s does not match live state", rec.Key)
 		}
 		n++
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("verification: %w", err)
 	}
 	if n != len(want) {
@@ -301,12 +329,20 @@ func verifyCompacted(path string, want map[string]json.RawMessage) error {
 	return nil
 }
 
-// Degraded reports whether a write or fsync has failed, making the
-// journal terminally non-durable, along with the first failure.
-func (j *Journal) Degraded() (bool, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.degraded != nil, j.degraded
+// scanRecords decodes r line by line, skipping blank lines, and hands
+// each line's record or decode error to each, stopping at the first
+// error each returns.
+func scanRecords(r io.Reader, each func(record, error) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for sc.Scan() {
+		if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+			if err := each(decodeRecord(line)); err != nil {
+				return err
+			}
+		}
+	}
+	return sc.Err()
 }
 
 // Keys lists the distinct journaled keys in unspecified order. Replay

@@ -328,3 +328,170 @@ func TestHashJSONStableAndSensitive(t *testing.T) {
 		t.Error("unmarshalable value accepted")
 	}
 }
+
+// TestJournalNonCompactValueSurvivesReopen records valid values that
+// are not in encoding/json's compact, HTML-escaped form. Each must
+// replay to exactly what Lookup served before Close: the line, its
+// checksum and the stored entry all cover the same bytes.
+func TestJournalNonCompactValueSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]string{
+		"spaced":  `{"a": 1}`,
+		"html":    `{"a":"<b>"}`,
+		"amp":     `"x&y"`,
+		"compact": `{"a":1}`,
+	}
+	before := map[string]string{}
+	for k, v := range vals {
+		if err := j.Record(k, []byte(v)); err != nil {
+			t.Fatalf("record %s: %v", k, err)
+		}
+		got, ok := j.Lookup(k)
+		if !ok {
+			t.Fatalf("Lookup(%s) missed right after Record", k)
+		}
+		before[k] = string(got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Dropped() != 0 {
+		t.Errorf("reopen dropped %d records", j2.Dropped())
+	}
+	for k, want := range before {
+		if got, ok := j2.Lookup(k); !ok || string(got) != want {
+			t.Errorf("Lookup(%s) after reopen = %q, %v; before Close it was %q", k, got, ok, want)
+		}
+	}
+	if before["compact"] != vals["compact"] {
+		t.Errorf("compact value stored as %q, want it unchanged", before["compact"])
+	}
+}
+
+// TestJournalRecordBatchOneLinePerRecord checks a batch appends exactly
+// the lines its records would append one Record at a time.
+func TestJournalRecordBatchOneLinePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"a", "b", "c"}
+	vals := [][]byte{[]byte(`1`), []byte(`"two"`), []byte(`{"v":3}`)}
+	one, err := OpenJournal(filepath.Join(dir, "one", JournalFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if err := one.Record(keys[i], vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one.Close()
+	batch, err := OpenJournal(filepath.Join(dir, "batch", JournalFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.RecordBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	batch.Close()
+	a, _ := os.ReadFile(one.Path())
+	b, _ := os.ReadFile(batch.Path())
+	if !bytes.Equal(a, b) {
+		t.Errorf("batch lines differ from per-record lines:\n%s\n%s", b, a)
+	}
+	if err := batch.RecordBatch([]string{"x"}, nil); err == nil {
+		t.Error("batch with mismatched lengths accepted")
+	}
+}
+
+// TestJournalRecordBatchTornTail cuts a batch's last line short, as a
+// crash mid-append leaves it: replay drops only the torn line.
+func TestJournalRecordBatchTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.RecordBatch([]string{"a", "b", "c"}, [][]byte{[]byte(`1`), []byte(`2`), []byte(`3`)}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Len() != 2 || j2.Dropped() != 1 {
+		t.Errorf("len=%d dropped=%d, want 2/1", j2.Len(), j2.Dropped())
+	}
+	for _, k := range []string{"a", "b"} {
+		if _, ok := j2.Lookup(k); !ok {
+			t.Errorf("whole line %s lost with the torn tail", k)
+		}
+	}
+	if _, ok := j2.Lookup("c"); ok {
+		t.Error("torn line resurrected")
+	}
+}
+
+// TestJournalRecordBatchRejectsWhole checks a batch holding one bad
+// record writes nothing: validation runs before the append.
+func TestJournalRecordBatchRejectsWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.RecordBatch([]string{"a", "b"}, [][]byte{[]byte(`1`), []byte(`{broken`)}); err == nil {
+		t.Fatal("batch with an invalid value accepted")
+	}
+	if err := j.RecordBatch([]string{"a", ""}, [][]byte{[]byte(`1`), []byte(`2`)}); err == nil {
+		t.Fatal("batch with an empty key accepted")
+	}
+	if j.Len() != 0 {
+		t.Errorf("rejected batches left %d entries", j.Len())
+	}
+	if info, _ := os.Stat(path); info.Size() != 0 {
+		t.Errorf("rejected batches wrote %d bytes", info.Size())
+	}
+}
+
+// TestJournalRecordBatchDuplicateKeyLastWins repeats a key inside one
+// batch: the later record wins, in memory and after replay.
+func TestJournalRecordBatchDuplicateKeyLastWins(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.RecordBatch([]string{"k", "other", "k"}, [][]byte{[]byte(`1`), []byte(`0`), []byte(`2`)}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := j.Lookup("k"); string(v) != `2` {
+		t.Errorf("in-memory value = %q, want 2 (last wins)", v)
+	}
+	j.Close()
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if v, _ := j2.Lookup("k"); string(v) != `2` || j2.Len() != 2 {
+		t.Errorf("replayed value = %q len=%d, want 2 and 2 keys", v, j2.Len())
+	}
+}

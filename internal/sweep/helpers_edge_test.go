@@ -5,25 +5,9 @@ import (
 	"testing"
 )
 
-// Edge cases for the grid helpers, pinning the documented contracts:
-// empty axes produce empty grids, degenerate spacings (n < 2) error,
-// descending bounds are legal, and Logspace rejects non-positive bounds.
-
-func TestGrid2EmptyAxis(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if g := Grid2[float64](nil, xs); g == nil || len(g) != 0 {
-		t.Errorf("Grid2(nil, xs) = %v, want empty non-nil", g)
-	}
-	if g := Grid2(xs, []int{}); g == nil || len(g) != 0 {
-		t.Errorf("Grid2(xs, empty) = %v, want empty non-nil", g)
-	}
-	if g := Grid2([]int{}, []int{}); len(g) != 0 {
-		t.Errorf("Grid2(empty, empty) has %d points", len(g))
-	}
-	if g := Grid2(xs, []string{"a"}); len(g) != 3 {
-		t.Errorf("singleton axis grid has %d points, want 3", len(g))
-	}
-}
+// Edge cases for the spacing helpers, pinning the documented contracts:
+// degenerate spacings (n < 2) error, descending bounds are legal, and
+// Logspace rejects non-positive bounds.
 
 func TestLinspaceDegenerateCounts(t *testing.T) {
 	for _, n := range []int{1, 0, -3} {

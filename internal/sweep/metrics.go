@@ -23,7 +23,8 @@ type Metrics struct {
 	// PointSeconds is the wall-clock distribution of one evaluation
 	// (including its retries).
 	PointSeconds *telemetry.Histogram
-	// CheckpointSeconds is the latency of one checkpoint Record call.
+	// CheckpointSeconds is the latency of one checkpoint RecordBatch
+	// call: one span's rows.
 	CheckpointSeconds *telemetry.Histogram
 }
 
@@ -41,7 +42,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		PointSeconds: r.Histogram("sweep_point_seconds",
 			"wall-clock duration of one point evaluation", nil),
 		CheckpointSeconds: r.Histogram("sweep_checkpoint_seconds",
-			"latency of one checkpoint record", telemetry.ExpBuckets(1e-6, 4, 12)),
+			"latency of one checkpoint batch record", telemetry.ExpBuckets(1e-6, 4, 12)),
 	}
 }
 

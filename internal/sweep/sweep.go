@@ -274,26 +274,6 @@ func TallyViolations[P, R any](results []Result[P, R]) ViolationTally {
 	return t
 }
 
-// Grid2 builds the cartesian product of two axes as point pairs, row
-// major (all ys for the first x, then the next x). An empty axis yields
-// an empty (non-nil) grid — the product of nothing is nothing, not an
-// error.
-func Grid2[A, B any](xs []A, ys []B) []Pair[A, B] {
-	out := make([]Pair[A, B], 0, len(xs)*len(ys))
-	for _, x := range xs {
-		for _, y := range ys {
-			out = append(out, Pair[A, B]{X: x, Y: y})
-		}
-	}
-	return out
-}
-
-// Pair is one 2-D grid point.
-type Pair[A, B any] struct {
-	X A
-	Y B
-}
-
 // Logspace returns n geometrically spaced values from lo to hi
 // inclusive. n < 2 (a "spacing" of fewer than two points is ambiguous)
 // and non-positive bounds (no geometric path through zero) are errors;

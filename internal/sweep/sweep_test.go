@@ -117,16 +117,6 @@ func TestRunConcurrencyBound(t *testing.T) {
 	}
 }
 
-func TestGrid2(t *testing.T) {
-	g := Grid2([]int{1, 2}, []string{"a", "b", "c"})
-	if len(g) != 6 {
-		t.Fatalf("len = %d", len(g))
-	}
-	if g[0] != (Pair[int, string]{1, "a"}) || g[5] != (Pair[int, string]{2, "c"}) {
-		t.Errorf("grid order wrong: %v", g)
-	}
-}
-
 func TestLogspace(t *testing.T) {
 	v, err := Logspace(1, 100, 3)
 	if err != nil {

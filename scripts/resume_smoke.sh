@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke test: interrupt a bcnsweep run with SIGINT
 # partway through, resume it from the journal, and verify the resumed
-# artifacts are byte-identical to a never-interrupted baseline.
+# artifacts are byte-identical to a never-interrupted baseline. Then run
+# examples/resumable and require its resume to evaluate fewer points
+# than its grid holds.
 #
 # Exercises the real signal path (TrapSignals -> context cancellation ->
 # drain -> exit 130), unlike the in-test cooperative-cancellation
@@ -14,10 +16,11 @@ trap 'rm -rf "$work"' EXIT
 
 go build -o "$work/bcnsweep" ./cmd/bcnsweep
 
-# Enough points that SIGINT lands mid-run: a single point solves in well
-# under a millisecond, so the grid is big (80×80 = 6400 points ≈ 2 s
-# serialized) and the kill comes early.
-args=(-steps 80 -workers 1)
+# Enough points that SIGINT lands mid-run: a journaled run on one worker
+# evaluates 70k–120k points/s (one fsync per 64-point span; 2-vCPU VM),
+# so the grid is big (480×480 = 230400 points ≈ 2–3 s, four to six times
+# the sleep below) and the kill comes early.
+args=(-steps 480 -workers 1)
 
 echo "== baseline (uninterrupted) =="
 "$work/bcnsweep" "${args[@]}" -resume "$work/base" > "$work/base.stdout"
@@ -69,3 +72,13 @@ cmp "$work/base.stdout" "$work/run2.stdout" || {
     exit 1
 }
 echo "PASS: resumed outputs byte-identical to the uninterrupted baseline"
+
+echo "== examples/resumable =="
+go run ./examples/resumable | tee "$work/resumable.out"
+total="$(sed -n 's|^interrupted run: [0-9]*/\([0-9]*\) points.*|\1|p' "$work/resumable.out")"
+fresh="$(sed -n 's|^resumed run: *\([0-9]*\) fresh evaluations.*|\1|p' "$work/resumable.out")"
+if [ -z "$total" ] || [ -z "$fresh" ] || [ "$fresh" -ge "$total" ]; then
+    echo "FAIL: examples/resumable resumed with ${fresh:-?} fresh evaluations of ${total:-?} grid points" >&2
+    exit 1
+fi
+echo "PASS: examples/resumable resumed with $fresh fresh evaluations of $total grid points"
