@@ -208,18 +208,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	var journal *runstate.Journal
 	if *journalDir != "" {
-		if err := runstate.EnsureWritableDir(*journalDir); err != nil {
-			return fmt.Errorf("preflight: %w", err)
-		}
-		journal, err = runstate.OpenJournal(filepath.Join(*journalDir, runstate.JournalFileName))
+		journal, err = openJournal(out, *journalDir, "journal", "artifacts")
 		if err != nil {
 			return err
 		}
 		defer journal.Close()
-		if d := journal.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "bcnd: journal replay dropped %d corrupt records\n", d)
-		}
-		fmt.Fprintf(out, "bcnd: journal %s replayed %d artifacts\n", journal.Path(), journal.Len())
 		cfg.Cache = journal
 	}
 	srv, err := serve.New(cfg)
@@ -424,6 +417,21 @@ type coordOptions struct {
 	leaseTTL time.Duration
 }
 
+// openJournal opens the journal in dir (runstate.OpenDir), warns on
+// stderr when its replay dropped corrupt lines, and prints the replay
+// banner "bcnd: <name> <path> replayed <n> <unit>" to out.
+func openJournal(out io.Writer, dir, name, unit string) (*runstate.Journal, error) {
+	journal, err := runstate.OpenDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	if d := journal.Dropped(); d > 0 {
+		fmt.Fprintf(os.Stderr, "bcnd: journal replay dropped %d corrupt records\n", d)
+	}
+	fmt.Fprintf(out, "bcnd: %s %s replayed %d %s\n", name, journal.Path(), journal.Len(), unit)
+	return journal, nil
+}
+
 // parseURLList splits a comma-separated base-URL list, trimming
 // whitespace and trailing slashes and rejecting non-http(s) entries.
 func parseURLList(flagName, raw string) ([]string, error) {
@@ -467,18 +475,11 @@ func runCoordinator(ctx context.Context, opt coordOptions, out io.Writer) error 
 		Log:               os.Stderr,
 	}
 	if opt.journalDir != "" {
-		if err := runstate.EnsureWritableDir(opt.journalDir); err != nil {
-			return fmt.Errorf("preflight: %w", err)
-		}
-		journal, err := runstate.OpenJournal(filepath.Join(opt.journalDir, runstate.JournalFileName))
+		journal, err := openJournal(out, opt.journalDir, "coordinator journal", "records")
 		if err != nil {
 			return err
 		}
 		defer journal.Close()
-		if d := journal.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "bcnd: journal replay dropped %d corrupt records\n", d)
-		}
-		fmt.Fprintf(out, "bcnd: coordinator journal %s replayed %d records\n", journal.Path(), journal.Len())
 		ccfg.Journal = journal
 		ccfg.MapPath = filepath.Join(opt.journalDir, "map.csv")
 	}
@@ -550,18 +551,11 @@ func runHACoordinator(ctx context.Context, opt coordOptions, workers []string, o
 	if opt.journalDir == "" {
 		return fmt.Errorf("coordinator HA needs -journal: the replicated journal is what a successor resumes from")
 	}
-	if err := runstate.EnsureWritableDir(opt.journalDir); err != nil {
-		return fmt.Errorf("preflight: %w", err)
-	}
-	journal, err := runstate.OpenJournal(filepath.Join(opt.journalDir, runstate.JournalFileName))
+	journal, err := openJournal(out, opt.journalDir, "replica journal", "records")
 	if err != nil {
 		return err
 	}
 	defer journal.Close()
-	if d := journal.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "bcnd: journal replay dropped %d corrupt records\n", d)
-	}
-	fmt.Fprintf(out, "bcnd: replica journal %s replayed %d records\n", journal.Path(), journal.Len())
 
 	node, err := cluster.NewHANode(cluster.HAConfig{
 		Self:      self[0],

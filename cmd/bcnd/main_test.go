@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -116,6 +117,36 @@ func TestJournalSurvivesRestart(t *testing.T) {
 	}
 	if err := stop2(); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// TestOpenJournalBanners pins the replay banner of each journal-backed
+// mode and the preflight error for a journal path that is a file.
+func TestOpenJournalBanners(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.jsonl")
+	for i, c := range []struct{ name, unit string }{
+		{"journal", "artifacts"},
+		{"coordinator journal", "records"},
+		{"replica journal", "records"},
+	} {
+		var out bytes.Buffer
+		j, err := openJournal(&out, dir, c.name, c.unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Record("k", []byte(`1`)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		// The first open finds an empty journal; each later one replays
+		// the record the one before wrote.
+		if want := fmt.Sprintf("bcnd: %s %s replayed %d %s\n", c.name, path, min(i, 1), c.unit); out.String() != want {
+			t.Errorf("banner %q, want %q", out.String(), want)
+		}
+	}
+	if _, err := openJournal(new(bytes.Buffer), path, "journal", "artifacts"); err == nil || !strings.HasPrefix(err.Error(), "preflight: ") {
+		t.Errorf("journal dir that is a file: err = %v, want a preflight error", err)
 	}
 }
 

@@ -181,14 +181,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		keyFn func(gainPoint) string
 	)
 	if *resume != "" {
-		if err := runstate.EnsureWritableDir(*resume); err != nil {
-			return fmt.Errorf("preflight: %w", err)
-		}
 		fingerprint, err := grid.Fingerprint()
 		if err != nil {
 			return err
 		}
-		journal, err := runstate.OpenJournal(filepath.Join(*resume, runstate.JournalFileName))
+		journal, err := runstate.OpenDir(*resume)
 		if err != nil {
 			return err
 		}

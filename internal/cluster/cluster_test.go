@@ -63,6 +63,12 @@ func (j *memJournal) Keys() []string {
 	return out
 }
 
+func (j *memJournal) Len() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.m)
+}
+
 // put pre-seeds a record without the duplicate check (test setup only).
 func (j *memJournal) put(key string, val []byte) {
 	j.mu.Lock()

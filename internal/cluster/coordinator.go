@@ -532,7 +532,7 @@ func (c *Coordinator) countStrays(fp string) {
 			continue
 		}
 		if _, seen := c.strays[key]; !seen {
-			c.strays[key] = struct{}{}
+			c.strays[strings.Clone(key)] = struct{}{} // alone, not the string all keys share
 			stray++
 		}
 	}

@@ -47,10 +47,12 @@ const (
 
 // HAJournal is the durable store an HA replica requires: the
 // coordinator Journal contract plus key enumeration for snapshots and
-// takeover scans. runstate.Journal satisfies it.
+// takeover scans and a record count for status. runstate.Journal
+// satisfies it.
 type HAJournal interface {
 	Journal
 	Keys() []string
+	Len() int
 }
 
 // HAConfig configures one coordinator replica.
@@ -683,6 +685,7 @@ type replJournal struct {
 
 func (r *replJournal) Lookup(key string) ([]byte, bool) { return r.j.Lookup(key) }
 func (r *replJournal) Keys() []string                   { return r.j.Keys() }
+func (r *replJournal) Len() int                         { return r.j.Len() }
 
 func (r *replJournal) Record(key string, val []byte) error {
 	r.mu.Lock()

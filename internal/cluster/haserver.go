@@ -35,7 +35,7 @@ func (n *HANode) Status() HAStatus {
 		Leader:         n.leaderHint,
 		Peers:          n.cfg.Peers,
 		Workers:        len(n.cfg.Workers),
-		JournalRecords: len(n.cfg.Journal.Keys()),
+		JournalRecords: n.cfg.Journal.Len(),
 		ReplicationLag: int(n.repl.lag()),
 	}
 	var srv *Server

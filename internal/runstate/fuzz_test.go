@@ -45,7 +45,8 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		defer j.Close()
 		j.mu.Lock()
-		for key, val := range j.entries {
+		for _, key := range j.entries.Keys() {
+			val, _ := j.entries.Lookup(key)
 			if key == "" {
 				t.Error("replay resurrected a record with an empty key")
 			}

@@ -15,6 +15,7 @@ import (
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/qos"
+	"bcnphase/internal/runstate"
 	"bcnphase/internal/sweep"
 	"bcnphase/internal/telemetry"
 )
@@ -37,25 +38,26 @@ type Cache interface {
 // restarts.
 type MemCache struct {
 	mu sync.RWMutex
-	m  map[string][]byte
+	t  runstate.Table
 }
 
 // NewMemCache returns an empty in-memory cache.
-func NewMemCache() *MemCache { return &MemCache{m: make(map[string][]byte)} }
+func NewMemCache() *MemCache { return &MemCache{} }
 
-// Lookup implements Cache.
+// Lookup implements Cache. The artifact is a read-only slice (see
+// runstate.Table.Lookup).
 func (c *MemCache) Lookup(key string) ([]byte, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	return v, ok
+	return c.t.Lookup(key)
 }
 
-// Record implements Cache.
+// Record implements Cache. It stores a copy of val; a superseded value
+// stays in the table's memory for the cache's lifetime.
 func (c *MemCache) Record(key string, val []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = append([]byte(nil), val...)
+	c.t.Put(key, val)
 	return nil
 }
 
@@ -63,7 +65,7 @@ func (c *MemCache) Record(key string, val []byte) error {
 func (c *MemCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.t.Len()
 }
 
 // Config configures a Server. The zero value gets sensible defaults

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -272,39 +271,4 @@ func TallyViolations[P, R any](results []Result[P, R]) ViolationTally {
 		}
 	}
 	return t
-}
-
-// Logspace returns n geometrically spaced values from lo to hi
-// inclusive. n < 2 (a "spacing" of fewer than two points is ambiguous)
-// and non-positive bounds (no geometric path through zero) are errors;
-// lo > hi is allowed and yields a descending sequence.
-func Logspace(lo, hi float64, n int) ([]float64, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("sweep: Logspace needs n >= 2, got %d", n)
-	}
-	if !(lo > 0) || !(hi > 0) {
-		return nil, fmt.Errorf("sweep: Logspace needs positive bounds, got [%v, %v]", lo, hi)
-	}
-	out := make([]float64, n)
-	ratio := hi / lo
-	for i := range out {
-		f := float64(i) / float64(n-1)
-		out[i] = lo * math.Pow(ratio, f)
-	}
-	return out, nil
-}
-
-// Linspace returns n uniformly spaced values from lo to hi inclusive.
-// n < 2 is an error; lo > hi is allowed and yields a descending
-// sequence.
-func Linspace(lo, hi float64, n int) ([]float64, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("sweep: Linspace needs n >= 2, got %d", n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		f := float64(i) / float64(n-1)
-		out[i] = lo + (hi-lo)*f
-	}
-	return out, nil
 }

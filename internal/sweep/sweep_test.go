@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -114,39 +113,6 @@ func TestRunConcurrencyBound(t *testing.T) {
 	}
 	if peak.Load() > 4 {
 		t.Errorf("peak concurrency %d exceeds 4", peak.Load())
-	}
-}
-
-func TestLogspace(t *testing.T) {
-	v, err := Logspace(1, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[0] != 1 || math.Abs(v[1]-10) > 1e-9 || v[2] != 100 {
-		t.Errorf("Logspace = %v", v)
-	}
-	if _, err := Logspace(1, 10, 1); err == nil {
-		t.Error("n=1 accepted")
-	}
-	if _, err := Logspace(-1, 10, 3); err == nil {
-		t.Error("negative bound accepted")
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	v, err := Linspace(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 2.5, 5, 7.5, 10}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Errorf("Linspace = %v", v)
-			break
-		}
-	}
-	if _, err := Linspace(0, 1, 0); err == nil {
-		t.Error("n=0 accepted")
 	}
 }
 
