@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"bcnphase/internal/runstate"
 	"bcnphase/internal/telemetry"
 )
 
@@ -30,14 +31,17 @@ import (
 // witnessed, and a leader re-checks its lease (monotonic clock) before
 // every merge.
 //
-// Durability is journal-first, replication-second. The leader appends
-// to its own journal synchronously — exactly like a single
-// coordinator — and streams each record to standbys asynchronously.
-// The stream is allowed to lose records under backpressure because
-// correctness never depends on it: a successor re-executes whatever
-// its journal lacks (zero lost points) and every write path is
-// Lookup-before-Record on content-hash keys (zero duplicated
-// records). Replication exists to make takeover cheap, not correct.
+// Durability is journal-first. The leader appends to its own journal
+// synchronously, exactly like a single coordinator. Standbys catch up
+// on one ordered path: once per election tick a follower tails the
+// leader's journal file from a (generation, offset) cursor and applies
+// the lines it gets with one RecordBatch, so it holds a prefix of the
+// leader's history and never an older value after a newer one.
+// Correctness never depends on how far a standby trails: a successor
+// re-executes whatever its journal lacks (zero lost points) and every
+// write path is Lookup-before-Record on content-hash keys (zero
+// duplicated records). Catch-up exists to make takeover cheap, not
+// correct.
 
 // HA roles.
 const (
@@ -45,23 +49,13 @@ const (
 	RoleLeader   = "leader"
 )
 
-// HAJournal is the durable store an HA replica requires: the
-// coordinator Journal contract plus key enumeration for snapshots and
-// takeover scans and a record count for status. runstate.Journal
-// satisfies it.
-type HAJournal interface {
-	Journal
-	Keys() []string
-	Len() int
-}
-
 // HAConfig configures one coordinator replica.
 type HAConfig struct {
 	// Self is this replica's advertised base URL — its lease identity
 	// across the fleet and the redirect hint standbys hand to clients.
 	Self string
-	// Peers are the other replicas' base URLs (replication and
-	// snapshot targets).
+	// Peers are the other replicas' base URLs. They turn HA on and are
+	// shown on /statusz; standbys find the leader through the witnesses.
 	Peers []string
 	// Workers is the worker fleet; its witnesses are the electorate.
 	Workers []string
@@ -74,11 +68,8 @@ type HAConfig struct {
 	// RenewInterval paces the leader's lease renewals (default
 	// LeaseTTL/3: two full retries fit inside one TTL).
 	RenewInterval time.Duration
-	// SnapshotInterval paces a follower's journal catch-up fetches from
-	// the known leader (default 4×LeaseTTL).
-	SnapshotInterval time.Duration
 	// Journal is this replica's durable journal (required).
-	Journal HAJournal
+	Journal *runstate.Journal
 	// Coordinator templates the per-term coordinator; Workers, Journal,
 	// Term, LeaseValid, Registry, Client and CompactJournal are
 	// overridden per term.
@@ -89,8 +80,7 @@ type HAConfig struct {
 	// Registry receives cluster_term, cluster_is_leader,
 	// cluster_replication_lag_records and friends; nil creates one.
 	Registry *telemetry.Registry
-	// Client is used for leases, replication and snapshots; nil uses a
-	// default.
+	// Client is used for leases and journal tails; nil uses a default.
 	Client *http.Client
 	// Log, when non-nil, receives one line per HA event.
 	Log io.Writer
@@ -109,17 +99,13 @@ type HANode struct {
 	m        *HAMetrics
 	client   *http.Client
 	registry *telemetry.Registry
-	repl     *replicator
 	rng      *lockedRand
+	// tail is the follower's position in the leader's journal. Only the
+	// control loop touches it: it is the one applier.
+	tail tailCursor
 
-	// applyMu serializes journal writes that arrive from peers
-	// (replication batches, snapshot lines) so their check-then-append
-	// is atomic.
-	applyMu sync.Mutex
-
-	// mu guards the role state. Peer applies hold it shared for their
-	// whole write so a leadership flip (exclusive) cannot interleave a
-	// takeover's merges with a deposed leader's stragglers.
+	// mu guards the role state. A tail round holds it shared for its
+	// apply so a leadership flip (exclusive) cannot interleave with it.
 	mu           sync.RWMutex
 	role         string
 	term         uint64 // term currently led (meaningful while leader)
@@ -129,7 +115,6 @@ type HANode struct {
 	coord        *Coordinator
 	srv          *Server
 	leaderCancel context.CancelFunc
-	lastSnap     time.Time
 
 	stop chan struct{}
 	done chan struct{}
@@ -161,9 +146,6 @@ func NewHANode(cfg HAConfig) (*HANode, error) {
 	if cfg.RenewInterval <= 0 {
 		cfg.RenewInterval = cfg.LeaseTTL / 3
 	}
-	if cfg.SnapshotInterval <= 0 {
-		cfg.SnapshotInterval = 4 * cfg.LeaseTTL
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
@@ -179,9 +161,7 @@ func NewHANode(cfg HAConfig) (*HANode, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	n.repl = newReplicator(cfg.Peers, cfg.Self, n.client, n.senderTerm)
-	n.m = NewHAMetrics(cfg.Registry, n.repl.lag)
-	n.repl.m = n.m
+	n.m = NewHAMetrics(cfg.Registry)
 	go n.run()
 	return n, nil
 }
@@ -213,17 +193,6 @@ func (n *HANode) Term() uint64 {
 	return n.term
 }
 
-// senderTerm is the replicator's view: the live term while leading, 0
-// otherwise (a deposed leader's queued batches are dropped unsent).
-func (n *HANode) senderTerm() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if n.role != RoleLeader {
-		return 0
-	}
-	return n.term
-}
-
 // Close stops the replica: the election loop exits, leadership (if
 // held) is relinquished, running sweeps are cancelled without drain —
 // deliberately crash-shaped, so tests exercising takeover see the same
@@ -237,7 +206,6 @@ func (n *HANode) Close() {
 	close(n.stop)
 	<-n.done
 	n.stepDown("shutdown")
-	n.repl.close()
 }
 
 // run is the replica's single control loop: campaign while following,
@@ -261,7 +229,7 @@ func (n *HANode) run() {
 		if n.IsLeader() {
 			n.renew()
 		} else {
-			n.maybeSnapshotSync()
+			n.catchUp()
 			n.campaign()
 		}
 	}
@@ -385,19 +353,17 @@ func (n *HANode) leaseValidFor(term uint64) func() bool {
 }
 
 // becomeLeader installs the per-term coordinator and sweep server and
-// kicks off takeover resumption. It holds mu exclusively, which waits
-// out any in-flight replicate/snapshot applies — from the first merge
-// of this term onward, no peer write can interleave.
+// kicks off takeover resumption. It holds mu exclusively, so no tail
+// apply can interleave with the first merge of this term.
 func (n *HANode) becomeLeader(term uint64, start time.Time) {
 	n.mu.Lock()
 	if n.role == RoleLeader || n.isStopped() {
 		n.mu.Unlock()
 		return
 	}
-	rj := &replJournal{j: n.cfg.Journal, repl: n.repl}
 	ccfg := n.cfg.Coordinator
 	ccfg.Workers = n.cfg.Workers
-	ccfg.Journal = rj
+	ccfg.Journal = n.cfg.Journal
 	ccfg.Term = term
 	ccfg.LeaseValid = n.leaseValidFor(term)
 	ccfg.Registry = n.registry
@@ -424,10 +390,10 @@ func (n *HANode) becomeLeader(term uint64, start time.Time) {
 		Log:          n.cfg.Log,
 		BaseContext:  ctx,
 		OnSweepAccepted: func(fp string, grid GainGrid) error {
-			return n.recordSweepGrid(rj, fp, grid)
+			return n.recordSweepGrid(fp, grid)
 		},
 		OnSweepDone: func(fp string, out *Output) {
-			n.recordSweepDone(rj, fp, out)
+			n.recordSweepDone(fp, out)
 		},
 	})
 	if err != nil {
@@ -448,6 +414,7 @@ func (n *HANode) becomeLeader(term uint64, start time.Time) {
 	n.mu.Unlock()
 	n.m.Term.Set(float64(term))
 	n.m.IsLeader.Set(1)
+	n.m.ReplLag.Set(0)
 	n.m.Elections.Inc()
 	n.logf("%s leads at term %d (%d witnesses)", n.cfg.Self, term, len(n.cfg.Workers))
 	go n.resumeSweeps(ctx, srv)
@@ -483,9 +450,10 @@ func (n *HANode) isStopped() bool {
 	}
 }
 
-// recordSweepGrid journals an accepted sweep's grid (replicated like
-// every other record) so a successor can decode and resume it.
-func (n *HANode) recordSweepGrid(j Journal, fp string, grid GainGrid) error {
+// recordSweepGrid journals an accepted sweep's grid so a successor can
+// decode and resume it.
+func (n *HANode) recordSweepGrid(fp string, grid GainGrid) error {
+	j := n.cfg.Journal
 	key := SweepGridKey(fp)
 	if _, ok := j.Lookup(key); ok {
 		return nil
@@ -500,7 +468,8 @@ func (n *HANode) recordSweepGrid(j Journal, fp string, grid GainGrid) error {
 // recordSweepDone seals a completed sweep. Failure is logged, not
 // fatal: the worst case is a successor re-running a sweep whose every
 // shard replays from the journal.
-func (n *HANode) recordSweepDone(j Journal, fp string, out *Output) {
+func (n *HANode) recordSweepDone(fp string, out *Output) {
+	j := n.cfg.Journal
 	key := SweepDoneKey(fp)
 	if _, ok := j.Lookup(key); ok {
 		return
@@ -564,287 +533,124 @@ func (n *HANode) resumeSweeps(ctx context.Context, srv *Server) {
 	}
 }
 
-// applyRecords writes peer-delivered records into the local journal,
-// skipping a record only when the journal already holds the same bytes,
-// so a leader's superseding write (a revoked shard's honest row, a
-// healed row) replaces the stale value here too. It runs
-// under mu held shared — a leadership flip excludes it — and applyMu —
-// concurrent applies serialize. Only followers apply; the caller has
-// checked the role under the same RLock.
-func (n *HANode) applyRecords(recs []ReplicateRecord) (applied int, err error) {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	for _, rec := range recs {
-		if old, ok := n.cfg.Journal.Lookup(rec.Key); ok && bytes.Equal(old, rec.Val) {
-			continue
-		}
-		if err := n.cfg.Journal.Record(rec.Key, rec.Val); err != nil {
-			return applied, err
-		}
-		applied++
-	}
-	return applied, nil
+// tailCursor is a follower's position in one leader's journal: the
+// leader's URL and term, and the cursor into its file. A tail that
+// starts from zero of a generation (the first one, a restart, the
+// leader's compaction) does not know where this replica's journal sits
+// in that file, so its lines are staged and applied together once a
+// read reaches the leader's end; from then on every response continues
+// the applied prefix and is applied as it comes.
+type tailCursor struct {
+	leader    string
+	term      uint64
+	at        runstate.Cursor
+	gathering bool
+	staged    []byte
 }
 
-// maybeSnapshotSync catches this follower up from the known leader's
-// full journal snapshot, paced by SnapshotInterval. Live replication
-// makes this a no-op in the common case; it exists for the standby
-// that was down (or partitioned) while the stream moved on.
-func (n *HANode) maybeSnapshotSync() {
+// catchUp runs one tail round against the known leader: it reads the
+// leader's journal lines past this replica's cursor up to the leader's
+// end and applies each response with one RecordBatch. The round is
+// bounded by half an election interval, so a black-holed leader cannot
+// delay the campaign that follows it. A new leader URL or term restarts
+// the tail from zero. A response under a term below the highest this
+// replica has seen comes from a deposed leader and is not applied.
+func (n *HANode) catchUp() {
 	n.mu.RLock()
-	hint := n.leaderHint
-	due := time.Since(n.lastSnap) >= n.cfg.SnapshotInterval
+	hint, floor, leading := n.leaderHint, n.maxSeen, n.role == RoleLeader
 	n.mu.RUnlock()
-	if !due || hint == "" || hint == n.cfg.Self {
+	if leading || hint == "" || hint == n.cfg.Self {
 		return
 	}
-	n.mu.Lock()
-	n.lastSnap = time.Now() // even on failure: do not hammer a dead hint
-	n.mu.Unlock()
-	if err := n.snapshotSync(hint); err != nil {
-		n.logf("snapshot sync from %s failed: %v", hint, err)
+	if hint != n.tail.leader {
+		n.tail = tailCursor{leader: hint}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ElectionInterval/2)
+	defer cancel()
+	applied := 0
+	defer func() { n.m.ReplLag.Set(float64(applied)) }()
+	for {
+		term, lines, next, more, err := n.fetchTail(ctx, hint, n.tail.at)
+		if err != nil {
+			n.logf("tail of %s failed: %v", hint, err)
+			return
+		}
+		if term < floor {
+			n.logf("tail of %s answered under term %d below %d; not applied", hint, term, floor)
+			return
+		}
+		if term != n.tail.term && n.tail.at != (runstate.Cursor{}) {
+			n.tail = tailCursor{leader: hint} // another leader's file
+			continue
+		}
+		if next.Gen != n.tail.at.Gen { // these lines start at zero
+			n.tail.gathering, n.tail.staged = true, n.tail.staged[:0]
+		}
+		n.tail.term, n.tail.at = term, next
+		n.tail.staged = append(n.tail.staged, lines...)
+		if more && n.tail.gathering {
+			continue // read on to the leader's end before applying
+		}
+		k, ok := n.applyTail(hint, term)
+		applied += k
+		if !more || !ok {
+			return
+		}
 	}
 }
 
-// snapshotSync streams src's journal and applies every record absent
-// locally.
-func (n *HANode) snapshotSync(src string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), max(4*n.cfg.LeaseTTL, 10*time.Second))
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src+"/v1/journal", nil)
+// applyTail applies the staged lines of a tail answered under term and
+// reports how many records it wrote and whether the tail may go on.
+func (n *HANode) applyTail(leader string, term uint64) (int, bool) {
+	n.mu.RLock()
+	if n.role == RoleLeader {
+		n.mu.RUnlock()
+		return 0, false
+	}
+	applied, bad, err := n.cfg.Journal.ApplyLines(n.tail.staged)
+	n.mu.RUnlock()
+	n.tail.gathering, n.tail.staged = false, n.tail.staged[:0]
+	n.m.AppliedRecords.Add(uint64(applied))
+	if bad > 0 {
+		n.logf("tail of %s: %d undecodable lines dropped", leader, bad)
+	}
 	if err != nil {
-		return err
+		n.logf("tail of %s not applied: %v", leader, err)
+		n.tail = tailCursor{leader: leader} // re-read from zero next round
+		return applied, false
+	}
+	n.mu.Lock()
+	n.maxSeen = max(n.maxSeen, term)
+	n.mu.Unlock()
+	return applied, true
+}
+
+// fetchTail is one GET /v1/journal round trip: the leader's term, its
+// lines past cursor at, the cursor past them, and whether more remain.
+func (n *HANode) fetchTail(ctx context.Context, leader string, at runstate.Cursor) (term uint64, lines []byte, next runstate.Cursor, more bool, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		leader+"/v1/journal?cursor="+url.QueryEscape(at.String()), nil)
+	if err != nil {
+		return 0, nil, at, false, err
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return err
+		return 0, nil, at, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("snapshot source answered %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusPartialContent {
+		return 0, nil, at, false, fmt.Errorf("leader answered %d", resp.StatusCode)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxWireBytes+1)
-	total := 0
-	var batch []ReplicateRecord
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		n.mu.RLock()
-		if n.role == RoleLeader {
-			n.mu.RUnlock()
-			return fmt.Errorf("became leader mid-snapshot; aborting apply")
-		}
-		applied, err := n.applyRecords(batch)
-		n.mu.RUnlock()
-		total += applied
-		batch = batch[:0]
-		return err
+	if term, err = strconv.ParseUint(resp.Header.Get(TermHeader), 10, 64); err != nil {
+		return 0, nil, at, false, fmt.Errorf("tail response without a term: %w", err)
 	}
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec ReplicateRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" || !json.Valid(rec.Val) {
-			continue // one bad line must not void the rest of the snapshot
-		}
-		batch = append(batch, rec)
-		if len(batch) >= 256 {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
+	if next, err = runstate.ParseCursor(resp.Header.Get(CursorHeader)); err != nil {
+		return 0, nil, at, false, err
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	// A single line may run past the leader's cap; no line the program
+	// writes comes near twice the wire ceiling.
+	if lines, err = io.ReadAll(io.LimitReader(resp.Body, 2*MaxWireBytes)); err != nil {
+		return 0, nil, at, false, err
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	n.m.SnapshotSyncs.Inc()
-	if total > 0 {
-		n.m.AppliedRecords.Add(uint64(total))
-		n.logf("snapshot sync from %s applied %d records", src, total)
-	}
-	return nil
-}
-
-// replJournal is the journal the leading coordinator writes through:
-// local append first (durability), then an asynchronous fan-out to
-// every standby. Its own Lookup-before-Record check (under mu) makes
-// concurrent writers of the same bytes for a key append once; different
-// bytes supersede the stored value, as merge's force-records require.
-type replJournal struct {
-	mu   sync.Mutex
-	j    HAJournal
-	repl *replicator
-}
-
-func (r *replJournal) Lookup(key string) ([]byte, bool) { return r.j.Lookup(key) }
-func (r *replJournal) Keys() []string                   { return r.j.Keys() }
-func (r *replJournal) Len() int                         { return r.j.Len() }
-
-func (r *replJournal) Record(key string, val []byte) error {
-	r.mu.Lock()
-	if old, ok := r.j.Lookup(key); ok && bytes.Equal(old, val) {
-		r.mu.Unlock()
-		return nil
-	}
-	if err := r.j.Record(key, val); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	r.mu.Unlock()
-	r.repl.enqueue(key, val)
-	return nil
-}
-
-// replicator fans journal records out to standbys: one ordered,
-// bounded queue per peer (order preserves rows-before-done-marker per
-// shard), batched sends, drop-on-overflow. Dropped or failed batches
-// are healed by snapshot catch-up; the lag gauge is the live queue
-// depth.
-type replicator struct {
-	peers  []string
-	self   string
-	client *http.Client
-	term   func() uint64 // live leadership term; 0 silences the stream
-	m      *HAMetrics
-	queues []chan ReplicateRecord
-	stop   chan struct{}
-	wg     sync.WaitGroup
-}
-
-const (
-	replQueueCap = 8192
-	replBatchMax = 256
-)
-
-func newReplicator(peers []string, self string, client *http.Client, term func() uint64) *replicator {
-	r := &replicator{
-		peers:  peers,
-		self:   self,
-		client: client,
-		term:   term,
-		queues: make([]chan ReplicateRecord, len(peers)),
-		stop:   make(chan struct{}),
-	}
-	for i := range peers {
-		r.queues[i] = make(chan ReplicateRecord, replQueueCap)
-		r.wg.Add(1)
-		go r.pump(i)
-	}
-	return r
-}
-
-func (r *replicator) close() {
-	close(r.stop)
-	r.wg.Wait()
-}
-
-// lag is the total records queued and not yet sent, across peers.
-func (r *replicator) lag() float64 {
-	total := 0
-	for i := range r.queues {
-		total += len(r.queues[i])
-	}
-	return float64(total)
-}
-
-func (r *replicator) enqueue(key string, val []byte) {
-	if len(r.queues) == 0 {
-		return
-	}
-	rec := ReplicateRecord{Key: key, Val: append(json.RawMessage(nil), val...)}
-	for i := range r.queues {
-		select {
-		case r.queues[i] <- rec:
-		default:
-			// Peer too far behind: drop from the stream, count it, and
-			// let the snapshot path heal it. Blocking here would let one
-			// dead standby stall every merge.
-			if r.m != nil {
-				r.m.ReplDropped.Inc()
-			}
-		}
-	}
-}
-
-func (r *replicator) pump(i int) {
-	defer r.wg.Done()
-	for {
-		var batch []ReplicateRecord
-		select {
-		case rec := <-r.queues[i]:
-			batch = append(batch, rec)
-		case <-r.stop:
-			return
-		}
-	drain:
-		for len(batch) < replBatchMax {
-			select {
-			case rec := <-r.queues[i]:
-				batch = append(batch, rec)
-			default:
-				break drain
-			}
-		}
-		r.send(i, batch)
-	}
-}
-
-func (r *replicator) send(i int, batch []ReplicateRecord) {
-	term := r.term()
-	if term == 0 {
-		// Not leading (anymore): a deposed leader must not stream its
-		// stragglers into the new leader's journal epoch.
-		if r.m != nil {
-			r.m.ReplDropped.Add(uint64(len(batch)))
-		}
-		return
-	}
-	body, err := json.Marshal(ReplicateRequest{Term: term, From: r.self, Records: batch})
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.peers[i]+"/v1/replicate", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		if r.m != nil {
-			r.m.ReplDropped.Add(uint64(len(batch)))
-		}
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		if r.m != nil {
-			r.m.ReplicatedRecords.Add(uint64(len(batch)))
-		}
-	} else if r.m != nil {
-		r.m.ReplDropped.Add(uint64(len(batch)))
-	}
-}
-
-// SnapshotRecords lists a journal's records sorted by key — the
-// /v1/journal payload shape shared by server and tests.
-func SnapshotRecords(j HAJournal) []ReplicateRecord {
-	keys := j.Keys()
-	sort.Strings(keys)
-	out := make([]ReplicateRecord, 0, len(keys))
-	for _, k := range keys {
-		if v, ok := j.Lookup(k); ok {
-			out = append(out, ReplicateRecord{Key: k, Val: v})
-		}
-	}
-	return out
+	return term, lines, next, resp.StatusCode == http.StatusPartialContent, nil
 }

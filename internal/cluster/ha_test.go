@@ -211,7 +211,6 @@ func TestHAFailoverSoak(t *testing.T) {
 			LeaseTTL:         leaseTTL,
 			ElectionInterval: leaseTTL / 2,
 			RenewInterval:    leaseTTL / 3,
-			SnapshotInterval: 2 * leaseTTL,
 			Journal:          j,
 			Seed:             int64(i + 1),
 			MaxSweeps:        2,

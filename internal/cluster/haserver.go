@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
+	"strconv"
 	"time"
+
+	"bcnphase/internal/runstate"
 )
 
 // HAStatus is the /statusz document of one HA replica: leadership
@@ -36,7 +40,7 @@ func (n *HANode) Status() HAStatus {
 		Peers:          n.cfg.Peers,
 		Workers:        len(n.cfg.Workers),
 		JournalRecords: n.cfg.Journal.Len(),
-		ReplicationLag: int(n.repl.lag()),
+		ReplicationLag: int(n.m.ReplLag.Value()),
 	}
 	var srv *Server
 	if n.role == RoleLeader {
@@ -54,12 +58,11 @@ func (n *HANode) Status() HAStatus {
 }
 
 // Handler is the replica's HTTP surface: the coordinator sweep API
-// (delegated while leading, redirected while following) plus the HA
-// internals — lease-peer replication and journal snapshots.
+// (delegated while leading, redirected while following) plus the
+// journal tail standbys catch up from.
 func (n *HANode) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", n.handleSweeps)
-	mux.HandleFunc("POST /v1/replicate", n.handleReplicate)
 	mux.HandleFunc("GET /v1/journal", n.handleJournal)
 	mux.HandleFunc("GET /statusz", n.handleStatusz)
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
@@ -73,10 +76,21 @@ func haWriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// notLeader answers 421 with a Bcn-Not-Leader hint at the last known
+// leader, so a client or standby can go there without guessing.
+func (n *HANode) notLeader(w http.ResponseWriter, hint string) {
+	if hint != "" && hint != n.cfg.Self {
+		w.Header().Set(NotLeaderHeader, hint)
+	}
+	haWriteJSON(w, http.StatusMisdirectedRequest, clusterError{
+		Error:  "this replica is not the leader",
+		Reason: NotLeaderReason,
+	})
+}
+
 // handleSweeps delegates to the leading coordinator's sweep handler,
-// or answers 421 with a Bcn-Not-Leader hint so the client can fail
-// over without guessing. The srv pointer is captured under the lock
-// but the (long-lived) request runs outside it; a mid-request
+// or answers 421 (notLeader). The srv pointer is captured under the
+// lock but the (long-lived) request runs outside it; a mid-request
 // deposition cancels the sweep through the leadership context, not
 // through this handler.
 func (n *HANode) handleSweeps(w http.ResponseWriter, r *http.Request) {
@@ -86,76 +100,47 @@ func (n *HANode) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	leading := n.role == RoleLeader
 	n.mu.RUnlock()
 	if !leading || srv == nil {
-		if hint != "" && hint != n.cfg.Self {
-			w.Header().Set(NotLeaderHeader, hint)
-		}
-		haWriteJSON(w, http.StatusMisdirectedRequest, clusterError{
-			Error:  "this replica is not the leader",
-			Reason: NotLeaderReason,
-		})
+		n.notLeader(w, hint)
 		return
 	}
 	srv.handleSweep(w, r)
 }
 
-// handleReplicate applies a leader's streamed journal records. A
-// replica that is itself leading refuses: accepting would let a
-// deposed predecessor write into the new epoch. The role check and
-// the apply share one read-hold of mu, so a leadership flip
-// (exclusive) cannot land between them.
-func (n *HANode) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeReplicateRequest(r.Body)
+// handleJournal serves one tail read: the leader's synced journal lines
+// past the request's cursor, cut on whole lines at MaxWireBytes, with
+// its term and the next cursor in the Bcn-Term and Bcn-Cursor headers.
+// The status is 206 when the cut left synced lines behind, 200 when the
+// lines reach the leader's end. Only the leader answers; a standby's
+// journal is not the log to follow.
+func (n *HANode) handleJournal(w http.ResponseWriter, r *http.Request) {
+	from, err := runstate.ParseCursor(r.URL.Query().Get("cursor"))
 	if err != nil {
-		haWriteJSON(w, http.StatusBadRequest, clusterError{Error: err.Error(), Reason: "malformed-replicate"})
+		haWriteJSON(w, http.StatusBadRequest, clusterError{Error: err.Error(), Reason: "bad-cursor"})
 		return
 	}
 	n.mu.RLock()
-	if n.role == RoleLeader {
-		n.mu.RUnlock()
-		haWriteJSON(w, http.StatusConflict, clusterError{
-			Error:  "replica is leading; refusing peer stream",
-			Reason: NotLeaderReason,
-		})
-		return
-	}
-	if req.Term > n.maxSeen || (req.Term == n.maxSeen && n.leaderHint == "") {
-		// Learn the leader from its own stream — cheaper than waiting
-		// for a denied campaign to report it.
-		defer func(term uint64, from string) {
-			n.mu.Lock()
-			if term > n.maxSeen {
-				n.maxSeen = term
-			}
-			if from != "" {
-				n.leaderHint = from
-			}
-			n.mu.Unlock()
-		}(req.Term, req.From)
-	}
-	applied, aerr := n.applyRecords(req.Records)
+	term, hint, leading := n.term, n.leaderHint, n.role == RoleLeader
 	n.mu.RUnlock()
-	if applied > 0 {
-		n.m.AppliedRecords.Add(uint64(applied))
-	}
-	if aerr != nil {
-		haWriteJSON(w, http.StatusInternalServerError, clusterError{Error: aerr.Error(), Reason: "journal-write-failed"})
+	if !leading {
+		n.notLeader(w, hint)
 		return
 	}
-	haWriteJSON(w, http.StatusOK, ReplicateResponse{Applied: applied, Term: req.Term})
-}
-
-// handleJournal streams this replica's full journal as NDJSON
-// ReplicateRecord lines, sorted by key — the snapshot a lagging
-// standby catches up from.
-func (n *HANode) handleJournal(w http.ResponseWriter, _ *http.Request) {
-	recs := SnapshotRecords(n.cfg.Journal)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return
-		}
+	lines, next, more, err := n.cfg.Journal.Tail(from, MaxWireBytes)
+	switch {
+	case errors.Is(err, runstate.ErrCursorRange):
+		haWriteJSON(w, http.StatusBadRequest, clusterError{Error: err.Error(), Reason: "bad-cursor"})
+		return
+	case err != nil:
+		haWriteJSON(w, http.StatusServiceUnavailable, clusterError{Error: err.Error(), Reason: "journal-unavailable"})
+		return
 	}
+	w.Header().Set(TermHeader, strconv.FormatUint(term, 10))
+	w.Header().Set(CursorHeader, next.String())
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if more {
+		w.WriteHeader(http.StatusPartialContent)
+	}
+	_, _ = w.Write(lines)
 }
 
 func (n *HANode) handleStatusz(w http.ResponseWriter, _ *http.Request) {

@@ -15,13 +15,19 @@ import (
 //     to win or renew a term lease;
 //   - workers reject shard dispatches whose Bcn-Term header is below
 //     the highest term their witness has granted (fencing);
-//   - the leader streams journal records to standby replicas over
-//     POST /v1/replicate, and a lagging standby catches up with a full
-//     GET /v1/journal snapshot.
+//   - standby replicas tail the leader's journal over
+//     GET /v1/journal?cursor=gen:off: the body is the leader's own
+//     journal lines past the cursor, as its file holds them; Bcn-Term
+//     and Bcn-Cursor carry its term and the cursor past those lines,
+//     and the status is 206 while synced lines remain past it, 200
+//     once they reach the leader's end.
 const (
 	// TermHeader stamps a shard dispatch with the sending leader's term,
 	// and rides back on fencing rejections carrying the term that won.
 	TermHeader = "Bcn-Term"
+	// CursorHeader carries the journal cursor past a tail response's
+	// lines, the cursor of the follower's next round.
+	CursorHeader = "Bcn-Cursor"
 	// NotLeaderHeader accompanies a 421 from a standby replica, hinting
 	// at the last known leader URL (may be empty when none is known).
 	NotLeaderHeader = "Bcn-Not-Leader"
@@ -103,60 +109,6 @@ func DecodeLeaseRequest(r io.Reader) (LeaseRequest, error) {
 	}
 	if err := req.Validate(); err != nil {
 		return LeaseRequest{}, err
-	}
-	return req, nil
-}
-
-// ReplicateRecord is one journal record in flight from leader to
-// standby. Key is the journal's content-hash key, so applying a batch
-// twice (or applying records that a snapshot already delivered) is
-// idempotent by construction.
-type ReplicateRecord struct {
-	Key string          `json:"key"`
-	Val json.RawMessage `json:"val"`
-}
-
-// ReplicateRequest carries an ordered batch of journal records.
-type ReplicateRequest struct {
-	// Term is the sender's leadership term; a receiver that has seen a
-	// higher term rejects the batch so a deposed leader's stragglers
-	// cannot interleave with the new leader's writes.
-	Term uint64 `json:"term"`
-	// From is the sender's advertised URL (leader hint for the
-	// receiver's client redirects).
-	From    string            `json:"from"`
-	Records []ReplicateRecord `json:"records"`
-}
-
-// ReplicateResponse acknowledges a batch.
-type ReplicateResponse struct {
-	// Applied counts records newly written to the receiver's journal
-	// (records already present count as applied work done earlier).
-	Applied int `json:"applied"`
-	// Term is the receiver's highest seen term; a sender seeing its own
-	// term exceeded learns it is deposed.
-	Term uint64 `json:"term"`
-}
-
-// DecodeReplicateRequest parses one replication batch, bounded by the
-// wire ceiling shared with every other cluster payload.
-func DecodeReplicateRequest(r io.Reader) (ReplicateRequest, error) {
-	var req ReplicateRequest
-	dec := json.NewDecoder(io.LimitReader(r, MaxWireBytes+1))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return ReplicateRequest{}, fmt.Errorf("cluster: decode replicate request: %w", err)
-	}
-	if req.Term == 0 {
-		return ReplicateRequest{}, fmt.Errorf("cluster: replicate batch without term")
-	}
-	for i := range req.Records {
-		if req.Records[i].Key == "" {
-			return ReplicateRequest{}, fmt.Errorf("cluster: replicate record %d without key", i)
-		}
-		if !json.Valid(req.Records[i].Val) {
-			return ReplicateRequest{}, fmt.Errorf("cluster: replicate record %s carries invalid JSON", req.Records[i].Key)
-		}
 	}
 	return req, nil
 }

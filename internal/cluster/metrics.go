@@ -112,7 +112,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 }
 
 // HAMetrics is the high-availability replica's instrument set: who
-// leads, at what term, and how far the replication stream lags.
+// leads, at what term, and how far this standby's journal trails.
 type HAMetrics struct {
 	// Term is the term this replica most recently led; IsLeader is 1
 	// while it believes it holds the lease.
@@ -122,34 +122,23 @@ type HAMetrics struct {
 	// relinquished (expired lease, higher term witnessed, shutdown).
 	Elections *telemetry.Counter
 	StepDowns *telemetry.Counter
-	// ReplicatedRecords counts journal records acknowledged by a
-	// standby; ReplDropped counts records dropped from the stream
-	// (queue overflow, send failure, deposed sender) and left for
-	// snapshot catch-up; AppliedRecords counts records this replica
-	// applied from a peer; SnapshotSyncs counts full-journal catch-up
-	// fetches completed.
-	ReplicatedRecords *telemetry.Counter
-	ReplDropped       *telemetry.Counter
-	AppliedRecords    *telemetry.Counter
-	SnapshotSyncs     *telemetry.Counter
+	// AppliedRecords counts records this replica applied from the
+	// leader's journal tail.
+	AppliedRecords *telemetry.Counter
+	// ReplLag is the records the last tail round applied: how far this
+	// replica trailed the leader when the round began. A leader reports 0.
+	ReplLag *telemetry.Gauge
 }
 
-// NewHAMetrics registers the HA family on reg; lag, when non-nil,
-// backs the live cluster_replication_lag_records gauge.
-func NewHAMetrics(reg *telemetry.Registry, lag func() float64) *HAMetrics {
-	m := &HAMetrics{
-		Term:              reg.Gauge("cluster_term", "leadership term this replica most recently led"),
-		IsLeader:          reg.Gauge("cluster_is_leader", "1 while this replica holds the leadership lease"),
-		Elections:         reg.Counter("cluster_elections_total", "leadership terms won by this replica"),
-		StepDowns:         reg.Counter("cluster_stepdowns_total", "leaderships relinquished by this replica"),
-		ReplicatedRecords: reg.Counter("cluster_replicated_records_total", "journal records acknowledged by a standby"),
-		ReplDropped:       reg.Counter("cluster_replication_dropped_total", "journal records dropped from the replication stream (healed by snapshot)"),
-		AppliedRecords:    reg.Counter("cluster_applied_records_total", "journal records applied from a peer (stream or snapshot)"),
-		SnapshotSyncs:     reg.Counter("cluster_snapshot_syncs_total", "full-journal catch-up fetches completed"),
+// NewHAMetrics registers the HA family on reg.
+func NewHAMetrics(reg *telemetry.Registry) *HAMetrics {
+	return &HAMetrics{
+		Term:           reg.Gauge("cluster_term", "leadership term this replica most recently led"),
+		IsLeader:       reg.Gauge("cluster_is_leader", "1 while this replica holds the leadership lease"),
+		Elections:      reg.Counter("cluster_elections_total", "leadership terms won by this replica"),
+		StepDowns:      reg.Counter("cluster_stepdowns_total", "leaderships relinquished by this replica"),
+		AppliedRecords: reg.Counter("cluster_applied_records_total", "journal records applied from the leader's journal tail"),
+		ReplLag: reg.Gauge("cluster_replication_lag_records",
+			"records the last journal tail round applied: how far this replica trailed the leader when it began (0 on a leader)"),
 	}
-	if lag != nil {
-		reg.GaugeFunc("cluster_replication_lag_records",
-			"journal records queued for standbys and not yet sent", lag)
-	}
-	return m
 }

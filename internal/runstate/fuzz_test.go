@@ -3,8 +3,12 @@ package runstate
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -133,6 +137,151 @@ func FuzzAppendRecord(f *testing.F) {
 		rec, err := decodeRecord(want)
 		if err != nil || rec.Key != key || !bytes.Equal(rec.Val, canon) {
 			t.Fatalf("line %q decodes to %+v, %v; want value %q", want, rec, err, canon)
+		}
+	})
+}
+
+// FuzzJournalTail holds a follower that tails a leader's journal to the
+// leader. The ops mix new records, supersedes, equal re-records,
+// compactions, tails under a tiny byte cap, cursor resets and a garbled
+// served byte. After every complete tail round (tails until one reaches
+// the leader's end) the follower's keys and values equal the leader's. A tail
+// that continues the follower's cursor never moves a key to an older
+// value, a garbled line is dropped rather than applied, and every line
+// the follower writes is one the leader served.
+func FuzzJournalTail(f *testing.F) {
+	f.Add([]byte{0, 3})
+	f.Add([]byte{0, 7, 14, 3, 0, 1, 3, 2, 3})        // records, supersede, equal re-record, compact
+	f.Add([]byte{0, 7, 14, 21, 4, 0, 4, 2, 4, 5, 3}) // partial tails across a compaction, reset
+	f.Add([]byte{0, 7, 14, 6, 3, 13, 3, 27, 6, 5, 3})
+	f.Add([]byte{0, 0, 0, 10, 17, 24, 4, 11, 2, 18, 25, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 { // every Record fsyncs
+			ops = ops[:64]
+		}
+		open := func(name string) *Journal {
+			j, err := OpenJournal(filepath.Join(t.TempDir(), name, JournalFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { j.Close() })
+			return j
+		}
+		leader, follower := open("leader"), open("follower")
+		var (
+			at      Cursor
+			written int
+			version = map[string]int{}  // value → the order it was written in
+			served  = map[string]bool{} // every line the leader served
+			held    = map[string]int{}  // key → version the follower held last
+			reset   bool                // the cursor restarted since the last complete round
+		)
+		size := func() int64 {
+			info, err := os.Stat(leader.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return info.Size()
+		}
+		// tail runs one Tail and applies its lines, garbling the byte at
+		// garble first when garble >= 0. It reports whether synced lines
+		// remain past the new cursor.
+		tail := func(limit, garble int) bool {
+			lines, next, more, err := leader.Tail(at, limit)
+			if err != nil {
+				t.Fatalf("tail from %v: %v", at, err)
+			}
+			if len(lines) > 0 && lines[len(lines)-1] != '\n' {
+				t.Fatalf("tail served a partial line: %q", lines)
+			}
+			if len(lines) > limit && bytes.Count(lines, []byte("\n")) > 1 {
+				t.Fatalf("tail served %d bytes over a %d-byte cap in several lines", len(lines), limit)
+			}
+			for _, l := range bytes.SplitAfter(lines, []byte("\n")) {
+				served[string(l)] = true
+			}
+			at = next
+			if garble >= 0 && len(lines) > 0 {
+				lines = bytes.Clone(lines)
+				lines[garble%len(lines)] ^= byte(garble) | 1
+			}
+			if _, _, err := follower.ApplyLines(lines); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range follower.Keys() {
+				v, _ := follower.Lookup(k)
+				ver, ok := version[string(v)]
+				if !ok || !strings.HasPrefix(string(v), `{"`+k+`":`) {
+					t.Fatalf("follower holds %s for %s, a value the leader never wrote for it", v, k)
+				}
+				if !reset && garble < 0 && ver < held[k] {
+					t.Fatalf("a continuing tail moved %s back from version %d to %d", k, held[k], ver)
+				}
+				held[k] = ver
+			}
+			return more
+		}
+		for _, b := range ops {
+			op, arg := b%7, int(b/7)
+			key := fmt.Sprintf("k%d", arg%4)
+			switch op {
+			case 0: // a new key or a supersede
+				written++
+				val := fmt.Sprintf(`{%q:%d}`, key, written)
+				version[val] = written
+				if err := leader.Record(key, []byte(val)); err != nil {
+					t.Fatal(err)
+				}
+			case 1: // an equal re-record writes nothing
+				if v, ok := leader.Lookup(key); ok {
+					before := size()
+					if err := leader.Record(key, bytes.Clone(v)); err != nil {
+						t.Fatal(err)
+					}
+					if after := size(); after != before {
+						t.Fatalf("equal re-record of %s grew the journal from %d to %d bytes", key, before, after)
+					}
+				}
+			case 2:
+				if err := leader.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			case 3: // a complete round
+				for tail(arg%48, -1) {
+				}
+				if lines, _, more, err := leader.Tail(at, 1<<20); len(lines) > 0 || more || err != nil {
+					t.Fatalf("a tail past the end served %q, more=%v, err=%v", lines, more, err)
+				}
+				reset = false
+				lk, fk := leader.Keys(), follower.Keys()
+				sort.Strings(lk)
+				sort.Strings(fk)
+				if !slices.Equal(lk, fk) {
+					t.Fatalf("after a complete round the follower holds keys %q, the leader %q", fk, lk)
+				}
+				for _, k := range lk {
+					lv, _ := leader.Lookup(k)
+					if fv, _ := follower.Lookup(k); !bytes.Equal(lv, fv) {
+						t.Fatalf("after a complete round the follower holds %s for %s, the leader %s", fv, k, lv)
+					}
+				}
+			case 4:
+				tail(arg%48, -1)
+			case 5:
+				at, reset = Cursor{}, true
+			case 6: // a garbled line is lost until the tail restarts from zero
+				tail(arg%48, arg)
+				at, reset = Cursor{}, true
+			}
+		}
+		raw, err := os.ReadFile(follower.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range bytes.SplitAfter(raw, []byte("\n")) {
+			if len(l) > 0 && !served[string(l)] {
+				t.Fatalf("follower line %q is not one the leader served", l)
+			}
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -95,6 +96,11 @@ type Journal struct {
 	dropped  int
 	path     string
 	degraded error // first write/sync failure; sticky (see ErrStorageDegraded)
+	// gen numbers the file's generations: Compact starts a new one. synced
+	// is the file's length up to its last line that was replayed or
+	// fsynced, the lines entries reflect; Tail serves no byte past it.
+	gen    uint64
+	synced int64
 }
 
 // OpenJournal opens (creating if absent) the journal at path and replays
@@ -113,7 +119,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstate: open journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f, path: path, gen: 1}
 	err = scanRecords(f, func(rec record, err error) error {
 		if err != nil {
 			j.dropped++
@@ -130,12 +136,14 @@ func OpenJournal(path string) (*Journal, error) {
 	// terminate the torn line now so the next Record starts fresh instead
 	// of concatenating onto (and losing itself to) the corrupt tail.
 	if info, err := f.Stat(); err == nil && info.Size() > 0 {
+		j.synced = info.Size()
 		var last [1]byte
 		if _, err := f.ReadAt(last[:], info.Size()-1); err == nil && last[0] != '\n' {
 			if _, err := f.Write([]byte("\n")); err != nil {
 				f.Close()
 				return nil, fmt.Errorf("runstate: terminate torn journal tail: %w", err)
 			}
+			j.synced++
 		}
 	}
 	return j, nil
@@ -170,15 +178,23 @@ func (j *Journal) Record(key string, val []byte) error {
 
 // RecordBatch appends the records (keys[i], vals[i]) with one write and
 // one fsync. Keys must be non-empty UTF-8 and values valid JSON; one bad
-// record rejects the batch before any byte is written. Entries change
-// only after the sync succeeds, and a key repeated in the batch resolves
-// as across Records: the last one wins. Values are stored in the
-// compact, HTML-escaped form the line holds (the form every value the
-// program writes already has), so Lookup serves the same bytes before
-// and after a reopen.
+// record rejects the batch before any byte is written. A record whose
+// value the journal already holds for its key writes no line, so
+// concurrent writers of the same bytes append once and a different value
+// supersedes. Entries change only after the sync succeeds, and a key
+// repeated in the batch resolves as across Records: the last one wins.
+// Values are stored in the compact, HTML-escaped form the line holds
+// (the form every value the program writes already has), so Lookup
+// serves the same bytes before and after a reopen.
 func (j *Journal) RecordBatch(keys []string, vals [][]byte) error {
+	_, err := j.recordBatch(keys, vals)
+	return err
+}
+
+// recordBatch is RecordBatch, returning the number of lines written.
+func (j *Journal) recordBatch(keys []string, vals [][]byte) (int, error) {
 	if len(keys) != len(vals) {
-		return fmt.Errorf("runstate: journal batch of %d keys and %d values", len(keys), len(vals))
+		return 0, fmt.Errorf("runstate: journal batch of %d keys and %d values", len(keys), len(vals))
 	}
 	n := 0
 	for i := range keys {
@@ -186,34 +202,77 @@ func (j *Journal) RecordBatch(keys []string, vals [][]byte) error {
 	}
 	lines := make([]byte, 0, n) // regrows only for escaped keys or values
 	canon := make([]json.RawMessage, len(vals))
+	ends := make([]int, len(keys))
 	for i, key := range keys {
 		var err error
 		if lines, canon[i], err = appendRecord(lines, key, vals[i]); err != nil {
-			return err
+			return 0, err
 		}
+		ends[i] = len(lines)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
-		return fmt.Errorf("runstate: journal %s is closed", j.path)
+		return 0, fmt.Errorf("runstate: journal %s is closed", j.path)
 	}
 	if j.degraded != nil {
-		return fmt.Errorf("%w: %s", ErrStorageDegraded, j.degraded)
+		return 0, fmt.Errorf("%w: %s", ErrStorageDegraded, j.degraded)
+	}
+	lines = j.dropUnchanged(keys, canon, lines, ends)
+	if len(lines) == 0 {
+		return 0, nil
 	}
 	if _, err := j.f.Write(lines); err != nil {
 		j.degraded = err
-		return fmt.Errorf("%w: append: %s", ErrStorageDegraded, err)
+		return 0, fmt.Errorf("%w: append: %s", ErrStorageDegraded, err)
 	}
 	if err := j.f.Sync(); err != nil {
 		// The lines may or may not have reached the platter; either way
 		// durability can no longer be promised for them or anything after.
 		j.degraded = err
-		return fmt.Errorf("%w: sync: %s", ErrStorageDegraded, err)
+		return 0, fmt.Errorf("%w: sync: %s", ErrStorageDegraded, err)
 	}
+	j.synced += int64(len(lines))
+	written := 0
 	for i, key := range keys {
-		j.entries.Put(key, canon[i])
+		if canon[i] != nil {
+			j.entries.Put(key, canon[i])
+			written++
+		}
 	}
-	return nil
+	return written, nil
+}
+
+// dropUnchanged removes from lines, in place, each record whose value
+// equals the one its key holds when it lands (the table's, or an earlier
+// record's in the batch), and nils its canon entry. ends[i] is the end
+// of record i's line. It runs under j.mu.
+func (j *Journal) dropUnchanged(keys []string, canon []json.RawMessage, lines []byte, ends []int) []byte {
+	var pending map[string][]byte // key → the value earlier records leave it
+	if len(keys) > 1 {
+		pending = make(map[string][]byte, len(keys))
+	}
+	w, start := 0, 0
+	for i, key := range keys {
+		line := lines[start:ends[i]]
+		start = ends[i]
+		cur, ok := pending[key]
+		if !ok {
+			cur, ok = j.entries.Lookup(key)
+		}
+		if pending != nil {
+			pending[key] = canon[i]
+		}
+		if ok && bytes.Equal(cur, canon[i]) {
+			canon[i] = nil
+			continue
+		}
+		if w != start-len(line) {
+			copy(lines[w:], line)
+		}
+		w += len(line)
+	}
+	return lines[:w]
 }
 
 // appendRecord validates one record and appends its line to b: the
@@ -246,8 +305,9 @@ func appendRecord(b []byte, key string, val []byte) ([]byte, json.RawMessage, er
 // either the old file or the new one, never a mix. Appends block for
 // the duration and resume against the compacted file. Call it at
 // natural quiesce points (a sweep just completed) to keep replay time
-// and snapshot transfers bounded by the live state rather than by
-// append history.
+// and a tail from zero bounded by the live state rather than by append
+// history. A compaction starts a new generation of the file, so a Tail
+// cursor taken before it restarts from zero.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -302,6 +362,8 @@ func (j *Journal) Compact() error {
 		return fail(nil, err)
 	}
 	j.entries = live
+	j.gen++
+	j.synced = 0 // until a handle reaches the new file
 	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		// The compacted file is in place but no append handle reaches it;
@@ -311,6 +373,7 @@ func (j *Journal) Compact() error {
 	}
 	j.f.Close()
 	j.f = nf
+	j.synced = int64(len(lines))
 	j.dropped = 0
 	syncDir(filepath.Dir(j.path))
 	return nil
@@ -358,6 +421,118 @@ func scanRecords(r io.Reader, each func(record, error) error) error {
 		}
 	}
 	return sc.Err()
+}
+
+// ErrCursorRange marks a Tail cursor that points past the synced end of
+// its generation or into the middle of a line.
+var ErrCursorRange = errors.New("runstate: journal cursor out of range")
+
+// Cursor is a position in a journal file: a generation (Compact starts a
+// new one) and a byte offset into it at a line boundary. The zero Cursor
+// is the start of whatever generation is current.
+type Cursor struct {
+	Gen uint64
+	Off int64
+}
+
+// String is the cursor's wire form, "gen:off"; ParseCursor reads it back.
+func (c Cursor) String() string {
+	return strconv.FormatUint(c.Gen, 10) + ":" + strconv.FormatInt(c.Off, 10)
+}
+
+// ParseCursor parses a cursor's wire form; the empty string is the zero
+// Cursor.
+func ParseCursor(s string) (Cursor, error) {
+	if s == "" {
+		return Cursor{}, nil
+	}
+	g, o, ok := strings.Cut(s, ":")
+	gen, gerr := strconv.ParseUint(g, 10, 64)
+	off, oerr := strconv.ParseInt(o, 10, 64)
+	if !ok || gerr != nil || oerr != nil || off < 0 {
+		return Cursor{}, fmt.Errorf("runstate: malformed journal cursor %q", s)
+	}
+	return Cursor{Gen: gen, Off: off}, nil
+}
+
+// Tail returns the journal's synced lines from cursor from on, whole
+// lines only and at most limit bytes of them unless the first line alone
+// is longer, the cursor past them, and whether synced lines remain past
+// that cursor. A cursor of another generation, the zero Cursor among
+// them, reads from the start of the current one; an offset past the
+// synced end or inside a line fails with ErrCursorRange. The lines are
+// byte-identical to the file's, so ApplyLines on a second journal
+// reproduces them. Tail does not block appends while it reads.
+func (j *Journal) Tail(from Cursor, limit int) (lines []byte, next Cursor, more bool, err error) {
+	j.mu.Lock()
+	f, gen, end := j.f, j.gen, j.synced
+	j.mu.Unlock()
+	if f == nil {
+		return nil, from, false, fmt.Errorf("runstate: journal %s is closed", j.path)
+	}
+	if from.Gen != gen {
+		from = Cursor{Gen: gen}
+	}
+	if from.Off < 0 || from.Off > end {
+		return nil, from, false, fmt.Errorf("%w: offset %d outside [0, %d]", ErrCursorRange, from.Off, end)
+	}
+	// The bytes below end never change within a generation, and a
+	// concurrent Compact closing f fails the read rather than tearing it.
+	// Reading from the byte before the cursor checks it ends a line.
+	start := max(from.Off-1, 0)
+	size := min(end-start, int64(limit)+1)
+	for {
+		buf := make([]byte, size)
+		if _, err := f.ReadAt(buf, start); err != nil {
+			return nil, from, false, fmt.Errorf("runstate: tail journal: %w", err)
+		}
+		if from.Off > 0 && buf[0] != '\n' {
+			return nil, from, false, fmt.Errorf("%w: offset %d is inside a line", ErrCursorRange, from.Off)
+		}
+		lines = buf[from.Off-start:]
+		if i := bytes.LastIndexByte(lines, '\n'); i >= 0 || start+size == end {
+			lines = lines[:i+1]
+			next = Cursor{Gen: gen, Off: from.Off + int64(len(lines))}
+			return lines, next, next.Off < end, nil
+		}
+		size = min(end-start, 2*size) // one line longer than limit
+	}
+}
+
+// ApplyLines decodes journal lines another journal's Tail served and
+// records them with one RecordBatch, so this journal's lines are
+// byte-identical to the source's for every record it writes. Of several
+// lines for one key only the last is recorded: the batch would
+// supersede the others anyway. A line that fails to decode or its
+// checksum is skipped and counted in bad; a record whose value this
+// journal already holds writes nothing. applied counts the lines
+// written.
+func (j *Journal) ApplyLines(lines []byte) (applied, bad int, err error) {
+	var recs []record
+	last := map[string]int{} // key → index of its last record in recs
+	for len(lines) > 0 {
+		var line []byte
+		line, lines, _ = bytes.Cut(lines, []byte("\n"))
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		rec, err := decodeRecord(line)
+		if err != nil {
+			bad++
+			continue
+		}
+		last[rec.Key] = len(recs)
+		recs = append(recs, rec)
+	}
+	keys := make([]string, 0, len(last))
+	vals := make([][]byte, 0, len(last))
+	for i, rec := range recs {
+		if last[rec.Key] == i {
+			keys, vals = append(keys, rec.Key), append(vals, rec.Val)
+		}
+	}
+	applied, err = j.recordBatch(keys, vals)
+	return applied, bad, err
 }
 
 // Keys lists the distinct journaled keys in unspecified order, as

@@ -18,8 +18,10 @@
 #      (bcnsweep -cluster with all three URLs) must still deliver a
 #      map byte-identical to a local run, a resubmit must be a pure
 #      journal replay (zero fresh points — nothing lost, nothing
-#      doubled), exactly one live replica may report leadership, and
-#      every surviving process must drain cleanly on SIGTERM. On exit,
+#      doubled), exactly one live replica may report leadership, the
+#      healed successor must catch up to the final leader's journal
+#      record count within 5 lease TTLs by tailing it, and every
+#      surviving process must drain cleanly on SIGTERM. On exit,
 #      passing or failing, no process the stage started is left
 #      running: the proxies, and anything that failed to drain, are
 #      killed.
@@ -60,13 +62,14 @@ declare -a worker_pid worker_url coord_pid coord_port coord_url coord_workers
 declare -a proxy_admin
 
 # scrape_banner polls a log file for a banner prefix and echoes what
-# follows it, failing loudly if the process never printed it. On
-# failure it also prints the process's .err file when it has one, where
-# a bind error lands.
+# follows it, failing loudly if the process never printed it. The file
+# may not exist yet: the background process opens it. On failure it
+# also prints the process's .err file when it has one, where a bind
+# error lands.
 scrape_banner() { # $1 = file, $2 = sed pattern, $3 = what
     local got=""
     for _ in $(seq 200); do
-        got="$(sed -n "$2" "$1" | head -n1)"
+        got="$(sed -n "$2" "$1" 2>/dev/null | head -n1)" || true
         [ -n "$got" ] && break
         sleep 0.05
     done
@@ -215,8 +218,8 @@ wait "${coord_pid[$leader1]}" 2>/dev/null
 set -e
 echo "replica $leader1 killed -9 mid-sweep"
 
-# A successor must win the next term and resume the sweep from its
-# replicated journal...
+# A successor must win the next term and resume the sweep from the
+# journal it tailed...
 leader2="$(find_leader "$leader1")"
 echo "replica $leader2 took over"
 wait_shards "$leader2" 3
@@ -249,6 +252,9 @@ cmp "$work/base.csv" "$work/cluster.csv" || {
     exit 1
 }
 echo "merged map byte-identical to the local sweep across both failovers"
+# Reported, not gated: how much of the grid the final leader had to
+# evaluate afresh and how much it replayed from the journal it tailed.
+sed -n 's/^cluster: sweep .* done: /final leader: /p' "$work/coord$leader3.err" | head -n1
 
 # Resubmitting must be answered wholly from the surviving journal:
 # zero fresh evaluations proves no point was lost, the byte-identical
@@ -283,6 +289,27 @@ curl -sf "${coord_url[$leader2]}/statusz" | grep -q '"role":"follower"' || {
     echo "FAIL: healed replica $leader2 did not settle as a follower" >&2
     exit 1
 }
+
+# The one catch-up path, end to end: the healed follower tails the final
+# leader's journal until it holds as many records, within 5 lease TTLs
+# (2.5 s).
+journal_records() { # $1 = index
+    curl -sf --max-time 1 "${coord_url[$1]}/statusz" 2>/dev/null |
+        sed -n 's/.*"journal_records":\([0-9]*\).*/\1/p'
+}
+deadline=$(($(date +%s%N) + 2500000000))
+while :; do
+    lead="$(journal_records "$leader3")"
+    follow="$(journal_records "$leader2")"
+    [ -n "$lead" ] && [ "$lead" = "$follow" ] && break
+    if [ "$(date +%s%N)" -gt "$deadline" ]; then
+        echo "FAIL: healed follower $leader2 holds ${follow:-?} journal records, leader $leader3 ${lead:-?}, after 5 lease TTLs" >&2
+        cat "$work/coord$leader2.err" >&2
+        exit 1
+    fi
+    sleep 0.05
+done
+echo "healed follower caught up: $follow journal records, as the leader"
 
 # The leadership metrics the dashboards alert on.
 curl -sf "${coord_url[$leader3]}/metrics" > "$work/metrics.txt"
