@@ -172,10 +172,10 @@ type Result struct {
 }
 
 // MaxQueue returns the peak queue length q0 + MaxX in bits.
-func (r Result) MaxQueue(p core.Params) float64 { return p.Q0 + r.MaxX }
+func (r *Result) MaxQueue(p core.Params) float64 { return p.Queue(r.MaxX) }
 
 // MinQueue returns the minimum queue length q0 + MinX in bits.
-func (r Result) MinQueue(p core.Params) float64 { return p.Q0 + r.MinX }
+func (r *Result) MinQueue(p core.Params) float64 { return p.Queue(r.MinX) }
 
 // Solver runs core's stitch loop with reusable state: the Stitcher's
 // regime and step scratch, the tracker and the RK45 buffers, so a warm

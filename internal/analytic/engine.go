@@ -43,19 +43,22 @@ type tracker struct {
 	guard      core.Guard
 }
 
+// reset readies the tracker for a solve of p. It sets every Result
+// field one by one, since a composite literal is built on the stack and
+// copied whole, once per point (TestTrackerResetSetsEveryField holds
+// the list complete).
 func (k *tracker) reset(path Path, p *core.Params, opts *Options) {
 	nan := math.NaN()
-	k.res = Result{
-		Path: path,
-		MaxX: math.Inf(-1), MinX: math.Inf(1),
-		FirstMaxT: nan, FirstMaxX: nan,
-		FirstMinT: nan, FirstMinX: nan,
-	}
+	r := &k.res
+	r.Outcome, r.Path = 0, path
+	r.Arcs, r.Crossings, r.Extrema = 0, 0, 0
+	r.MaxX, r.MinX = math.Inf(-1), math.Inf(1)
+	r.Rho = 0
+	r.EndT, r.EndX, r.EndY = 0, 0, 0
+	r.FirstMaxT, r.FirstMaxX = nan, nan
+	r.FirstMinT, r.FirstMinX = nan, nan
 	k.onCrossing = opts.OnCrossing
-	k.guard = core.Guard{}
-	if opts.Invariants.Enabled() {
-		k.guard = core.NewGuard(opts.Invariants, *p, !opts.IgnoreBuffer)
-	}
+	k.guard.Reset(opts.Invariants, p, !opts.IgnoreBuffer)
 }
 
 // knot folds one exact x value into the excursion extremes.

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bcnphase/internal/core"
@@ -261,5 +262,41 @@ func TestStartOverride(t *testing.T) {
 	if res.Outcome != tr.Outcome || res.EndT != tr.EndT || res.EndX != tr.EndX {
 		t.Fatalf("start override: got (%v, %v, %v), core (%v, %v, %v)",
 			res.Outcome, res.EndT, res.EndX, tr.Outcome, tr.EndT, tr.EndX)
+	}
+}
+
+// TestTrackerResetSetsEveryField fills every Result field of a used
+// tracker with a stale value and requires reset to leave exactly the
+// fresh result of a solve's start: a Result field added without a line
+// in reset fails here instead of leaking from one point into the next.
+func TestTrackerResetSetsEveryField(t *testing.T) {
+	var k tracker
+	v := reflect.ValueOf(&k.res).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(3.5)
+		default:
+			t.Fatalf("Result.%s has kind %s; teach this test to make it stale", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	p := core.PaperExample()
+	k.reset(PathRK45, &p, &Options{})
+	nan := math.NaN()
+	want := reflect.ValueOf(Result{
+		Path: PathRK45,
+		MaxX: math.Inf(-1), MinX: math.Inf(1),
+		FirstMaxT: nan, FirstMaxX: nan,
+		FirstMinT: nan, FirstMinX: nan,
+	})
+	for i := 0; i < v.NumField(); i++ {
+		got, exp := v.Field(i), want.Field(i)
+		if got.Kind() == reflect.Float64 && math.Float64bits(got.Float()) == math.Float64bits(exp.Float()) ||
+			got.Kind() == reflect.Int && got.Int() == exp.Int() {
+			continue
+		}
+		t.Errorf("after reset Result.%s = %v, want %v", v.Type().Field(i).Name, got, exp)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"bcnphase/internal/qos"
+	"bcnphase/internal/runstate"
 	"bcnphase/internal/telemetry"
 )
 
@@ -475,6 +476,102 @@ func TestClusterSweepMergesAndResumes(t *testing.T) {
 	}
 	if after := w0.requests.Load() + w1.requests.Load(); after != before {
 		t.Errorf("resume dispatched %d shard jobs, want 0", after-before)
+	}
+}
+
+// TestResumeAcrossShardSizes resumes journals written under a 32-point
+// plan with the default plan. The shard size decides which points share
+// a dispatch and a done marker, never a point's key, so a complete
+// journal replays without a dispatch and a partial one dispatches only
+// its missing points; a done marker sealed again under the new size
+// supersedes the old one. Both merge the 32-point run's map byte for
+// byte.
+func TestResumeAcrossShardSizes(t *testing.T) {
+	const oldSize = 32
+	grid := testGrid(16) // 256 points: eight 32-point shards
+	w := newFakeWorker(t, nil)
+	src := newMemJournal()
+	c, err := New(Config{Workers: []string{w.URL()}, ShardSize: oldSize, Journal: src, HeartbeatInterval: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := c.Run(context.Background(), grid)
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, points, oldShards, err := PlanShards(grid, oldSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, newShards, err := PlanShards(grid, DefaultShardSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		done int // leading 32-point shards the journal holds
+	}{{"complete", len(oldShards)}, {"first 3 of 8 shards", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := runstate.OpenJournal(filepath.Join(t.TempDir(), runstate.JournalFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			kept := 0
+			for _, sh := range oldShards[:tc.done] {
+				keys := append(append([]string(nil), sh.Keys...), DoneKey(fp, sh.Index))
+				for _, key := range keys {
+					v, _ := src.Lookup(key)
+					if err := j.Record(key, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				kept += len(sh.Points)
+			}
+			// The default plan dispatches every shard holding a point
+			// past the journal's last.
+			wantDispatches := 0
+			for _, sh := range newShards {
+				if sh.GridIdx[len(sh.GridIdx)-1] >= kept {
+					wantDispatches++
+				}
+			}
+
+			requests, evaluated := w.requests.Load(), w.evaluated.Load()
+			c, err := New(Config{Workers: []string{w.URL()}, Journal: j, HeartbeatInterval: -1, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			out, err := c.Run(context.Background(), grid)
+			if err != nil {
+				t.Fatalf("resume under shard size %d: %v", DefaultShardSize, err)
+			}
+			if !bytes.Equal(out.CSV, ref.CSV) {
+				t.Error("resumed map differs from the 32-point run's")
+			}
+			if out.Replayed != kept || out.Fresh != len(points)-kept {
+				t.Errorf("resume replayed %d and evaluated %d points, want %d and %d", out.Replayed, out.Fresh, kept, len(points)-kept)
+			}
+			if got := w.requests.Load() - requests; got != int64(wantDispatches) {
+				t.Errorf("resume made %d dispatches, want %d", got, wantDispatches)
+			}
+			if got := w.evaluated.Load() - evaluated; got != int64(len(points)-kept) {
+				t.Errorf("workers evaluated %d points, want the %d missing ones", got, len(points)-kept)
+			}
+			for _, sh := range newShards {
+				if sh.GridIdx[len(sh.GridIdx)-1] < kept {
+					continue // replayed whole: its marker is not sealed again
+				}
+				raw, _ := j.Lookup(DoneKey(fp, sh.Index))
+				want, _ := json.Marshal(doneMarker{Index: sh.Index, Points: len(sh.Points)})
+				if !bytes.Equal(raw, want) {
+					t.Errorf("shard %d done marker %s, want %s", sh.Index, raw, want)
+				}
+			}
+		})
 	}
 }
 

@@ -19,11 +19,17 @@ import (
 	"bcnphase/internal/telemetry"
 )
 
-// DefaultShardSize is the default points-per-shard granularity. Small
-// enough that losing a worker mid-shard forfeits little work and
-// stragglers are steal-able; large enough that per-dispatch overhead
-// stays negligible against evaluation cost.
-const DefaultShardSize = 32
+// DefaultShardSize is the default points-per-shard granularity, set
+// from BenchmarkClusterSweep (DESIGN.md §5f, "Shard size"). Every
+// dispatch costs a fixed 150–250 µs of CPU (HTTP round trip, shard
+// codec, signature, audit bookkeeping, merge) against a solve of ~1 µs
+// per point, so 32-point shards cost 44–70% more CPU per point than
+// the rung's cheapest size, and 64-point shards 20–40% more. 128 is
+// the smallest size near that floor (median 12% above it). Larger
+// shards save about a tenth more but make every grid up to 16×16 one
+// dispatch: one busy worker, nothing to steal, and the whole grid
+// forfeited when that worker is lost.
+const DefaultShardSize = 128
 
 // Journal is the coordinator's durable store: the merged rows and
 // shard done markers live here. runstate.Journal satisfies it (and its
@@ -859,16 +865,17 @@ func validRowBytes(raw []byte) bool {
 }
 
 // recordDone seals shard index of sweep fp, whose plan holds size
-// points.
+// points. A marker already holding these bytes is left alone; one left
+// by a plan of another shard size is superseded.
 func (c *Coordinator) recordDone(fp string, index, size int) error {
 	j := c.cfg.Journal
 	key := DoneKey(fp, index)
-	if _, ok := j.Lookup(key); ok {
-		return nil
-	}
 	raw, err := json.Marshal(doneMarker{Index: index, Points: size})
 	if err != nil {
 		return fmt.Errorf("cluster: encode done marker: %w", err)
+	}
+	if old, ok := j.Lookup(key); ok && bytes.Equal(old, raw) {
+		return nil
 	}
 	if err := j.Record(key, raw); err != nil {
 		return fmt.Errorf("cluster: journal done marker: %w", err)

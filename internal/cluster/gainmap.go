@@ -296,14 +296,14 @@ func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, e
 // closed-form sufficient condition — exactly the values linear.Compare
 // reports, without its second solve.
 func analyticVerdict(p *core.Params, pt GainPoint, res *analytic.Result, chk *invariant.Checker) verdict {
-	bound := core.Theorem1Bound(*p)
+	bound := p.Theorem1Bound()
 	return verdict{
 		gi: pt.Gi, gd: pt.Gd, kind: p.Case(),
 		linearStable:  linear.Stable(p),
 		theorem1OK:    bound < p.B, // core.Theorem1Satisfied
 		theorem1Bound: bound,
 		outcome:       res.Outcome,
-		maxQueue:      res.MaxQueue(*p), rho: res.Rho,
+		maxQueue:      p.Queue(res.MaxX), rho: res.Rho,
 		violations: chk.Violations(), firstPred: chk.FirstPredicate(),
 	}
 }

@@ -119,9 +119,13 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 		}
 	}
 
-	// Shard-sized spans on a 16-step grid, as the cluster dispatches them.
+	// Shard-sized spans on a 16-step grid, as the cluster dispatches
+	// them: at the default size, and at 32, whose eight spans cross more
+	// span boundaries.
 	g16 := testGrid(16)
-	checkSpans(t, "shards", g16, g16.Points(), DefaultShardSize)
+	for _, size := range []int{32, DefaultShardSize} {
+		checkSpans(t, fmt.Sprintf("shards of %d", size), g16, g16.Points(), size)
+	}
 }
 
 // checkSpans evaluates pts in consecutive EvalBatch spans of at most n

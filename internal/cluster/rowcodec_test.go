@@ -299,13 +299,14 @@ func BenchmarkShardWire(b *testing.B) {
 
 var benchRecords [][]byte
 
-// BenchmarkPlanShards plans the 16×16 paper grid: fingerprint,
-// enumeration and one journal key per point.
+// BenchmarkPlanShards plans the 16×16 paper grid into eight 32-point
+// shards, the shard of DESIGN.md's 32-row tables, whatever the default
+// size: fingerprint, enumeration and one journal key per point.
 func BenchmarkPlanShards(b *testing.B) {
 	g := GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 8, GdLo: 0.001, GdHi: 0.4, Steps: 16}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, benchShards, _ = PlanShards(g, DefaultShardSize); len(benchShards) != 8 {
+		if _, _, benchShards, _ = PlanShards(g, 32); len(benchShards) != 8 {
 			b.Fatalf("%d shards, want 8", len(benchShards))
 		}
 	}

@@ -105,7 +105,8 @@ func DoneKey(fingerprint string, index int) string {
 }
 
 // doneMarker is the done record's JSON value. Points is the planned
-// shard's point count, so the value depends only on the key.
+// shard's point count, so the value depends only on the key and the
+// shard size.
 type doneMarker struct {
 	Index  int `json:"index"`
 	Points int `json:"points"`

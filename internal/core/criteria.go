@@ -12,14 +12,18 @@ import (
 //
 // The BCN system is strongly stable when this bound is below the buffer
 // size B (Theorem 1).
-func Theorem1Bound(p Params) float64 {
+func Theorem1Bound(p Params) float64 { return p.Theorem1Bound() }
+
+// Theorem1Bound is the package function Theorem1Bound, reading p
+// through a pointer so a caller holding *Params copies nothing.
+func (p *Params) Theorem1Bound() float64 {
 	return (1 + math.Sqrt(p.A()/(p.Bcoef()*p.C))) * p.Q0
 }
 
 // Theorem1Satisfied reports whether the sufficient condition of Theorem 1
 // holds: Theorem1Bound(p) < B.
 func Theorem1Satisfied(p Params) bool {
-	return Theorem1Bound(p) < p.B
+	return p.Theorem1Bound() < p.B
 }
 
 // RequiredBuffer returns the minimum buffer size for which Theorem 1

@@ -47,7 +47,19 @@ type Guard struct {
 // NewGuard returns the guard of a solve of p under chk; checkBuffer
 // enables the queue-bounds predicate.
 func NewGuard(chk *invariant.Checker, p Params, checkBuffer bool) Guard {
-	return Guard{chk: chk, p: p, k: p.K(), checkBuffer: checkBuffer}
+	var g Guard
+	g.Reset(chk, &p, checkBuffer)
+	return g
+}
+
+// Reset makes g, in place, the guard NewGuard returns. Under a nil or
+// Off checker it sets chk alone: the other fields are read only while
+// the guard is enabled, so a solver reusing one Guard copies no Params.
+func (g *Guard) Reset(chk *invariant.Checker, p *Params, checkBuffer bool) {
+	g.chk = chk
+	if chk.Enabled() {
+		g.p, g.k, g.checkBuffer = *p, p.K(), checkBuffer
+	}
 }
 
 // Enabled reports whether the guard performs any work.

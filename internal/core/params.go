@@ -167,6 +167,10 @@ func (p *Params) Sigma(x, y float64) float64 { return -(x + p.K()*y) }
 // region.
 func (p *Params) SwitchCoord(x, y float64) float64 { return x + p.K()*y }
 
+// Queue returns the queue length q0 + x, in bits, at the shifted queue
+// coordinate x.
+func (p *Params) Queue(x float64) float64 { return p.Q0 + x }
+
 // Region identifies which rate-adjustment law is active.
 type Region int
 
