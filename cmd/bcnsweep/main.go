@@ -174,24 +174,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	em := cluster.EvalMetrics{Analytic: analyticMetrics}
 
 	// With -resume, rows are journaled a span at a time and replayed (not
-	// re-executed) on restart; without it ck and keyFn stay nil and the
+	// re-executed) on restart; without it the journal stays nil and the
 	// runner is plain sweep.RunBatched.
-	var (
-		ck    sweep.Checkpoint
-		keyFn func(gainPoint) string
-	)
+	var journal *runstate.Journal
 	if *resume != "" {
-		fingerprint, err := grid.Fingerprint()
-		if err != nil {
-			return err
-		}
-		journal, err := runstate.OpenDir(*resume)
-		if err != nil {
+		if journal, err = runstate.OpenDir(*resume); err != nil {
 			return err
 		}
 		defer journal.Close()
-		ck = journal
-		keyFn = func(pt gainPoint) string { return cluster.PointKey(fingerprint, pt) }
 	}
 
 	// Continue past bad points: every healthy row is still emitted in
@@ -205,15 +195,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ContinueOnError: true,
 		Metrics:         sweep.NewMetrics(reg),
 	}
-	results, _ := sweep.RunCheckpointed(ctx, points, spanSize,
+	// The hook is read once, here: a span goroutine abandoned on cancel
+	// may outlive run, and must not read the package variable then.
+	hook := evalHook
+	results, err := grid.RunJournaled(ctx, points, spanSize,
 		func(ctx context.Context, pts []gainPoint, rows []row) error {
-			if evalHook != nil {
+			if hook != nil {
 				for _, pt := range pts {
-					evalHook(pt)
+					hook(pt)
 				}
 			}
 			return grid.EvalBatch(ctx, pts, rows, em)
-		}, opts, ck, keyFn)
+		}, opts, journal)
+	if results == nil && err != nil {
+		return err
+	}
 
 	var (
 		rows        []row

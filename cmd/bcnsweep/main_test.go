@@ -296,6 +296,88 @@ func TestRunSweepResumeIgnoresForeignJournal(t *testing.T) {
 	}
 }
 
+// TestRunSweepResumeReEvaluatesEmptyRows overwrites three rows of a
+// finished journal with CRC-valid values that are not rows ({}, null, a
+// row with no CSV). The resume must re-evaluate exactly those points,
+// supersede the stored values with their real rows and publish the
+// map.csv of a plain run, with no blank line.
+func TestRunSweepResumeReEvaluatesEmptyRows(t *testing.T) {
+	var plain strings.Builder
+	if err := run(context.Background(), []string{"-steps", "3"}, &plain); err != nil {
+		t.Fatalf("plain: %v", err)
+	}
+	// bcnsweep's default axes.
+	grid := cluster.GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 12.8, GdLo: 1.0 / 1024, GdHi: 0.5, Steps: 3}
+	fp, err := grid.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var first strings.Builder
+	if err := run(context.Background(), []string{"-steps", "3", "-resume", dir}, &first); err != nil {
+		t.Fatalf("first: %v", err)
+	}
+	j, err := runstate.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i, raw := range []string{`{}`, `null`, `{"CSV":"","Violations":0,"FirstPred":""}`} {
+		keys = append(keys, cluster.PointKey(fp, grid.Points()[2*i]))
+		if err := j.Record(keys[i], []byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	var evals atomic.Int64
+	evalHook = func(gainPoint) { evals.Add(1) }
+	var resumed strings.Builder
+	err = run(context.Background(), []string{"-steps", "3", "-resume", dir}, &resumed)
+	evalHook = nil
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if evals.Load() != 3 {
+		t.Errorf("resume evaluated %d points, want the 3 holding empty values", evals.Load())
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "map.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(csv) != plain.String() || resumed.String() != plain.String() {
+		t.Errorf("resumed map.csv differs from a plain run:\n%s\nwant:\n%s", csv, plain.String())
+	}
+	if strings.Contains(string(csv), "\n\n") {
+		t.Error("map.csv holds a blank row")
+	}
+
+	// A second resume replays the superseding rows: no evaluation.
+	evals.Store(0)
+	evalHook = func(gainPoint) { evals.Add(1) }
+	var again strings.Builder
+	err = run(context.Background(), []string{"-steps", "3", "-resume", dir}, &again)
+	evalHook = nil
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if evals.Load() != 0 || again.String() != plain.String() {
+		t.Errorf("second resume evaluated %d points; map equal to plain run: %v", evals.Load(), again.String() == plain.String())
+	}
+	j, err = runstate.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i, key := range keys {
+		raw, _ := j.Lookup(key)
+		var r row
+		if err := json.Unmarshal(raw, &r); err != nil || r.CSV == "" || !strings.Contains(plain.String(), r.CSV+"\n") {
+			t.Errorf("seeded point %d not superseded by its row: %s", i, raw)
+		}
+	}
+}
+
 func TestRunSweepResumePreflight(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "plain")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {

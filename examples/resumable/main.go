@@ -39,18 +39,13 @@ func main() {
 	const span = 6
 	points := grid.Points()
 
-	// The key ties a row to the grid's full identity (its fingerprint),
-	// so a config change can never replay stale rows.
+	// RunJournaled keys each row by the grid's full identity (its
+	// fingerprint), so a config change can never replay stale rows.
 	journal, err := runstate.OpenJournal(filepath.Join(dir, runstate.JournalFileName))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer journal.Close()
-	fingerprint, err := grid.Fingerprint()
-	if err != nil {
-		log.Fatal(err)
-	}
-	key := func(pt cluster.GainPoint) string { return cluster.PointKey(fingerprint, pt) }
 
 	var evals atomic.Int64
 	eval := func(ctx context.Context, pts []cluster.GainPoint, rows []cluster.Row) error {
@@ -68,13 +63,13 @@ func main() {
 		}
 		return eval(c, pts, rows)
 	}
-	_, runErr := sweep.RunCheckpointed(ctx, points, span, evalCut, sweep.Options{Workers: 1}, journal, key)
+	_, runErr := grid.RunJournaled(ctx, points, span, evalCut, sweep.Options{Workers: 1}, journal)
 	fmt.Printf("interrupted run: %d/%d points evaluated, %d journaled (err: %v)\n",
 		evals.Load(), len(points), journal.Len(), runErr)
 
 	// Phase 2: resume with the same journal — only the tail re-solves.
 	before := evals.Load()
-	results, err := sweep.RunCheckpointed(context.Background(), points, span, eval, sweep.Options{}, journal, key)
+	results, err := grid.RunJournaled(context.Background(), points, span, eval, sweep.Options{}, journal)
 	if err != nil {
 		log.Fatal(err)
 	}

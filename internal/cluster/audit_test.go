@@ -367,7 +367,7 @@ func TestScanJournalHealsInvalidRows(t *testing.T) {
 	}
 	// The drifted record was superseded by a valid one.
 	raw, ok := j.Lookup(shards[1].Keys[0])
-	if !ok || !validRowBytes(raw) {
+	if _, valid := journaledRow(raw); !ok || !valid {
 		t.Errorf("invalid record not healed: %s", raw)
 	}
 	// A rerun replays everything without touching a worker.

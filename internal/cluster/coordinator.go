@@ -32,10 +32,12 @@ import (
 const DefaultShardSize = 128
 
 // Journal is the coordinator's durable store: the merged rows and
-// shard done markers live here. runstate.Journal satisfies it (and its
-// point keys and lines are interchangeable with cmd/bcnsweep -resume
-// journals), as does any serve.Cache. Implementations must be safe for
-// concurrent use.
+// shard done markers live here. runstate.Journal satisfies it, as does
+// any serve.Cache. Rows go in as appendRowJSON's bytes under PointKey
+// and replay by journaledRow, exactly as GainGrid.RunJournaled, and so
+// bcnsweep -resume, writes and replays them: a runstate.Journal either
+// one wrote resumes in the other (TestJournalsInterchangeable).
+// Implementations must be safe for concurrent use.
 type Journal interface {
 	Lookup(key string) ([]byte, bool)
 	Record(key string, value []byte) error // durable when it returns
@@ -451,7 +453,8 @@ func (c *Coordinator) Run(ctx context.Context, grid GainGrid) (*Output, error) {
 // scanJournal classifies every planned shard against the journal:
 // complete (done marker and all rows — replay), orphan (rows without a
 // done marker, or a done marker missing rows — surface, count, and
-// re-execute what is missing), or fresh. Replayed rows land in st
+// re-execute what is missing), or fresh. A stored row counts only when
+// journaledRow replays it, the rule RunJournaled resumes by. Replayed rows land in st
 // directly; the returned shards are the ones still needing execution,
 // pruned to their missing points.
 func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pending []*shardRun, orphans, replayed int) {
@@ -467,12 +470,11 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 					missing.Keys = append(missing.Keys, key)
 					continue
 				}
-				row, err := decodeRow(raw)
-				if err != nil || row.CSV == "" {
-					// CRC-valid but failing row re-validation: schema drift
-					// across versions. Classified, counted and re-evaluated
-					// rather than resurrected — same contract as
-					// sweep.RunCheckpointed, now with a series saying so.
+				row, ok := journaledRow(raw)
+				if !ok {
+					// CRC-valid but not a replayable row (schema drift
+					// across versions, an empty value): counted and
+					// re-evaluated rather than resurrected.
 					c.m.InvalidRows.Inc()
 					missing.Points = append(missing.Points, sh.Points[k])
 					missing.GridIdx = append(missing.GridIdx, sh.GridIdx[k])
@@ -773,9 +775,10 @@ func (c *Coordinator) requeue(st *sweepState, sr *shardRun, failed int) {
 // duplicated), then the shard's done marker, then the in-memory merge
 // and progress accounting. A revoked shard force-records instead of
 // skipping, superseding rows a quarantined worker left behind; a key
-// whose existing value fails row re-validation is likewise overwritten,
-// healing schema drift on re-execution. Shards merged without an audit
-// are remembered per worker so a later quarantine can revoke them.
+// whose existing value is not a replayable row (journaledRow) is
+// likewise overwritten, healing schema drift on re-execution. Shards
+// merged without an audit are remembered per worker so a later
+// quarantine can revoke them.
 func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult, audited bool) error {
 	// Leadership gate: results from a term whose lease has lapsed must
 	// not reach the journal. Worker-side fencing already rejects most
@@ -790,8 +793,10 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 		// may keep the slice.
 		for i, key := range sr.shard.Keys {
 			if !sr.revoked {
-				if raw, ok := j.Lookup(key); ok && validRowBytes(raw) {
-					continue
+				if raw, ok := j.Lookup(key); ok {
+					if _, ok := journaledRow(raw); ok {
+						continue
+					}
 				}
 			}
 			if err := j.Record(key, res.records[i]); err != nil {
@@ -854,14 +859,6 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 	}
 	st.cond.Broadcast()
 	return nil
-}
-
-// validRowBytes reports whether a journaled point value still decodes as
-// a usable row. merge overwrites (supersedes) anything that does not,
-// instead of skipping it as "already present".
-func validRowBytes(raw []byte) bool {
-	row, err := decodeRow(raw)
-	return err == nil && row.CSV != ""
 }
 
 // recordDone seals shard index of sweep fp, whose plan holds size

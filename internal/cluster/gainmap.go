@@ -50,9 +50,9 @@ type GainPoint struct {
 
 // Row is one evaluated grid point. The exported field names are frozen:
 // they are the JSON shape of both the shard result envelope and the
-// journal records cmd/bcnsweep has written since the resume PR, so a
-// coordinator journal and a bcnsweep -resume journal are
-// interchangeable.
+// journal records, which appendRowJSON writes and journaledRow replays
+// for the coordinator and RunJournaled (cmd/bcnsweep -resume) alike,
+// so their journals are interchangeable (TestJournalsInterchangeable).
 type Row struct {
 	// CSV is the rendered output line, without its newline. The rows
 	// one EvalBatch span renders share backing storage: each CSV is a

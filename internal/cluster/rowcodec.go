@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
+	"time"
 
 	"bcnphase/internal/canonjson"
+	"bcnphase/internal/runstate"
+	"bcnphase/internal/sweep"
 )
 
 // The cluster's wire JSON — row checksums, point keys, journal
@@ -165,6 +170,93 @@ func decodeRow(raw []byte) (Row, error) {
 	var ref Row
 	err := json.Unmarshal(raw, &ref)
 	return ref, err
+}
+
+// journaledRow decodes a journaled point value and reports whether it
+// is a row worth replaying: one that decodes and renders a CSV line.
+// Anything else (`{}`, `null`, a row of another shape) is re-evaluated
+// and superseded. It is the one replay rule of both journal writers,
+// RunJournaled and the coordinator.
+func journaledRow(raw []byte) (Row, bool) {
+	row, err := decodeRow(raw)
+	return row, err == nil && row.CSV != ""
+}
+
+// RunJournaled is sweep.RunBatched with crash-safe resume through j;
+// with a nil j it is sweep.RunBatched. Each point is keyed by PointKey
+// under the grid's fingerprint, the coordinator's keys. A point whose
+// key holds a replayable row (journaledRow) is not evaluated: its row
+// comes back with Result.Cached set and counts in Metrics.Replayed. The
+// rest run in spans of at most span points, and a span counts as done
+// only once its rows, in appendRowJSON's bytes, are recorded in one
+// j.RecordBatch; a failed record fails the whole span. A resumed run
+// thus re-pays at most the spans in flight at the cut: workers × span
+// points.
+func (g *GainGrid) RunJournaled(ctx context.Context, points []GainPoint, span int, fn sweep.BatchFunc[GainPoint, Row], opts sweep.Options, j *runstate.Journal) ([]sweep.Result[GainPoint, Row], error) {
+	if j == nil {
+		return sweep.RunBatched(ctx, points, span, fn, opts)
+	}
+	if fn == nil {
+		return nil, fmt.Errorf("cluster: nil batch evaluation function")
+	}
+	fp, err := g.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	results := make([]sweep.Result[GainPoint, Row], len(points))
+	keys := make([]string, len(points))
+	var todo []int
+	for i, pt := range points {
+		keys[i] = PointKey(fp, pt)
+		if raw, ok := j.Lookup(keys[i]); ok {
+			if row, ok := journaledRow(raw); ok {
+				results[i] = sweep.Result[GainPoint, Row]{Point: pt, Value: row, Cached: true}
+				if opts.Metrics != nil {
+					opts.Metrics.Replayed.Inc()
+				}
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
+	// The spans run over todo, the indices of the points to evaluate.
+	inner, err := sweep.RunBatched(ctx, todo, span, func(ctx context.Context, idx []int, out []Row) error {
+		pts, spanKeys := make([]GainPoint, len(idx)), make([]string, len(idx))
+		for k, i := range idx {
+			pts[k], spanKeys[k] = points[i], keys[i]
+		}
+		if err := fn(ctx, pts, out); err != nil {
+			return err
+		}
+		n := 0
+		for k := range out {
+			n += rowJSONLen(&out[k])
+		}
+		buf, vals := make([]byte, 0, n), make([][]byte, len(out))
+		for k := range out {
+			at := len(buf)
+			buf = appendRowJSON(buf, &out[k])
+			vals[k] = buf[at:len(buf):len(buf)]
+		}
+		began := time.Now()
+		err := j.RecordBatch(spanKeys, vals)
+		if opts.Metrics != nil {
+			opts.Metrics.CheckpointSeconds.Observe(time.Since(began).Seconds())
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: journal span: %w", err)
+		}
+		return nil
+	}, opts)
+	for _, r := range inner {
+		results[r.Point] = sweep.Result[GainPoint, Row]{
+			Point:    points[r.Point],
+			Value:    r.Value,
+			Err:      r.Err,
+			Attempts: r.Attempts,
+		}
+	}
+	return results, err
 }
 
 // decodeArtifact decodes a worker's shard artifact envelope: its

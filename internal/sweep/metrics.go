@@ -12,19 +12,20 @@ import (
 // for trivially cheap evaluation functions.
 type Metrics struct {
 	// Points counts evaluated points (fresh evaluations, successful or
-	// not; checkpoint replays are counted in Replayed instead).
+	// not; journal replays are counted in Replayed instead).
 	Points *telemetry.Counter
 	// Failures counts points whose final attempt still failed.
 	Failures *telemetry.Counter
 	// Retries counts extra attempts beyond each point's first.
 	Retries *telemetry.Counter
-	// Replayed counts points answered from a checkpoint journal.
+	// Replayed counts points answered from a journal instead of
+	// evaluated (cluster.GainGrid.RunJournaled).
 	Replayed *telemetry.Counter
 	// PointSeconds is the wall-clock distribution of one evaluation
 	// (including its retries).
 	PointSeconds *telemetry.Histogram
-	// CheckpointSeconds is the latency of one checkpoint RecordBatch
-	// call: one span's rows.
+	// CheckpointSeconds is the latency of one journal RecordBatch call:
+	// one span's rows.
 	CheckpointSeconds *telemetry.Histogram
 }
 

@@ -65,65 +65,8 @@ func TestRunMetricsFailures(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointedMetrics checks the checkpointed runner's series:
-// fresh points count in Points, replays in Replayed, and
-// sweep_checkpoint_seconds takes one sample per recorded span.
-func TestRunCheckpointedMetrics(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := NewMetrics(reg)
-	ck := &mapCheckpoint{m: map[string][]byte{}}
-	key := func(p int) string { return string(rune('a' + p)) }
-	fn := func(_ context.Context, pts []int, out []int) error {
-		for i, p := range pts {
-			out[i] = p * 2
-		}
-		return nil
-	}
-	opts := Options{Workers: 1, Metrics: m}
-
-	if _, err := RunCheckpointed(context.Background(), []int{0, 1, 2}, 2, fn, opts, ck, key); err != nil {
-		t.Fatal(err)
-	}
-	if m.Points.Value() != 3 || m.Replayed.Value() != 0 {
-		t.Fatalf("first pass: points=%d replayed=%d", m.Points.Value(), m.Replayed.Value())
-	}
-	if m.CheckpointSeconds.Count() != 2 {
-		t.Fatalf("checkpoint latency samples = %d, want 2 (one per span)", m.CheckpointSeconds.Count())
-	}
-	// Second pass replays everything from the journal.
-	if _, err := RunCheckpointed(context.Background(), []int{0, 1, 2}, 2, fn, opts, ck, key); err != nil {
-		t.Fatal(err)
-	}
-	if m.Points.Value() != 3 || m.Replayed.Value() != 3 || m.CheckpointSeconds.Count() != 2 {
-		t.Fatalf("second pass: points=%d replayed=%d checkpoint samples=%d",
-			m.Points.Value(), m.Replayed.Value(), m.CheckpointSeconds.Count())
-	}
-}
-
 func TestSweepNewMetricsNil(t *testing.T) {
 	if m := NewMetrics(nil); m != nil {
 		t.Fatalf("NewMetrics(nil) = %v, want nil", m)
 	}
-}
-
-// mapCheckpoint is an in-memory Checkpoint for tests.
-type mapCheckpoint struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func (c *mapCheckpoint) Lookup(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *mapCheckpoint) RecordBatch(keys []string, vals [][]byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, key := range keys {
-		c.m[key] = append([]byte(nil), vals[i]...)
-	}
-	return nil
 }

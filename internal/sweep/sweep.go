@@ -42,7 +42,8 @@ type Options struct {
 	// can tell a degraded sweep from a clean one.
 	ContinueOnError bool
 	// Metrics optionally records point throughput, retries, failures,
-	// and checkpoint latency. Nil costs one comparison per point.
+	// and (for a journaled runner) replays and journal latency. Nil costs
+	// one comparison per point.
 	Metrics *Metrics
 }
 
@@ -53,10 +54,11 @@ type Result[P, R any] struct {
 	Err   error
 	// Attempts counts evaluations of this point (≥ 1, > 1 after
 	// retries); 0 marks a point never evaluated (sweep cancelled first,
-	// or replayed from a checkpoint).
+	// or replayed from a journal).
 	Attempts int
-	// Cached marks a point replayed from a Checkpoint by RunCheckpointed
-	// instead of being evaluated.
+	// Cached marks a point replayed from a journal instead of being
+	// evaluated; cluster.GainGrid.RunJournaled, the one journaled
+	// runner, sets it.
 	Cached bool
 }
 
