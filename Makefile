@@ -61,15 +61,16 @@ figures-check:
 check: fmt-check vet build bench-build race test fuzz-seeds metamorphic figures-check
 
 # Flake hunt: the packages whose tests race real goroutines and sockets
-# (bcnsweep, whose resume tests cancel sweeps mid-span, chaos proxy,
-# cluster, serve), qos, whose circuit breaker serve and cluster share,
+# (bcnd, whose tests start real servers and drain them, bcnsweep, whose
+# resume tests cancel sweeps mid-span, chaos proxy, cluster, serve),
+# qos, whose circuit breaker serve and cluster share,
 # and runstate, whose table is the shared state behind both artifact
 # stores, under the race detector, 15 times over, with
 # the packages running in parallel; then the wall-clock overhead gates,
 # which skip under -race, 20 times over without it. A new flake shows
 # up here before it merges.
 stress:
-	$(GO) test -race -count=15 ./cmd/bcnsweep ./internal/chaosnet ./internal/cluster ./internal/serve ./internal/qos ./internal/runstate
+	$(GO) test -race -count=15 ./cmd/bcnd ./cmd/bcnsweep ./internal/chaosnet ./internal/cluster ./internal/serve ./internal/qos ./internal/runstate
 	$(GO) test -run='Overhead$$' -count=20 .
 
 # Run every benchmark once (override BENCHTIME for real measurements,

@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -85,53 +86,44 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
+// drainTimeout bounds how long a shutdown waits for accepted jobs (and
+// a coordinator for its sweeps) before exiting with the resumable
+// status.
+const drainTimeout = 30 * time.Second
+
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcnd", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // errors are returned; keep usage noise out of test output
 	var (
 		addr = fs.String("addr", "127.0.0.1:8077", "listen address")
 		// -workers is overloaded by mode: a pool size in server mode, a
 		// comma-separated list of worker base URLs in coordinator mode.
-		workers      = fs.String("workers", "", "server mode: concurrently executing jobs (0/empty = default); coordinator mode: comma-separated worker base URLs")
-		queueCap     = fs.Int("queue", 0, "admission queue capacity (0 = 4x workers)")
-		journalDir   = fs.String("journal", "", "run directory for the artifact journal; empty keeps artifacts in memory only")
-		invPol       = fs.String("invariants", "off", "invariant policy for jobs that name none: off, record, strict or clamp")
-		defTimeout   = fs.Duration("default-timeout", 30*time.Second, "per-job budget when the spec names none")
-		maxTimeout   = fs.Duration("max-timeout", 2*time.Minute, "cap on the per-job budget a spec may request")
-		brkFailures  = fs.Int("breaker-failures", 3, "consecutive strict aborts that quarantine a parameter region (negative disables)")
-		brkCooldown  = fs.Duration("breaker-cooldown", 30*time.Second, "quarantine length for a tripped region")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for accepted jobs")
-		selftest     = fs.Bool("selftest", false, "run the canary suite against an ephemeral in-process server and exit")
-		telem        = fs.String("telemetry", "", "directory to dump telemetry.json (final metrics snapshot) and trace.jsonl at drain")
-		clientURL    = fs.String("url", "http://127.0.0.1:8077", "server base URL for -post/-get client modes")
-		postFile     = fs.String("post", "", "client mode: submit the spec in this file (- for stdin) and print the artifact")
-		getKey       = fs.String("get", "", "client mode: fetch the artifact for this job key and print it")
-		postRetries  = fs.Int("post-retries", 4, "client mode: extra attempts when the server sheds with 429/503 (Retry-After honored, jittered)")
-		tenant       = fs.String("tenant", "", "client mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
-		qosClass     = fs.String("qos-class", "", "client mode: QoS class sent as Bcn-QoS-Class (interactive, standard, batch)")
-		deadline     = fs.Duration("deadline", 0, "client mode: end-to-end deadline budget sent as Bcn-Deadline-Ms (0 = none)")
-		coordinator  = fs.Bool("coordinator", false, "run as a cluster sweep coordinator over the -workers URLs instead of a job server")
-		shardSize    = fs.Int("shard-size", 0, "coordinator mode: grid points per shard (0 = default)")
-		leaseTimeout = fs.Duration("lease-timeout", 30*time.Second, "coordinator mode: per-dispatch shard lease; an unanswered shard is re-assigned after this")
-		hbInterval   = fs.Duration("heartbeat-interval", time.Second, "coordinator mode: worker /statusz probe interval")
-		maxSweeps    = fs.Int("max-sweeps", 2, "coordinator mode: concurrent sweeps before submissions are shed")
-		auditFrac    = fs.Float64("audit-fraction", 0, "coordinator mode: fraction of completed shards re-executed on a second worker and compared bit-exactly (0 disables auditing, 1 audits everything)")
-		peers        = fs.String("peers", "", "coordinator HA: comma-separated base URLs of the other coordinator replicas; enables lease-based leader election, journal replication and failover")
-		selfURL      = fs.String("self", "", "coordinator HA: this replica's advertised base URL (required with -peers)")
-		leaseTTL     = fs.Duration("lease-ttl", 3*time.Second, "coordinator HA: leadership lease TTL granted by the worker witnesses")
+		workers     = fs.String("workers", "", "server mode: concurrently executing jobs (0/empty = default); coordinator mode: comma-separated worker base URLs")
+		queueCap    = fs.Int("queue", 0, "admission queue capacity (0 = 4x workers)")
+		journalDir  = fs.String("journal", "", "run directory for the artifact journal; empty keeps artifacts in memory only")
+		invPol      = fs.String("invariants", "off", "invariant policy for jobs that name none: off, record, strict or clamp")
+		selftest    = fs.Bool("selftest", false, "run the canary suite against an ephemeral in-process server and exit")
+		telem       = fs.String("telemetry", "", "directory to dump telemetry.json (final metrics snapshot) and trace.jsonl at drain")
+		clientURL   = fs.String("url", "http://127.0.0.1:8077", "server base URL for -post/-get client modes")
+		postFile    = fs.String("post", "", "client mode: submit the spec in this file (- for stdin) and print the artifact")
+		getKey      = fs.String("get", "", "client mode: fetch the artifact for this job key and print it")
+		postRetries = fs.Int("post-retries", 4, "client mode: extra attempts when the server sheds with 429/503 (Retry-After honored, jittered)")
+		tenant      = fs.String("tenant", "", "client mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
+		qosClass    = fs.String("qos-class", "", "client mode: QoS class sent as Bcn-QoS-Class (interactive, standard, batch)")
+		deadline    = fs.Duration("deadline", 0, "client mode: end-to-end deadline budget sent as Bcn-Deadline-Ms (0 = none)")
+		coordinator = fs.Bool("coordinator", false, "run as a cluster sweep coordinator over the -workers URLs instead of a job server")
+		shardSize   = fs.Int("shard-size", 0, "coordinator mode: grid points per shard (0 = default)")
+		hbInterval  = fs.Duration("heartbeat-interval", time.Second, "coordinator mode: worker /statusz probe interval")
+		auditFrac   = fs.Float64("audit-fraction", 0, "coordinator mode: fraction of completed shards re-executed on a second worker and compared bit-exactly (0 disables auditing, 1 audits everything)")
+		peers       = fs.String("peers", "", "coordinator HA: comma-separated base URLs of the other coordinator replicas; enables lease-based leader election, journal replication and failover")
+		selfURL     = fs.String("self", "", "coordinator HA: this replica's advertised base URL (required with -peers)")
+		leaseTTL    = fs.Duration("lease-ttl", 3*time.Second, "coordinator HA: leadership lease TTL granted by the worker witnesses")
 
 		// Closed-loop QoS (server mode; see internal/qos).
 		qosOn      = fs.Bool("qos", false, "server mode: enable the closed-loop QoS layer — adaptive admission, brownout ladder, per-tenant fairness, deadline propagation")
-		qosAlpha   = fs.Float64("qos-alpha", 0, "QoS: rate-mismatch feedback gain alpha (0 = default; stability needs alpha^2 < 4*beta)")
-		qosBeta    = fs.Float64("qos-beta", 0, "QoS: queue-excursion feedback gain beta (0 = default)")
-		qosTick    = fs.Duration("qos-interval", 0, "QoS: control-loop tick interval (0 = default)")
-		qosTarget  = fs.Float64("qos-queue-target", 0, "QoS: queue-depth operating point q0 (0 = half the queue capacity)")
 		qosHeap    = fs.Int64("qos-max-heap", 0, "QoS: live-heap bytes forcing cached-only brownout, 1.5x forces drain (0 disables)")
-		qosGoros   = fs.Int("qos-max-goroutines", 0, "QoS: goroutine count forcing cached-only brownout (0 = default 20000, negative disables)")
 		tenWeights = fs.String("tenant-weights", "", "QoS: per-tenant scheduling weights as name=weight pairs, comma-separated")
-		tenBurst   = fs.Float64("tenant-burst", 0, "QoS: per-tenant bucket burst in seconds of fair-share rate (0 = default)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if help, err := runstate.ParseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	switch {
@@ -146,9 +138,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *coordinator {
 		return runCoordinator(ctx, coordOptions{
 			addr: *addr, workers: *workers, journalDir: *journalDir,
-			shardSize: *shardSize, leaseTimeout: *leaseTimeout,
-			hbInterval: *hbInterval, maxSweeps: *maxSweeps,
-			drainTimeout: *drainTimeout, auditFraction: *auditFrac,
+			shardSize: *shardSize, hbInterval: *hbInterval, auditFraction: *auditFrac,
 			peers: *peers, self: *selfURL, leaseTTL: *leaseTTL,
 		}, out)
 	}
@@ -174,15 +164,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	cfg := serve.Config{
-		Workers:          poolWorkers,
-		QueueCap:         *queueCap,
-		DefaultTimeout:   *defTimeout,
-		MaxTimeout:       *maxTimeout,
-		BreakerThreshold: *brkFailures,
-		BreakerCooldown:  *brkCooldown,
-		Invariants:       policy,
-		Registry:         telemetry.NewRegistry(),
-		Log:              os.Stderr,
+		Workers:    poolWorkers,
+		QueueCap:   *queueCap,
+		Invariants: policy,
+		Registry:   telemetry.NewRegistry(),
+		Log:        os.Stderr,
 	}
 	if *qosOn {
 		weights, err := parseTenantWeights(*tenWeights)
@@ -190,20 +176,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		cfg.QoS = &qos.Config{
-			Controller: qos.ControllerConfig{
-				Alpha:       *qosAlpha,
-				Beta:        *qosBeta,
-				Interval:    *qosTick,
-				QueueTarget: *qosTarget,
-			},
-			Brownout: qos.BrownoutConfig{
-				MaxHeapBytes:  *qosHeap,
-				MaxGoroutines: *qosGoros,
-			},
-			Tenant: qos.TenantConfig{
-				Weights:      weights,
-				BurstSeconds: *tenBurst,
-			},
+			Brownout: qos.BrownoutConfig{MaxHeapBytes: *qosHeap},
+			Tenant:   qos.TenantConfig{Weights: weights},
 		}
 	}
 	var journal *runstate.Journal
@@ -260,7 +234,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// pretending it finished.
 	fmt.Fprintln(out, "bcnd: signal received, draining")
 	srv.Drain()
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.WaitIdle(dctx); err != nil {
 		hs.Close()
@@ -283,7 +257,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // parseTenantWeights parses the -tenant-weights flag: comma-separated
 // name=weight pairs, e.g. "acme=3,batchfarm=0.5". Weights must be
-// positive; unnamed tenants keep the default weight of 1.
+// positive and finite; unnamed tenants keep the default weight of 1.
 func parseTenantWeights(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -299,8 +273,8 @@ func parseTenantWeights(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("-tenant-weights %q: want name=weight pairs", pair)
 		}
 		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("-tenant-weights %q: weight must be a positive number", pair)
+		if err != nil || !(w > 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("-tenant-weights %q: weight must be a positive finite number", pair)
 		}
 		weights[strings.TrimSpace(name)] = w
 	}
@@ -405,10 +379,7 @@ type coordOptions struct {
 	workers       string
 	journalDir    string
 	shardSize     int
-	leaseTimeout  time.Duration
 	hbInterval    time.Duration
-	maxSweeps     int
-	drainTimeout  time.Duration
 	auditFraction float64
 	// HA replica options: -peers turns the coordinator into one replica
 	// of a highly-available group (see DESIGN.md §5i).
@@ -469,7 +440,6 @@ func runCoordinator(ctx context.Context, opt coordOptions, out io.Writer) error 
 	ccfg := cluster.Config{
 		Workers:           urls,
 		ShardSize:         opt.shardSize,
-		LeaseTimeout:      opt.leaseTimeout,
 		HeartbeatInterval: opt.hbInterval,
 		AuditFraction:     opt.auditFraction,
 		Log:               os.Stderr,
@@ -490,7 +460,6 @@ func runCoordinator(ctx context.Context, opt coordOptions, out io.Writer) error 
 	defer coord.Close()
 	csrv, err := cluster.NewServer(cluster.ServerConfig{
 		Coordinator: coord,
-		MaxSweeps:   opt.maxSweeps,
 		Log:         os.Stderr,
 	})
 	if err != nil {
@@ -515,7 +484,7 @@ func runCoordinator(ctx context.Context, opt coordOptions, out io.Writer) error 
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(out, "bcnd: signal received, draining coordinator")
-	dctx, cancel := context.WithTimeout(context.Background(), opt.drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := csrv.Drain(dctx); err != nil {
 		hs.Close()
@@ -558,16 +527,14 @@ func runHACoordinator(ctx context.Context, opt coordOptions, workers []string, o
 	defer journal.Close()
 
 	node, err := cluster.NewHANode(cluster.HAConfig{
-		Self:      self[0],
-		Peers:     peers,
-		Workers:   workers,
-		LeaseTTL:  opt.leaseTTL,
-		Journal:   journal,
-		MaxSweeps: opt.maxSweeps,
-		Log:       os.Stderr,
+		Self:     self[0],
+		Peers:    peers,
+		Workers:  workers,
+		LeaseTTL: opt.leaseTTL,
+		Journal:  journal,
+		Log:      os.Stderr,
 		Coordinator: cluster.Config{
 			ShardSize:         opt.shardSize,
-			LeaseTimeout:      opt.leaseTimeout,
 			HeartbeatInterval: opt.hbInterval,
 			AuditFraction:     opt.auditFraction,
 			MapPath:           filepath.Join(opt.journalDir, "map.csv"),
@@ -602,7 +569,7 @@ func runHACoordinator(ctx context.Context, opt coordOptions, workers []string, o
 	// close the listener. No drain: the group, not this process, owns
 	// sweep completion.
 	node.Close()
-	dctx, cancel := context.WithTimeout(context.Background(), opt.drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
 		hs.Close()

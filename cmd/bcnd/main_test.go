@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
 	"bcnphase/internal/serve"
 )
@@ -326,9 +331,162 @@ func TestTenantWeightsFlagParsing(t *testing.T) {
 	if w, err := parseTenantWeights(""); err != nil || w != nil {
 		t.Errorf("empty flag: %v %v", w, err)
 	}
-	for _, bad := range []string{"acme", "acme=", "acme=0", "acme=-1", "acme=heavy"} {
+	for _, bad := range []string{"acme", "acme=", "acme=0", "acme=-1", "acme=heavy", "acme=Inf", "acme=NaN", "acme=-Inf"} {
 		if _, err := parseTenantWeights(bad); err == nil {
 			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// TestQoSMaxHeapFlag: with a 1-byte -qos-max-heap every live heap is
+// past 1.5x the cap, so the first control tick moves the brownout
+// ladder to drain and a new submission is shed with 503. Without the
+// flag the same server stays at full (TestQoSFlagsEndToEnd).
+func TestQoSMaxHeapFlag(t *testing.T) {
+	base, stop := startServer(t, "-qos", "-qos-max-heap", "1")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(solveBody(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Bcn-Brownout-Level") == "drain" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never shed in drain brownout: last status %d, level %q",
+				resp.StatusCode, resp.Header.Get("Bcn-Brownout-Level"))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestAuditFractionFlag runs one 16-point sweep in 4 shards through a
+// coordinator over two workers, once per -audit-fraction value, and
+// reads the audit counters from the coordinator's /metrics: the default
+// 0 audits no shard, 1 re-executes every shard on the other worker and
+// finds it matching.
+func TestAuditFractionFlag(t *testing.T) {
+	var workers []string
+	for i := 0; i < 2; i++ {
+		srv, err := serve.New(serve.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		workers = append(workers, ts.URL)
+	}
+	grid, err := json.Marshal(cluster.GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 1.0 / 512, GdHi: 0.1, Steps: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flags   []string
+		audited int
+	}{
+		{nil, 0},
+		{[]string{"-audit-fraction", "1"}, 4},
+	} {
+		args := append([]string{"-coordinator", "-workers", strings.Join(workers, ","), "-shard-size", "4"}, c.flags...)
+		base, stop := startServer(t, args...)
+		resp, err := http.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: sweep status %d: %s", c.flags, resp.StatusCode, body)
+		}
+		mresp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics := string(readAll(t, mresp))
+		for _, name := range []string{"cluster_audit_sampled_shards_total", "cluster_audit_matched_shards_total"} {
+			if got := metricValue(t, metrics, name); got != c.audited {
+				t.Errorf("%v: %s = %d, want %d", c.flags, name, got, c.audited)
+			}
+		}
+		if err := stop(); err != nil {
+			t.Fatalf("%v: drain: %v", c.flags, err)
+		}
+	}
+}
+
+// metricValue reads one unlabelled integer series from a /metrics body.
+func metricValue(t *testing.T, metrics, name string) int {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(metrics)
+	if m == nil {
+		t.Fatalf("/metrics has no %s", name)
+	}
+	v, err := strconv.Atoi(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestFlagCensus holds every flag bcnd registers to exactly one row of
+// the flag census table in DESIGN.md (§5d), and every row there to a
+// registered flag, so a flag cannot be added without saying which
+// script, soak or test sets it, or which operator needs it.
+func TestFlagCensus(t *testing.T) {
+	var help bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &help); err != nil {
+		t.Fatalf("-h: %v", err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(help.String(), -1) {
+		registered[m[1]] = true
+	}
+	if len(registered) == 0 {
+		t.Fatalf("-h listed no flags:\n%s", help.String())
+	}
+
+	f, err := os.Open(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows := map[string]int{}
+	row := regexp.MustCompile("^\\| `-([^`]+)` \\|")
+	inTable := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "| bcnd flag |") {
+			inTable = true
+			continue
+		}
+		if !inTable {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if m := row.FindStringSubmatch(line); m != nil {
+			rows[m[1]]++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("DESIGN.md has no bcnd flag census table")
+	}
+	for name := range registered {
+		if rows[name] != 1 {
+			t.Errorf("flag -%s has %d rows in the DESIGN.md census, want 1", name, rows[name])
+		}
+	}
+	for name := range rows {
+		if !registered[name] {
+			t.Errorf("DESIGN.md census row -%s names no registered flag", name)
 		}
 	}
 }

@@ -34,7 +34,6 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcnphase", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // errors are returned; keep usage noise out of test output
 	var (
 		n      = fs.Int("n", 50, "number of flows")
 		c      = fs.Float64("c", 10e9, "bottleneck capacity (bits/s)")
@@ -53,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		xc     = fs.Bool("xcheck", false, "cross-validate the stitched trajectory against an independent numerical integration")
 		telem  = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 	)
-	if err := fs.Parse(args); err != nil {
+	if help, err := runstate.ParseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	policy, err := invariant.ParsePolicy(*invPol)

@@ -14,7 +14,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +39,6 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bcnreport", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // errors are returned; keep usage noise out of test output
 	var (
 		out     = fs.String("out", "out", "output directory")
 		only    = fs.String("only", "", "run a single experiment by ID (e.g. fig6)")
@@ -49,7 +47,7 @@ func run(ctx context.Context, args []string) error {
 		invPol  = fs.String("invariants", "off", "runtime invariant checking for every solved trajectory: off, record, strict or clamp")
 		timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole batch; on expiry completed artifacts are kept and the exit status is the resumable 130 (0 = none)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if help, err := runstate.ParseFlags(fs, args, os.Stdout); help || err != nil {
 		return err
 	}
 	if *timeout > 0 {

@@ -39,7 +39,6 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcnsim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // errors are returned; keep usage noise out of test output
 	var (
 		n        = fs.Int("n", 10, "number of sources")
 		c        = fs.Float64("c", 1e9, "bottleneck capacity (bits/s)")
@@ -65,7 +64,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		invPol   = fs.String("invariants", "off", "runtime invariant checking: off, record, strict or clamp")
 		telem    = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 	)
-	if err := fs.Parse(args); err != nil {
+	if help, err := runstate.ParseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	policy, err := invariant.ParsePolicy(*invPol)

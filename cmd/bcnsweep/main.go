@@ -84,7 +84,6 @@ var evalHook func(gainPoint)
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bcnsweep", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // errors are returned; keep usage noise out of test output
 	var (
 		bOverQ0  = fs.Float64("b-over-q0", 5, "buffer size as a multiple of q0")
 		giLo     = fs.Float64("gi-lo", 0.05, "Gi sweep lower bound")
@@ -101,7 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		tenant   = fs.String("tenant", "", "cluster mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
 		deadline = fs.Duration("deadline", 0, "cluster mode: end-to-end deadline budget sent as Bcn-Deadline-Ms (0 = none)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if help, err := runstate.ParseFlags(fs, args, out); help || err != nil {
 		return err
 	}
 	if *steps < 2 {

@@ -88,9 +88,9 @@ func TestClusterChaosSoak(t *testing.T) {
 	// Single-node reference, computed with the same evaluator the
 	// workers run. Byte-identical output is the bar, not "close".
 	sm := core.NewSolveMetrics(nil)
-	refRes, err := sweep.Run(context.Background(), points,
-		func(ctx context.Context, pt cluster.GainPoint) (cluster.Row, error) {
-			return grid.Eval(ctx, pt, cluster.EvalMetrics{Solve: sm})
+	refRes, err := sweep.RunBatched(context.Background(), points, 64,
+		func(ctx context.Context, pts []cluster.GainPoint, out []cluster.Row) error {
+			return grid.EvalBatch(ctx, pts, out, cluster.EvalMetrics{Solve: sm})
 		}, sweep.Options{Workers: 8})
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
@@ -273,9 +273,9 @@ func TestClusterByzantineSoak(t *testing.T) {
 
 	// Clean single-node reference with the same evaluator.
 	sm := core.NewSolveMetrics(nil)
-	refRes, err := sweep.Run(context.Background(), points,
-		func(ctx context.Context, pt cluster.GainPoint) (cluster.Row, error) {
-			return grid.Eval(ctx, pt, cluster.EvalMetrics{Solve: sm})
+	refRes, err := sweep.RunBatched(context.Background(), points, 64,
+		func(ctx context.Context, pts []cluster.GainPoint, out []cluster.Row) error {
+			return grid.EvalBatch(ctx, pts, out, cluster.EvalMetrics{Solve: sm})
 		}, sweep.Options{Workers: 8})
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)

@@ -74,8 +74,7 @@ type HAConfig struct {
 	// Term, LeaseValid, Registry, Client and CompactJournal are
 	// overridden per term.
 	Coordinator Config
-	// MaxSweeps and SweepTimeout configure the leader's sweep server.
-	MaxSweeps    int
+	// SweepTimeout configures the leader's sweep server.
 	SweepTimeout time.Duration
 	// Registry receives cluster_term, cluster_is_leader,
 	// cluster_replication_lag_records and friends; nil creates one.
@@ -385,7 +384,6 @@ func (n *HANode) becomeLeader(term uint64, start time.Time) {
 	ctx, cancel := context.WithCancel(context.Background())
 	srv, err := NewServer(ServerConfig{
 		Coordinator:  coord,
-		MaxSweeps:    n.cfg.MaxSweeps,
 		SweepTimeout: n.cfg.SweepTimeout,
 		Log:          n.cfg.Log,
 		BaseContext:  ctx,

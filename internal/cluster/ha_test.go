@@ -94,9 +94,9 @@ func TestHAFailoverSoak(t *testing.T) {
 
 	// Clean single-coordinator reference, same evaluator the workers run.
 	sm := core.NewSolveMetrics(nil)
-	refRes, err := sweep.Run(context.Background(), points,
-		func(ctx context.Context, pt cluster.GainPoint) (cluster.Row, error) {
-			return grid.Eval(ctx, pt, cluster.EvalMetrics{Solve: sm})
+	refRes, err := sweep.RunBatched(context.Background(), points, 64,
+		func(ctx context.Context, pts []cluster.GainPoint, out []cluster.Row) error {
+			return grid.EvalBatch(ctx, pts, out, cluster.EvalMetrics{Solve: sm})
 		}, sweep.Options{Workers: 8})
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
@@ -213,7 +213,6 @@ func TestHAFailoverSoak(t *testing.T) {
 			RenewInterval:    leaseTTL / 3,
 			Journal:          j,
 			Seed:             int64(i + 1),
-			MaxSweeps:        2,
 			SweepTimeout:     2 * time.Minute,
 			OnShardDone:      onShardDone(i),
 			Coordinator: cluster.Config{

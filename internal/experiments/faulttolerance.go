@@ -94,10 +94,15 @@ func FaultTolerance() (*Report, error) {
 		}, nil
 	}
 
-	results, sweepErr := sweep.Run(context.Background(), points, eval, sweep.Options{
-		PointTimeout:    time.Minute,
-		ContinueOnError: true,
-	})
+	// Spans of one point keep the minute deadline per faulted run.
+	results, sweepErr := sweep.RunBatched(context.Background(), points, 1,
+		func(ctx context.Context, pts []faultPoint, out []faultOutcome) (err error) {
+			out[0], err = eval(ctx, pts[0])
+			return err
+		}, sweep.Options{
+			PointTimeout:    time.Minute,
+			ContinueOnError: true,
+		})
 
 	bound := core.Theorem1Bound(p)
 	rep.AddNumber("theorem 1 bound", bound, "bits")

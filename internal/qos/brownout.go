@@ -39,14 +39,16 @@ func (l Level) String() string {
 	}
 }
 
-// BrownoutConfig tunes the watchdog thresholds. Fractions are of queue
-// capacity; zero fields get defaults, negative caps disable that
-// signal.
+// Queue-occupancy fractions (of queue capacity) at which the watchdog
+// enters NoNewSweeps and CachedOnly.
+const (
+	queueNoNewSweeps = 0.75
+	queueCachedOnly  = 0.95
+)
+
+// BrownoutConfig tunes the watchdog's runtime-health thresholds; zero
+// fields get defaults, negative caps disable that signal.
 type BrownoutConfig struct {
-	// QueueNoNewSweeps and QueueCachedOnly are queue-occupancy fractions
-	// (defaults 0.75, 0.95).
-	QueueNoNewSweeps float64
-	QueueCachedOnly  float64
 	// MaxGoroutines forces CachedOnly when runtime.NumGoroutine exceeds
 	// it (default 20000; negative disables).
 	MaxGoroutines int
@@ -61,12 +63,6 @@ type BrownoutConfig struct {
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.QueueNoNewSweeps <= 0 {
-		c.QueueNoNewSweeps = 0.75
-	}
-	if c.QueueCachedOnly <= 0 {
-		c.QueueCachedOnly = 0.95
-	}
 	if c.MaxGoroutines == 0 {
 		c.MaxGoroutines = 20000
 	}
@@ -138,10 +134,10 @@ func (w *Watchdog) Observe(queueFrac float64) Level {
 // target computes the rung the current signals call for.
 func (w *Watchdog) target(queueFrac float64) Level {
 	want := Full
-	if queueFrac >= w.cfg.QueueNoNewSweeps {
+	if queueFrac >= queueNoNewSweeps {
 		want = NoNewSweeps
 	}
-	if queueFrac >= w.cfg.QueueCachedOnly {
+	if queueFrac >= queueCachedOnly {
 		want = CachedOnly
 	}
 	if w.cfg.MaxGoroutines > 0 && w.numGoroutine() > w.cfg.MaxGoroutines {

@@ -42,12 +42,9 @@ const (
 	seedServiceSecs = 0.05
 )
 
-// ControllerConfig tunes the RCP-style admission-rate law.
+// ControllerConfig tunes the RCP-style admission-rate law. Its gains
+// are the constants DefaultAlpha and DefaultBeta.
 type ControllerConfig struct {
-	// Alpha is the rate-mismatch feedback gain (default DefaultAlpha).
-	Alpha float64
-	// Beta is the queue-excursion feedback gain (default DefaultBeta).
-	Beta float64
 	// Interval is the control period T (default DefaultInterval).
 	Interval time.Duration
 	// QueueTarget is the operating queue depth q0 the loop regulates to,
@@ -70,12 +67,6 @@ type ControllerConfig struct {
 }
 
 func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Alpha <= 0 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.Beta <= 0 {
-		c.Beta = DefaultBeta
-	}
 	if c.Interval <= 0 {
 		c.Interval = DefaultInterval
 	}
@@ -205,7 +196,7 @@ func (c *Controller) Tick(queueDepth float64) {
 	// ticks (idle server, stalled ticker) cannot apply one giant,
 	// destabilizing correction.
 	step := math.Min(elapsed, 4*c.cfg.Interval.Seconds())
-	feedback := c.cfg.Alpha*(capacity-y) - c.cfg.Beta*(queueDepth-c.cfg.QueueTarget)/d
+	feedback := DefaultAlpha*(capacity-y) - DefaultBeta*(queueDepth-c.cfg.QueueTarget)/d
 	c.rate *= 1 + (step/d)*feedback/capacity
 	ceiling := math.Min(c.cfg.MaxRate, HeadroomFactor*capacity)
 	c.rate = math.Min(math.Max(c.rate, c.cfg.MinRate), ceiling)
@@ -284,7 +275,7 @@ func (cfg ControllerConfig) VectorField(workers int, serviceSecs, offered float6
 		if q <= 0 && dq < 0 {
 			dq = 0
 		}
-		dr := (r / d) * (cfg.Alpha*(capacity-y) - cfg.Beta*(q-cfg.QueueTarget)/d) / capacity
+		dr := (r / d) * (DefaultAlpha*(capacity-y) - DefaultBeta*(q-cfg.QueueTarget)/d) / capacity
 		return dq, dr
 	}
 }

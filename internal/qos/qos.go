@@ -61,11 +61,6 @@ type Config struct {
 	Brownout BrownoutConfig
 	// Tenant tunes per-tenant isolation (weights, burst, idle expiry).
 	Tenant TenantConfig
-	// HopMargin is the per-hop deadline decrement: the budget a request
-	// forwards downstream is its remaining budget minus this margin, and
-	// a request whose remaining budget is below it is doomed on arrival
-	// (default 25ms).
-	HopMargin time.Duration
 	// TickInterval paces the background control/watchdog loop (default
 	// Controller.Interval). Negative disables the background ticker —
 	// tests drive Tick explicitly.
@@ -78,9 +73,6 @@ func (c Config) WithDefaults() Config {
 	c.Controller = c.Controller.withDefaults()
 	c.Brownout = c.Brownout.withDefaults()
 	c.Tenant = c.Tenant.withDefaults()
-	if c.HopMargin == 0 {
-		c.HopMargin = DefaultHopMargin
-	}
 	if c.TickInterval == 0 {
 		c.TickInterval = c.Controller.Interval
 	}

@@ -83,7 +83,8 @@ func ParseClass(v string) (string, float64, error) {
 // TenantConfig tunes per-tenant isolation.
 type TenantConfig struct {
 	// Weights overrides the scheduling weight of specific tenants
-	// (default 1.0 each, scaled by QoS class per request).
+	// (default 1.0 each, scaled by QoS class per request). A weight that
+	// is not positive and finite is ignored.
 	Weights map[string]float64
 	// BurstSeconds sizes each tenant's token bucket in seconds of its
 	// fair-share rate (default 2).
@@ -264,8 +265,11 @@ func (t *TenantLimiter) stateLocked(tenant string, now time.Time) *tenantState {
 	return st
 }
 
+// baseWeight is the tenant's configured weight, or 1 when none is
+// configured or the configured one is not a positive finite number (an
+// infinite weight would zero every other tenant's share).
 func (t *TenantLimiter) baseWeight(tenant string) float64 {
-	if w, ok := t.cfg.Weights[tenant]; ok && w > 0 {
+	if w, ok := t.cfg.Weights[tenant]; ok && w > 0 && w <= math.MaxFloat64 {
 		return w
 	}
 	return 1

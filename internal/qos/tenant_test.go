@@ -2,6 +2,7 @@ package qos
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +87,40 @@ func TestTenantLimiterEnforcesFairShareUnderCongestion(t *testing.T) {
 		// Each bucket refills at ~50/s; allow bucket-seed slack.
 		if admits[tn] < 35 || admits[tn] > 70 {
 			t.Fatalf("tenant %s admitted %d in 1s at a 50/s share", tn, admits[tn])
+		}
+	}
+}
+
+// TestTenantLimiterInfiniteWeightCannotStarve: a non-finite configured
+// weight is ignored like a non-positive one. An infinite weight would
+// make every other tenant's share rate·1/Inf = 0 under congestion and
+// its own bucket NaN, which never sheds.
+func TestTenantLimiterInfiniteWeightCannotStarve(t *testing.T) {
+	clk := newFakeClock()
+	tl := NewTenantLimiter(TenantConfig{
+		Weights:      map[string]float64{"inf": math.Inf(1)},
+		BurstSeconds: 1,
+		Headroom:     1,
+		Now:          clk.now,
+	})
+	tl.Allow("inf", 1, 100)
+	tl.Allow("plain", 1, 100)
+	tl.Congested(true)
+	admits := map[string]int{}
+	for i := 0; i < 100; i++ {
+		clk.advance(10 * time.Millisecond)
+		for j := 0; j < 5; j++ {
+			for _, tn := range []string{"inf", "plain"} {
+				if tl.Allow(tn, 1, 100) {
+					admits[tn]++
+				}
+			}
+		}
+	}
+	for _, tn := range []string{"inf", "plain"} {
+		// Both fall back to weight 1: ~50/s each, as in the fair-share test.
+		if admits[tn] < 35 || admits[tn] > 70 {
+			t.Fatalf("tenant %s admitted %d in 1s at a 50/s share (admits %v)", tn, admits[tn], admits)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package runstate
 import (
 	"context"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -26,6 +28,21 @@ func Interrupted(err error) bool {
 	return errors.Is(err, ErrInterrupted) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded)
+}
+
+// ParseFlags parses a command's args into fs without printing usage on
+// a parse error: the error is returned for the command to report, and
+// it exits 1. -h or -help instead writes the flag list to out and
+// reports help with a nil error, so the command returns nil and exits
+// 0 — the help text is an operator's list of every flag.
+func ParseFlags(fs *flag.FlagSet, args []string, out io.Writer) (help bool, err error) {
+	fs.SetOutput(io.Discard)
+	if err = fs.Parse(args); !errors.Is(err, flag.ErrHelp) {
+		return false, err
+	}
+	fs.SetOutput(out)
+	fs.PrintDefaults()
+	return true, nil
 }
 
 // TrapSignals returns a child context cancelled on the first SIGINT or

@@ -68,6 +68,14 @@ func (c *MemCache) Len() int {
 	return c.t.Len()
 }
 
+// A parameter region's circuit opens after breakerThreshold
+// consecutive strict invariant aborts and stays open for
+// breakerCooldown.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 30 * time.Second
+)
+
 // Config configures a Server. The zero value gets sensible defaults
 // from New.
 type Config struct {
@@ -76,19 +84,11 @@ type Config struct {
 	// QueueCap bounds jobs admitted but waiting for a worker; a full
 	// waiting room sheds new submissions with 429 (default 4×Workers).
 	QueueCap int
-	// MaxBodyBytes bounds the request body (default DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// DefaultTimeout is the per-job budget when the spec names none
 	// (default 30s); MaxTimeout caps what a spec may ask for (default
 	// 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// BreakerThreshold opens a parameter region's circuit after this
-	// many consecutive strict invariant aborts (default 3; negative
-	// disables the breaker). BreakerCooldown is the quarantine length
-	// (default 30s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Invariants is the policy applied when a spec does not name one.
 	Invariants invariant.Policy
 	// Cache stores completed artifacts for idempotent dedup; nil uses a
@@ -175,20 +175,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4 * cfg.Workers
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 2 * time.Minute
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 30 * time.Second
 	}
 	if cfg.Cache == nil {
 		cfg.Cache = NewMemCache()
@@ -212,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(s.registry, s)
 	s.jobm = newJobMetrics(s.registry)
-	s.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now, s.metrics.breakerTransitions, nil)
+	s.breaker = qos.NewBreaker(breakerThreshold, breakerCooldown, cfg.Now, s.metrics.breakerTransitions, nil)
 	if cfg.QoS != nil {
 		s.qos = newQoSState(&cfg)
 		if s.qos.cfg.TickInterval > 0 {
@@ -421,7 +412,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// A request that cannot finish inside its remaining budget is
 		// doomed: answer now, before it occupies a queue slot or worker.
-		if qr.hasDeadline && qos.Doomed(qr.budget, s.qos.cfg.HopMargin) {
+		if qr.hasDeadline && qos.Doomed(qr.budget, qos.DefaultHopMargin) {
 			s.qos.metrics.DeadlineDoom.Inc()
 			writeJSON(w, http.StatusGatewayTimeout, errorBody{
 				Error:  "deadline budget cannot cover the request",
@@ -430,12 +421,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sp, err := DecodeSpec(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxBodyBytes)
+	sp, err := DecodeSpec(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes), DefaultMaxBodyBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
-				Error:  fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
+				Error:  fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes),
 				Reason: "body-too-large",
 			})
 			return

@@ -402,7 +402,7 @@ func TestJobDeadline(t *testing.T) {
 func TestBreakerQuarantinesRegionOverHTTP(t *testing.T) {
 	checkGoroutines(t)
 	clk := newFakeClock()
-	_, ts := newTestServer(t, Config{BreakerThreshold: 3, BreakerCooldown: 30 * time.Second, Now: clk.now})
+	_, ts := newTestServer(t, Config{Now: clk.now})
 
 	broken := Spec{Kind: KindSolve, Invariants: "strict", Solve: &SolveSpec{Params: func() core.Params {
 		p := core.PaperExample()

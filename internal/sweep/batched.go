@@ -15,7 +15,7 @@ import (
 type BatchFunc[P, R any] func(ctx context.Context, points []P, out []R) error
 
 // RunBatched evaluates points through fn in contiguous spans of at most
-// batchSize, with Run's full supervision applied per span: bounded
+// batchSize, with the sweep engine's full supervision applied per span: bounded
 // workers, panic recovery, per-span deadline (Options.PointTimeout
 // bounds one whole span here) and retries. Results come back in input
 // order, one per point; a failed span marks every point it covers with
@@ -46,10 +46,7 @@ func RunBatched[P, R any](ctx context.Context, points []P, batchSize int, fn Bat
 	// replacement.
 	wallNanos := make([]atomic.Int64, len(spans))
 
-	// The inner Run must not also count spans as points; per-point
-	// accounting happens in the scatter loop below.
-	inner := opts
-	inner.Metrics = nil
+	// Per-point accounting happens in the scatter loop below.
 	eval := func(ctx context.Context, s span) ([]R, error) {
 		began := time.Now()
 		out := make([]R, s.hi-s.lo)
@@ -60,7 +57,7 @@ func RunBatched[P, R any](ctx context.Context, points []P, batchSize int, fn Bat
 		}
 		return out, nil
 	}
-	spanResults, err := Run(ctx, spans, eval, inner)
+	spanResults, err := run(ctx, spans, eval, opts)
 
 	results := make([]Result[P, R], len(points))
 	for si := range spanResults {

@@ -35,7 +35,7 @@ func benchRunGrid(b *testing.B, m *Metrics) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := Run(context.Background(), points, eval, Options{Workers: 2, Metrics: m})
+		results, err := RunBatched(context.Background(), points, 1, perPoint(eval), Options{Workers: 2, Metrics: m})
 		if err != nil {
 			b.Fatal(err)
 		}

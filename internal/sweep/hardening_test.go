@@ -18,9 +18,9 @@ func TestPanicIsRecoveredAndSweepContinues(t *testing.T) {
 		}
 		return p * p, nil
 	}
-	res, err := Run(context.Background(), points, fn, Options{ContinueOnError: true})
+	res, err := run(context.Background(), points, fn, Options{ContinueOnError: true})
 	if err == nil {
-		t.Fatal("Run returned nil error despite a panicking point")
+		t.Fatal("run returned nil error despite a panicking point")
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -48,7 +48,7 @@ func TestPanicIsNotRetried(t *testing.T) {
 		calls.Add(1)
 		panic("always")
 	}
-	res, _ := Run(context.Background(), []int{1}, fn, Options{Retries: 3, Backoff: time.Millisecond})
+	res, _ := run(context.Background(), []int{1}, fn, Options{Retries: 3, Backoff: time.Millisecond})
 	if got := calls.Load(); got != 1 {
 		t.Errorf("panicking point evaluated %d times, want 1", got)
 	}
@@ -65,9 +65,9 @@ func TestRetryEventuallySucceeds(t *testing.T) {
 		}
 		return 42, nil
 	}
-	res, err := Run(context.Background(), []int{1}, fn, Options{Retries: 4, Backoff: time.Microsecond})
+	res, err := run(context.Background(), []int{1}, fn, Options{Retries: 4, Backoff: time.Microsecond})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if res[0].Value != 42 || res[0].Attempts != 3 {
 		t.Errorf("got value %d after %d attempts, want 42 after 3", res[0].Value, res[0].Attempts)
@@ -81,7 +81,7 @@ func TestRetriesExhausted(t *testing.T) {
 		calls.Add(1)
 		return 0, sentinel
 	}
-	res, err := Run(context.Background(), []int{1}, fn, Options{Retries: 2, Backoff: time.Microsecond})
+	res, err := run(context.Background(), []int{1}, fn, Options{Retries: 2, Backoff: time.Microsecond})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -103,7 +103,7 @@ func TestPointTimeoutBoundsCooperativeFn(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res, err := Run(context.Background(), []int{1}, fn,
+	res, err := run(context.Background(), []int{1}, fn,
 		Options{PointTimeout: 20 * time.Millisecond, ContinueOnError: true})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout did not bound the sweep (%v)", elapsed)
@@ -126,7 +126,7 @@ func TestPointTimeoutAbandonsNonCooperativeFn(t *testing.T) {
 		return p, nil
 	}
 	start := time.Now()
-	res, err := Run(context.Background(), []int{0, 1, 2}, fn,
+	res, err := run(context.Background(), []int{0, 1, 2}, fn,
 		Options{Workers: 1, PointTimeout: 20 * time.Millisecond, ContinueOnError: true})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("non-cooperative fn hung the sweep (%v)", elapsed)
@@ -155,7 +155,7 @@ func TestContinueOnErrorCompletesAllPoints(t *testing.T) {
 	for i := range points {
 		points[i] = i
 	}
-	res, err := Run(context.Background(), points, fn, Options{Workers: 4, ContinueOnError: true})
+	res, err := run(context.Background(), points, fn, Options{Workers: 4, ContinueOnError: true})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -184,7 +184,7 @@ func TestCancelledParentSuppressesRetries(t *testing.T) {
 		cancel()
 		return 0, errors.New("fails once parent is gone")
 	}
-	_, err := Run(ctx, []int{1}, fn, Options{Retries: 5, Backoff: time.Millisecond})
+	_, err := run(ctx, []int{1}, fn, Options{Retries: 5, Backoff: time.Millisecond})
 	if err == nil {
 		t.Fatal("expected an error")
 	}

@@ -19,18 +19,19 @@ func (r guardedRow) InvariantViolations() (uint64, string) {
 	return r.stats.Total, r.stats.FirstPredicate()
 }
 
-// brokenEval solves one grid point whose Gd has been negated — the
+// brokenEval solves a one-point span whose Gd has been negated — the
 // acceptance scenario of the invariant layer: a deliberately broken
 // parameter set flowing through the sweep pipeline.
-func brokenEval(policy invariant.Policy) sweep.Func[float64, guardedRow] {
-	return func(_ context.Context, gd float64) (guardedRow, error) {
+func brokenEval(policy invariant.Policy) sweep.BatchFunc[float64, guardedRow] {
+	return func(_ context.Context, gds []float64, out []guardedRow) error {
 		p := core.PaperExample()
-		p.Gd = -gd
+		p.Gd = -gds[0]
 		tr, err := core.Solve(p, core.SolveOptions{Invariants: invariant.NewPolicy(policy)})
 		if err != nil {
-			return guardedRow{}, err
+			return err
 		}
-		return guardedRow{stats: tr.Violations}, nil
+		out[0] = guardedRow{stats: tr.Violations}
+		return nil
 	}
 }
 
@@ -43,7 +44,7 @@ func TestSweepNegativeGdStrictVsRecord(t *testing.T) {
 	points := []float64{1.0 / 128, 1.0 / 64}
 	opts := sweep.Options{ContinueOnError: true}
 
-	strict, err := sweep.Run(context.Background(), points, brokenEval(invariant.Strict), opts)
+	strict, err := sweep.RunBatched(context.Background(), points, 1, brokenEval(invariant.Strict), opts)
 	if err == nil {
 		t.Fatal("Strict sweep over broken points reported no error")
 	}
@@ -57,7 +58,7 @@ func TestSweepNegativeGdStrictVsRecord(t *testing.T) {
 		}
 	}
 
-	record, err := sweep.Run(context.Background(), points, brokenEval(invariant.Record), opts)
+	record, err := sweep.RunBatched(context.Background(), points, 1, brokenEval(invariant.Record), opts)
 	if err != nil {
 		t.Fatalf("Record sweep did not complete: %v", err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Metrics instruments parameter sweeps. A nil *Metrics is inert: the
-// worker loop pays one nil comparison per point and nothing else, so
+// span loop pays one nil comparison per span and nothing else, so
 // the disabled path stays inside the repo's <5% overhead budget even
 // for trivially cheap evaluation functions.
 type Metrics struct {
@@ -61,16 +61,4 @@ func (m *Metrics) observeSpan(n, attempts int, failed bool, wall time.Duration) 
 	if n > 0 {
 		m.PointSeconds.Observe(wall.Seconds() / float64(n))
 	}
-}
-
-// observePoint folds one finished evaluation into the registry.
-func (m *Metrics) observePoint(attempts int, failed bool, wall time.Duration) {
-	m.Points.Inc()
-	if attempts > 1 {
-		m.Retries.Add(uint64(attempts - 1))
-	}
-	if failed {
-		m.Failures.Inc()
-	}
-	m.PointSeconds.Observe(wall.Seconds())
 }

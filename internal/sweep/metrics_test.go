@@ -19,7 +19,7 @@ func TestRunMetricsCounts(t *testing.T) {
 	for i := range points {
 		points[i] = i
 	}
-	results, err := Run(context.Background(), points, func(_ context.Context, p int) (int, error) {
+	results, err := RunBatched(context.Background(), points, 1, perPoint(func(_ context.Context, p int) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if fails[p] > 0 {
@@ -27,7 +27,7 @@ func TestRunMetricsCounts(t *testing.T) {
 			return 0, boom
 		}
 		return p * p, nil
-	}, Options{Workers: 2, Retries: 2, Backoff: 1, ContinueOnError: true, Metrics: m})
+	}), Options{Workers: 2, Retries: 2, Backoff: 1, ContinueOnError: true, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +54,9 @@ func TestRunMetricsFailures(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
 	boom := errors.New("always")
-	_, err := Run(context.Background(), []int{1, 2}, func(_ context.Context, _ int) (int, error) {
+	_, err := RunBatched(context.Background(), []int{1, 2}, 1, perPoint(func(_ context.Context, _ int) (int, error) {
 		return 0, boom
-	}, Options{Workers: 1, ContinueOnError: true, Metrics: m})
+	}), Options{Workers: 1, ContinueOnError: true, Metrics: m})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 // Options.Retries/Backoff policy — without building a grid. It is the
 // serving layer's job executor: a request handler that runs untrusted
 // parameter sets through One can never be crashed or hung by one bad
-// job, which is exactly the isolation Run gives each grid point.
+// job, which is exactly the isolation RunBatched gives each span.
 func One[P, R any](ctx context.Context, p P, fn Func[P, R], opts Options) (R, error) {
 	if fn == nil {
 		var zero R

@@ -19,7 +19,7 @@ import (
 // Func evaluates one point of a sweep.
 type Func[P, R any] func(ctx context.Context, point P) (R, error)
 
-// Options configures Run.
+// Options configures RunBatched and One.
 type Options struct {
 	// Workers bounds the concurrency; 0 defaults to GOMAXPROCS.
 	Workers int
@@ -38,8 +38,8 @@ type Options struct {
 	Backoff time.Duration
 	// ContinueOnError keeps evaluating the remaining points after a
 	// failure instead of cancelling them; failed points carry their
-	// error in Result.Err. Run still returns the first error so callers
-	// can tell a degraded sweep from a clean one.
+	// error in Result.Err. RunBatched still returns the first error so
+	// callers can tell a degraded sweep from a clean one.
 	ContinueOnError bool
 	// Metrics optionally records point throughput, retries, failures,
 	// and (for a journaled runner) replays and journal latency. Nil costs
@@ -77,17 +77,18 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: evaluation panicked: %v", e.Value)
 }
 
-// Run evaluates fn on every point with at most opts.Workers goroutines,
-// returning results in input order. Evaluations are panic-recovered
-// (PanicError), deadline-bounded (Options.PointTimeout) and retried
-// (Options.Retries), so a single bad point cannot crash or hang the
-// sweep. By default the first error cancels the context handed to the
-// remaining evaluations; with Options.ContinueOnError every point is
-// still evaluated and failures stay local to their Result. Every point
-// produces a Result (possibly with Err set, including ctx.Err for
-// cancelled ones), and Run itself returns the first error observed, if
-// any.
-func Run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options) ([]Result[P, R], error) {
+// run is the engine under RunBatched: it evaluates fn on every point
+// with at most opts.Workers goroutines, returning results in input
+// order. Evaluations are panic-recovered (PanicError), deadline-bounded
+// (Options.PointTimeout) and retried (Options.Retries), so a single bad
+// point cannot crash or hang the sweep. By default the first error
+// cancels the context handed to the remaining evaluations; with
+// Options.ContinueOnError every point is still evaluated and failures
+// stay local to their Result. Every point produces a Result (possibly
+// with Err set, including ctx.Err for cancelled ones), and run itself
+// returns the first error observed, if any. Options.Metrics is not
+// read here: RunBatched accounts per span.
+func run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options) ([]Result[P, R], error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil evaluation function")
 	}
@@ -134,13 +135,7 @@ func Run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 					results[i] = Result[P, R]{Point: p, Err: err}
 					continue
 				}
-				if opts.Metrics != nil {
-					began := time.Now()
-					results[i] = evalPoint(ctx, parent, p, fn, opts)
-					opts.Metrics.observePoint(results[i].Attempts, results[i].Err != nil, time.Since(began))
-				} else {
-					results[i] = evalPoint(ctx, parent, p, fn, opts)
-				}
+				results[i] = evalPoint(ctx, parent, p, fn, opts)
 				if results[i].Err != nil {
 					setErr(results[i].Err)
 				}

@@ -8,13 +8,22 @@ import (
 	"testing/quick"
 )
 
+// perPoint adapts a per-point Func to a one-point BatchFunc, so a test
+// can drive RunBatched with span 1.
+func perPoint[P, R any](fn Func[P, R]) BatchFunc[P, R] {
+	return func(ctx context.Context, pts []P, out []R) (err error) {
+		out[0], err = fn(ctx, pts[0])
+		return err
+	}
+}
+
 func TestRunPreservesOrder(t *testing.T) {
 	points := []int{5, 3, 9, 1, 7, 2}
-	results, err := Run(context.Background(), points,
+	results, err := run(context.Background(), points,
 		func(_ context.Context, p int) (int, error) { return p * p, nil },
 		Options{Workers: 3})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	for i, r := range results {
 		if r.Point != points[i] {
@@ -30,7 +39,7 @@ func TestRunPreservesOrder(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	results, err := Run(context.Background(), nil,
+	results, err := run(context.Background(), nil,
 		func(_ context.Context, p int) (int, error) { return p, nil }, Options{})
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty run: %v, %v", results, err)
@@ -38,7 +47,7 @@ func TestRunEmpty(t *testing.T) {
 }
 
 func TestRunNilFunc(t *testing.T) {
-	if _, err := Run[int, int](context.Background(), []int{1}, nil, Options{}); err == nil {
+	if _, err := run[int, int](context.Background(), []int{1}, nil, Options{}); err == nil {
 		t.Error("nil fn accepted")
 	}
 }
@@ -49,7 +58,7 @@ func TestRunErrorPropagates(t *testing.T) {
 	for i := range points {
 		points[i] = i
 	}
-	results, err := Run(context.Background(), points,
+	results, err := run(context.Background(), points,
 		func(_ context.Context, p int) (int, error) {
 			if p == 7 {
 				return 0, sentinel
@@ -73,7 +82,7 @@ func TestRunCancellation(t *testing.T) {
 	cancel() // pre-cancelled
 	points := []int{1, 2, 3}
 	var ran atomic.Int64
-	results, _ := Run(ctx, points,
+	results, _ := run(ctx, points,
 		func(ctx context.Context, p int) (int, error) {
 			ran.Add(1)
 			return p, nil
@@ -91,7 +100,7 @@ func TestRunCancellation(t *testing.T) {
 func TestRunConcurrencyBound(t *testing.T) {
 	var cur, peak atomic.Int64
 	points := make([]int, 64)
-	_, err := Run(context.Background(), points,
+	_, err := run(context.Background(), points,
 		func(_ context.Context, p int) (int, error) {
 			n := cur.Add(1)
 			for {
@@ -121,7 +130,7 @@ func TestRunConcurrencyBound(t *testing.T) {
 func TestQuickRunMatchesSequential(t *testing.T) {
 	prop := func(points []int16, workersRaw uint8) bool {
 		workers := 1 + int(workersRaw%8)
-		results, err := Run(context.Background(), points,
+		results, err := run(context.Background(), points,
 			func(_ context.Context, p int16) (int32, error) {
 				return int32(p) * 3, nil
 			}, Options{Workers: workers})

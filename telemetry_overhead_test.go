@@ -45,13 +45,14 @@ func sweepWorkload(t *testing.T, m *sweep.Metrics) {
 		p.Gi = 0.1 + 0.05*float64(i)
 		points = append(points, p)
 	}
-	results, err := sweep.Run(context.Background(), points,
-		func(_ context.Context, p core.Params) (float64, error) {
-			tr, err := core.Solve(p, core.SolveOptions{})
+	results, err := sweep.RunBatched(context.Background(), points, 1,
+		func(_ context.Context, ps []core.Params, out []float64) error {
+			tr, err := core.Solve(ps[0], core.SolveOptions{})
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return tr.Rho, nil
+			out[0] = tr.Rho
+			return nil
 		}, sweep.Options{Workers: 1, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
@@ -125,12 +126,12 @@ func TestSolveTelemetryOverhead(t *testing.T) {
 		func() { solveWorkload(t, m) })
 }
 
-// TestSweepTelemetryOverhead guards the sweep worker loop: per-point
-// timing plus histogram observations must cost < 5% versus the nil
-// path on a real solve workload.
+// TestSweepTelemetryOverhead guards the sweep span loop: per-span
+// accounting plus histogram observations, with one point per span,
+// must cost < 5% versus the nil path on a real solve workload.
 func TestSweepTelemetryOverhead(t *testing.T) {
 	m := sweep.NewMetrics(telemetry.NewRegistry())
-	measureOverhead(t, "sweep.Run", 0.05,
+	measureOverhead(t, "sweep.RunBatched", 0.05,
 		func() { sweepWorkload(t, nil) },
 		func() { sweepWorkload(t, m) })
 }
