@@ -73,12 +73,15 @@ stress:
 	$(GO) test -race -count=15 ./cmd/bcnd ./cmd/bcnsweep ./internal/chaosnet ./internal/cluster ./internal/serve ./internal/qos ./internal/runstate
 	$(GO) test -run='Overhead$$' -count=20 .
 
-# Run every benchmark once (override BENCHTIME for real measurements,
-# e.g. BENCHTIME=2s) and parse the stream into machine-readable
-# BENCH.json alongside the human-readable log.
-BENCHTIME ?= 1x
+# Run every benchmark five times for BENCHTIME each (the testing
+# package's ramp-up from one iteration warms each run) and parse the
+# stream into machine-readable BENCH.json, alongside the human-readable
+# log: benchjson folds the five runs into the median and interquartile
+# range of every metric. BENCHTIME=1x is a quick smoke, not a
+# measurement.
+BENCHTIME ?= 200ms
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./scripts/benchjson -o BENCH.json
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=5 ./... | $(GO) run ./scripts/benchjson -o BENCH.json
 
 # Compare the BENCH.json from `make bench` against the newest committed
 # trajectory point (BENCH_<n>.json). Prints per-metric deltas; exits

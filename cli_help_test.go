@@ -14,11 +14,6 @@ import (
 // nothing on stderr; a parse error stays quiet about usage and exits 1
 // with the one-line error on stderr.
 func TestCLIHelp(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Fatalf("go tool not on PATH: %v", err)
-	}
-	bin := t.TempDir()
 	tools := []struct{ name, flag string }{
 		{"bcnd", "-coordinator"},
 		{"bcnphase", "-xcheck"},
@@ -26,13 +21,11 @@ func TestCLIHelp(t *testing.T) {
 		{"bcnsim", "-dur"},
 		{"bcnsweep", "-resume"},
 	}
-	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	var names []string
 	for _, tool := range tools {
-		args = append(args, "./cmd/"+tool.name)
+		names = append(names, tool.name)
 	}
-	if out, err := exec.Command(goTool, args...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCommands(t, names...)
 	invoke := func(t *testing.T, name string, arg string) (stdout, stderr string, code int) {
 		t.Helper()
 		var o, e bytes.Buffer
@@ -66,4 +59,23 @@ func TestCLIHelp(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildCommands builds the named commands under cmd/ into a temporary
+// directory and returns it.
+func buildCommands(t *testing.T, names ...string) string {
+	t.Helper()
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("go tool not on PATH: %v", err)
+	}
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, name := range names {
+		args = append(args, "./cmd/"+name)
+	}
+	if out, err := exec.Command(goTool, args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

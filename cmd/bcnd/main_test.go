@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -429,64 +428,4 @@ func metricValue(t *testing.T, metrics, name string) int {
 		t.Fatal(err)
 	}
 	return v
-}
-
-// TestFlagCensus holds every flag bcnd registers to exactly one row of
-// the flag census table in DESIGN.md (§5d), and every row there to a
-// registered flag, so a flag cannot be added without saying which
-// script, soak or test sets it, or which operator needs it.
-func TestFlagCensus(t *testing.T) {
-	var help bytes.Buffer
-	if err := run(context.Background(), []string{"-h"}, &help); err != nil {
-		t.Fatalf("-h: %v", err)
-	}
-	registered := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(help.String(), -1) {
-		registered[m[1]] = true
-	}
-	if len(registered) == 0 {
-		t.Fatalf("-h listed no flags:\n%s", help.String())
-	}
-
-	f, err := os.Open(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows := map[string]int{}
-	row := regexp.MustCompile("^\\| `-([^`]+)` \\|")
-	inTable := false
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "| bcnd flag |") {
-			inTable = true
-			continue
-		}
-		if !inTable {
-			continue
-		}
-		if !strings.HasPrefix(line, "|") {
-			break
-		}
-		if m := row.FindStringSubmatch(line); m != nil {
-			rows[m[1]]++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("DESIGN.md has no bcnd flag census table")
-	}
-	for name := range registered {
-		if rows[name] != 1 {
-			t.Errorf("flag -%s has %d rows in the DESIGN.md census, want 1", name, rows[name])
-		}
-	}
-	for name := range rows {
-		if !registered[name] {
-			t.Errorf("DESIGN.md census row -%s names no registered flag", name)
-		}
-	}
 }

@@ -30,6 +30,29 @@ func TestRunPaperDefaults(t *testing.T) {
 	}
 }
 
+// TestRunModelFlags sets each model parameter no other test sets to a
+// non-default value and requires the analysis, not only the echoed
+// parameter line, to change.
+func TestRunModelFlags(t *testing.T) {
+	analysis := func(args ...string) string {
+		t.Helper()
+		var b strings.Builder
+		if err := run(args, &b); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		_, rest, _ := strings.Cut(b.String(), "\n") // drop the parameters: line
+		return rest
+	}
+	base := analysis()
+	for _, args := range [][]string{
+		{"-c", "5e9"}, {"-gi", "2"}, {"-pm", "0.02"}, {"-q0", "2e6"}, {"-ru", "4e6"}, {"-w", "4"},
+	} {
+		if analysis(args...) == base {
+			t.Errorf("%s %s left the analysis unchanged:\n%s", args[0], args[1], base)
+		}
+	}
+}
+
 func TestRunAmpleBuffer(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-b", "14.5e6"}, &b); err != nil {

@@ -98,15 +98,6 @@ func (b *Batch) Solve(params []core.Params, opts Options) {
 	tally.Flush(m)
 }
 
-// SolveBatch classifies params in one batched call and returns the
-// batch. Callers that solve repeatedly should hold a *Batch and call
-// its Solve method to reuse the arrays.
-func SolveBatch(params []core.Params, opts Options) *Batch {
-	b := NewBatch(len(params))
-	b.Solve(params, opts)
-	return b
-}
-
 // Tally accumulates engine metrics locally across many solves run with
 // a nil Options.Metrics, so a batch touches the registry once instead of
 // once per point: Batch.Solve folds every point of a call into one, and

@@ -10,7 +10,8 @@ import (
 
 func TestBatchMatchesSolve(t *testing.T) {
 	params := gridParams(7, 7)
-	b := SolveBatch(params, Options{})
+	b := NewBatch(len(params))
+	b.Solve(params, Options{})
 	if b.Len() != len(params) {
 		t.Fatalf("batch len %d, want %d", b.Len(), len(params))
 	}
@@ -36,7 +37,8 @@ func TestBatchMatchesSolve(t *testing.T) {
 func TestBatchReportsPointErrors(t *testing.T) {
 	good := core.PaperExample()
 	var bad core.Params // zero: fails validation
-	b := SolveBatch([]core.Params{good, bad, good}, Options{})
+	b := NewBatch(3)
+	b.Solve([]core.Params{good, bad, good}, Options{})
 	if b.Err[0] != nil || b.Err[2] != nil {
 		t.Fatalf("valid points errored: %v, %v", b.Err[0], b.Err[2])
 	}

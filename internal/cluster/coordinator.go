@@ -892,7 +892,7 @@ func (c *Coordinator) dispatch(ctx context.Context, st *sweepState, w int, sr *s
 	// hop margin, and a shard that no longer fits its budget is doomed
 	// here — before it occupies a worker.
 	if rem, ok := qos.Remaining(ctx); ok {
-		rem = qos.Forward(rem, qos.DefaultHopMargin)
+		rem = qos.Forward(rem)
 		if rem <= 0 {
 			return ShardResult{}, fmt.Errorf("cluster: shard %d doomed: %w", sh.Index, context.DeadlineExceeded)
 		}
@@ -975,7 +975,7 @@ func (c *Coordinator) postShard(ctx context.Context, w int, sh *ShardSpec, body 
 		req.Header.Set(qos.TenantHeader, tenant)
 	}
 	if rem, ok := qos.Remaining(ctx); ok {
-		if fwd := qos.Forward(rem, qos.DefaultHopMargin); fwd > 0 {
+		if fwd := qos.Forward(rem); fwd > 0 {
 			req.Header.Set(qos.DeadlineHeader, qos.FormatDeadline(fwd))
 		}
 	}

@@ -178,8 +178,8 @@ func (n *HANode) logf(format string, args ...any) {
 // quorum is the witness majority: strictly more than half the fleet.
 func (n *HANode) quorum() int { return len(n.cfg.Workers)/2 + 1 }
 
-// IsLeader reports whether this replica currently believes it leads.
-func (n *HANode) IsLeader() bool {
+// isLeader reports whether this replica currently believes it leads.
+func (n *HANode) isLeader() bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.role == RoleLeader
@@ -213,7 +213,7 @@ func (n *HANode) run() {
 	defer close(n.done)
 	for {
 		var wait time.Duration
-		if n.IsLeader() {
+		if n.isLeader() {
 			wait = n.cfg.RenewInterval
 		} else {
 			// Jitter desynchronizes rival candidates so split elections
@@ -225,7 +225,7 @@ func (n *HANode) run() {
 			return
 		case <-time.After(wait):
 		}
-		if n.IsLeader() {
+		if n.isLeader() {
 			n.renew()
 		} else {
 			n.catchUp()

@@ -145,7 +145,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("%s: %v", qos.DeadlineHeader, derr), Reason: "malformed-qos-header"})
 		return
 	}
-	if hasDeadline && qos.Doomed(budget, qos.DefaultHopMargin) {
+	if hasDeadline && qos.Doomed(budget) {
 		s.reject(w, http.StatusGatewayTimeout, 0, clusterError{
 			Error: "deadline budget cannot cover the sweep", Reason: "deadline-doomed"})
 		return
@@ -250,7 +250,7 @@ func (s *Server) begin(fp string, grid GainGrid, tenant string, budget time.Dura
 		}
 		if hasDeadline {
 			var cancel context.CancelFunc
-			ctx, cancel = qos.WithBudget(ctx, qos.Forward(budget, qos.DefaultHopMargin))
+			ctx, cancel = qos.WithBudget(ctx, qos.Forward(budget))
 			defer cancel()
 		}
 		// The sweep deliberately outlives the submitting connection: a

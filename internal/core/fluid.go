@@ -62,7 +62,7 @@ func (p Params) LinearizedField() phaseplane.VectorField {
 //	dr/dt = Gd·σ·r      if σ < 0
 //
 // with σ = −[(q − q0) + (wN/(pm·C))·(r − C/N)]. The queue is not clamped
-// at zero; use ClampedRawRHS for the physically constrained variant.
+// at zero or at the buffer.
 func (p Params) RawRHS() ode.Func {
 	n := float64(p.N)
 	return func(_ float64, y, dydt []float64) {
@@ -73,24 +73,6 @@ func (p Params) RawRHS() ode.Func {
 			dydt[1] = p.Gi * p.Ru * sigma
 		} else {
 			dydt[1] = p.Gd * sigma * r
-		}
-	}
-}
-
-// ClampedRawRHS is RawRHS with the physical queue constraints applied:
-// the queue cannot drain below zero nor grow above the buffer B (arrivals
-// beyond B are dropped, which in fluid terms freezes dq/dt at the
-// boundary). The rate law is unchanged.
-func (p Params) ClampedRawRHS() ode.Func {
-	raw := p.RawRHS()
-	return func(t float64, y, dydt []float64) {
-		raw(t, y, dydt)
-		if (y[0] <= 0 && dydt[0] < 0) || (y[0] >= p.B && dydt[0] > 0) {
-			dydt[0] = 0
-		}
-		// Rates cannot go negative.
-		if y[1] <= 0 && dydt[1] < 0 {
-			dydt[1] = 0
 		}
 	}
 }

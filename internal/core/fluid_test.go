@@ -83,37 +83,6 @@ func TestFieldContinuousAcrossSwitchingLine(t *testing.T) {
 	}
 }
 
-func TestClampedRawRHS(t *testing.T) {
-	p := FigureExample()
-	clamped := p.ClampedRawRHS()
-	dydt := make([]float64, 2)
-
-	// Empty queue with inflow below capacity: dq/dt clamps to 0.
-	clamped(0, []float64{0, 0.4 * p.C / float64(p.N)}, dydt)
-	if dydt[0] != 0 {
-		t.Errorf("empty-queue drain not clamped: dq/dt = %v", dydt[0])
-	}
-	// Full buffer with inflow above capacity: dq/dt clamps to 0.
-	clamped(0, []float64{p.B, 2 * p.C / float64(p.N)}, dydt)
-	if dydt[0] != 0 {
-		t.Errorf("full-buffer growth not clamped: dq/dt = %v", dydt[0])
-	}
-	// Interior states are untouched.
-	raw := p.RawRHS()
-	want := make([]float64, 2)
-	state := []float64{p.Q0, 1.2 * p.C / float64(p.N)}
-	raw(0, state, want)
-	clamped(0, state, dydt)
-	if dydt[0] != want[0] || dydt[1] != want[1] {
-		t.Errorf("interior state modified: %v vs %v", dydt, want)
-	}
-	// A zero rate cannot go negative.
-	clamped(0, []float64{2 * p.Q0, 0}, dydt)
-	if dydt[1] < 0 {
-		t.Errorf("rate went negative: dr/dt = %v", dydt[1])
-	}
-}
-
 func TestRequiredBufferAlias(t *testing.T) {
 	p := PaperExample()
 	if RequiredBuffer(p) != Theorem1Bound(p) {

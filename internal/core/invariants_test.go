@@ -100,19 +100,6 @@ func TestSolveWarmupGuarded(t *testing.T) {
 	}
 }
 
-// TestAnalyzeThreadsChecker exercises the Analyze wrapper path.
-func TestAnalyzeThreadsChecker(t *testing.T) {
-	p := FigureExample()
-	chk := invariant.NewPolicy(invariant.Record)
-	an, err := Analyze(p, SolveOptions{Invariants: chk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.Trajectory.Violations.Total != 0 {
-		t.Fatalf("violations = %+v", an.Trajectory.Violations)
-	}
-}
-
 // TestSolveRecordAllocs gates the guard's pass path: a Record-policy
 // solve of the figure example samples ~200 points, and the allocations
 // must stay per-solve (trajectory, slice growth, checker tallies), not

@@ -120,30 +120,6 @@ type Trajectory struct {
 	launchEnd float64
 }
 
-// QueueSeries returns the queue-length polyline q(t) = q0 + x(t) in
-// original coordinates (bits).
-func (tr *Trajectory) QueueSeries() (t, q []float64) {
-	t = make([]float64, len(tr.T))
-	q = make([]float64, len(tr.T))
-	copy(t, tr.T)
-	for i, x := range tr.X {
-		q[i] = tr.Params.Q0 + x
-	}
-	return t, q
-}
-
-// RateSeries returns the aggregate-rate polyline N·r(t) = C + y(t) in
-// original coordinates (bits/s).
-func (tr *Trajectory) RateSeries() (t, r []float64) {
-	t = make([]float64, len(tr.T))
-	r = make([]float64, len(tr.T))
-	copy(t, tr.T)
-	for i, y := range tr.Y {
-		r[i] = tr.Params.C + y
-	}
-	return t, r
-}
-
 // MaxQueue and MinQueue return the queue extremes in original coordinates.
 func (tr *Trajectory) MaxQueue() float64 { return tr.Params.Q0 + tr.MaxX }
 
@@ -401,31 +377,4 @@ func (s *sampler) point(t, x, y float64) {
 	if x < tr.MinX {
 		tr.MinX = x
 	}
-}
-
-// Analyze solves the trajectory from the canonical start and summarizes
-// strong stability: the verdict, extremes, contraction ratio and the
-// Theorem 1 comparison.
-type Analysis struct {
-	Report     CriterionReport
-	Trajectory *Trajectory
-	// StronglyStable is the trajectory-level verdict (Definition 1).
-	StronglyStable bool
-}
-
-// Analyze runs both the criteria evaluation and the stitched trajectory.
-func Analyze(p Params, opts SolveOptions) (*Analysis, error) {
-	rep, err := Criteria(p)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := Solve(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Analysis{
-		Report:         rep,
-		Trajectory:     tr,
-		StronglyStable: tr.Outcome.StronglyStable(),
-	}, nil
 }

@@ -395,52 +395,6 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-func TestAnalyze(t *testing.T) {
-	p := PaperExample()
-	an, err := Analyze(p, SolveOptions{})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	if an.StronglyStable {
-		t.Error("paper example at BDP buffer should not be strongly stable")
-	}
-	if an.Report.Theorem1OK {
-		t.Error("Theorem 1 should fail")
-	}
-	if an.Trajectory.Outcome != OutcomeOverflow {
-		t.Errorf("Outcome = %v", an.Trajectory.Outcome)
-	}
-	if _, err := Analyze(Params{}, SolveOptions{}); err == nil {
-		t.Error("invalid params accepted")
-	}
-}
-
-func TestTrajectorySeriesHelpers(t *testing.T) {
-	p := FigureExample()
-	tr, err := Solve(p, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, qs := tr.QueueSeries()
-	_, rs := tr.RateSeries()
-	if len(ts) != len(tr.T) || len(qs) != len(tr.T) || len(rs) != len(tr.T) {
-		t.Fatal("series lengths wrong")
-	}
-	for i := range ts {
-		if qs[i] != p.Q0+tr.X[i] {
-			t.Fatalf("queue series mismatch at %d", i)
-		}
-		if rs[i] != p.C+tr.Y[i] {
-			t.Fatalf("rate series mismatch at %d", i)
-		}
-	}
-	// Mutating the returned slices must not affect the trajectory.
-	ts[0] = -1
-	if tr.T[0] == -1 {
-		t.Error("QueueSeries aliases the trajectory")
-	}
-}
-
 // TestQuickScaleInvariance: the linearized switched system is homogeneous
 // of degree one, so scaling q0 and B by c scales the whole trajectory's x
 // by c (with identical timing and outcome). This pins the stitching

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,12 +185,12 @@ func TestTransientMonotone(t *testing.T) {
 
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
-		t.Skip("RunAll regenerates every figure; skipped in -short")
+		t.Skip("RunAllContext regenerates every figure; skipped in -short")
 	}
 	dir := t.TempDir()
-	summary, err := RunAll(dir)
+	summary, _, err := RunAllContext(context.Background(), dir)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("RunAllContext: %v", err)
 	}
 	for _, e := range Registry() {
 		if !strings.Contains(summary, "== "+e.ID+":") {

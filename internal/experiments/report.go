@@ -182,19 +182,13 @@ func SafeRun(e Entry) (rep *Report, err error) {
 	return e.Run()
 }
 
-// RunAll executes every experiment and writes each completed one's
-// artifacts under dir, returning the combined textual summary. A failing
-// (or panicking) experiment no longer aborts the batch: its failure is
-// summarized in place, the remaining experiments still run, and the
-// joined error of every failure is returned alongside the summary.
-func RunAll(dir string) (string, error) {
-	summary, _, err := RunAllContext(context.Background(), dir)
-	return summary, err
-}
-
-// RunAllContext is RunAll with cooperative cancellation and the
-// completed reports returned for reuse (e.g. markdown rendering without
-// re-running every experiment). Cancellation is honored at experiment
+// RunAllContext executes every experiment and writes each completed
+// one's artifacts under dir, returning the combined textual summary and
+// the completed reports for reuse (e.g. markdown rendering without
+// re-running every experiment). A failing (or panicking) experiment does
+// not abort the batch: its failure is summarized in place, the remaining
+// experiments still run, and the joined error of every failure is
+// returned alongside the summary. Cancellation is honored at experiment
 // boundaries: already-written artifacts stay valid (each is published
 // atomically), the remaining experiments are skipped, and the returned
 // error wraps runstate.ErrInterrupted so callers can exit with the

@@ -144,7 +144,8 @@ const fromHeap = numLanes
 
 // Sim is a single-threaded discrete-event engine. Events scheduled for the
 // same instant run in scheduling order (FIFO tie-break), which keeps runs
-// deterministic.
+// deterministic. The zero value is an engine at time zero that runs
+// closures only.
 type Sim struct {
 	now       Nanos
 	seq       uint64
@@ -168,9 +169,6 @@ type Sim struct {
 	// without waiting for the next budget check.
 	Monitor func(at Nanos) error
 }
-
-// NewSim returns an engine at time zero that runs closures only.
-func NewSim() *Sim { return &Sim{} }
 
 // newSim returns an engine whose typed events go to dispatch.
 func newSim(dispatch func(event)) *Sim { return &Sim{dispatch: dispatch} }

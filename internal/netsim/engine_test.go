@@ -19,7 +19,7 @@ func TestNanosConversions(t *testing.T) {
 }
 
 func TestSimOrdering(t *testing.T) {
-	s := NewSim()
+	s := &Sim{}
 	var order []int
 	must := func(err error) {
 		if err != nil {
@@ -50,7 +50,7 @@ func TestSimOrdering(t *testing.T) {
 }
 
 func TestSimRunStopsAtUntil(t *testing.T) {
-	s := NewSim()
+	s := &Sim{}
 	ran := false
 	if err := s.At(50, func() { ran = true }); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestSimRunStopsAtUntil(t *testing.T) {
 }
 
 func TestSimSchedulingFromCallback(t *testing.T) {
-	s := NewSim()
+	s := &Sim{}
 	count := 0
 	var tick func()
 	tick = func() {
@@ -93,7 +93,7 @@ func TestSimSchedulingFromCallback(t *testing.T) {
 }
 
 func TestSimPastScheduling(t *testing.T) {
-	s := NewSim()
+	s := &Sim{}
 	if err := s.At(100, func() {}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSimPastScheduling(t *testing.T) {
 }
 
 func TestSimStep(t *testing.T) {
-	s := NewSim()
+	s := &Sim{}
 	n := 0
 	_ = s.At(5, func() { n++ })
 	_ = s.At(10, func() { n++ })

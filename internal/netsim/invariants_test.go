@@ -131,7 +131,7 @@ func TestInvariantsQCNSchemeGuarded(t *testing.T) {
 // TestSimMonitorStopsRun checks the engine hook directly: a monitor error
 // aborts RunChecked at the offending event.
 func TestSimMonitorStopsRun(t *testing.T) {
-	s := NewSim()
+	s := &Sim{}
 	sentinel := errors.New("stop here")
 	var ran int
 	for i := 1; i <= 5; i++ {

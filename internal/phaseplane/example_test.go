@@ -2,17 +2,20 @@ package phaseplane_test
 
 import (
 	"fmt"
-	"math"
 
 	"bcnphase/internal/phaseplane"
 )
 
 // ExampleLinear2_Classify classifies the singular point of a planar
-// linear system from its companion form λ² + mλ + n.
+// linear system from its companion form x' = y, y' = -n·x - m·y, whose
+// characteristic polynomial is λ² + mλ + n.
 func ExampleLinear2_Classify() {
-	fmt.Println(phaseplane.Companion(1, 4).Classify())  // m²<4n
-	fmt.Println(phaseplane.Companion(5, 4).Classify())  // m²>4n
-	fmt.Println(phaseplane.Companion(0, -1).Classify()) // det<0
+	companion := func(m, n float64) phaseplane.Linear2 {
+		return phaseplane.Linear2{A12: 1, A21: -n, A22: -m}
+	}
+	fmt.Println(companion(1, 4).Classify())  // m²<4n
+	fmt.Println(companion(5, 4).Classify())  // m²>4n
+	fmt.Println(companion(0, -1).Classify()) // det<0
 	// Output:
 	// stable focus
 	// stable node
@@ -40,17 +43,4 @@ func ExampleReturnMap_FixedPoint() {
 	fmt.Printf("limit cycle amplitude: %.2f\n", s)
 	// Output:
 	// limit cycle amplitude: 2.01
-}
-
-// ExampleClassifyAt linearizes a nonlinear field at an equilibrium
-// (Lyapunov's first method, as the paper uses in §IV-A).
-func ExampleClassifyAt() {
-	pendulum := func(x, y float64) (float64, float64) {
-		return y, -math.Sin(x) - 0.5*y
-	}
-	fmt.Println(phaseplane.ClassifyAt(pendulum, 0, 0))
-	fmt.Println(phaseplane.ClassifyAt(pendulum, math.Pi, 0))
-	// Output:
-	// stable focus
-	// saddle
 }

@@ -42,55 +42,3 @@ func Grid(f VectorField, xmin, xmax, ymin, ymax float64, nx, ny int) ([]Arrow, e
 	}
 	return out, nil
 }
-
-// Nullcline scans for sign changes of one component of the field along grid
-// rows/columns, returning polyline points approximating the locus where the
-// chosen component vanishes. Component 0 means dx/dt = 0, 1 means dy/dt = 0.
-func Nullcline(f VectorField, component int, xmin, xmax, ymin, ymax float64, n int) ([][2]float64, error) {
-	if component != 0 && component != 1 {
-		return nil, fmt.Errorf("phaseplane: component must be 0 or 1, got %d", component)
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("phaseplane: nullcline scan needs n >= 2, got %d", n)
-	}
-	pick := func(x, y float64) float64 {
-		u, v := f(x, y)
-		if component == 0 {
-			return u
-		}
-		return v
-	}
-	var pts [][2]float64
-	// Scan vertical lines for sign changes in y.
-	for i := 0; i < n; i++ {
-		x := xmin + (xmax-xmin)*float64(i)/float64(n-1)
-		prevY := ymin
-		prevG := pick(x, prevY)
-		for j := 1; j < n; j++ {
-			y := ymin + (ymax-ymin)*float64(j)/float64(n-1)
-			g := pick(x, y)
-			if prevG == 0 {
-				pts = append(pts, [2]float64{x, prevY})
-			} else if (prevG < 0) != (g < 0) {
-				// Bisect in y.
-				lo, hi, glo := prevY, y, prevG
-				for it := 0; it < 60; it++ {
-					mid := 0.5 * (lo + hi)
-					gm := pick(x, mid)
-					if gm == 0 {
-						lo, hi = mid, mid
-						break
-					}
-					if (glo < 0) == (gm < 0) {
-						lo, glo = mid, gm
-					} else {
-						hi = mid
-					}
-				}
-				pts = append(pts, [2]float64{x, 0.5 * (lo + hi)})
-			}
-			prevY, prevG = y, g
-		}
-	}
-	return pts, nil
-}

@@ -8,11 +8,6 @@
 // package itself is independent of networking.
 package phaseplane
 
-import (
-	"fmt"
-	"math"
-)
-
 // SingularKind classifies the singular (equilibrium) point of a planar
 // linear system x' = A x.
 type SingularKind int
@@ -95,26 +90,6 @@ func (l Linear2) Discriminant() float64 {
 	return tr*tr - 4*l.Det()
 }
 
-// Eigen holds the eigenvalues of a planar linear system. When Complex is
-// true the eigenvalues are Re ± i·Im (Im > 0); otherwise they are the reals
-// L1 ≤ L2.
-type Eigen struct {
-	Complex bool
-	Re, Im  float64 // populated when Complex
-	L1, L2  float64 // populated when !Complex; L1 <= L2
-}
-
-// Eigenvalues computes the eigenvalues of the system matrix.
-func (l Linear2) Eigenvalues() Eigen {
-	tr := l.Trace()
-	disc := l.Discriminant()
-	if disc < 0 {
-		return Eigen{Complex: true, Re: tr / 2, Im: math.Sqrt(-disc) / 2}
-	}
-	s := math.Sqrt(disc)
-	return Eigen{L1: (tr - s) / 2, L2: (tr + s) / 2}
-}
-
 // Classify determines the type of the singular point at the origin.
 func (l Linear2) Classify() SingularKind {
 	det := l.Det()
@@ -154,22 +129,4 @@ func (l Linear2) Field() VectorField {
 	return func(x, y float64) (float64, float64) {
 		return l.A11*x + l.A12*y, l.A21*x + l.A22*y
 	}
-}
-
-// Eigenline returns the slope m of the invariant line y = m·x associated
-// with real eigenvalue lambda, for systems in companion form (A11=0, A12=1),
-// where the eigenvector is (1, lambda). It returns an error for systems not
-// in companion form.
-func (l Linear2) Eigenline(lambda float64) (float64, error) {
-	if l.A11 != 0 || l.A12 != 1 {
-		return 0, fmt.Errorf("phaseplane: Eigenline requires companion form, got A11=%v A12=%v", l.A11, l.A12)
-	}
-	return lambda, nil
-}
-
-// Companion builds the companion-form system x' = y, y' = -n·x - m·y whose
-// characteristic polynomial is λ² + m·λ + n (the form of the BCN linearized
-// subsystems, eq. (10) of the paper).
-func Companion(m, n float64) Linear2 {
-	return Linear2{A11: 0, A12: 1, A21: -n, A22: -m}
 }

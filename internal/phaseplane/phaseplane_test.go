@@ -7,21 +7,28 @@ import (
 	"testing/quick"
 )
 
+// companion builds the companion-form system x' = y, y' = -n·x - m·y
+// whose characteristic polynomial is λ² + m·λ + n (the form of the BCN
+// linearized subsystems, eq. (10) of the paper).
+func companion(m, n float64) Linear2 {
+	return Linear2{A12: 1, A21: -n, A22: -m}
+}
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name string
 		sys  Linear2
 		want SingularKind
 	}{
-		{"stable focus", Companion(1, 4), KindStableFocus},      // λ²+λ+4
-		{"unstable focus", Companion(-1, 4), KindUnstableFocus}, // λ²-λ+4
-		{"center", Companion(0, 1), KindCenter},
-		{"stable node", Companion(5, 4), KindStableNode}, // roots -1,-4
-		{"unstable node", Companion(-5, 4), KindUnstableNode},
-		{"saddle", Companion(0, -1), KindSaddle}, // roots ±1
-		{"degenerate stable", Companion(2, 1), KindDegenerateStableNode},
-		{"degenerate unstable", Companion(-2, 1), KindDegenerateUnstableNode},
-		{"singular", Companion(1, 0), KindUnknown},
+		{"stable focus", companion(1, 4), KindStableFocus},      // λ²+λ+4
+		{"unstable focus", companion(-1, 4), KindUnstableFocus}, // λ²-λ+4
+		{"center", companion(0, 1), KindCenter},
+		{"stable node", companion(5, 4), KindStableNode}, // roots -1,-4
+		{"unstable node", companion(-5, 4), KindUnstableNode},
+		{"saddle", companion(0, -1), KindSaddle}, // roots ±1
+		{"degenerate stable", companion(2, 1), KindDegenerateStableNode},
+		{"degenerate unstable", companion(-2, 1), KindDegenerateUnstableNode},
+		{"singular", companion(1, 0), KindUnknown},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,51 +54,34 @@ func TestKindStable(t *testing.T) {
 	}
 }
 
-func TestEigenvalues(t *testing.T) {
-	// λ² + 5λ + 4 = 0 → λ = -1, -4.
-	e := Companion(5, 4).Eigenvalues()
-	if e.Complex {
-		t.Fatalf("expected real eigenvalues")
-	}
-	if math.Abs(e.L1+4) > 1e-12 || math.Abs(e.L2+1) > 1e-12 {
-		t.Errorf("eigenvalues (%v, %v), want (-4, -1)", e.L1, e.L2)
-	}
-	// λ² + 2λ + 5 = 0 → λ = -1 ± 2i.
-	e = Companion(2, 5).Eigenvalues()
-	if !e.Complex {
-		t.Fatalf("expected complex eigenvalues")
-	}
-	if math.Abs(e.Re+1) > 1e-12 || math.Abs(e.Im-2) > 1e-12 {
-		t.Errorf("eigenvalues %v±%vi, want -1±2i", e.Re, e.Im)
-	}
-}
-
-// TestQuickClassifyMatchesEigen: classification agrees with eigenvalue signs
-// for random companion systems.
+// TestQuickClassifyMatchesEigen: classification agrees with the signs of
+// the characteristic roots for random companion systems.
 func TestQuickClassifyMatchesEigen(t *testing.T) {
 	prop := func(mRaw, nRaw int8) bool {
 		m := float64(mRaw) / 8
 		n := float64(nRaw) / 8
-		sys := Companion(m, n)
-		kind := sys.Classify()
-		e := sys.Eigenvalues()
-		if sys.Det() == 0 {
+		kind := companion(m, n).Classify()
+		if n == 0 {
 			return kind == KindUnknown
 		}
-		if e.Complex {
+		// The roots of λ² + mλ + n: -m/2 ± i·√(4n-m²)/2 when complex,
+		// (-m ∓ √(m²-4n))/2 otherwise.
+		disc := m*m - 4*n
+		if disc < 0 {
 			switch {
-			case e.Re < 0:
+			case m > 0:
 				return kind == KindStableFocus
-			case e.Re > 0:
+			case m < 0:
 				return kind == KindUnstableFocus
 			default:
 				return kind == KindCenter
 			}
 		}
+		l1, l2 := (-m-math.Sqrt(disc))/2, (-m+math.Sqrt(disc))/2
 		switch {
-		case e.L1 < 0 && e.L2 < 0:
+		case l1 < 0 && l2 < 0:
 			return kind == KindStableNode || kind == KindDegenerateStableNode
-		case e.L1 > 0 && e.L2 > 0:
+		case l1 > 0 && l2 > 0:
 			return kind == KindUnstableNode || kind == KindDegenerateUnstableNode
 		default:
 			return kind == KindSaddle
@@ -102,20 +92,8 @@ func TestQuickClassifyMatchesEigen(t *testing.T) {
 	}
 }
 
-func TestEigenline(t *testing.T) {
-	sys := Companion(5, 4)
-	m, err := sys.Eigenline(-1)
-	if err != nil || m != -1 {
-		t.Errorf("Eigenline(-1) = %v, %v", m, err)
-	}
-	bad := Linear2{A11: 1, A12: 2, A21: 3, A22: 4}
-	if _, err := bad.Eigenline(-1); err == nil {
-		t.Error("Eigenline on non-companion form should error")
-	}
-}
-
 func TestTraceStableFocusConverges(t *testing.T) {
-	sys := Companion(1, 4) // stable focus
+	sys := companion(1, 4) // stable focus
 	path, err := Trace(sys.Field(), 1, 0, TraceOptions{
 		Horizon:        100,
 		ConvergeRadius: 1e-4,
@@ -136,7 +114,7 @@ func TestTraceStableFocusConverges(t *testing.T) {
 }
 
 func TestTraceEscape(t *testing.T) {
-	sys := Companion(-1, 4) // unstable focus
+	sys := companion(-1, 4) // unstable focus
 	path, err := Trace(sys.Field(), 0.1, 0, TraceOptions{
 		Horizon: 1000,
 		Box:     Box{XMin: -5, XMax: 5, YMin: -10, YMax: 10},
@@ -151,7 +129,7 @@ func TestTraceEscape(t *testing.T) {
 
 func TestTraceRecordsSwitchCrossings(t *testing.T) {
 	// Harmonic oscillator crossing the line x + y = 0 periodically.
-	f := Companion(0, 1).Field()
+	f := companion(0, 1).Field()
 	sigma := func(x, y float64) float64 { return x + y }
 	path, err := Trace(f, 1, 0, TraceOptions{Horizon: 2 * math.Pi, Sigma: sigma})
 	if err != nil {
@@ -169,7 +147,7 @@ func TestTraceRecordsSwitchCrossings(t *testing.T) {
 }
 
 func TestTraceInvalidHorizon(t *testing.T) {
-	if _, err := Trace(Companion(1, 1).Field(), 1, 0, TraceOptions{}); err == nil {
+	if _, err := Trace(companion(1, 1).Field(), 1, 0, TraceOptions{}); err == nil {
 		t.Error("zero horizon should error")
 	}
 }
@@ -258,7 +236,7 @@ func TestReturnMapIterateConvergesToCycle(t *testing.T) {
 func TestReturnMapNoFixedPoint(t *testing.T) {
 	// Linear stable focus: return map is a pure contraction, no
 	// nontrivial fixed point.
-	sys := Companion(1, 4)
+	sys := companion(1, 4)
 	m := &ReturnMap{
 		Field:   sys.Field(),
 		Sigma:   func(x, y float64) float64 { return y },
@@ -275,7 +253,7 @@ func TestReturnMapContractionFactor(t *testing.T) {
 	// For the linear stable focus x''+x'+4x=0 the return-map multiplier
 	// over a full revolution is exp(2*pi*alpha/beta) with alpha=-1/2,
 	// beta=sqrt(15)/2.
-	sys := Companion(1, 4)
+	sys := companion(1, 4)
 	m := &ReturnMap{
 		Field:   sys.Field(),
 		Sigma:   func(x, y float64) float64 { return y },
@@ -313,7 +291,7 @@ func TestReturnMapValidation(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	arrows, err := Grid(Companion(0, 1).Field(), -1, 1, -1, 1, 5, 5)
+	arrows, err := Grid(companion(0, 1).Field(), -1, 1, -1, 1, 5, 5)
 	if err != nil {
 		t.Fatalf("Grid: %v", err)
 	}
@@ -327,34 +305,11 @@ func TestGrid(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Grid(Companion(0, 1).Field(), -1, 1, -1, 1, 1, 5); err == nil {
+	if _, err := Grid(companion(0, 1).Field(), -1, 1, -1, 1, 1, 5); err == nil {
 		t.Error("nx < 2 should error")
 	}
-	if _, err := Grid(Companion(0, 1).Field(), 1, -1, -1, 1, 5, 5); err == nil {
+	if _, err := Grid(companion(0, 1).Field(), 1, -1, -1, 1, 5, 5); err == nil {
 		t.Error("empty extent should error")
-	}
-}
-
-func TestNullcline(t *testing.T) {
-	// For the harmonic oscillator x'=y, y'=-x: the dx/dt=0 nullcline is
-	// the x-axis (y=0); the dy/dt=0 nullcline is the y-axis (x=0).
-	pts, err := Nullcline(Companion(0, 1).Field(), 0, -1, 1, -1, 1, 21)
-	if err != nil {
-		t.Fatalf("Nullcline: %v", err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("no nullcline points found")
-	}
-	for _, p := range pts {
-		if math.Abs(p[1]) > 1e-9 {
-			t.Errorf("dx/dt nullcline point (%v, %v) should have y=0", p[0], p[1])
-		}
-	}
-	if _, err := Nullcline(Companion(0, 1).Field(), 2, -1, 1, -1, 1, 21); err == nil {
-		t.Error("bad component should error")
-	}
-	if _, err := Nullcline(Companion(0, 1).Field(), 0, -1, 1, -1, 1, 1); err == nil {
-		t.Error("n < 2 should error")
 	}
 }
 

@@ -80,7 +80,6 @@ func TestChartRender(t *testing.T) {
 	c.AddMarker(Marker{X: 1, Y: 0, Label: "peak"})
 	c.AddHLine(0.5, "ref", "")
 	c.AddVLine(1.5, "switch", "#f00")
-	c.AddBand(Band{Lo: -0.5, Hi: 0.5, Color: "#eef"})
 	c.AddSegment("seg", 0, 0, 2, -1, "#999", Dotted)
 
 	var b strings.Builder

@@ -63,13 +63,6 @@ type refLine struct {
 	vert  bool
 }
 
-// Band is a shaded horizontal or vertical strip (e.g. the buffer region).
-type Band struct {
-	Lo, Hi float64
-	Color  string // fill color with opacity, e.g. "#dddddd"
-	Vert   bool   // vertical strip (x-range) when true
-}
-
 // Chart is a 2-D line/scatter chart rendered to SVG.
 type Chart struct {
 	Title, XLabel, YLabel string
@@ -77,7 +70,6 @@ type Chart struct {
 	series                []Series
 	markers               []Marker
 	refs                  []refLine
-	bands                 []Band
 	// Explicit axis limits; NaN means auto.
 	XMin, XMax, YMin, YMax float64
 	// XLog and YLog render the axis on a log10 scale; non-positive
@@ -122,12 +114,6 @@ func (c *Chart) AddHLine(v float64, label, color string) *Chart {
 // AddVLine draws a vertical reference line at x = v.
 func (c *Chart) AddVLine(v float64, label, color string) *Chart {
 	c.refs = append(c.refs, refLine{value: v, label: label, color: color, style: Dashed, vert: true})
-	return c
-}
-
-// AddBand shades a strip.
-func (c *Chart) AddBand(b Band) *Chart {
-	c.bands = append(c.bands, b)
 	return c
 }
 
@@ -253,21 +239,6 @@ func (c *Chart) Render(w io.Writer) error {
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 	if c.Title != "" {
 		fmt.Fprintf(&b, `<text x="%d" y="24" font-family="sans-serif" font-size="16" text-anchor="middle">%s</text>`+"\n", W/2, esc(c.Title))
-	}
-
-	// Bands first (behind everything).
-	for _, band := range c.bands {
-		col := band.Color
-		if col == "" {
-			col = "#eeeeee"
-		}
-		if band.Vert {
-			x0, x1 := sx(clamp(band.Lo, xmin, xmax)), sx(clamp(band.Hi, xmin, xmax))
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.1f" height="%.1f" fill="%s" fill-opacity="0.5"/>`+"\n", math.Min(x0, x1), mTop, math.Abs(x1-x0), ph, col)
-		} else {
-			y0, y1 := sy(clamp(band.Lo, ymin, ymax)), sy(clamp(band.Hi, ymin, ymax))
-			fmt.Fprintf(&b, `<rect x="%d" y="%.1f" width="%.1f" height="%.1f" fill="%s" fill-opacity="0.5"/>`+"\n", mLeft, math.Min(y0, y1), pw, math.Abs(y1-y0), col)
-		}
 	}
 
 	// Grid and ticks. On log axes the tick values are decades in data
@@ -432,16 +403,6 @@ func axisTicks(lo, hi float64, n int, logAxis bool) []float64 {
 		}
 	}
 	return out
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 func esc(s string) string {

@@ -78,22 +78,17 @@ func RetryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// Forward decrements a budget by one hop margin. A non-positive result
-// means the downstream call is doomed and should not be made.
-func Forward(budget, hopMargin time.Duration) time.Duration {
-	if hopMargin <= 0 {
-		hopMargin = DefaultHopMargin
-	}
-	return budget - hopMargin
+// Forward decrements a budget by one hop margin (DefaultHopMargin). A
+// non-positive result means the downstream call is doomed and should not
+// be made.
+func Forward(budget time.Duration) time.Duration {
+	return budget - DefaultHopMargin
 }
 
 // Doomed reports whether a request with this remaining budget cannot
-// usefully proceed: it has less than one hop margin left.
-func Doomed(budget, hopMargin time.Duration) bool {
-	if hopMargin <= 0 {
-		hopMargin = DefaultHopMargin
-	}
-	return budget <= hopMargin
+// usefully proceed: it has no more than one hop margin left.
+func Doomed(budget time.Duration) bool {
+	return budget <= DefaultHopMargin
 }
 
 // WithBudget derives a context that expires when the budget does,

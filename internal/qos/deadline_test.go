@@ -46,18 +46,17 @@ func TestFormatDeadlineRoundTrip(t *testing.T) {
 }
 
 func TestForwardAndDoomed(t *testing.T) {
-	if got := Forward(100*time.Millisecond, 25*time.Millisecond); got != 75*time.Millisecond {
+	if got := Forward(100 * time.Millisecond); got != 100*time.Millisecond-DefaultHopMargin {
 		t.Fatalf("Forward = %v", got)
 	}
-	if !Doomed(20*time.Millisecond, 25*time.Millisecond) {
-		t.Fatal("20ms budget with 25ms margin should be doomed")
+	if !Doomed(DefaultHopMargin - 5*time.Millisecond) {
+		t.Fatal("budget under one hop margin should be doomed")
 	}
-	if Doomed(100*time.Millisecond, 25*time.Millisecond) {
+	if Doomed(100 * time.Millisecond) {
 		t.Fatal("100ms budget should not be doomed")
 	}
-	// Zero margin falls back to the default.
-	if !Doomed(DefaultHopMargin, 0) {
-		t.Fatal("budget equal to default margin should be doomed")
+	if !Doomed(DefaultHopMargin) {
+		t.Fatal("budget equal to the hop margin should be doomed")
 	}
 }
 

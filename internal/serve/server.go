@@ -412,7 +412,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// A request that cannot finish inside its remaining budget is
 		// doomed: answer now, before it occupies a queue slot or worker.
-		if qr.hasDeadline && qos.Doomed(qr.budget, qos.DefaultHopMargin) {
+		if qr.hasDeadline && qos.Doomed(qr.budget) {
 			s.qos.metrics.DeadlineDoom.Inc()
 			writeJSON(w, http.StatusGatewayTimeout, errorBody{
 				Error:  "deadline budget cannot cover the request",

@@ -1,7 +1,7 @@
 // Package stats provides time-series metrics used to quantify figure
-// reproduction: overshoot, settling time, oscillation amplitude/period,
-// and error measures between a fluid-model trajectory and a packet-level
-// simulation of the same scenario.
+// reproduction: extremes, interpolation, peaks and oscillation period,
+// histograms and percentiles, and error measures between a fluid-model
+// trajectory and a packet-level simulation of the same scenario.
 package stats
 
 import (
@@ -56,28 +56,6 @@ func (s Series) Max() float64 {
 	return m
 }
 
-// Mean returns the time-weighted mean (trapezoidal). For single-sample
-// series it returns the sample.
-func (s Series) Mean() float64 {
-	if len(s.V) == 1 {
-		return s.V[0]
-	}
-	span := s.T[len(s.T)-1] - s.T[0]
-	if span == 0 {
-		// Degenerate: plain average.
-		sum := 0.0
-		for _, v := range s.V {
-			sum += v
-		}
-		return sum / float64(len(s.V))
-	}
-	area := 0.0
-	for i := 1; i < len(s.T); i++ {
-		area += 0.5 * (s.V[i] + s.V[i-1]) * (s.T[i] - s.T[i-1])
-	}
-	return area / span
-}
-
 // At linearly interpolates the value at time t (clamped to the range).
 func (s Series) At(t float64) float64 {
 	n := len(s.T)
@@ -93,34 +71,6 @@ func (s Series) At(t float64) float64 {
 	}
 	w := (t - s.T[i-1]) / (s.T[i] - s.T[i-1])
 	return (1-w)*s.V[i-1] + w*s.V[i]
-}
-
-// Overshoot returns the peak excursion above the reference, as an
-// absolute value (0 when the series never exceeds it).
-func (s Series) Overshoot(ref float64) float64 {
-	return math.Max(0, s.Max()-ref)
-}
-
-// Undershoot returns the depth of the deepest excursion below the
-// reference (0 when the series never dips under it).
-func (s Series) Undershoot(ref float64) float64 {
-	return math.Max(0, ref-s.Min())
-}
-
-// SettlingTime returns the earliest time after which the series stays
-// within ±band of ref until the end. It returns the final timestamp and
-// false when the series never settles.
-func (s Series) SettlingTime(ref, band float64) (float64, bool) {
-	lastOut := -1
-	for i, v := range s.V {
-		if math.Abs(v-ref) > band {
-			lastOut = i
-		}
-	}
-	if lastOut == len(s.V)-1 {
-		return s.T[len(s.T)-1], false
-	}
-	return s.T[lastOut+1], true
 }
 
 // Peak is one local extremum of a series.
@@ -160,31 +110,6 @@ func (s Series) OscillationPeriod(minProminence float64) (float64, bool) {
 	}
 	span := maxima[len(maxima)-1].T - maxima[0].T
 	return span / float64(len(maxima)-1), true
-}
-
-// OscillationAmplitude estimates the mean peak-to-trough amplitude. ok is
-// false when fewer than one maximum and one minimum exist.
-func (s Series) OscillationAmplitude(minProminence float64) (float64, bool) {
-	var hi, lo []float64
-	for _, p := range s.Peaks(minProminence) {
-		if p.Max {
-			hi = append(hi, p.V)
-		} else {
-			lo = append(lo, p.V)
-		}
-	}
-	if len(hi) == 0 || len(lo) == 0 {
-		return 0, false
-	}
-	return mean(hi) - mean(lo), true
-}
-
-func mean(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // Histogram bins the values of v into n equal-width bins over

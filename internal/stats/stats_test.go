@@ -40,18 +40,6 @@ func TestMinMaxMean(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 3 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
 	}
-	// Trapezoidal mean of the tent: (2+2)/2 / 2 = 2.
-	if got := s.Mean(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Mean = %v, want 2", got)
-	}
-	one, _ := NewSeries([]float64{5}, []float64{7})
-	if one.Mean() != 7 {
-		t.Errorf("single-sample Mean = %v", one.Mean())
-	}
-	flat, _ := NewSeries([]float64{1, 1}, []float64{4, 6})
-	if flat.Mean() != 5 {
-		t.Errorf("degenerate-span Mean = %v, want 5", flat.Mean())
-	}
 }
 
 func TestAtInterpolation(t *testing.T) {
@@ -67,37 +55,6 @@ func TestAtInterpolation(t *testing.T) {
 	}
 	if got := s.At(1); got != 10 {
 		t.Errorf("At(exact) = %v", got)
-	}
-}
-
-func TestOverUnderShoot(t *testing.T) {
-	s := Series{T: []float64{0, 1, 2}, V: []float64{5, 9, 2}}
-	if got := s.Overshoot(6); got != 3 {
-		t.Errorf("Overshoot = %v", got)
-	}
-	if got := s.Overshoot(10); got != 0 {
-		t.Errorf("Overshoot above max = %v", got)
-	}
-	if got := s.Undershoot(4); got != 2 {
-		t.Errorf("Undershoot = %v", got)
-	}
-	if got := s.Undershoot(1); got != 0 {
-		t.Errorf("Undershoot below min = %v", got)
-	}
-}
-
-func TestSettlingTime(t *testing.T) {
-	s := Series{
-		T: []float64{0, 1, 2, 3, 4},
-		V: []float64{10, -8, 3, 0.5, 0.2},
-	}
-	got, ok := s.SettlingTime(0, 1)
-	if !ok || got != 3 {
-		t.Errorf("SettlingTime = %v, %v; want 3, true", got, ok)
-	}
-	// Never settles.
-	if _, ok := s.SettlingTime(0, 0.1); ok {
-		t.Error("should not settle in a 0.1 band")
 	}
 }
 
@@ -120,19 +77,12 @@ func TestPeaksAndOscillation(t *testing.T) {
 	if !ok || math.Abs(period-1) > 0.02 {
 		t.Errorf("period = %v, %v; want ~1", period, ok)
 	}
-	amp, ok := s.OscillationAmplitude(1e-6)
-	if !ok || math.Abs(amp-4) > 0.05 {
-		t.Errorf("amplitude = %v, %v; want ~4 (peak-to-trough)", amp, ok)
-	}
 }
 
 func TestOscillationNotDetectedOnMonotone(t *testing.T) {
 	s := Series{T: []float64{0, 1, 2, 3}, V: []float64{0, 1, 2, 3}}
 	if _, ok := s.OscillationPeriod(0.01); ok {
 		t.Error("monotone series should have no period")
-	}
-	if _, ok := s.OscillationAmplitude(0.01); ok {
-		t.Error("monotone series should have no amplitude")
 	}
 }
 
@@ -210,36 +160,6 @@ func TestQuickAtWithinBounds(t *testing.T) {
 		tq := float64(tRaw) / 8
 		v := s.At(tq)
 		return v >= s.Min()-1e-9 && v <= s.Max()+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickSettlingConsistent: once settled, every later sample is within
-// the band.
-func TestQuickSettlingConsistent(t *testing.T) {
-	prop := func(raw []int8) bool {
-		if len(raw) < 3 {
-			return true
-		}
-		ts := make([]float64, len(raw))
-		vs := make([]float64, len(raw))
-		for i, r := range raw {
-			ts[i] = float64(i)
-			vs[i] = float64(r) / 8
-		}
-		s, _ := NewSeries(ts, vs)
-		tset, ok := s.SettlingTime(0, 5)
-		if !ok {
-			return true
-		}
-		for i := range ts {
-			if ts[i] >= tset && math.Abs(vs[i]) > 5 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

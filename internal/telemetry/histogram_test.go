@@ -5,20 +5,14 @@ import (
 	"testing"
 )
 
-// Satellite coverage: histogram quantile/bucket edge cases — empty
-// histogram, single sample, samples landing in the +Inf bucket, and
-// degenerate bucket layouts.
+// Histogram bucket edge cases: empty histogram, single sample, samples
+// landing in the +Inf bucket, and degenerate bucket layouts.
 
 func TestHistogramEmpty(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("e_seconds", "", []float64{1, 2})
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("fresh histogram not empty")
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if !math.IsNaN(h.Quantile(q)) {
-			t.Fatalf("Quantile(%v) of empty = %v, want NaN", q, h.Quantile(q))
-		}
 	}
 }
 
@@ -29,14 +23,9 @@ func TestHistogramSingleSample(t *testing.T) {
 	if h.Count() != 1 || h.Sum() != 1.5 {
 		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
 	}
-	// The single sample is in (1,2]; every quantile interpolates inside
-	// that bucket, so the answer must lie in [1,2].
-	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < 1 || got > 2 {
-			t.Fatalf("Quantile(%v) = %v, want within (1,2]", q, got)
-		}
-	}
+	// The single sample is in (1,2]: the cumulative counts step from 0
+	// to 1 at the le="2" bucket.
+	assertBuckets(t, r, "s_seconds", []uint64{0, 1, 1, 1})
 }
 
 func TestHistogramInfBucket(t *testing.T) {
@@ -46,11 +35,6 @@ func TestHistogramInfBucket(t *testing.T) {
 	h.Observe(math.Inf(1))
 	if h.Count() != 2 {
 		t.Fatalf("count = %d, want 2", h.Count())
-	}
-	// All mass in +Inf: Prometheus semantics cap the estimate at the
-	// highest finite bound.
-	if got := h.Quantile(0.5); got != 2 {
-		t.Fatalf("Quantile(0.5) = %v, want 2", got)
 	}
 	snap := r.Snapshot()
 	f, _ := snap.Get("i_seconds")
@@ -80,46 +64,16 @@ func TestHistogramOnlyInfBound(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	// No finite bound exists to cap against: quantiles are undefined.
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatalf("Quantile with no finite bounds = %v, want NaN", h.Quantile(0.5))
-	}
-}
-
-func TestHistogramQuantileInterpolation(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "", []float64{1, 2, 3})
-	// 10 samples uniform in (0,1], 10 in (1,2].
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-		h.Observe(1.5)
-	}
-	// Median rank 10 sits exactly at the top of the first bucket.
-	if got := h.Quantile(0.5); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("Quantile(0.5) = %v, want 1", got)
-	}
-	// Rank 15 is halfway through (1,2].
-	if got := h.Quantile(0.75); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("Quantile(0.75) = %v, want 1.5", got)
-	}
-	// Out-of-range q clamps rather than exploding.
-	if got := h.Quantile(2); got != 2 {
-		t.Fatalf("Quantile(2) = %v, want 2", got)
-	}
-	if got := h.Quantile(-1); math.IsNaN(got) {
-		t.Fatalf("Quantile(-1) = NaN, want clamped finite value")
-	}
+	// The +Inf bound is stripped, so the +Inf bucket is the only one.
+	assertBuckets(t, r, "only_inf_seconds", []uint64{1})
 }
 
 func TestHistogramNegativeFirstBucket(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("neg_units", "", []float64{-1, 1})
 	h.Observe(-5)
-	// The first bucket's bound is non-positive, so interpolating from
-	// zero would be wrong; the bound itself is returned.
-	if got := h.Quantile(0.5); got != -1 {
-		t.Fatalf("Quantile(0.5) = %v, want -1", got)
-	}
+	// A value below a non-positive first bound lands in that bucket.
+	assertBuckets(t, r, "neg_units", []uint64{1, 1, 1})
 }
 
 func TestHistogramNaNDropped(t *testing.T) {
@@ -144,6 +98,25 @@ func TestHistogramVecSharedBounds(t *testing.T) {
 	for _, s := range f.Series {
 		if len(s.Buckets) != 3 {
 			t.Fatalf("series %v has %d buckets, want 3", s.LabelValues, len(s.Buckets))
+		}
+	}
+}
+
+// assertBuckets checks the cumulative bucket counts of the unlabeled
+// histogram name in a snapshot of r, +Inf last.
+func assertBuckets(t *testing.T, r *Registry, name string, want []uint64) {
+	t.Helper()
+	f, ok := r.Snapshot().Get(name)
+	if !ok || len(f.Series) != 1 {
+		t.Fatalf("%s: want one series: %+v", name, f)
+	}
+	bks := f.Series[0].Buckets
+	if len(bks) != len(want) || bks[len(bks)-1].LE != "+Inf" {
+		t.Fatalf("%s: buckets %+v, want %d ending in +Inf", name, bks, len(want))
+	}
+	for i, b := range bks {
+		if b.Count != want[i] {
+			t.Fatalf("%s: bucket le=%s count %d, want %d (all %+v)", name, b.LE, b.Count, want[i], bks)
 		}
 	}
 }

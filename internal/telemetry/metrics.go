@@ -276,9 +276,6 @@ func (g *Gauge) Add(d float64) {
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -387,58 +384,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum.Value()
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear
-// interpolation within the bucket that crosses the target rank,
-// matching Prometheus histogram_quantile: an empty histogram returns
-// NaN, a rank landing in the +Inf bucket returns the highest finite
-// bound, and the first bucket interpolates from zero (or from its own
-// bound when that bound is non-positive).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= target {
-			if i == len(h.bounds) { // +Inf bucket
-				if len(h.bounds) == 0 {
-					return math.NaN()
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			hi := h.bounds[i]
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			} else if hi <= 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(target-float64(cum))/float64(n)
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // Histogram returns the unlabeled histogram named name with the given

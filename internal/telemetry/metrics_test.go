@@ -22,7 +22,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	g.Inc()
-	g.Dec()
 	h.Observe(1)
 	cv.With("a").Inc()
 	gv.With("a").Set(2)
@@ -30,9 +29,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil instruments recorded state")
-	}
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatalf("nil histogram quantile = %v, want NaN", h.Quantile(0.5))
 	}
 	snap := r.Snapshot()
 	if len(snap.Families) != 0 {
@@ -55,9 +51,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g.Set(10)
 	g.Add(-2.5)
 	g.Inc()
-	g.Dec()
-	if got := g.Value(); got != 7.5 {
-		t.Fatalf("gauge = %v, want 7.5", got)
+	if got := g.Value(); got != 8.5 {
+		t.Fatalf("gauge = %v, want 8.5", got)
 	}
 }
 

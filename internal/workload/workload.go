@@ -1,7 +1,8 @@
 // Package workload builds netsim scenarios for the traffic patterns the
 // paper motivates: homogeneous long-lived flows through one bottleneck,
 // incast waves from parallel reads in cluster file systems (Lustre,
-// Panasas), and hotspot mixes. Each builder returns a ready-to-run
+// Panasas), and the fluid-vs-packet validation scenario. Each builder
+// returns a ready-to-run
 // netsim.Config; callers tweak fields before netsim.New if needed.
 package workload
 
@@ -84,43 +85,6 @@ func Incast(n int, capacity, bufferBits float64, window float64) (netsim.Config,
 		// a negligible rate would wait ~seconds for its first positive
 		// message (the draft's recovery-timer problem).
 		MinRate: capacity / (8 * float64(n)),
-	}
-	return cfg, nil
-}
-
-// Hotspot builds a mix of one aggressive source (line rate) and n−1
-// background sources at equal shares of the residual capacity, testing
-// whether BCN shapes the offender without starving the rest.
-func Hotspot(n int, capacity, bufferBits float64) (netsim.Config, error) {
-	if n < 2 {
-		return netsim.Config{}, fmt.Errorf("workload: hotspot needs n >= 2, got %d", n)
-	}
-	if !(capacity > 0) || !(bufferBits > 0) {
-		return netsim.Config{}, fmt.Errorf("workload: invalid capacity=%v buffer=%v", capacity, bufferBits)
-	}
-	rates := make([]float64, n)
-	rates[0] = capacity
-	for i := 1; i < n; i++ {
-		rates[i] = 0.5 * capacity / float64(n-1)
-	}
-	cfg := netsim.Config{
-		N:            n,
-		Capacity:     capacity,
-		LineRate:     capacity,
-		FrameBits:    12000,
-		BufferBits:   bufferBits,
-		PropDelay:    netsim.FromSeconds(1e-6),
-		InitialRate:  capacity / float64(n),
-		InitialRates: rates,
-		BCN:          true,
-		Q0:           bufferBits / 8,
-		Qsc:          bufferBits * 3 / 4,
-		W:            core.DefaultW,
-		Pm:           0.2,
-		Ru:           core.DefaultRu,
-		Gi:           0.05,
-		Gd:           core.DefaultGd,
-		MinRate:      capacity / (8 * float64(n)),
 	}
 	return cfg, nil
 }

@@ -83,30 +83,6 @@ func TestIncastRuns(t *testing.T) {
 	}
 }
 
-func TestHotspot(t *testing.T) {
-	cfg, err := Hotspot(5, 1e9, 2e6)
-	if err != nil {
-		t.Fatalf("Hotspot: %v", err)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("hotspot config invalid: %v", err)
-	}
-	if cfg.InitialRates[0] != 1e9 {
-		t.Errorf("offender rate = %v", cfg.InitialRates[0])
-	}
-	for i := 1; i < 5; i++ {
-		if cfg.InitialRates[i] != 0.5*1e9/4 {
-			t.Errorf("background rate[%d] = %v", i, cfg.InitialRates[i])
-		}
-	}
-	if _, err := Hotspot(1, 1e9, 2e6); err == nil {
-		t.Error("n=1 accepted")
-	}
-	if _, err := Hotspot(3, 0, 2e6); err == nil {
-		t.Error("bad capacity accepted")
-	}
-}
-
 func TestValidationScenario(t *testing.T) {
 	cfg, p := ValidationScenario()
 	if err := cfg.Validate(); err != nil {
