@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race fuzz-seeds fuzz-short metamorphic bench-build figures-check check stress bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
+.PHONY: all build test vet fmt-check census race fuzz-seeds fuzz-short metamorphic bench-build figures-check check stress bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
 
 all: check
 
@@ -14,6 +14,13 @@ vet:
 # included, and name the files.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l: unformatted Go files:"; echo "$$out"; exit 1; fi
+
+# Type-check every non-test declaration (perfbench/ included) and fail
+# on a func, method, type, const, var or struct field under internal/
+# that no product path reaches and no apiKeep row keeps, plus the flag
+# tables. Runs first in `make check`, so dead code fails in seconds.
+census:
+	$(GO) test -count=1 -run 'Census$$' .
 
 test:
 	$(GO) test ./...
@@ -58,7 +65,7 @@ figures-check:
 # such as the analytic speedup and telemetry-overhead bounds, run only
 # there), the fuzz seed corpora, the metamorphic relations, the
 # benchmark module build and the committed evaluation record (out/).
-check: fmt-check vet build bench-build race test fuzz-seeds metamorphic figures-check
+check: fmt-check census vet build bench-build race test fuzz-seeds metamorphic figures-check
 
 # Flake hunt: the packages whose tests race real goroutines and sockets
 # (bcnd, whose tests start real servers and drain them, bcnsweep, whose

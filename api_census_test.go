@@ -1,20 +1,29 @@
 package bcnphase_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// apiKeep lists the exported declarations under internal/ that no
-// product path calls but that stay on purpose, each with its reason.
-// Keys are package.Name or package.Type.Method. DESIGN.md's "API
-// census" paragraph gives the rules a row must follow.
+// apiKeep lists the declarations under internal/ that no product path
+// reaches but that stay on purpose, each with its reason. Keys are
+// package.Name, package.Type.Method or package.Type.Field. A reason
+// starts with its class: "paper claim:", "test reference:", "fixture:",
+// "probe:", "interface:" or "wire:". DESIGN.md's "Declaration census"
+// paragraph gives the rules a row must follow.
 var apiKeep = map[string]string{
 	// Paper claims, waiting for the claims ledger to give them a caller.
 	"core.Proposition2Satisfied":  "paper claim: Proposition 2's Case 1 strong-stability check",
@@ -23,12 +32,14 @@ var apiKeep = map[string]string{
 	"phaseplane.Linear2.Classify": "paper claim: singular-point classification by Lyapunov's first method (§IV-A)",
 
 	// Test references: code a test holds a product path against.
-	"ode.BogackiShampineTableau": "test reference: TestQuickPairsAgree holds the product Dormand–Prince pair to it",
-	"ode.AdaptiveIntegrate":      "test reference: integrates any tableau for TestQuickPairsAgree",
-	"core.Params.RawRHS":         "test reference: fluid_test holds the shifted model to the paper's raw eqs. (4) and (7)",
-	"core.Params.ShiftedToRaw":   "test reference: maps states between the raw and shifted models in fluid_test",
-	"core.Params.RawToShifted":   "test reference: maps states between the raw and shifted models in fluid_test",
-	"cluster.VerifyShardResult":  "test reference: chaosnet tests verify rewritten shards from outside the package",
+	"ode.BogackiShampineTableau":       "test reference: TestQuickPairsAgree holds the product Dormand–Prince pair to it",
+	"ode.AdaptiveIntegrate":            "test reference: integrates any tableau for TestQuickPairsAgree",
+	"core.Params.RawRHS":               "test reference: fluid_test holds the shifted model to the paper's raw eqs. (4) and (7)",
+	"core.Params.ShiftedToRaw":         "test reference: maps states between the raw and shifted models in fluid_test",
+	"core.Params.RawToShifted":         "test reference: maps states between the raw and shifted models in fluid_test",
+	"cluster.VerifyShardResult":        "test reference: chaosnet tests verify rewritten shards from outside the package",
+	"qos.ControllerConfig.VectorField": "test reference: the admission loop's (q, R) dynamics that stability_test certifies spiral-stable",
+	"phaseplane.ReturnMap.Stability":   "test reference: stability_test reads the admission loop's Floquet multiplier from it",
 
 	// Test fixtures and probes: read by tests that assert something else.
 	"invariant.Checker.Check":         "fixture: the boxed-argument form of Failf that invariant tests drive",
@@ -43,174 +54,541 @@ var apiKeep = map[string]string{
 	"fera.CongestionPoint.Advertised": "probe: fera tests read the advertised fair share",
 	"fera.CongestionPoint.OverloadZ":  "probe: fera tests read the measured overload ratio",
 	"fera.RateRegulator.Updates":      "probe: fera tests count applied advertisements",
+	"netsim.Sim.Step":                 "fixture: TestQuickEventOrder single-steps the engine against a reference model",
 
-	// Interface methods and the wire format.
-	"qos.waiterHeap.Less":       "interface: heap.Interface",
-	"qos.waiterHeap.Swap":       "interface: heap.Interface",
-	"bcn.Message.MarshalBinary": "wire format: encoding.BinaryMarshaler in the Fig. 2 layout, fuzzed",
+	// Wire format: fields encoding/json fills that no Go code reads.
+	"cluster.WorkerStatus.ActiveJobs":  "wire: a worker's /statusz active_jobs, type-checked on decode",
+	"cluster.WorkerStatus.Utilization": "wire: a worker's /statusz utilization, type-checked on decode",
 }
+
+// keepClasses are the reason classes an apiKeep row may give.
+var keepClasses = []string{"paper claim:", "test reference:", "fixture:", "probe:", "interface:", "wire:"}
 
 // callerDirs are the top-level directories whose code is a product
-// path: every declaration in them is a root of the census.
+// path: every declaration in them is a root of the census. One of them
+// may be a module of its own (perfbench/); it is type-checked as a
+// caller of the module it imports.
 var callerDirs = map[string]bool{"cmd": true, "examples": true, "scripts": true, "perfbench": true}
 
-// apiDecl is one top-level declaration of a non-test Go file.
-type apiDecl struct {
-	key    string   // package.Name or package.Type.Method
-	name   string   // the identifier other code refers to it by
-	pos    string   // file:line
-	root   bool     // in a caller directory, an init func or a blank var
-	census bool     // an exported func, method or type under internal/
-	uses   []string // identifiers its own syntax mentions
-}
-
-// TestExportedAPICensus fails on every exported function, method or type
-// under internal/ that no product path reaches and that has no apiKeep
-// row, and on every apiKeep row that names no such declaration. It
-// parses the module's non-test files and matches identifiers by name,
-// so it over-counts uses (a struct field or a local of the same name
-// keeps a declaration alive) but never under-counts them. Reachability
-// runs from the caller directories, init funcs and blank vars to a
-// fixpoint, so a declaration used only from unreached declarations is
-// unreached too; kept rows count as roots, so what they call stays.
-func TestExportedAPICensus(t *testing.T) {
-	decls := parseAPIDecls(t, ".")
-	if len(decls) == 0 {
-		t.Fatal("parsed no declarations")
-	}
-	unreached := func(kept map[string]string) map[string]*apiDecl {
-		byName := map[string][]*apiDecl{}
-		for _, d := range decls {
-			byName[d.name] = append(byName[d.name], d)
-		}
-		live := map[*apiDecl]bool{}
-		var work []*apiDecl
-		for _, d := range decls {
-			if _, ok := kept[d.key]; d.root || ok {
-				live[d] = true
-				work = append(work, d)
-			}
-		}
-		for len(work) > 0 {
-			d := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, name := range d.uses {
-				for _, u := range byName[name] {
-					if !live[u] {
-						live[u] = true
-						work = append(work, u)
-					}
-				}
-			}
-		}
-		out := map[string]*apiDecl{}
-		for _, d := range decls {
-			if d.census && !live[d] {
-				out[d.key] = d
-			}
-		}
-		return out
-	}
-
-	dead := unreached(nil)
-	for key := range apiKeep {
-		if dead[key] == nil {
-			t.Errorf("apiKeep row %s names no unreferenced exported declaration: delete the row", key)
-		}
-	}
-	var report []string
-	for key, d := range unreached(apiKeep) {
-		if _, ok := apiKeep[key]; !ok {
-			report = append(report, d.pos+": "+key)
-		}
-	}
-	sort.Strings(report)
-	for _, r := range report {
-		t.Errorf("exported declaration with no product caller: %s (delete it, or add an apiKeep row with its reason)", r)
-	}
-}
-
-// parseAPIDecls parses every non-test Go file under root, the perfbench
-// module included, into its top-level declarations.
-func parseAPIDecls(t *testing.T, root string) []*apiDecl {
-	t.Helper()
-	fset := token.NewFileSet()
-	var decls []*apiDecl
-	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if path != root && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata" || e.Name() == "out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		slash := filepath.ToSlash(path)
-		top, _, _ := strings.Cut(slash, "/")
-		caller := callerDirs[top]
-		internal := top == "internal"
-		pkg := f.Name.Name
-		add := func(key, name string, at token.Pos, root, census bool, body ast.Node, self *ast.Ident) {
-			d := &apiDecl{key: pkg + "." + key, name: name, pos: fset.Position(at).String(), root: caller || root, census: internal && census}
-			ast.Inspect(body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id != self {
-					d.uses = append(d.uses, id.Name)
-				}
-				return true
-			})
-			decls = append(decls, d)
-		}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				key := decl.Name.Name
-				if decl.Recv != nil {
-					key = recvTypeName(decl.Recv.List[0].Type) + "." + key
-				}
-				add(key, decl.Name.Name, decl.Pos(), decl.Recv == nil && decl.Name.Name == "init", decl.Name.IsExported(), decl, decl.Name)
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						add(spec.Name.Name, spec.Name.Name, spec.Pos(), false, spec.Name.IsExported(), spec, spec.Name)
-					case *ast.ValueSpec:
-						for _, id := range spec.Names {
-							add(id.Name, id.Name, id.Pos(), id.Name == "_", false, spec, id)
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
+// TestDeclarationCensus fails on every func, method, type, const,
+// package-level var and struct field under internal/ that no product
+// path reaches and that has no apiKeep row, and on every apiKeep row
+// that names no such declaration or gives no reason class.
+func TestDeclarationCensus(t *testing.T) {
+	c, err := loadDeclCensus(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls
-}
-
-// recvTypeName strips pointers and type parameters off a receiver type.
-func recvTypeName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
+	dead := c.unreached(nil)
+	keys := make([]string, 0, len(apiKeep))
+	for key := range apiKeep {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		if dead[key] == nil {
+			t.Errorf("apiKeep row %s names no unreached declaration: delete the row", key)
+		}
+		if !hasKeepClass(apiKeep[key]) {
+			t.Errorf("apiKeep row %s: reason %q starts with none of %q", key, apiKeep[key], keepClasses)
 		}
 	}
+	for _, r := range report(c.unreached(apiKeep)) {
+		t.Errorf("declaration no product path reaches: %s (delete it, or add an apiKeep row with its reason)", r)
+	}
+}
+
+// TestFixtureModuleCensus runs the census over a small module built to
+// hold one case of each rule: an unused unexported func, a Stringer on
+// a live type, a field set only in a keyed literal, a json field nothing
+// reads, generic code reached only through instances, and two packages
+// that share the names Path, Switched and Trace.
+func TestFixtureModuleCensus(t *testing.T) {
+	c, err := loadDeclCensus(filepath.Join("testdata", "census"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"dead.Path", "dead.Path.Switched", "dead.Trace",
+		"lib.Options.Spare", "lib.Status.Seen", "lib.plantedDead",
+	}
+	if got := sortedKeys(c.unreached(nil)); !slices.Equal(got, want) {
+		t.Errorf("unreached = %q, want %q", got, want)
+	}
+	wire := map[string]string{"lib.Status.Seen": "wire: filled by encoding/json and never read"}
+	want = []string{"dead.Path", "dead.Path.Switched", "dead.Trace", "lib.Options.Spare", "lib.plantedDead"}
+	if got := sortedKeys(c.unreached(wire)); !slices.Equal(got, want) {
+		t.Errorf("with a wire row: unreached = %q, want %q", got, want)
+	}
+	// The report names a dead type, not each of its fields.
+	want = []string{
+		"internal/dead/dead.go:10:6: dead.Trace",
+		"internal/dead/dead.go:5:6: dead.Path",
+		"internal/lib/lib.go:17:2: lib.Options.Spare",
+		"internal/lib/lib.go:26:2: lib.Status.Seen",
+		"internal/lib/lib.go:7:6: lib.plantedDead",
+	}
+	if got := report(c.unreached(nil)); !slices.Equal(got, want) {
+		t.Errorf("report = %q, want %q", got, want)
+	}
+}
+
+// censusDecl is one declaration the census tracks: a top-level func,
+// method, type, const or var, or a field of a package-level struct type.
+type censusDecl struct {
+	key    string        // package.Name, package.Type.Method or package.Type.Field
+	pos    string        // file:line:col, relative to the module root
+	root   bool          // in a caller directory, init or main, or a blank var
+	census bool          // declared under internal/, so it must be reached
+	member *censusDecl   // the type a method or field belongs to
+	iface  bool          // a method that implements a method of an interface type
+	uses   []*censusDecl // the declarations its syntax resolves to
+}
+
+// declCensus is a module's declarations and the edges between them.
+type declCensus struct {
+	decls []*censusDecl
+}
+
+// unreached returns the census declarations that no root reaches,
+// keep's rows counting as roots, keyed by censusDecl.key. A use is a
+// resolved identifier, so a name shared by two declarations keeps only
+// the one it denotes. A method whose type is reached is reached too
+// when it implements a method of an interface type.
+func (c *declCensus) unreached(keep map[string]string) map[string]*censusDecl {
+	live := map[*censusDecl]bool{}
+	var work []*censusDecl
+	mark := func(d *censusDecl) {
+		if !live[d] {
+			live[d] = true
+			work = append(work, d)
+		}
+	}
+	for _, d := range c.decls {
+		if _, ok := keep[d.key]; d.root || ok {
+			mark(d)
+		}
+	}
+	for len(work) > 0 {
+		for len(work) > 0 {
+			d := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, u := range d.uses {
+				mark(u)
+			}
+		}
+		for _, d := range c.decls {
+			if d.iface && live[d.member] {
+				mark(d)
+			}
+		}
+	}
+	out := map[string]*censusDecl{}
+	for _, d := range c.decls {
+		if d.census && !live[d] {
+			out[d.key] = d
+		}
+	}
+	return out
+}
+
+// report lists unreached declarations as "pos: key" lines, sorted. The
+// methods and fields of an unreached type go with it and are not listed.
+func report(dead map[string]*censusDecl) []string {
+	var out []string
+	for _, d := range dead {
+		if d.member == nil || dead[d.member.key] != d.member {
+			out = append(out, d.pos+": "+d.key)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// listedPackage is the part of `go list -json` output the census reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+}
+
+// goList lists the packages of the module in dir and all their
+// dependencies, dependencies first, with the export data of each.
+func goList(dir string) ([]listedPackage, error) {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// checkedPackage is one module package, type-checked from source.
+type checkedPackage struct {
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadDeclCensus type-checks the module at root from its non-test
+// files, and any module in a caller directory beside it, and builds the
+// census over every declaration they hold. Standard-library packages
+// are read from the export data `go list -export` names.
+func loadDeclCensus(root string) (*declCensus, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	listing, err := goList(root)
+	if err != nil {
+		return nil, err
+	}
+	for dir := range callerDirs {
+		if _, err := os.Stat(filepath.Join(root, dir, "go.mod")); err == nil {
+			more, err := goList(filepath.Join(root, dir))
+			if err != nil {
+				return nil, err
+			}
+			listing = append(listing, more...)
+		}
+	}
+
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	for _, p := range listing {
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if file := exports[path]; file != "" {
+			return os.Open(file)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+
+	var pkgs []*checkedPackage
+	var ifaces []*types.Interface
+	seen := map[string]bool{}
+	for _, p := range listing {
+		if seen[p.ImportPath] {
+			continue // listed by both modules
+		}
+		seen[p.ImportPath] = true
+		if p.Standard {
+			pkg, err := std.Import(p.ImportPath)
+			if err != nil {
+				return nil, err
+			}
+			ifaces = appendScopeInterfaces(ifaces, pkg.Scope())
+			continue
+		}
+		cp := &checkedPackage{info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			cp.files = append(cp.files, f)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(p.ImportPath, fset, cp.files, cp.info)
+		if err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		pkgs = append(pkgs, cp)
+		ifaces = appendScopeInterfaces(ifaces, pkg.Scope())
+		for _, tv := range cp.info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+
+	b := &censusBuilder{fset: fset, root: root, byObj: map[types.Object]*censusDecl{}, fields: map[*ast.Field][]*censusDecl{}}
+	for _, cp := range pkgs {
+		for _, f := range cp.files {
+			b.declareValues(f, cp.info)
+		}
+	}
+	for _, cp := range pkgs {
+		for _, f := range cp.files {
+			b.declareFuncs(f, cp.info)
+		}
+	}
+	for _, o := range b.owned {
+		ast.Walk(o.w, o.n)
+	}
+	keys := map[string]string{}
+	for _, d := range b.c.decls {
+		if d.census {
+			if pos, dup := keys[d.key]; dup {
+				return nil, fmt.Errorf("census key %s names both %s and %s", d.key, pos, d.pos)
+			}
+			keys[d.key] = d.pos
+		}
+	}
+	byMethod := map[string][]*types.Interface{}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
+		}
+	}
+	for obj, d := range b.byObj {
+		if fn, ok := obj.(*types.Func); ok && d.member != nil {
+			d.iface = implementsAny(fn, byMethod[fn.Name()])
+		}
+	}
+	return &b.c, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// appendScopeInterfaces appends the interface types a package declares.
+func appendScopeInterfaces(ifaces []*types.Interface, scope *types.Scope) []*types.Interface {
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	return ifaces
+}
+
+// implementsAny reports whether fn's receiver type, or a pointer to it,
+// implements one of ifaces, each of which has a method of fn's name. A
+// generic receiver or interface is matched by the method name alone.
+func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, _ := recv.(*types.Named)
+	for _, it := range ifaces {
+		if named == nil || named.TypeParams().Len() > 0 || !it.IsMethodSet() {
+			return true
+		}
+		if types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// censusBuilder makes a censusDecl for each declaration of the checked
+// files and records which syntax each one owns.
+type censusBuilder struct {
+	c      declCensus
+	fset   *token.FileSet
+	root   string
+	byObj  map[types.Object]*censusDecl
+	fields map[*ast.Field][]*censusDecl // fields of package-level struct types
+	owned  []ownedSyntax
+}
+
+// ownedSyntax is syntax whose identifiers are uses of the walker's
+// declarations.
+type ownedSyntax struct {
+	w *censusWalker
+	n ast.Node
+}
+
+func (b *censusBuilder) add(obj types.Object, key string, root bool, member *censusDecl) *censusDecl {
+	pos := b.fset.Position(obj.Pos())
+	rel, _ := filepath.Rel(b.root, pos.Filename)
+	rel = filepath.ToSlash(rel)
+	top, _, _ := strings.Cut(rel, "/")
+	d := &censusDecl{
+		key:    obj.Pkg().Name() + "." + key,
+		pos:    fmt.Sprintf("%s:%d:%d", rel, pos.Line, pos.Column),
+		root:   root || callerDirs[top],
+		census: top == "internal" && obj.Name() != "_",
+		member: member,
+	}
+	if member != nil {
+		d.uses = append(d.uses, member)
+	}
+	b.byObj[obj] = d
+	b.c.decls = append(b.c.decls, d)
+	return d
+}
+
+// owns records that the declarations ds own the syntax n.
+func (b *censusBuilder) owns(info *types.Info, n ast.Node, ds ...*censusDecl) {
+	b.owned = append(b.owned, ownedSyntax{&censusWalker{b: b, info: info, cur: ds}, n})
+}
+
+// declareValues makes the types, consts and vars of one file, and the
+// fields of its struct types.
+func (b *censusBuilder) declareValues(f *ast.File, info *types.Info) {
+	for _, decl := range f.Decls {
+		decl, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		var last *ast.ValueSpec
+		for _, spec := range decl.Specs {
+			switch spec := spec.(type) {
+			case *ast.TypeSpec:
+				d := b.add(info.Defs[spec.Name], spec.Name.Name, false, nil)
+				b.owns(info, spec, d)
+				if st, ok := spec.Type.(*ast.StructType); ok {
+					b.declareFields(st, spec.Name.Name, d, info)
+				}
+			case *ast.ValueSpec:
+				var ds []*censusDecl
+				for _, id := range spec.Names {
+					ds = append(ds, b.add(info.Defs[id], id.Name, id.Name == "_", nil))
+				}
+				b.owns(info, spec, ds...)
+				// A const spec with no type and no values repeats the
+				// previous one's, so it uses what that one uses.
+				if decl.Tok == token.CONST && spec.Type == nil && len(spec.Values) == 0 && last != nil {
+					b.owns(info, last, ds...)
+				} else {
+					last = spec
+				}
+			}
+		}
+	}
+}
+
+// declareFuncs makes the funcs and methods of one file. A method's key
+// is its receiver type's name and its own.
+func (b *censusBuilder) declareFuncs(f *ast.File, info *types.Info) {
+	for _, decl := range f.Decls {
+		decl, ok := decl.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		fn := info.Defs[decl.Name].(*types.Func)
+		var d *censusDecl
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			tn := t.(*types.Named).Origin().Obj()
+			d = b.add(fn, tn.Name()+"."+fn.Name(), false, b.byObj[tn])
+		} else {
+			d = b.add(fn, fn.Name(), fn.Name() == "init" || fn.Name() == "main", nil)
+		}
+		b.owns(info, decl, d)
+	}
+}
+
+// declareFields makes a censusDecl for each named field of st, keyed
+// by its struct type's name and its own, through any anonymous struct
+// it sits in. An embedded field is part of its struct type, which
+// promotes its methods.
+func (b *censusBuilder) declareFields(st *ast.StructType, prefix string, member *censusDecl, info *types.Info) {
+	for _, field := range st.Fields.List {
+		for _, id := range field.Names {
+			d := b.add(info.Defs[id], prefix+"."+id.Name, false, member)
+			b.fields[field] = append(b.fields[field], d)
+			ast.Inspect(field.Type, func(n ast.Node) bool {
+				if inner, ok := n.(*ast.StructType); ok {
+					b.declareFields(inner, prefix+"."+id.Name, member, info)
+					return false
+				}
+				return true
+			})
+		}
+	}
+}
+
+// censusWalker adds an edge from the declarations that own the syntax
+// it walks to every declaration an identifier there resolves to.
+type censusWalker struct {
+	b    *censusBuilder
+	info *types.Info
+	cur  []*censusDecl
+}
+
+func (w *censusWalker) Visit(n ast.Node) ast.Visitor {
+	switch n := n.(type) {
+	case *ast.Field:
+		if ds := w.b.fields[n]; ds != nil {
+			return &censusWalker{b: w.b, info: w.info, cur: ds}
+		}
+	case *ast.Ident:
+		if obj := w.info.Uses[n]; obj != nil {
+			w.use(obj)
+		}
+	case *ast.CompositeLit:
+		// An unkeyed struct literal sets every field.
+		if len(n.Elts) > 0 {
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+				if st, ok := w.info.Types[n].Type.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						w.use(st.Field(i))
+					}
+				}
+			}
+		}
+	}
+	return w
+}
+
+// use adds an edge to the declaration obj denotes, through the generic
+// declaration of an instance.
+func (w *censusWalker) use(obj types.Object) {
+	switch o := obj.(type) {
+	case *types.Func:
+		obj = o.Origin()
+	case *types.Var:
+		obj = o.Origin()
+	}
+	if d := w.b.byObj[obj]; d != nil {
+		for _, c := range w.cur {
+			c.uses = append(c.uses, d)
+		}
+	}
+}
+
+func hasKeepClass(reason string) bool {
+	for _, class := range keepClasses {
+		if strings.HasPrefix(reason, class) {
+			return true
+		}
+	}
+	return false
+}
+
+func sortedKeys(m map[string]*censusDecl) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -59,9 +59,6 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
-// Len returns the batch length.
-func (b *Batch) Len() int { return len(b.Outcome) }
-
 // Solve classifies every point of params into the batch columns,
 // resizing to len(params). Per-point options apply uniformly; metrics
 // are tallied locally and flushed to the registry once per call.

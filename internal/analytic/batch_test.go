@@ -12,8 +12,8 @@ func TestBatchMatchesSolve(t *testing.T) {
 	params := gridParams(7, 7)
 	b := NewBatch(len(params))
 	b.Solve(params, Options{})
-	if b.Len() != len(params) {
-		t.Fatalf("batch len %d, want %d", b.Len(), len(params))
+	if len(b.Outcome) != len(params) {
+		t.Fatalf("batch len %d, want %d", len(b.Outcome), len(params))
 	}
 	s := NewSolver()
 	for i, p := range params {
@@ -59,15 +59,15 @@ func TestBatchResizeReuses(t *testing.T) {
 	b.Solve(params, Options{})
 	first := &b.MaxX[0]
 	b.Solve(params[:10], Options{})
-	if b.Len() != 10 {
-		t.Fatalf("len %d, want 10", b.Len())
+	if len(b.Outcome) != 10 {
+		t.Fatalf("len %d, want 10", len(b.Outcome))
 	}
 	if &b.MaxX[0] != first {
 		t.Fatal("shrinking batch reallocated its arrays")
 	}
 	b.Solve(params, Options{})
-	if b.Len() != len(params) {
-		t.Fatalf("len %d, want %d", b.Len(), len(params))
+	if len(b.Outcome) != len(params) {
+		t.Fatalf("len %d, want %d", len(b.Outcome), len(params))
 	}
 }
 

@@ -286,10 +286,6 @@ func TestReactionPointFluidModeZOH(t *testing.T) {
 	if got := rp.Rate(1.003); math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("grown rate = %v, want %v", got, want)
 	}
-	inc, dec := rp.Stats()
-	if inc != 1 || dec != 1 {
-		t.Errorf("stats = %d inc, %d dec", inc, dec)
-	}
 }
 
 func TestReactionPointFluidMatchesODE(t *testing.T) {

@@ -61,7 +61,7 @@ type CongestionPoint struct {
 	framesSinceSample int
 
 	// Counters for observability.
-	samples, posMsgs, negMsgs, rejected uint64
+	samples, posMsgs, negMsgs uint64
 }
 
 // NewCongestionPoint validates the config and builds the congestion point.
@@ -90,9 +90,6 @@ func (cp *CongestionPoint) Severe() bool {
 	return cp.cfg.Qsc > 0 && cp.queueBits > cp.cfg.Qsc
 }
 
-// Rejected returns how many malformed arrivals/departures were refused.
-func (cp *CongestionPoint) Rejected() uint64 { return cp.rejected }
-
 // validSize reports whether a frame size is usable for queue accounting;
 // a non-finite or non-positive size would poison queueBits and every σ
 // computed after it.
@@ -103,7 +100,6 @@ func validSize(sizeBits float64) bool {
 // OnDeparture informs the congestion point that sizeBits left the queue.
 func (cp *CongestionPoint) OnDeparture(sizeBits float64) {
 	if !validSize(sizeBits) {
-		cp.rejected++
 		return
 	}
 	cp.queueBits -= sizeBits
@@ -132,7 +128,6 @@ type Arrival struct {
 // below the reference q0.
 func (cp *CongestionPoint) OnArrival(a Arrival) *Message {
 	if !validSize(a.SizeBits) {
-		cp.rejected++
 		return nil
 	}
 	cp.queueBits += a.SizeBits

@@ -87,9 +87,6 @@ func FuzzCorruptedWire(f *testing.F) {
 			t.Fatal(err)
 		}
 		rp.OnMessage(&rx, 0.001)
-		if rej := rp.Rejected(); rej != 0 {
-			t.Fatalf("validated message rejected by the regulator (%d)", rej)
-		}
 		r := rp.Rate(0.002)
 		if math.IsNaN(r) || r < cfg.MinRate || r > cfg.MaxRate {
 			t.Fatalf("rate out of bounds after corrupted message: %v", r)

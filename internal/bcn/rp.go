@@ -84,8 +84,6 @@ type ReactionPoint struct {
 	hold  bool
 	// cpid is the associated congestion point (zero when none).
 	cpid CPID
-
-	increases, decreases, rejected uint64
 }
 
 // NewReactionPoint builds a regulator starting at initialRate.
@@ -134,20 +132,13 @@ func (rp *ReactionPoint) Associated() CPID { return rp.cpid }
 // CPID, or zero when the source is unassociated.
 func (rp *ReactionPoint) Tag() CPID { return rp.cpid }
 
-// Stats returns (increase, decrease) application counters.
-func (rp *ReactionPoint) Stats() (inc, dec uint64) { return rp.increases, rp.decreases }
-
-// Rejected returns how many malformed messages were refused.
-func (rp *ReactionPoint) Rejected() uint64 { return rp.rejected }
-
 // OnMessage applies a BCN message received at time now (seconds).
 // Malformed messages (nil, non-finite feedback, non-finite timestamps)
-// are rejected and counted rather than acted on: a corrupted feedback
-// frame must never NaN the rate or strand it outside [MinRate, MaxRate].
+// are ignored rather than acted on: a corrupted feedback frame must
+// never NaN the rate or strand it outside [MinRate, MaxRate].
 func (rp *ReactionPoint) OnMessage(m *Message, now float64) {
 	if m == nil || math.IsNaN(m.Sigma) || math.IsInf(m.Sigma, 0) ||
 		math.IsNaN(now) || math.IsInf(now, 0) {
-		rp.rejected++
 		return
 	}
 	// Materialize the current rate before changing the held feedback.
@@ -160,7 +151,6 @@ func (rp *ReactionPoint) OnMessage(m *Message, now float64) {
 	sigma := m.Sigma
 	switch {
 	case sigma < 0:
-		rp.decreases++
 		rp.cpid = m.CPID // associate with the congestion point
 		if rp.cfg.Mode == ModeDraft {
 			factor := 1 + rp.cfg.Gd*saturatedFB(sigma)
@@ -173,7 +163,6 @@ func (rp *ReactionPoint) OnMessage(m *Message, now float64) {
 		rp.sigma = sigma
 		rp.hold = true
 	case sigma > 0:
-		rp.increases++
 		if rp.cfg.Mode == ModeDraft {
 			rp.rateRef = clampRate(rp.rateRef+rp.cfg.Gi*rp.cfg.Ru*saturatedFB(sigma), rp.cfg.MinRate, rp.cfg.MaxRate)
 			if rp.rateRef >= rp.cfg.MaxRate {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bcnphase/internal/qos"
 	"bcnphase/internal/runstate"
 )
 
@@ -144,8 +145,8 @@ func TestAuditOutvotesAndQuarantinesByzantineWorker(t *testing.T) {
 	if liarSnap == nil || liarSnap.State != "quarantined" {
 		t.Errorf("liar breaker snapshot = %+v, want quarantined", liarSnap)
 	}
-	if got := c.m.BreakerState.With(liar.URL()).Value(); got != breakerQuarantined {
-		t.Errorf("liar breaker state gauge = %v, want quarantined (%v)", got, breakerQuarantined)
+	if got := c.m.BreakerState.With(liar.URL()).Value(); got != qos.BreakerQuarantined {
+		t.Errorf("liar breaker state gauge = %v, want quarantined (%v)", got, qos.BreakerQuarantined)
 	}
 	assertNoLies(t, j, j.Lookup)
 }

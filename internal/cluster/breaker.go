@@ -1,16 +1,8 @@
 package cluster
 
-import "bcnphase/internal/qos"
-
-// The coordinator's per-worker circuit breaker is qos.Breaker keyed by
-// worker base URL; these name its cluster_worker_breaker_state encoding.
-const (
-	breakerClosed      = qos.BreakerClosed
-	breakerOpen        = qos.BreakerOpen
-	breakerQuarantined = qos.BreakerQuarantined
-)
-
-// WorkerBreakerStatus is one worker's breaker snapshot for /statusz.
+// WorkerBreakerStatus is one worker's breaker snapshot for /statusz. The
+// coordinator's per-worker circuit breaker is qos.Breaker keyed by
+// worker base URL.
 type WorkerBreakerStatus struct {
 	Worker      string `json:"worker"`
 	State       string `json:"state"` // "closed", "open", "half-open", "quarantined"

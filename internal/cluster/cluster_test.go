@@ -288,7 +288,7 @@ func TestWorkerBreakerLifecycle(t *testing.T) {
 	if b.Open("b") {
 		t.Fatal("worker b quarantined by a's failures")
 	}
-	if got := m.BreakerState.With("a").Value(); got != breakerOpen {
+	if got := m.BreakerState.With("a").Value(); got != qos.BreakerOpen {
 		t.Errorf("breaker state gauge = %v, want open", got)
 	}
 
@@ -315,7 +315,7 @@ func TestWorkerBreakerLifecycle(t *testing.T) {
 	if b.Open("a") {
 		t.Fatal("breaker open after successful probe")
 	}
-	if got := m.BreakerState.With("a").Value(); got != breakerClosed {
+	if got := m.BreakerState.With("a").Value(); got != qos.BreakerClosed {
 		t.Errorf("breaker state gauge = %v, want closed", got)
 	}
 	snap := b.Snapshot()
@@ -662,7 +662,7 @@ func TestClusterQuarantinesFailingWorkerAndReassigns(t *testing.T) {
 	if got := c.m.WorkerErrors.With(bad.URL()).Value(); got < 1 {
 		t.Errorf("cluster_worker_errors_total{%s} = %d, want >= 1", bad.URL(), got)
 	}
-	if got := c.m.BreakerState.With(bad.URL()).Value(); got != breakerOpen {
+	if got := c.m.BreakerState.With(bad.URL()).Value(); got != qos.BreakerOpen {
 		t.Errorf("failing worker's breaker state = %v, want open", got)
 	}
 	var badSnap *WorkerBreakerStatus

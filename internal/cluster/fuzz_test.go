@@ -175,9 +175,11 @@ func FuzzDecodeWorkerStatus(f *testing.F) {
 // before the strconv appender; it survives only here, as the oracle.
 const sprintfRowLayout = "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s"
 
-// FuzzAppendRow holds verdict.appendCSV to the Sprintf layout it
-// replaced, byte for byte, over arbitrary float bits, case numbers,
-// outcomes (named or not), violation counts and predicate strings.
+// FuzzAppendRow holds the row kernel EvalBatch writes map.csv rows
+// with (appendAxis for gi and gd, then verdict.appendVerdict) to the
+// Sprintf layout it replaced, byte for byte, over arbitrary float bits,
+// case numbers, outcomes (named or not), violation counts and predicate
+// strings.
 // Every journal key, shard digest and golden map depends on rows
 // keeping their exact bytes.
 func FuzzAppendRow(f *testing.F) {
@@ -223,7 +225,8 @@ func FuzzAppendRow(f *testing.F) {
 		}
 		want := fmt.Sprintf(sprintfRowLayout, v.gi, v.gd, int(v.kind), v.linearStable, v.theorem1OK,
 			v.theorem1Bound, v.outcome, v.outcome.StronglyStable(), v.maxQueue, v.rho, v.violations, v.firstPred)
-		if got := string(v.appendCSV([]byte("prefix:"))); got != "prefix:"+want {
+		row := v.appendVerdict(appendAxis(appendAxis([]byte("prefix:"), v.gi), v.gd))
+		if got := string(row); got != "prefix:"+want {
 			t.Fatalf("appender %q, Sprintf %q", got, "prefix:"+want)
 		}
 	})

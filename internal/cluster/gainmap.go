@@ -220,7 +220,8 @@ type EvalMetrics struct {
 }
 
 // verdict is one grid point's map.csv columns, in header order
-// (strongly_stable derives from outcome), rendered by appendCSV.
+// (strongly_stable derives from outcome), rendered by appendAxis for
+// each gain and then appendVerdict.
 type verdict struct {
 	gi, gd        float64
 	kind          core.CaseKind
@@ -240,19 +241,14 @@ type verdict struct {
 // sizes its span buffer with it so the buffer never regrows.
 const maxAnalyticRowLen = 5*24 + 20 + 3*len("false") + len("horizon reached") + 20 + len(core.PredMonotoneTime) + 11
 
-// appendCSV appends the verdict's map.csv row (no trailing newline) to
-// b. Every float is strconv's shortest 'g' form, written by
-// canonjson.AppendG, which is exactly what fmt's %g prints, so rows
+// appendAxis appends one gain column and its comma: the "gi," or "gd,"
+// that opens a row. With appendVerdict it writes a map.csv row (no
+// trailing newline). Every float is strconv's shortest 'g' form, written
+// by canonjson.AppendG, which is exactly what fmt's %g prints, so rows
 // keep the bytes of the fmt layout
 // "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s" that existing journals, shard
 // digests and golden maps hold (FuzzAppendRow pins the two together),
 // without boxing twelve arguments per row.
-func (v *verdict) appendCSV(b []byte) []byte {
-	return v.appendVerdict(appendAxis(appendAxis(b, v.gi), v.gd))
-}
-
-// appendAxis appends one gain column and its comma: the "gi," or "gd,"
-// that opens a row.
 func appendAxis(b []byte, gain float64) []byte {
 	return append(canonjson.AppendG(b, gain), ',')
 }

@@ -165,9 +165,6 @@ func NewHANode(cfg HAConfig) (*HANode, error) {
 	return n, nil
 }
 
-// Registry exposes the replica's metrics registry.
-func (n *HANode) Registry() *telemetry.Registry { return n.registry }
-
 func (n *HANode) logf(format string, args ...any) {
 	if n.cfg.Log == nil {
 		return
@@ -183,13 +180,6 @@ func (n *HANode) isLeader() bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.role == RoleLeader
-}
-
-// Term returns the term this replica led most recently (0 if never).
-func (n *HANode) Term() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.term
 }
 
 // Close stops the replica: the election loop exits, leadership (if

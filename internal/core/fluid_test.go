@@ -17,24 +17,10 @@ func TestRawAndNormalizedModelsAgree(t *testing.T) {
 	horizon := 4e-3 // about two oscillation rounds
 
 	q0, r0 := p.ShiftedToRaw(-p.Q0/2, 0.1*p.C)
-	solRaw, err := ode.DormandPrince(p.RawRHS(), 0, []float64{q0, r0}, horizon, ode.DefaultOptions())
-	if err != nil {
-		t.Fatalf("raw integration: %v", err)
-	}
-	solNorm, err := ode.DormandPrince(p.FluidRHS(), 0, []float64{-p.Q0 / 2, 0.1 * p.C}, horizon, ode.DefaultOptions())
-	if err != nil {
-		t.Fatalf("normalized integration: %v", err)
-	}
 	for _, frac := range []float64{0.2, 0.5, 0.8, 1.0} {
 		tt := horizon * frac
-		yr, err := solRaw.At(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		yn, err := solNorm.At(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		yr := stateAt(t, p.RawRHS(), []float64{q0, r0}, tt)
+		yn := stateAt(t, p.FluidRHS(), []float64{-p.Q0 / 2, 0.1 * p.C}, tt)
 		x, y := p.RawToShifted(yr[0], yr[1])
 		if math.Abs(x-yn[0]) > 1e-3*p.Q0 {
 			t.Errorf("t=%v: raw x=%v vs normalized x=%v", tt, x, yn[0])
@@ -43,6 +29,18 @@ func TestRawAndNormalizedModelsAgree(t *testing.T) {
 			t.Errorf("t=%v: raw y=%v vs normalized y=%v", tt, y, yn[1])
 		}
 	}
+}
+
+// stateAt integrates rhs from y0 at time 0 to time at and returns the
+// state there.
+func stateAt(t *testing.T, rhs ode.Func, y0 []float64, at float64) []float64 {
+	t.Helper()
+	sol, err := ode.DormandPrince(rhs, 0, y0, at, ode.DefaultOptions())
+	if err != nil {
+		t.Fatalf("integrate to t=%v: %v", at, err)
+	}
+	_, y := sol.Last()
+	return y
 }
 
 // TestFluidFieldMatchesRHS: the phaseplane vector field and the ode RHS

@@ -121,14 +121,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the configuration injects any fault at all.
-func (c Config) Enabled() bool {
-	return c.FeedbackLoss > 0 || c.FeedbackJitterNs > 0 || c.FeedbackReorder > 0 ||
-		c.FeedbackCorrupt > 0 || c.DataLoss > 0 ||
-		(c.FlapPeriodNs > 0 && c.FlapDownNs > 0) ||
-		(c.BlackoutPeriodNs > 0 && c.BlackoutDurNs > 0)
-}
-
 // Stats counts the faults a Plan actually injected.
 type Stats struct {
 	// FeedbackDropped counts feedback messages lost outright.
@@ -205,14 +197,6 @@ func stream(seed, id int64) *rand.Rand {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
 	return rand.New(rand.NewSource(int64(z)))
-}
-
-// Config returns the plan's (normalized) configuration.
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
 }
 
 // Stats returns the injected-fault counters so far.

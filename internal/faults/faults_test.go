@@ -34,26 +34,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestEnabled(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	cases := []Config{
-		{FeedbackLoss: 0.1},
-		{FeedbackJitterNs: 100},
-		{FeedbackReorder: 0.1},
-		{FeedbackCorrupt: 0.1},
-		{DataLoss: 0.1},
-		{FlapPeriodNs: 100, FlapDownNs: 10, FlapFactor: 0.5},
-		{BlackoutPeriodNs: 100, BlackoutDurNs: 10},
-	}
-	for i, c := range cases {
-		if !c.Enabled() {
-			t.Errorf("config %d not enabled: %+v", i, c)
-		}
-	}
-}
-
 func TestNilPlanIsNoFault(t *testing.T) {
 	var p *Plan
 	if p.DropFeedback() || p.DropData() {
@@ -248,7 +228,7 @@ func TestReorderHoldDefaults(t *testing.T) {
 		t.Errorf("stats = %+v", p.Stats())
 	}
 	p2, _ := NewPlan(Config{Seed: 13, FeedbackReorder: 1, FeedbackJitterNs: 500})
-	if got := p2.Config().ReorderDelayNs; got != 5000 {
+	if got := p2.cfg.ReorderDelayNs; got != 5000 {
 		t.Errorf("derived reorder hold = %d, want 10x jitter", got)
 	}
 }

@@ -303,8 +303,6 @@ type E2CMRegulator struct {
 	min, max float64
 	gd       float64
 	cpid     bcn.CPID
-
-	decreases, advances uint64
 }
 
 // NewE2CMRegulator builds the hybrid regulator. gd is the BCN decrease
@@ -328,9 +326,6 @@ func (rp *E2CMRegulator) Rate(_ float64) float64 { return rp.rate }
 // Tag returns the congestion point last heard from.
 func (rp *E2CMRegulator) Tag() bcn.CPID { return rp.cpid }
 
-// Stats returns (decreases, advertisement moves).
-func (rp *E2CMRegulator) Stats() (dec, adv uint64) { return rp.decreases, rp.advances }
-
 // OnMessage applies either branch of the hybrid. Malformed messages (nil
 // or non-finite feedback) are ignored defensively.
 func (rp *E2CMRegulator) OnMessage(m *bcn.Message, _ float64) {
@@ -339,7 +334,6 @@ func (rp *E2CMRegulator) OnMessage(m *bcn.Message, _ float64) {
 	}
 	switch {
 	case m.Sigma < 0:
-		rp.decreases++
 		rp.cpid = m.CPID
 		fb := m.Sigma / bcn.FBUnit
 		if fb < -bcn.FBSat {
@@ -351,7 +345,6 @@ func (rp *E2CMRegulator) OnMessage(m *bcn.Message, _ float64) {
 		}
 		rp.rate *= factor
 	case m.Sigma > 0:
-		rp.advances++
 		rp.cpid = m.CPID
 		rp.rate = 0.5 * (rp.rate + m.Sigma)
 	default:

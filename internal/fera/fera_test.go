@@ -207,10 +207,6 @@ func TestE2CMRegulator(t *testing.T) {
 	if got := rp.Rate(0); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("advance: rate = %v, want %v", got, want)
 	}
-	dec, adv := rp.Stats()
-	if dec != 1 || adv != 1 {
-		t.Errorf("stats = %d, %d", dec, adv)
-	}
 	if rp.Tag() != 2 {
 		t.Errorf("tag = %v", rp.Tag())
 	}

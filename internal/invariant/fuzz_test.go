@@ -44,13 +44,13 @@ func FuzzCheckerConfig(f *testing.F) {
 			if c.Violations() != before+1 {
 				t.Fatalf("violation not counted")
 			}
-			if (rerr != nil) != (c.Policy() == Strict) {
-				t.Fatalf("policy %v returned err=%v", c.Policy(), rerr)
+			if (rerr != nil) != (c.cfg.Policy == Strict) {
+				t.Fatalf("policy %v returned err=%v", c.cfg.Policy, rerr)
 			}
 			// An inverted interval (lo > hi) is empty: no clamp result can
 			// land inside it, so the containment oracle only applies to
 			// well-formed bounds. Clamp still must answer one of the bounds.
-			if c.Policy() == Clamp && !math.IsNaN(v) {
+			if c.cfg.Policy == Clamp && !math.IsNaN(v) {
 				if lo <= hi && (got < lo || got > hi) {
 					t.Fatalf("clamp left value %v outside [%v, %v]", got, lo, hi)
 				}

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -148,29 +147,6 @@ type Stats struct {
 	First []Violation
 }
 
-// Summary renders a one-line human-readable tally: "ok" for a clean run,
-// otherwise the per-predicate counts in lexical order.
-func (s Stats) Summary() string {
-	if s.Total == 0 {
-		return "ok (0 violations)"
-	}
-	preds := make([]string, 0, len(s.ByPredicate))
-	for p := range s.ByPredicate {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d violations", s.Total)
-	if s.Clamped > 0 {
-		fmt.Fprintf(&b, " (%d clamped)", s.Clamped)
-	}
-	b.WriteString(":")
-	for _, p := range preds {
-		fmt.Fprintf(&b, " %s=%d", p, s.ByPredicate[p])
-	}
-	return b.String()
-}
-
 // FirstPredicate returns the predicate name of the earliest retained
 // violation, or "" when the run was clean.
 func (s Stats) FirstPredicate() string {
@@ -219,14 +195,6 @@ func NewPolicy(p Policy) *Checker {
 // Enabled reports whether the checker evaluates anything; nil-safe.
 func (c *Checker) Enabled() bool {
 	return c != nil && c.cfg.Policy != Off
-}
-
-// Policy returns the active policy (Off for a nil Checker).
-func (c *Checker) Policy() Policy {
-	if c == nil {
-		return Off
-	}
-	return c.cfg.Policy
 }
 
 // Stats returns a copy of the tallies collected so far; nil-safe.

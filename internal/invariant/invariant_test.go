@@ -74,7 +74,7 @@ func TestNilCheckerIsInert(t *testing.T) {
 	if s := c.Stats(); s.Total != 0 {
 		t.Fatalf("nil Stats: %+v", s)
 	}
-	if c.Violations() != 0 || c.Policy() != Off {
+	if c.Violations() != 0 {
 		t.Fatal("nil accessor values wrong")
 	}
 }
@@ -126,9 +126,6 @@ func TestRecordCountsAndRetainsFirstN(t *testing.T) {
 	if s.FirstPredicate() != "finite" {
 		t.Fatalf("FirstPredicate = %q", s.FirstPredicate())
 	}
-	if !strings.Contains(s.Summary(), "11 violations") {
-		t.Fatalf("Summary = %q", s.Summary())
-	}
 }
 
 func TestClampProjectsIntoFeasibleSet(t *testing.T) {
@@ -149,9 +146,6 @@ func TestClampProjectsIntoFeasibleSet(t *testing.T) {
 	s := c.Stats()
 	if s.Total != 3 || s.Clamped != 2 {
 		t.Fatalf("stats = %+v", s)
-	}
-	if !strings.Contains(s.Summary(), "clamped") {
-		t.Fatalf("Summary = %q", s.Summary())
 	}
 }
 

@@ -314,18 +314,15 @@ func (s *Sim) exec(ev event) {
 	}
 }
 
-// Run executes events in order until the queue is empty or the next event
-// is after `until`; the clock finishes at min(until, last event time)
-// advanced to `until`.
-func (s *Sim) Run(until Nanos) { _ = s.RunChecked(until, 0, nil) }
-
-// RunChecked is Run with a cooperative abort hook: every `every` processed
-// events (and once before the first) it calls check, and a non-nil check
-// error stops the run immediately with the clock left at the last executed
-// event. It returns that error, or nil when the run completed. A zero
-// `every` or nil check degenerates to Run. The hook is how runaway
-// scenarios are bounded (context cancellation, event and wall-clock
-// budgets) without sacrificing determinism of the simulated system.
+// RunChecked executes events in order until the queue is empty or the
+// next event is after `until`, then advances the clock to `until`. Every
+// `every` processed events (and once before the first) it calls check,
+// and a non-nil check error stops the run immediately with the clock left
+// at the last executed event. It returns that error, or nil when the run
+// completed. A zero `every` or nil check runs without the hook. The hook
+// is how runaway scenarios are bounded (context cancellation, event and
+// wall-clock budgets) without sacrificing determinism of the simulated
+// system.
 func (s *Sim) RunChecked(until Nanos, every uint64, check func() error) error {
 	if check != nil && every > 0 {
 		if err := check(); err != nil {

@@ -31,7 +31,7 @@ func TestSimOrdering(t *testing.T) {
 	must(s.At(20, func() { order = append(order, 2) }))
 	// Same-time events run in scheduling order.
 	must(s.At(20, func() { order = append(order, 4) }))
-	s.Run(100)
+	s.RunChecked(100, 0, nil)
 	want := []int{1, 2, 4, 3}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)
@@ -55,14 +55,14 @@ func TestSimRunStopsAtUntil(t *testing.T) {
 	if err := s.At(50, func() { ran = true }); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(40)
+	s.RunChecked(40, 0, nil)
 	if ran {
 		t.Error("future event executed early")
 	}
 	if s.Pending() != 1 {
 		t.Errorf("Pending = %d", s.Pending())
 	}
-	s.Run(60)
+	s.RunChecked(60, 0, nil)
 	if !ran {
 		t.Error("event not executed")
 	}
@@ -83,7 +83,7 @@ func TestSimSchedulingFromCallback(t *testing.T) {
 	if err := s.At(0, tick); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1000)
+	s.RunChecked(1000, 0, nil)
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
 	}
@@ -97,7 +97,7 @@ func TestSimPastScheduling(t *testing.T) {
 	if err := s.At(100, func() {}); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(100)
+	s.RunChecked(100, 0, nil)
 	if err := s.At(50, func() {}); !errors.Is(err, ErrNegativeDelay) {
 		t.Errorf("past At err = %v", err)
 	}
@@ -127,7 +127,7 @@ func TestSimStep(t *testing.T) {
 // closures, and lane pushes that would break a lane's time order) or on a
 // delay lane. Step and Pending follow a reference model that keeps the
 // pending events in scheduling order and runs the earliest-scheduled of
-// the earliest-timed ones; Run must finish in the stable-sort order.
+// the earliest-timed ones; RunChecked must finish in the stable-sort order.
 func TestQuickEventOrder(t *testing.T) {
 	prop := func(seed int64, nRaw uint8) bool {
 		n := 1 + int(nRaw%64)
@@ -187,7 +187,7 @@ func TestQuickEventOrder(t *testing.T) {
 		}
 		sort.SliceStable(pending, func(a, b int) bool { return pending[a].at < pending[b].at })
 		got = got[:0]
-		s.Run(1 << 20)
+		s.RunChecked(1<<20, 0, nil)
 		if len(got) != len(pending) || s.Pending() != 0 || s.Step() {
 			return false
 		}

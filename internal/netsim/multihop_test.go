@@ -258,7 +258,7 @@ func TestMhQueueBasics(t *testing.T) {
 	if q.maxBits != 3000 {
 		t.Errorf("maxBits = %v", q.maxBits)
 	}
-	n.sim.Run(FromSeconds(1))
+	n.sim.RunChecked(FromSeconds(1), 0, nil)
 	if len(delivered) != 2 {
 		t.Fatalf("delivered %d frames", len(delivered))
 	}
@@ -274,12 +274,12 @@ func TestMhQueuePauseResume(t *testing.T) {
 	q.onDepart = func(frame) { delivered++ }
 	q.pause()
 	q.enqueue(n, frame{bits: 1000})
-	n.sim.Run(FromSeconds(0.5))
+	n.sim.RunChecked(FromSeconds(0.5), 0, nil)
 	if delivered != 0 {
 		t.Fatal("paused queue served a frame")
 	}
 	q.resume(n)
-	n.sim.Run(FromSeconds(1))
+	n.sim.RunChecked(FromSeconds(1), 0, nil)
 	if delivered != 1 {
 		t.Fatalf("resumed queue delivered %d", delivered)
 	}

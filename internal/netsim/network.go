@@ -1138,6 +1138,3 @@ func (n *Network) trackTrough() {
 
 // Sources exposes the sources for inspection in tests and experiments.
 func (n *Network) Sources() []*Source { return n.sources }
-
-// QueueBits returns the current bottleneck occupancy.
-func (n *Network) QueueBits() float64 { return n.queueBits }

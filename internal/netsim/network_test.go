@@ -78,7 +78,7 @@ func TestRunConservation(t *testing.T) {
 	for _, s := range net.Sources() {
 		sent += s.sentBits
 	}
-	accounted := res.DeliveredBits + res.DroppedBits + net.QueueBits()
+	accounted := res.DeliveredBits + res.DroppedBits + net.queueBits
 	// In-flight frames (sent but not yet arrived) are bounded by
 	// N × (propDelay × lineRate + one frame).
 	cfg := testConfig()

@@ -16,19 +16,6 @@ type Metrics struct {
 	RHSEvals *telemetry.Counter
 }
 
-// NewMetrics registers the integrator family on r. A nil registry
-// yields a nil (inert) Metrics.
-func NewMetrics(r *telemetry.Registry) *Metrics {
-	if r == nil {
-		return nil
-	}
-	return &Metrics{
-		Steps:    r.Counter("ode_steps_total", "accepted adaptive integrator steps"),
-		Rejected: r.Counter("ode_rejected_steps_total", "error-controller step rejections"),
-		RHSEvals: r.Counter("ode_rhs_evals_total", "right-hand-side evaluations"),
-	}
-}
-
 // instrument wraps f to count RHS evaluations; called only when m is
 // non-nil so the disabled path never pays the indirection.
 func (m *Metrics) instrument(f Func) Func {

@@ -9,7 +9,7 @@ import (
 
 func TestDormandPrinceMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := NewMetrics(reg)
+	m := testMetrics(reg)
 	f := func(_ float64, y, dydt []float64) { dydt[0] = -y[0] }
 	sol, err := DormandPrince(f, 0, []float64{1}, 5, Options{
 		AbsTol: 1e-9, RelTol: 1e-9, Metrics: m,
@@ -35,7 +35,7 @@ func TestDormandPrinceMetrics(t *testing.T) {
 
 func TestDormandPrinceRejectedCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := NewMetrics(reg)
+	m := testMetrics(reg)
 	// A stiff-ish oscillator with a deliberately huge initial step
 	// forces the controller to reject at least once.
 	f := func(tt float64, y, dydt []float64) {
@@ -54,11 +54,17 @@ func TestDormandPrinceRejectedCounted(t *testing.T) {
 }
 
 func TestNilMetricsSafe(t *testing.T) {
-	if m := NewMetrics(nil); m != nil {
-		t.Fatalf("NewMetrics(nil) = %v, want nil", m)
-	}
 	f := func(_ float64, y, dydt []float64) { dydt[0] = -y[0] }
 	if _, err := DormandPrince(f, 0, []float64{1}, 1, Options{AbsTol: 1e-8, RelTol: 1e-8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// testMetrics registers the integrator's instruments on r.
+func testMetrics(r *telemetry.Registry) *Metrics {
+	return &Metrics{
+		Steps:    r.Counter("ode_steps_total", "accepted adaptive integrator steps"),
+		Rejected: r.Counter("ode_rejected_steps_total", "error-controller step rejections"),
+		RHSEvals: r.Counter("ode_rhs_evals_total", "right-hand-side evaluations"),
 	}
 }

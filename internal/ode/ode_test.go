@@ -163,36 +163,6 @@ func TestDormandPrinceNonTerminalEvents(t *testing.T) {
 	}
 }
 
-func TestSolutionAt(t *testing.T) {
-	sol, err := DormandPrince(decay, 0, []float64{1}, 2, DefaultOptions())
-	if err != nil {
-		t.Fatalf("DormandPrince: %v", err)
-	}
-	for _, tt := range []float64{0, 0.5, 1, 1.7, 2} {
-		y, err := sol.At(tt)
-		if err != nil {
-			t.Fatalf("At(%v): %v", tt, err)
-		}
-		if e := math.Abs(y[0] - math.Exp(-tt)); e > 1e-4 {
-			t.Errorf("At(%v) error %g", tt, e)
-		}
-	}
-	// Clamping outside the interval.
-	y, err := sol.At(-1)
-	if err != nil || y[0] != 1 {
-		t.Errorf("At(-1) = %v, %v; want clamped initial state", y, err)
-	}
-}
-
-func TestSolutionComponent(t *testing.T) {
-	sol := &Solution{}
-	sol.append(0, []float64{1, 2})
-	sol.append(1, []float64{3, 4})
-	if got := sol.Component(1); got[0] != 2 || got[1] != 4 {
-		t.Errorf("Component(1) = %v", got)
-	}
-}
-
 func TestInvalidArgs(t *testing.T) {
 	var zero [1]float64
 	if err := (RK4{}).Step(decay, 0, []float64{1}, 0, zero[:]); !errors.Is(err, ErrStep) {

@@ -1,10 +1,5 @@
 package ode
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Solution holds the accepted mesh of an integration: times T and the state
 // vectors Y, with Y[i] the state at T[i]. T is strictly increasing.
 type Solution struct {
@@ -30,43 +25,6 @@ func (s *Solution) Len() int { return len(s.T) }
 func (s *Solution) Last() (float64, []float64) {
 	i := len(s.T) - 1
 	return s.T[i], s.Y[i]
-}
-
-// Component extracts component i of the state across the whole mesh.
-func (s *Solution) Component(i int) []float64 {
-	out := make([]float64, len(s.Y))
-	for j, y := range s.Y {
-		out[j] = y[i]
-	}
-	return out
-}
-
-// At linearly interpolates the state at time t. t is clamped to the solved
-// interval. It returns an error if the solution is empty.
-func (s *Solution) At(t float64) ([]float64, error) {
-	if len(s.T) == 0 {
-		return nil, fmt.Errorf("ode: empty solution")
-	}
-	if t <= s.T[0] {
-		return cloneVec(s.Y[0]), nil
-	}
-	last := len(s.T) - 1
-	if t >= s.T[last] {
-		return cloneVec(s.Y[last]), nil
-	}
-	// Index of the first mesh point >= t.
-	j := sort.SearchFloat64s(s.T, t)
-	if s.T[j] == t {
-		return cloneVec(s.Y[j]), nil
-	}
-	i := j - 1
-	t0, t1 := s.T[i], s.T[j]
-	w := (t - t0) / (t1 - t0)
-	out := make([]float64, len(s.Y[i]))
-	for c := range out {
-		out[c] = (1-w)*s.Y[i][c] + w*s.Y[j][c]
-	}
-	return out, nil
 }
 
 func cloneVec(v []float64) []float64 {

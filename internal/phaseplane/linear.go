@@ -60,16 +60,6 @@ func (k SingularKind) String() string {
 	}
 }
 
-// Stable reports whether the singular point attracts nearby trajectories.
-func (k SingularKind) Stable() bool {
-	switch k {
-	case KindStableFocus, KindStableNode, KindDegenerateStableNode:
-		return true
-	default:
-		return false
-	}
-}
-
 // Linear2 is the planar linear system
 //
 //	x' = A11 x + A12 y
@@ -121,12 +111,5 @@ func (l Linear2) Classify() SingularKind {
 			return KindStableNode
 		}
 		return KindUnstableNode
-	}
-}
-
-// Field returns the vector field of the linear system.
-func (l Linear2) Field() VectorField {
-	return func(x, y float64) (float64, float64) {
-		return l.A11*x + l.A12*y, l.A21*x + l.A22*y
 	}
 }

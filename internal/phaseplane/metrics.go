@@ -14,17 +14,3 @@ type Metrics struct {
 	// FlightTime records the simulated period of each completed return.
 	FlightTime *telemetry.Histogram
 }
-
-// NewMetrics registers the return-map family on r. A nil registry
-// yields a nil (inert) Metrics.
-func NewMetrics(r *telemetry.Registry) *Metrics {
-	if r == nil {
-		return nil
-	}
-	return &Metrics{
-		Returns:   r.Counter("phaseplane_returns_total", "completed Poincaré first returns"),
-		NoReturns: r.Counter("phaseplane_no_returns_total", "trajectories that never returned to the section"),
-		FlightTime: r.Histogram("phaseplane_return_period_seconds",
-			"simulated flight time of one return", telemetry.ExpBuckets(1e-3, 4, 12)),
-	}
-}

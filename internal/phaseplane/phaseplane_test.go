@@ -14,6 +14,13 @@ func companion(m, n float64) Linear2 {
 	return Linear2{A12: 1, A21: -n, A22: -m}
 }
 
+// linearField returns the vector field of the linear system l.
+func linearField(l Linear2) VectorField {
+	return func(x, y float64) (float64, float64) {
+		return l.A11*x + l.A12*y, l.A21*x + l.A22*y
+	}
+}
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,21 +43,6 @@ func TestClassify(t *testing.T) {
 				t.Errorf("Classify() = %v, want %v", got, c.want)
 			}
 		})
-	}
-}
-
-func TestKindStable(t *testing.T) {
-	stable := []SingularKind{KindStableFocus, KindStableNode, KindDegenerateStableNode}
-	unstable := []SingularKind{KindUnstableFocus, KindUnstableNode, KindSaddle, KindCenter, KindUnknown}
-	for _, k := range stable {
-		if !k.Stable() {
-			t.Errorf("%v should be stable", k)
-		}
-	}
-	for _, k := range unstable {
-		if k.Stable() {
-			t.Errorf("%v should not be stable", k)
-		}
 	}
 }
 
@@ -89,98 +81,6 @@ func TestQuickClassifyMatchesEigen(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTraceStableFocusConverges(t *testing.T) {
-	sys := companion(1, 4) // stable focus
-	path, err := Trace(sys.Field(), 1, 0, TraceOptions{
-		Horizon:        100,
-		ConvergeRadius: 1e-4,
-	})
-	if err != nil {
-		t.Fatalf("Trace: %v", err)
-	}
-	if !path.Converged {
-		t.Error("stable focus trajectory did not converge")
-	}
-	if path.Escaped {
-		t.Error("unexpected escape")
-	}
-	// A spiral must cross x=0 at least once en route.
-	if path.MinX() >= 0 {
-		t.Error("spiral should overshoot into x<0")
-	}
-}
-
-func TestTraceEscape(t *testing.T) {
-	sys := companion(-1, 4) // unstable focus
-	path, err := Trace(sys.Field(), 0.1, 0, TraceOptions{
-		Horizon: 1000,
-		Box:     Box{XMin: -5, XMax: 5, YMin: -10, YMax: 10},
-	})
-	if err != nil {
-		t.Fatalf("Trace: %v", err)
-	}
-	if !path.Escaped {
-		t.Error("unstable trajectory should escape the box")
-	}
-}
-
-func TestTraceRecordsSwitchCrossings(t *testing.T) {
-	// Harmonic oscillator crossing the line x + y = 0 periodically.
-	f := companion(0, 1).Field()
-	sigma := func(x, y float64) float64 { return x + y }
-	path, err := Trace(f, 1, 0, TraceOptions{Horizon: 2 * math.Pi, Sigma: sigma})
-	if err != nil {
-		t.Fatalf("Trace: %v", err)
-	}
-	// One full revolution crosses the line twice.
-	if len(path.Crossings) != 2 {
-		t.Fatalf("got %d crossings, want 2", len(path.Crossings))
-	}
-	for _, c := range path.Crossings {
-		if math.Abs(c.X+c.Y) > 1e-6 {
-			t.Errorf("crossing (%v, %v) not on the line", c.X, c.Y)
-		}
-	}
-}
-
-func TestTraceInvalidHorizon(t *testing.T) {
-	if _, err := Trace(companion(1, 1).Field(), 1, 0, TraceOptions{}); err == nil {
-		t.Error("zero horizon should error")
-	}
-}
-
-func TestPathAt(t *testing.T) {
-	p := &Path{T: []float64{0, 1, 2}, X: []float64{0, 10, 20}, Y: []float64{0, -10, -20}}
-	x, y := p.At(0.5)
-	if x != 5 || y != -5 {
-		t.Errorf("At(0.5) = (%v, %v)", x, y)
-	}
-	x, _ = p.At(-1)
-	if x != 0 {
-		t.Errorf("At(-1) clamps to start, got x=%v", x)
-	}
-	x, _ = p.At(99)
-	if x != 20 {
-		t.Errorf("At(99) clamps to end, got x=%v", x)
-	}
-}
-
-func TestSwitchedFieldSelection(t *testing.T) {
-	pos := func(x, y float64) (float64, float64) { return 1, 0 }
-	neg := func(x, y float64) (float64, float64) { return -1, 0 }
-	sigma := func(x, y float64) float64 { return y }
-	f := Switched(sigma, pos, neg)
-	if u, _ := f(0, 1); u != 1 {
-		t.Errorf("sigma>0 picked wrong field: u=%v", u)
-	}
-	if u, _ := f(0, -1); u != -1 {
-		t.Errorf("sigma<0 picked wrong field: u=%v", u)
-	}
-	if u, _ := f(0, 0); u != 0 {
-		t.Errorf("on the surface expected mean 0, got %v", u)
 	}
 }
 
@@ -238,7 +138,7 @@ func TestReturnMapNoFixedPoint(t *testing.T) {
 	// nontrivial fixed point.
 	sys := companion(1, 4)
 	m := &ReturnMap{
-		Field:   sys.Field(),
+		Field:   linearField(sys),
 		Sigma:   func(x, y float64) float64 { return y },
 		Embed:   func(s float64) (float64, float64) { return s, 0 },
 		Project: func(x, y float64) float64 { return x },
@@ -255,7 +155,7 @@ func TestReturnMapContractionFactor(t *testing.T) {
 	// beta=sqrt(15)/2.
 	sys := companion(1, 4)
 	m := &ReturnMap{
-		Field:   sys.Field(),
+		Field:   linearField(sys),
 		Sigma:   func(x, y float64) float64 { return y },
 		Embed:   func(s float64) (float64, float64) { return s, 0 },
 		Project: func(x, y float64) float64 { return x },
@@ -291,7 +191,7 @@ func TestReturnMapValidation(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	arrows, err := Grid(companion(0, 1).Field(), -1, 1, -1, 1, 5, 5)
+	arrows, err := Grid(linearField(companion(0, 1)), -1, 1, -1, 1, 5, 5)
 	if err != nil {
 		t.Fatalf("Grid: %v", err)
 	}
@@ -305,25 +205,11 @@ func TestGrid(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Grid(companion(0, 1).Field(), -1, 1, -1, 1, 1, 5); err == nil {
+	if _, err := Grid(linearField(companion(0, 1)), -1, 1, -1, 1, 1, 5); err == nil {
 		t.Error("nx < 2 should error")
 	}
-	if _, err := Grid(companion(0, 1).Field(), 1, -1, -1, 1, 5, 5); err == nil {
+	if _, err := Grid(linearField(companion(0, 1)), 1, -1, -1, 1, 5, 5); err == nil {
 		t.Error("empty extent should error")
-	}
-}
-
-func TestBox(t *testing.T) {
-	var zero Box
-	if !zero.Zero() {
-		t.Error("zero box should report Zero")
-	}
-	b := Box{XMin: -1, XMax: 1, YMin: -2, YMax: 2}
-	if b.Zero() {
-		t.Error("non-zero box misreported")
-	}
-	if !b.Contains(0, 0) || b.Contains(2, 0) || b.Contains(0, 3) {
-		t.Error("Contains is wrong")
 	}
 }
 
@@ -343,12 +229,5 @@ func TestSingularKindStrings(t *testing.T) {
 			t.Errorf("duplicate name %q", s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestPathExtremes(t *testing.T) {
-	p := &Path{X: []float64{-2, 5, 1}, Y: []float64{0, 0, 0}, T: []float64{0, 1, 2}}
-	if p.MaxX() != 5 || p.MinX() != -2 {
-		t.Errorf("extremes = %v, %v", p.MaxX(), p.MinX())
 	}
 }

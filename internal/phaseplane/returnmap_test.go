@@ -10,7 +10,7 @@ import (
 // system x” + c1·x' + c0·x = 0.
 func sectionY0(c1, c0, horizon float64) *ReturnMap {
 	return &ReturnMap{
-		Field:   companion(c1, c0).Field(),
+		Field:   linearField(companion(c1, c0)),
 		Sigma:   func(x, y float64) float64 { return y },
 		Embed:   func(s float64) (float64, float64) { return s, 0 },
 		Project: func(x, y float64) float64 { return x },

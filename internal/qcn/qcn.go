@@ -240,8 +240,7 @@ type RateRegulator struct {
 	bytes  float64
 	cycles int
 
-	decreases, cyclesTotal uint64
-	cpid                   bcn.CPID
+	cpid bcn.CPID
 }
 
 // NewRateRegulator builds a regulator starting at initialRate.
@@ -260,18 +259,10 @@ func NewRateRegulator(cfg RPConfig, initialRate float64) (*RateRegulator, error)
 // compatibility with the BCN regulator).
 func (rp *RateRegulator) Rate(_ float64) float64 { return rp.current }
 
-// Target returns the Fast Recovery target rate.
-func (rp *RateRegulator) Target() float64 { return rp.target }
-
 // Tag returns the congestion point this source last heard from; QCN data
 // frames carry no RRT requirement, but tagging is harmless and keeps the
 // switch-side interface uniform.
 func (rp *RateRegulator) Tag() bcn.CPID { return rp.cpid }
-
-// Stats returns (decreases, completed byte-counter cycles).
-func (rp *RateRegulator) Stats() (dec, cycles uint64) {
-	return rp.decreases, rp.cyclesTotal
-}
 
 // OnMessage applies a (always negative) congestion message. Malformed
 // messages (nil or non-finite feedback) are ignored defensively so a
@@ -290,7 +281,6 @@ func (rp *RateRegulator) OnMessage(m *bcn.Message, _ float64) {
 	if fb < 1 {
 		fb = 1
 	}
-	rp.decreases++
 	rp.cpid = m.CPID
 	rp.target = rp.current
 	rp.current *= 1 - rp.cfg.GdQ*fb
@@ -315,7 +305,6 @@ func (rp *RateRegulator) OnSend(sizeBits float64) {
 // cycle advances one byte-counter cycle: Fast Recovery averages the
 // current rate toward the target; Active Increase then probes above it.
 func (rp *RateRegulator) cycle() {
-	rp.cyclesTotal++
 	rp.cycles++
 	if rp.cycles > rp.cfg.FastRecoveryCycles {
 		// Active Increase: raise the target and close half the gap.

@@ -138,15 +138,11 @@ func TestRateRegulatorDecrease(t *testing.T) {
 	if got, want := rp.Rate(0), 5e8*0.75; math.Abs(got-want) > 1e-6 {
 		t.Errorf("rate = %v, want %v", got, want)
 	}
-	if rp.Target() != 5e8 {
-		t.Errorf("target = %v, want pre-decrease rate", rp.Target())
+	if rp.target != 5e8 {
+		t.Errorf("target = %v, want pre-decrease rate", rp.target)
 	}
 	if rp.Tag() != 9 {
 		t.Errorf("tag = %v", rp.Tag())
-	}
-	dec, _ := rp.Stats()
-	if dec != 1 {
-		t.Errorf("decreases = %d", dec)
 	}
 	// Positive sigma must be ignored.
 	before := rp.Rate(0)
@@ -178,12 +174,11 @@ func TestFastRecoveryConvergesToTarget(t *testing.T) {
 	}
 	// Active Increase then probes above the old target.
 	rp.OnSend(cfg.BCLimit)
-	if rp.Target() <= 8e8 {
-		t.Errorf("target = %v, want above the pre-decrease rate", rp.Target())
+	if rp.target <= 8e8 {
+		t.Errorf("target = %v, want above the pre-decrease rate", rp.target)
 	}
-	_, cycles := rp.Stats()
-	if cycles != uint64(cfg.FastRecoveryCycles)+1 {
-		t.Errorf("cycles = %d", cycles)
+	if rp.cycles != cfg.FastRecoveryCycles+1 {
+		t.Errorf("cycles = %d", rp.cycles)
 	}
 }
 
@@ -245,7 +240,7 @@ func TestQuickRateBounded(t *testing.T) {
 			if r < cfg.MinRate || r > cfg.MaxRate {
 				return false
 			}
-			if rp.Target() > cfg.MaxRate {
+			if rp.target > cfg.MaxRate {
 				return false
 			}
 		}

@@ -66,9 +66,6 @@ func (a *AtomicFile) Write(p []byte) (int, error) {
 	return a.f.Write(p)
 }
 
-// Name returns the final destination path.
-func (a *AtomicFile) Name() string { return a.path }
-
 // Commit fsyncs and renames the temporary file to the final path.
 func (a *AtomicFile) Commit() error {
 	if a.done {

@@ -112,40 +112,6 @@ func (s Series) OscillationPeriod(minProminence float64) (float64, bool) {
 	return span / float64(len(maxima)-1), true
 }
 
-// Histogram bins the values of v into n equal-width bins over
-// [min, max], returning the bin centers and counts. It returns an error
-// for empty input or fewer than one bin.
-func Histogram(v []float64, n int) (centers []float64, counts []int, err error) {
-	if len(v) == 0 {
-		return nil, nil, ErrEmptySeries
-	}
-	if n < 1 {
-		return nil, nil, fmt.Errorf("stats: histogram needs n >= 1 bins, got %d", n)
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if lo == hi {
-		return []float64{lo}, []int{len(v)}, nil
-	}
-	width := (hi - lo) / float64(n)
-	centers = make([]float64, n)
-	counts = make([]int, n)
-	for i := range centers {
-		centers[i] = lo + (float64(i)+0.5)*width
-	}
-	for _, x := range v {
-		idx := int((x - lo) / width)
-		if idx >= n {
-			idx = n - 1 // the maximum lands in the last bin
-		}
-		counts[idx]++
-	}
-	return centers, counts, nil
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of v using the
 // nearest-rank method. The input is not modified.
 func Percentile(v []float64, p float64) (float64, error) {

@@ -166,40 +166,6 @@ func TestQuickAtWithinBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	centers, counts, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(centers) != 5 || len(counts) != 5 {
-		t.Fatalf("lens = %d, %d", len(centers), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("counts sum to %d", total)
-	}
-	// Uniform data, equal-width bins: 2 per bin.
-	for i, c := range counts {
-		if c != 2 {
-			t.Errorf("bin %d count = %d, want 2", i, c)
-		}
-	}
-	if _, _, err := Histogram(nil, 4); !errors.Is(err, ErrEmptySeries) {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	// Constant data collapses to a single bin.
-	cs, ns, err := Histogram([]float64{3, 3, 3}, 4)
-	if err != nil || len(cs) != 1 || ns[0] != 3 {
-		t.Errorf("constant: %v %v %v", cs, ns, err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	v := []float64{5, 1, 3, 2, 4}
 	cases := []struct {

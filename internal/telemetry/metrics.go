@@ -273,9 +273,6 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
 // Value returns the current value (0 for a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -21,7 +21,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	c.Add(5)
 	g.Set(3)
 	g.Add(-1)
-	g.Inc()
 	h.Observe(1)
 	cv.With("a").Inc()
 	gv.With("a").Set(2)
@@ -50,7 +49,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("depth", "queue depth")
 	g.Set(10)
 	g.Add(-2.5)
-	g.Inc()
+	g.Add(1)
 	if got := g.Value(); got != 8.5 {
 		t.Fatalf("gauge = %v, want 8.5", got)
 	}

@@ -88,14 +88,6 @@ func (t *Tracer) StartChild(name string, parent SpanID) *ActiveSpan {
 	}
 }
 
-// ID returns the span's id (0 for nil).
-func (s *ActiveSpan) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.span.ID
-}
-
 // SetAttr annotates the span.
 func (s *ActiveSpan) SetAttr(key, value string) {
 	if s == nil || s.ended {
