@@ -2,6 +2,7 @@ package bcnphase_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -32,14 +34,16 @@ var apiKeep = map[string]string{
 	"phaseplane.Linear2.Classify": "paper claim: singular-point classification by Lyapunov's first method (§IV-A)",
 
 	// Test references: code a test holds a product path against.
-	"ode.BogackiShampineTableau":       "test reference: TestQuickPairsAgree holds the product Dormand–Prince pair to it",
-	"ode.AdaptiveIntegrate":            "test reference: integrates any tableau for TestQuickPairsAgree",
-	"core.Params.RawRHS":               "test reference: fluid_test holds the shifted model to the paper's raw eqs. (4) and (7)",
-	"core.Params.ShiftedToRaw":         "test reference: maps states between the raw and shifted models in fluid_test",
-	"core.Params.RawToShifted":         "test reference: maps states between the raw and shifted models in fluid_test",
-	"cluster.VerifyShardResult":        "test reference: chaosnet tests verify rewritten shards from outside the package",
-	"qos.ControllerConfig.VectorField": "test reference: the admission loop's (q, R) dynamics that stability_test certifies spiral-stable",
-	"phaseplane.ReturnMap.Stability":   "test reference: stability_test reads the admission loop's Floquet multiplier from it",
+	"ode.BogackiShampineTableau":           "test reference: TestQuickPairsAgree holds the product Dormand–Prince pair to it",
+	"ode.AdaptiveIntegrate":                "test reference: integrates any tableau for TestQuickPairsAgree",
+	"core.Params.RawRHS":                   "test reference: fluid_test holds the shifted model to the paper's raw eqs. (4) and (7)",
+	"core.Params.ShiftedToRaw":             "test reference: maps states between the raw and shifted models in fluid_test",
+	"core.Params.RawToShifted":             "test reference: maps states between the raw and shifted models in fluid_test",
+	"cluster.VerifyShardResult":            "test reference: chaosnet tests verify rewritten shards from outside the package",
+	"qos.ControllerConfig.VectorField":     "test reference: the admission loop's (q, R) dynamics that stability_test certifies spiral-stable",
+	"phaseplane.ReturnMap.Stability":       "test reference: stability_test reads the admission loop's Floquet multiplier from it",
+	"analytic.Options.Mode":                "test reference: TestSolveGolden's no-short-circuit case pins the RK45 oracle with ModeOff",
+	"analytic.Options.DisableShortCircuit": "test reference: TestSolveGolden's no-short-circuit case pins both engines with it",
 
 	// Test fixtures and probes: read by tests that assert something else.
 	"invariant.Checker.Check":         "fixture: the boxed-argument form of Failf that invariant tests drive",
@@ -55,6 +59,21 @@ var apiKeep = map[string]string{
 	"fera.CongestionPoint.OverloadZ":  "probe: fera tests read the measured overload ratio",
 	"fera.RateRegulator.Updates":      "probe: fera tests count applied advertisements",
 	"netsim.Sim.Step":                 "fixture: TestQuickEventOrder single-steps the engine against a reference model",
+
+	// Test hooks: fields only tests set, to make a run reproducible or
+	// to inject the fault under test.
+	"cluster.Config.auditFor":       "fixture: audit tests fix which shards are audited",
+	"cluster.HAConfig.Seed":         "fixture: HA tests fix election jitter",
+	"cluster.HAConfig.OnShardDone":  "fixture: the split-brain test checks the fencing order of merges",
+	"chaosnet.Config.StallProb":     "fixture: chaos tests stall requests past their lease",
+	"chaosnet.Config.Stall":         "fixture: how long a stalled request waits",
+	"chaosnet.Config.ResetProb":     "fixture: chaos tests sever connections before forwarding",
+	"chaosnet.Config.TruncateProb":  "fixture: chaos tests cut response bodies short",
+	"chaosnet.Config.FlipProb":      "fixture: chaos tests flip a bit of a response body",
+	"chaosnet.Config.ByzantineProb": "fixture: chaos and audit tests rewrite rows and re-sign the shard",
+	"chaosnet.Config.ShedFirst":     "fixture: the herd test sheds the first requests with one Retry-After",
+	"chaosnet.Config.DripBytes":     "fixture: the drip test holds a response open in small writes",
+	"chaosnet.Config.DripInterval":  "fixture: the pause between drip writes",
 
 	// Wire format: fields encoding/json fills that no Go code reads.
 	"cluster.WorkerStatus.ActiveJobs":  "wire: a worker's /statusz active_jobs, type-checked on decode",
@@ -72,37 +91,44 @@ var callerDirs = map[string]bool{"cmd": true, "examples": true, "scripts": true,
 
 // TestDeclarationCensus fails on every func, method, type, const,
 // package-level var and struct field under internal/ that no product
-// path reaches and that has no apiKeep row, and on every apiKeep row
-// that names no such declaration or gives no reason class.
+// path reaches, and on every reached field that no non-test file sets,
+// unless it has an apiKeep row; and on every apiKeep row that names no
+// such declaration or gives no reason class.
 func TestDeclarationCensus(t *testing.T) {
 	c, err := loadDeclCensus(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := c.unreached(nil)
+	dead, unset := c.unreached(nil), c.unset(nil)
 	keys := make([]string, 0, len(apiKeep))
 	for key := range apiKeep {
 		keys = append(keys, key)
 	}
 	slices.Sort(keys)
 	for _, key := range keys {
-		if dead[key] == nil {
-			t.Errorf("apiKeep row %s names no unreached declaration: delete the row", key)
+		if dead[key] == nil && unset[key] == nil {
+			t.Errorf("apiKeep row %s names no unreached declaration and no unset field: delete the row", key)
 		}
 		if !hasKeepClass(apiKeep[key]) {
 			t.Errorf("apiKeep row %s: reason %q starts with none of %q", key, apiKeep[key], keepClasses)
 		}
 	}
-	for _, r := range report(c.unreached(apiKeep)) {
-		t.Errorf("declaration no product path reaches: %s (delete it, or add an apiKeep row with its reason)", r)
+	if lines := report(c.unreached(apiKeep)); len(lines) > 0 {
+		t.Errorf("declarations no product path reaches (delete each, or add an apiKeep row with its reason):\n\t%s",
+			strings.Join(lines, "\n\t"))
+	}
+	if lines := reportUnset(c.unset(apiKeep)); len(lines) > 0 {
+		t.Errorf("fields no non-test file sets; the reads under each are branches that never run (delete the field and them, or add an apiKeep row with its reason):\n\t%s",
+			strings.Join(lines, "\n\t"))
 	}
 }
 
 // TestFixtureModuleCensus runs the census over a small module built to
 // hold one case of each rule: an unused unexported func, a Stringer on
 // a live type, a field set only in a keyed literal, a json field nothing
-// reads, generic code reached only through instances, and two packages
-// that share the names Path, Switched and Trace.
+// reads, generic code reached only through instances, two packages that
+// share the names Path, Switched and Trace, and the write rule's cases
+// in internal/lib/writes.go.
 func TestFixtureModuleCensus(t *testing.T) {
 	c, err := loadDeclCensus(filepath.Join("testdata", "census"))
 	if err != nil {
@@ -131,6 +157,24 @@ func TestFixtureModuleCensus(t *testing.T) {
 	if got := report(c.unreached(nil)); !slices.Equal(got, want) {
 		t.Errorf("report = %q, want %q", got, want)
 	}
+	// A field is set by a keyed or unkeyed literal, an assignment, op=,
+	// ++, range, &x.f, or a pointer method on a value field (o.mu.Lock());
+	// a write through o.In.Depth sets In and Depth. encoding/json sets
+	// Report.Items and Item.Weight. What is left is read and never set
+	// by a non-test file: o.m.Inc() does not set m.
+	want = []string{
+		"internal/lib/writes.go:25:2: lib.Outer.m\n\t\tread at internal/lib/writes.go:35",
+		"internal/lib/writes.go:26:2: lib.Outer.Unread\n\t\tread at internal/lib/writes.go:36",
+		"internal/lib/writes.go:27:2: lib.Outer.Tested\n\t\tread at internal/lib/writes.go:36",
+	}
+	if got := reportUnset(c.unset(nil)); !slices.Equal(got, want) {
+		t.Errorf("unset report = %q, want %q", got, want)
+	}
+	hooks := map[string]string{"lib.Outer.Tested": "fixture: set by writes_test.go"}
+	want = []string{"lib.Outer.Unread", "lib.Outer.m"}
+	if got := sortedKeys(c.unset(hooks)); !slices.Equal(got, want) {
+		t.Errorf("with a fixture row: unset = %q, want %q", got, want)
+	}
 }
 
 // censusDecl is one declaration the census tracks: a top-level func,
@@ -143,6 +187,15 @@ type censusDecl struct {
 	member *censusDecl   // the type a method or field belongs to
 	iface  bool          // a method that implements a method of an interface type
 	uses   []*censusDecl // the declarations its syntax resolves to
+	field  bool          // a struct field
+	set    bool          // a non-test file writes the field, or encoding/json fills it
+	reads  []readSite    // each read of the field
+}
+
+// readSite is the file and line of one read of a field.
+type readSite struct {
+	file string
+	line int
 }
 
 // declCensus is a module's declarations and the edges between them.
@@ -151,11 +204,39 @@ type declCensus struct {
 }
 
 // unreached returns the census declarations that no root reaches,
-// keep's rows counting as roots, keyed by censusDecl.key. A use is a
-// resolved identifier, so a name shared by two declarations keeps only
-// the one it denotes. A method whose type is reached is reached too
-// when it implements a method of an interface type.
+// keep's rows counting as roots, keyed by censusDecl.key.
 func (c *declCensus) unreached(keep map[string]string) map[string]*censusDecl {
+	live := c.reach(keep)
+	out := map[string]*censusDecl{}
+	for _, d := range c.decls {
+		if d.census && !live[d] {
+			out[d.key] = d
+		}
+	}
+	return out
+}
+
+// unset returns the census fields that a root reaches, that nothing
+// sets and that have no row in keep, keyed by censusDecl.key. Every read
+// of such a field sees its zero value. A field only kept code reads
+// answers to that code's row.
+func (c *declCensus) unset(keep map[string]string) map[string]*censusDecl {
+	live := c.reach(nil)
+	out := map[string]*censusDecl{}
+	for _, d := range c.decls {
+		if _, ok := keep[d.key]; d.census && d.field && !d.set && live[d] && !ok {
+			out[d.key] = d
+		}
+	}
+	return out
+}
+
+// reach returns the declarations some root reaches, keep's rows
+// counting as roots. A use is a resolved identifier, so a name shared
+// by two declarations keeps only the one it denotes. A method whose
+// type is reached is reached too when it implements a method of an
+// interface type.
+func (c *declCensus) reach(keep map[string]string) map[*censusDecl]bool {
 	live := map[*censusDecl]bool{}
 	var work []*censusDecl
 	mark := func(d *censusDecl) {
@@ -183,13 +264,7 @@ func (c *declCensus) unreached(keep map[string]string) map[string]*censusDecl {
 			}
 		}
 	}
-	out := map[string]*censusDecl{}
-	for _, d := range c.decls {
-		if d.census && !live[d] {
-			out[d.key] = d
-		}
-	}
-	return out
+	return live
 }
 
 // report lists unreached declarations as "pos: key" lines, sorted. The
@@ -200,6 +275,25 @@ func report(dead map[string]*censusDecl) []string {
 		if d.member == nil || dead[d.member.key] != d.member {
 			out = append(out, d.pos+": "+d.key)
 		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// reportUnset lists unset fields as "pos: key" lines, sorted, each
+// followed by the file:line of every read, the branches that never run.
+func reportUnset(unset map[string]*censusDecl) []string {
+	var out []string
+	for _, d := range unset {
+		line := d.pos + ": " + d.key
+		reads := slices.Clone(d.reads)
+		slices.SortFunc(reads, func(a, b readSite) int {
+			return cmp.Or(strings.Compare(a.file, b.file), cmp.Compare(a.line, b.line))
+		})
+		for _, r := range slices.Compact(reads) {
+			line += fmt.Sprintf("\n\t\tread at %s:%d", r.file, r.line)
+		}
+		out = append(out, line)
 	}
 	slices.Sort(out)
 	return out
@@ -304,9 +398,10 @@ func loadDeclCensus(root string) (*declCensus, error) {
 			continue
 		}
 		cp := &checkedPackage{info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
@@ -331,7 +426,7 @@ func loadDeclCensus(root string) (*declCensus, error) {
 	}
 	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 
-	b := &censusBuilder{fset: fset, root: root, byObj: map[types.Object]*censusDecl{}, fields: map[*ast.Field][]*censusDecl{}}
+	b := &censusBuilder{fset: fset, root: root, byObj: map[types.Object]*censusDecl{}, fields: map[*ast.Field][]*censusDecl{}, writes: map[*ast.Ident]bool{}}
 	for _, cp := range pkgs {
 		for _, f := range cp.files {
 			b.declareValues(f, cp.info)
@@ -344,6 +439,16 @@ func loadDeclCensus(root string) (*declCensus, error) {
 	}
 	for _, o := range b.owned {
 		ast.Walk(o.w, o.n)
+	}
+	// encoding/json fills the fields of a struct type with json tags,
+	// and of every struct type it reaches through them.
+	filled := map[*types.Struct]bool{}
+	for _, cp := range pkgs {
+		for _, tv := range cp.info.Types {
+			if st, ok := tv.Type.Underlying().(*types.Struct); ok && hasJSONTag(st) {
+				b.fillJSON(st, filled)
+			}
+		}
 	}
 	keys := map[string]string{}
 	for _, d := range b.c.decls {
@@ -366,6 +471,51 @@ func loadDeclCensus(root string) (*declCensus, error) {
 		}
 	}
 	return &b.c, nil
+}
+
+// hasJSONTag reports whether a field of st has a json tag.
+func hasJSONTag(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// fillJSON marks the fields of st set, and those of every struct type
+// its fields hold, through pointers, slices, arrays and map values.
+func (b *censusBuilder) fillJSON(st *types.Struct, filled map[*types.Struct]bool) {
+	if filled[st] {
+		return
+	}
+	filled[st] = true
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if d := b.decl(f); d != nil {
+			d.set = true
+		}
+		t := f.Type()
+		for {
+			switch u := t.Underlying().(type) {
+			case *types.Pointer:
+				t = u.Elem()
+				continue
+			case *types.Slice:
+				t = u.Elem()
+				continue
+			case *types.Array:
+				t = u.Elem()
+				continue
+			case *types.Map:
+				t = u.Elem()
+				continue
+			case *types.Struct:
+				b.fillJSON(u, filled)
+			}
+			break
+		}
+	}
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -412,6 +562,7 @@ type censusBuilder struct {
 	root   string
 	byObj  map[types.Object]*censusDecl
 	fields map[*ast.Field][]*censusDecl // fields of package-level struct types
+	writes map[*ast.Ident]bool          // field selectors that set the field
 	owned  []ownedSyntax
 }
 
@@ -514,6 +665,7 @@ func (b *censusBuilder) declareFields(st *ast.StructType, prefix string, member 
 	for _, field := range st.Fields.List {
 		for _, id := range field.Names {
 			d := b.add(info.Defs[id], prefix+"."+id.Name, false, member)
+			d.field = true
 			b.fields[field] = append(b.fields[field], d)
 			ast.Inspect(field.Type, func(n ast.Node) bool {
 				if inner, ok := n.(*ast.StructType); ok {
@@ -542,37 +694,112 @@ func (w *censusWalker) Visit(n ast.Node) ast.Visitor {
 		}
 	case *ast.Ident:
 		if obj := w.info.Uses[n]; obj != nil {
-			w.use(obj)
+			if d := w.use(obj); d != nil && d.field && !w.b.writes[n] {
+				pos := w.b.fset.Position(n.Pos())
+				rel, _ := filepath.Rel(w.b.root, pos.Filename)
+				d.reads = append(d.reads, readSite{filepath.ToSlash(rel), pos.Line})
+			}
 		}
 	case *ast.CompositeLit:
-		// An unkeyed struct literal sets every field.
-		if len(n.Elts) > 0 {
-			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
-				if st, ok := w.info.Types[n].Type.Underlying().(*types.Struct); ok {
-					for i := 0; i < st.NumFields(); i++ {
-						w.use(st.Field(i))
-					}
+		// A keyed struct literal sets the fields it names; an unkeyed
+		// one names and sets every field.
+		st, ok := w.info.Types[n].Type.Underlying().(*types.Struct)
+		if !ok || len(n.Elts) == 0 {
+			break
+		}
+		if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+			for i := 0; i < st.NumFields(); i++ {
+				if d := w.use(st.Field(i)); d != nil {
+					d.set = true
 				}
+			}
+		}
+		for _, elt := range n.Elts {
+			if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
+				w.set(kv.Key.(*ast.Ident))
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			w.setChain(lhs)
+		}
+	case *ast.IncDecStmt:
+		w.setChain(n.X)
+	case *ast.RangeStmt:
+		if n.Tok == token.ASSIGN {
+			w.setChain(n.Key)
+			w.setChain(n.Value)
+		}
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			w.setChain(n.X)
+		}
+	case *ast.SelectorExpr:
+		// A pointer-receiver method on a value takes its address:
+		// x.mu.Lock() sets x.mu, but x.m.Inc() on a pointer field
+		// does not set x.m.
+		if sel := w.info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+			_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+			_, ptrX := w.info.Types[n.X].Type.Underlying().(*types.Pointer)
+			if ptrRecv && !ptrX {
+				w.setChain(n.X)
 			}
 		}
 	}
 	return w
 }
 
-// use adds an edge to the declaration obj denotes, through the generic
-// declaration of an instance.
-func (w *censusWalker) use(obj types.Object) {
+// setChain marks every field on the selector chain of the written
+// expression e as set: a.b.c = v sets b and c, and so does a.b[i].c = v.
+func (w *censusWalker) setChain(e ast.Expr) {
+	for e != nil {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			w.set(x.Sel)
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// set marks the field id denotes as set, and id as a write, not a read.
+func (w *censusWalker) set(id *ast.Ident) {
+	if obj := w.info.Uses[id]; obj != nil {
+		if d := w.b.decl(obj); d != nil && d.field {
+			d.set = true
+			w.b.writes[id] = true
+		}
+	}
+}
+
+// use adds an edge to the declaration obj denotes and returns it.
+func (w *censusWalker) use(obj types.Object) *censusDecl {
+	d := w.b.decl(obj)
+	if d != nil {
+		for _, c := range w.cur {
+			c.uses = append(c.uses, d)
+		}
+	}
+	return d
+}
+
+// decl returns the census declaration obj denotes, through the generic
+// declaration of an instance, or nil.
+func (b *censusBuilder) decl(obj types.Object) *censusDecl {
 	switch o := obj.(type) {
 	case *types.Func:
 		obj = o.Origin()
 	case *types.Var:
 		obj = o.Origin()
 	}
-	if d := w.b.byObj[obj]; d != nil {
-		for _, c := range w.cur {
-			c.uses = append(c.uses, d)
-		}
-	}
+	return b.byObj[obj]
 }
 
 func hasKeepClass(reason string) bool {

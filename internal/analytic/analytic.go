@@ -102,11 +102,6 @@ type Options struct {
 	Start *[2]float64
 	// MaxArcs bounds the number of stitched arcs (default 1e6).
 	MaxArcs int
-	// ConvergeTol is the relative convergence tolerance (default 1e-3),
-	// identical to core.SolveOptions.
-	ConvergeTol float64
-	// CycleTol is the relative limit-cycle tolerance (default 1e-6).
-	CycleTol float64
 	// DisableShortCircuit turns off the analytic convergence
 	// short-circuit (contraction ratio < 1 after a buffer-checked round).
 	DisableShortCircuit bool
@@ -235,8 +230,6 @@ func (s *Solver) stitch(p *core.Params, opts *Options, start [2]float64, st core
 	s.track.reset(path, p, opts)
 	v, err := s.stitcher.Stitch(p, core.StitchOptions{
 		MaxArcs:             opts.MaxArcs,
-		ConvergeTol:         opts.ConvergeTol,
-		CycleTol:            opts.CycleTol,
 		DisableShortCircuit: opts.DisableShortCircuit,
 		IgnoreBuffer:        opts.IgnoreBuffer,
 	}, 0, start[0], start[1], st, &s.track)

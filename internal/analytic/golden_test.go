@@ -251,8 +251,6 @@ func analyticOptions(o core.SolveOptions, mode analytic.Mode) analytic.Options {
 		Mode:                mode,
 		Start:               o.Start,
 		MaxArcs:             o.MaxArcs,
-		ConvergeTol:         o.ConvergeTol,
-		CycleTol:            o.CycleTol,
 		DisableShortCircuit: o.DisableShortCircuit,
 		IgnoreBuffer:        o.IgnoreBuffer,
 	}

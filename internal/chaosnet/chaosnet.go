@@ -93,8 +93,6 @@ type Config struct {
 	DripBytes    int
 	DripInterval time.Duration
 
-	// Client performs upstream requests; nil uses a default.
-	Client *http.Client
 	// Log, when non-nil, receives one line per injected fault.
 	Log io.Writer
 }
@@ -178,12 +176,8 @@ func New(cfg Config) (*Proxy, error) {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	p := &Proxy{
-		cfg: cfg, target: target, client: client,
+		cfg: cfg, target: target, client: &http.Client{},
 		stall:    newStream(seed, 1),
 		reset:    newStream(seed, 2),
 		truncate: newStream(seed, 3),

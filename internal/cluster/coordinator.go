@@ -89,8 +89,6 @@ type Config struct {
 	// Seed makes retry jitter deterministic in tests; 0 seeds from the
 	// clock.
 	Seed int64
-	// Now overrides the breaker clock (tests); nil uses time.Now.
-	Now func() time.Time
 	// OnShardDone, when non-nil, observes every completed shard just
 	// after its done marker is durable (instrumentation and chaos-test
 	// seam; called from dispatch goroutines).
@@ -243,7 +241,7 @@ func New(cfg Config) (*Coordinator, error) {
 
 		maxAssignments: max(4*len(cfg.Workers), 8),
 	}
-	c.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now,
+	c.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil,
 		c.m.BreakerTransitions, c.m.BreakerState, cfg.Workers...)
 	started := time.Now() // monotonic reading: the heartbeat epoch
 	for w := range cfg.Workers {

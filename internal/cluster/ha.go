@@ -74,8 +74,6 @@ type HAConfig struct {
 	// Term, LeaseValid, Registry, Client and CompactJournal are
 	// overridden per term.
 	Coordinator Config
-	// SweepTimeout configures the leader's sweep server.
-	SweepTimeout time.Duration
 	// Registry receives cluster_term, cluster_is_leader,
 	// cluster_replication_lag_records and friends; nil creates one.
 	Registry *telemetry.Registry
@@ -373,10 +371,9 @@ func (n *HANode) becomeLeader(term uint64, start time.Time) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	srv, err := NewServer(ServerConfig{
-		Coordinator:  coord,
-		SweepTimeout: n.cfg.SweepTimeout,
-		Log:          n.cfg.Log,
-		BaseContext:  ctx,
+		Coordinator: coord,
+		Log:         n.cfg.Log,
+		BaseContext: ctx,
 		OnSweepAccepted: func(fp string, grid GainGrid) error {
 			return n.recordSweepGrid(fp, grid)
 		},

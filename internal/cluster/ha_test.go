@@ -213,7 +213,6 @@ func TestHAFailoverSoak(t *testing.T) {
 			RenewInterval:    leaseTTL / 3,
 			Journal:          j,
 			Seed:             int64(i + 1),
-			SweepTimeout:     2 * time.Minute,
 			OnShardDone:      onShardDone(i),
 			Coordinator: cluster.Config{
 				ShardSize:         8, // 37 shards for 289 points

@@ -21,9 +21,6 @@ type ServerConfig struct {
 	// MaxSweeps bounds concurrently running sweeps; submissions beyond it
 	// are shed with 429 + Retry-After (default 2).
 	MaxSweeps int
-	// SweepTimeout bounds one sweep end to end (default 0: unbounded,
-	// leases and re-assignment budgets still apply).
-	SweepTimeout time.Duration
 	// Log, when non-nil, receives one line per submission outcome.
 	Log io.Writer
 	// BaseContext, when non-nil, parents every sweep's context. Sweeps
@@ -243,11 +240,6 @@ func (s *Server) begin(fp string, grid GainGrid, tenant string, budget time.Dura
 			base = context.Background()
 		}
 		ctx := qos.WithTenant(base, tenant)
-		if s.cfg.SweepTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.SweepTimeout)
-			defer cancel()
-		}
 		if hasDeadline {
 			var cancel context.CancelFunc
 			ctx, cancel = qos.WithBudget(ctx, qos.Forward(budget))

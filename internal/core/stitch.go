@@ -126,13 +126,20 @@ type Observer interface {
 	StepFailed(t float64, err error) error
 }
 
+// Classification tolerances of a stitched solve, relative to the scale
+// of each quantity.
+const (
+	// convergeTol is the convergence ball: a trajectory has converged
+	// when |x| < convergeTol·q0 and |y| < convergeTol·C.
+	convergeTol = 1e-3
+	// cycleTol declares a limit cycle when |ρ−1| ≤ cycleTol.
+	cycleTol = 1e-6
+)
+
 // StitchOptions are the classification settings of a stitched solve,
-// as documented on SolveOptions. Zero fields take the defaults: MaxArcs
-// 1e6, ConvergeTol 1e-3, CycleTol 1e-6.
+// as documented on SolveOptions. A zero MaxArcs means 1e6.
 type StitchOptions struct {
 	MaxArcs             int
-	ConvergeTol         float64
-	CycleTol            float64
 	DisableShortCircuit bool
 	IgnoreBuffer        bool
 }
@@ -173,16 +180,10 @@ func (z *Stitcher) Stitch(p *Params, o StitchOptions, t, x, y float64, s Stepper
 	if o.MaxArcs <= 0 {
 		o.MaxArcs = 1_000_000
 	}
-	if o.ConvergeTol <= 0 {
-		o.ConvergeTol = 1e-3
-	}
-	if o.CycleTol <= 0 {
-		o.CycleTol = 1e-6
-	}
 	g, st := &z.g, &z.st
 	*g = Regime{
 		K:    p.K(),
-		TolX: o.ConvergeTol * p.Q0, TolY: o.ConvergeTol * p.C,
+		TolX: convergeTol * p.Q0, TolY: convergeTol * p.C,
 		XLo: -p.Q0, XHi: p.B - p.Q0,
 		Buffer: !o.IgnoreBuffer,
 	}
@@ -258,9 +259,9 @@ func (z *Stitcher) Stitch(p *Params, o StitchOptions, t, x, y float64, s Stepper
 			rho := last / prev
 			v.Rho = rho
 			switch {
-			case math.Abs(rho-1) <= o.CycleTol:
+			case math.Abs(rho-1) <= cycleTol:
 				return end(OutcomeLimitCycle)
-			case rho > 1+o.CycleTol:
+			case rho > 1+cycleTol:
 				// Diverging returns: the trajectory will eventually
 				// hit the buffer unless stopped.
 				if o.IgnoreBuffer {

@@ -140,9 +140,6 @@ type SolveOptions struct {
 	MaxArcs int
 	// SamplesPerArc controls polyline resolution (default 64).
 	SamplesPerArc int
-	// ConvergeTol is the relative convergence tolerance: converged when
-	// |x| < tol·q0 and |y| < tol·C (default 1e-3).
-	ConvergeTol float64
 	// ShortCircuit permits declaring convergence analytically once the
 	// per-round contraction ratio is measured < 1 and the first-round
 	// extrema passed the buffer check (default true; set
@@ -151,9 +148,6 @@ type SolveOptions struct {
 	// IgnoreBuffer disables overflow/underflow termination (pure phase
 	// portrait of the unconstrained system).
 	IgnoreBuffer bool
-	// CycleTol is the relative tolerance for declaring a limit cycle
-	// from the contraction ratio (default 1e-6).
-	CycleTol float64
 	// Invariants optionally attaches a runtime invariant checker: every
 	// sampled point is checked for state finiteness, queue and rate
 	// bounds, σ-branch consistency and a monotone sample clock. Under
@@ -237,8 +231,6 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 	var z Stitcher
 	v, err := z.Stitch(&p, StitchOptions{
 		MaxArcs:             opts.MaxArcs,
-		ConvergeTol:         opts.ConvergeTol,
-		CycleTol:            opts.CycleTol,
 		DisableShortCircuit: opts.DisableShortCircuit,
 		IgnoreBuffer:        opts.IgnoreBuffer,
 	}, t, x, y, ArcStepper{}, s)

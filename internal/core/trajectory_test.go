@@ -265,7 +265,6 @@ func TestSolveDisableShortCircuitFullDecay(t *testing.T) {
 	p.B = Theorem1Bound(p) * 1.05
 	tr, err := Solve(p, SolveOptions{
 		DisableShortCircuit: true,
-		ConvergeTol:         0.05,
 		SamplesPerArc:       8,
 	})
 	if err != nil {
@@ -279,7 +278,7 @@ func TestSolveDisableShortCircuitFullDecay(t *testing.T) {
 		t.Errorf("expected many segments for full decay, got %d", len(tr.Segments))
 	}
 	// Final state inside the tolerance box.
-	if math.Abs(tr.EndX) > 0.05*p.Q0*1.01 || math.Abs(tr.EndY) > 0.05*p.C*1.01 {
+	if math.Abs(tr.EndX) > 1e-3*p.Q0*1.01 || math.Abs(tr.EndY) > 1e-3*p.C*1.01 {
 		t.Errorf("end state (%v, %v) outside tolerance", tr.EndX, tr.EndY)
 	}
 }
@@ -290,7 +289,7 @@ func TestSolveDisableShortCircuitFullDecay(t *testing.T) {
 func TestSolveAgreesWithNonlinearODE(t *testing.T) {
 	p := caseParams(Case1)
 	p.B = Theorem1Bound(p) * 2
-	tr, err := Solve(p, SolveOptions{DisableShortCircuit: true, ConvergeTol: 0.02})
+	tr, err := Solve(p, SolveOptions{DisableShortCircuit: true})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -16,10 +16,10 @@
 // from seeded generators derived from Config.Seed and Faults.Seed.
 // A zero seed selects a fixed default seed rather than disabling
 // randomization, so the zero Config still names exactly one reproducible
-// run; set an explicit nonzero seed to get a different draw. Wall-clock
-// and context budgets (Config.MaxWallClock, RunContext cancellation)
-// are the only nondeterministic inputs, and they only decide where a run
-// stops early — never how the simulated system behaves up to that point.
+// run; set an explicit nonzero seed to get a different draw. RunContext
+// cancellation is the only nondeterministic input, and it only decides
+// where a run stops early — never how the simulated system behaves up to
+// that point.
 //
 // # Event core
 //

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"bcnphase/internal/faults"
 )
@@ -185,22 +184,6 @@ func TestEventBudgetAbortsWithPartialResult(t *testing.T) {
 	}
 }
 
-func TestWallClockBudgetAborts(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxWallClock = time.Nanosecond // expires immediately
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := net.Run(10.0)
-	if !errors.Is(err, ErrWallClock) {
-		t.Fatalf("err = %v, want ErrWallClock", err)
-	}
-	if res == nil {
-		t.Fatal("no partial result on wall-clock abort")
-	}
-}
-
 func TestContextCancellationAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -220,24 +203,25 @@ func TestContextCancellationAborts(t *testing.T) {
 	}
 }
 
-func TestMultihopEventBudget(t *testing.T) {
+func TestMultihopContextCancellationAborts(t *testing.T) {
 	cfg := MultihopConfig{
 		HotSources: 4, HotRate: 4e8, VictimRate: 2e8,
 		LineRate: 1e9, LinkEX: 1e9, PortA: 1e9, PortB: 1e9,
 		FrameBits: 12000, BufEdge: 2e6, BufA: 2e6,
 		PropDelay: FromSeconds(1e-6),
-		MaxEvents: 2000,
 	}
 	net, err := NewMultihop(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := net.Run(1.0)
-	if !errors.Is(err, ErrEventBudget) {
-		t.Fatalf("err = %v, want ErrEventBudget", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := net.RunContext(ctx, 1.0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res == nil || res.Events < cfg.MaxEvents {
-		t.Fatalf("partial multihop result missing or undersized: %+v", res)
+	if res == nil || res.QueueA.Len() == 0 {
+		t.Fatalf("partial multihop result missing or empty: %+v", res)
 	}
 }
 
@@ -246,14 +230,10 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		func(c *Config) { c.Capacity = math.Inf(1) },
 		func(c *Config) { c.FrameBits = math.NaN() },
 		func(c *Config) { c.Gi = math.Inf(-1) },
-		func(c *Config) { c.InitialRates = []float64{1e8, math.Inf(1)} },
 		func(c *Config) { c.Faults = &faults.Config{FeedbackLoss: math.NaN()} },
 	}
 	for i, mut := range muts {
 		cfg := testConfig()
-		if i == 3 {
-			cfg.N = 2
-		}
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d: non-finite config accepted", i)

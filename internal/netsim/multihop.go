@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"bcnphase/internal/bcn"
 	"bcnphase/internal/qcn"
@@ -44,8 +43,8 @@ type MultihopConfig struct {
 
 	// BCN enables congestion control of the hot flows from core port A.
 	BCN bool
-	// Scheme selects the control scheme (SchemeBCN default, SchemeQCN
-	// supported; FERA/E2CM advertise rates computed for port A).
+	// Scheme selects the control scheme: SchemeBCN (default) or
+	// SchemeQCN. NewMultihop refuses SchemeFERA and SchemeE2CM.
 	Scheme Scheme
 	// Q0, W, Pm, Ru, Gi, Gd are the BCN knobs (paper notation).
 	Q0, W, Pm, Ru, Gi, Gd float64
@@ -60,15 +59,6 @@ type MultihopConfig struct {
 	QscA, QscEdge float64
 	// PauseDuration is the pause quanta.
 	PauseDuration Nanos
-
-	// SampleEvery sets the recorder period (default duration/1000).
-	SampleEvery Nanos
-
-	// MaxEvents and MaxWallClock bound a run exactly as the dumbbell
-	// Config fields do; zero means unbounded. An exhausted budget aborts
-	// RunContext with a partial MultihopResult.
-	MaxEvents    uint64
-	MaxWallClock time.Duration
 }
 
 // Validate checks the scenario.
@@ -537,9 +527,8 @@ func (n *MultihopNetwork) Run(duration float64) (*MultihopResult, error) {
 	return n.RunContext(context.Background(), duration)
 }
 
-// RunContext is Run with cooperative cancellation and the Config budgets
-// (MaxEvents, MaxWallClock); an aborted run returns the partial result
-// collected so far alongside the cause.
+// RunContext is Run with cooperative cancellation; a cancelled run
+// returns the partial result collected so far alongside ctx.Err().
 func (n *MultihopNetwork) RunContext(ctx context.Context, duration float64) (*MultihopResult, error) {
 	if n.ran {
 		return nil, ErrAlreadyRun
@@ -549,13 +538,7 @@ func (n *MultihopNetwork) RunContext(ctx context.Context, duration float64) (*Mu
 	}
 	n.ran = true
 	until := FromSeconds(duration)
-	sampleEvery := n.cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = until / 1000
-		if sampleEvery <= 0 {
-			sampleEvery = 1
-		}
-	}
+	sampleEvery := recorderPeriod(until)
 	// The hot sources, then the victim (whose index is len(n.hot)).
 	for i := 0; i <= len(n.hot); i++ {
 		if err := n.sim.schedule(0, event{kind: evSend, arg: int32(i)}); err != nil {
@@ -573,7 +556,7 @@ func (n *MultihopNetwork) RunContext(ctx context.Context, duration float64) (*Mu
 	}
 	rec()
 
-	check, every := budgetCheck(ctx, n.sim, n.cfg.MaxEvents, n.cfg.MaxWallClock)
+	check, every := budgetCheck(ctx, n.sim, 0)
 	runErr := n.sim.RunChecked(until, every, check)
 
 	qa, err := stats.NewSeries(n.recT, n.recQA)

@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
-	"time"
 
 	"bcnphase/internal/bcn"
 	"bcnphase/internal/faults"
@@ -109,7 +108,7 @@ type Config struct {
 	// degenerates to the PAUSE-only (or uncontrolled) baseline.
 	BCN bool
 	// Scheme selects the congestion-control scheme when BCN is true:
-	// SchemeBCN (default) or SchemeQCN.
+	// SchemeBCN (default), SchemeQCN, SchemeFERA or SchemeE2CM.
 	Scheme Scheme
 	// Q0, Qsc, W, Pm configure the congestion point (paper notation).
 	Q0, Qsc, W, Pm float64
@@ -122,30 +121,22 @@ type Config struct {
 
 	// Pause enables 802.3x PAUSE flow control with XOFF/XON
 	// watermarks: XOFF (pause) is asserted when the queue exceeds Qsc
-	// and XON (resume) is sent when it drains below PauseLowBits.
+	// and XON (resume) is sent when it drains below 0.8·Qsc.
 	Pause bool
 	// PauseDuration is the pause quanta: a paused source resumes on its
 	// own after this long even if no XON arrives (as 802.3x quanta
 	// expire). XOFF is refreshed while the queue stays above Qsc.
 	PauseDuration Nanos
-	// PauseLowBits is the XON watermark (default 0.8·Qsc).
-	PauseLowBits float64
 
 	// StartTimes optionally staggers source start instants; when set it
 	// must have length N. Sources with no entry (nil slice) start at 0.
 	StartTimes []Nanos
-	// InitialRates optionally overrides InitialRate per source; when
-	// set it must have length N.
-	InitialRates []float64
 
 	// Trace, when non-nil, receives one line per simulator event
 	// (send/arrive/depart/drop/msg/pause) in an ns-2-like compact
 	// format, for debugging and external analysis.
 	Trace io.Writer
 
-	// SampleEvery sets the recorder period (default: 1000 samples over
-	// the run, set by Run).
-	SampleEvery Nanos
 	// Seed seeds the start-offset desynchronization: each source's first
 	// send is shifted by a uniform draw within one frame time (capped at
 	// 1 s) to break phase lock. Zero selects a fixed default seed rather
@@ -163,10 +154,6 @@ type Config struct {
 	// process; 0 means unbounded. An exhausted budget aborts the run
 	// with ErrEventBudget and a partial Result.
 	MaxEvents uint64
-	// MaxWallClock bounds the real time one run may take; 0 means
-	// unbounded. An elapsed budget aborts the run with ErrWallClock and
-	// a partial Result.
-	MaxWallClock time.Duration
 	// PreAssociate tags every source with the congestion point from
 	// t = 0 so positive feedback flows immediately (the fluid model's
 	// continuous-feedback assumption); without it sources only begin
@@ -195,7 +182,7 @@ type Config struct {
 func (c Config) Validate() error {
 	if !finiteAll(c.Capacity, c.LineRate, c.FrameBits, c.BufferBits,
 		c.InitialRate, c.Q0, c.Qsc, c.W, c.Pm, c.Ru, c.Gi, c.Gd,
-		c.MinRate, c.PauseLowBits) {
+		c.MinRate) {
 		return fmt.Errorf("netsim: non-finite scenario parameter")
 	}
 	switch {
@@ -238,14 +225,6 @@ func (c Config) Validate() error {
 	}
 	if c.StartTimes != nil && len(c.StartTimes) != c.N {
 		return fmt.Errorf("netsim: StartTimes has %d entries, want N=%d", len(c.StartTimes), c.N)
-	}
-	if c.InitialRates != nil && len(c.InitialRates) != c.N {
-		return fmt.Errorf("netsim: InitialRates has %d entries, want N=%d", len(c.InitialRates), c.N)
-	}
-	for i, r := range c.InitialRates {
-		if !(r > 0) || math.IsInf(r, 0) {
-			return fmt.Errorf("netsim: InitialRates[%d]=%v must be positive and finite", i, r)
-		}
 	}
 	for i, st := range c.StartTimes {
 		if st < 0 {
@@ -450,9 +429,6 @@ func New(cfg Config) (*Network, error) {
 			mac: bcn.MAC{0x02, 0, 0, 0, byte(i >> 8), byte(i)},
 		}
 		rate := cfg.InitialRate
-		if cfg.InitialRates != nil {
-			rate = cfg.InitialRates[i]
-		}
 		switch {
 		case cfg.BCN && cfg.Scheme == SchemeQCN:
 			rp, err := qcn.NewRateRegulator(
@@ -653,14 +629,9 @@ func jainIndex(x []float64) float64 {
 	return sum * sum / (float64(len(x)) * sumSq)
 }
 
-// Budget errors returned (wrapped) by RunContext alongside a partial
-// Result.
-var (
-	// ErrEventBudget signals that Config.MaxEvents was exhausted.
-	ErrEventBudget = errors.New("netsim: event budget exceeded")
-	// ErrWallClock signals that Config.MaxWallClock elapsed.
-	ErrWallClock = errors.New("netsim: wall-clock budget exceeded")
-)
+// ErrEventBudget signals that Config.MaxEvents was exhausted; RunContext
+// returns it (wrapped) alongside a partial Result.
+var ErrEventBudget = errors.New("netsim: event budget exceeded")
 
 // ErrAlreadyRun is returned by Run and RunContext on a Network or
 // MultihopNetwork that has already been run: a network's clock, queues
@@ -673,24 +644,26 @@ var ErrAlreadyRun = errors.New("netsim: network already run")
 // special synchronized mode.
 const defaultSeed int64 = 0x62636e73 // "bcns"
 
+// recorderPeriod is the recorder's sample period for a run to until:
+// 1000 samples over the run, at least 1 ns apart.
+func recorderPeriod(until Nanos) Nanos {
+	return max(until/1000, 1)
+}
+
 // budgetCheckEvery is how many events pass between budget checks; small
-// enough to abort promptly, large enough to keep time.Now off the hot
+// enough to abort promptly, large enough to keep the check off the hot
 // path.
 const budgetCheckEvery uint64 = 1024
 
 // budgetCheck builds the RunChecked hook enforcing context cancellation
-// and the event / wall-clock budgets; it returns (nil, 0) when nothing
-// is bounded so the engine skips checking entirely.
-func budgetCheck(ctx context.Context, sim *Sim, maxEvents uint64, maxWall time.Duration) (func() error, uint64) {
+// and the event budget (0 means unbounded); it returns (nil, 0) when
+// nothing is bounded so the engine skips checking entirely.
+func budgetCheck(ctx context.Context, sim *Sim, maxEvents uint64) (func() error, uint64) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ctx.Done() == nil && maxEvents == 0 && maxWall <= 0 {
+	if ctx.Done() == nil && maxEvents == 0 {
 		return nil, 0
-	}
-	var deadline time.Time
-	if maxWall > 0 {
-		deadline = time.Now().Add(maxWall)
 	}
 	return func() error {
 		if err := ctx.Err(); err != nil {
@@ -698,9 +671,6 @@ func budgetCheck(ctx context.Context, sim *Sim, maxEvents uint64, maxWall time.D
 		}
 		if maxEvents > 0 && sim.Processed() >= maxEvents {
 			return fmt.Errorf("%w: %d events", ErrEventBudget, sim.Processed())
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return fmt.Errorf("%w after %v", ErrWallClock, maxWall)
 		}
 		return nil
 	}, budgetCheckEvery
@@ -714,10 +684,10 @@ func (n *Network) Run(duration float64) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the run aborts when
-// ctx is cancelled or a Config budget (MaxEvents, MaxWallClock) is
-// exceeded. An aborted run returns the partial Result collected so far
-// alongside the cause (ctx.Err(), ErrEventBudget or ErrWallClock) —
-// callers that can use a truncated trajectory get one instead of a hang.
+// ctx is cancelled or Config.MaxEvents is exhausted. An aborted run
+// returns the partial Result collected so far alongside the cause
+// (ctx.Err() or ErrEventBudget) — callers that can use a truncated
+// trajectory get one instead of a hang.
 func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, error) {
 	if n.ran {
 		return nil, ErrAlreadyRun
@@ -727,13 +697,7 @@ func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, er
 	}
 	n.ran = true
 	until := FromSeconds(duration)
-	sampleEvery := n.cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = until / 1000
-		if sampleEvery <= 0 {
-			sampleEvery = 1
-		}
-	}
+	sampleEvery := recorderPeriod(until)
 
 	seed := n.cfg.Seed
 	if seed == 0 {
@@ -795,7 +759,7 @@ func (n *Network) RunContext(ctx context.Context, duration float64) (*Result, er
 			return nil
 		}
 	}
-	check, every := budgetCheck(ctx, n.sim, n.cfg.MaxEvents, n.cfg.MaxWallClock)
+	check, every := budgetCheck(ctx, n.sim, n.cfg.MaxEvents)
 	runErr := n.sim.RunChecked(until, every, check)
 
 	qs, err := stats.NewSeries(n.recT, n.recQ)
@@ -1044,12 +1008,8 @@ func (n *Network) receiveBCN(slot int32) {
 	}
 }
 
-func (n *Network) pauseLow() float64 {
-	if n.cfg.PauseLowBits > 0 {
-		return n.cfg.PauseLowBits
-	}
-	return 0.8 * n.cfg.Qsc
-}
+// pauseLow is the XON watermark.
+func (n *Network) pauseLow() float64 { return 0.8 * n.cfg.Qsc }
 
 // assertPause raises the XOFF state and starts the refresh loop: the
 // switch re-sends XOFF every half quanta while the queue stays above the

@@ -12,15 +12,9 @@ type Options struct {
 	// tolerances (per component, combined as atol + rtol*|y|).
 	AbsTol float64
 	RelTol float64
-	// InitialStep is the first trial step. If zero, it is estimated from
-	// the derivative magnitude at t0.
-	InitialStep float64
 	// MaxStep caps the step size. Zero means no cap beyond the interval
 	// length.
 	MaxStep float64
-	// MinStep floors the step size. Zero means the floor is derived from
-	// float64 resolution at the current time.
-	MinStep float64
 	// MaxSteps bounds the number of accepted+rejected steps. Zero means
 	// 10 million.
 	MaxSteps int
@@ -31,24 +25,14 @@ type Options struct {
 	// When false only the initial and final states (plus event points)
 	// are kept.
 	Dense bool
-	// StepMonitor, when non-nil, is invoked after every accepted step
-	// (and at a terminal event point) with the new time and state. The
-	// state slice is reused between calls and must not be retained. A
-	// non-nil return aborts the integration and is returned verbatim;
-	// runtime invariant guards hook in here.
-	StepMonitor func(t float64, y []float64) error
-	// Metrics, when non-nil, counts accepted/rejected steps and RHS
-	// evaluations for the adaptive drivers. Nil costs one comparison
-	// per step.
-	Metrics *Metrics
 }
 
 // Validate rejects unusable option values with a descriptive error. Zero
 // values are legal everywhere (they mean "use the default"); what is
 // rejected is anything the adaptive driver would otherwise silently
-// misbehave on: NaN or negative tolerances, a non-finite or negative
-// initial step, NaN/negative step caps, a MinStep exceeding MaxStep, and
-// a negative step budget.
+// misbehave on: NaN or negative tolerances, a non-finite or negative step
+// cap,
+// and a negative step budget.
 func (o Options) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrOptions, fmt.Sprintf(format, args...))
@@ -59,17 +43,8 @@ func (o Options) Validate() error {
 	if o.RelTol < 0 || math.IsNaN(o.RelTol) || math.IsInf(o.RelTol, 0) {
 		return fail("RelTol=%v must be a finite non-negative number", o.RelTol)
 	}
-	if o.InitialStep < 0 || math.IsNaN(o.InitialStep) || math.IsInf(o.InitialStep, 0) {
-		return fail("InitialStep=%v must be finite and non-negative", o.InitialStep)
-	}
 	if o.MaxStep < 0 || math.IsNaN(o.MaxStep) || math.IsInf(o.MaxStep, 0) {
 		return fail("MaxStep=%v must be finite and non-negative", o.MaxStep)
-	}
-	if o.MinStep < 0 || math.IsNaN(o.MinStep) || math.IsInf(o.MinStep, 0) {
-		return fail("MinStep=%v must be finite and non-negative", o.MinStep)
-	}
-	if o.MinStep > 0 && o.MaxStep > 0 && o.MinStep > o.MaxStep {
-		return fail("MinStep=%v exceeds MaxStep=%v", o.MinStep, o.MaxStep)
 	}
 	if o.MaxSteps < 0 {
 		return fail("MaxSteps=%d must be non-negative", o.MaxSteps)
@@ -117,9 +92,6 @@ func integrate(tb Tableau, f Func, t0 float64, y0 []float64, t1 float64, opts Op
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	if opts.Metrics != nil {
-		f = opts.Metrics.instrument(f)
-	}
 	n := len(y0)
 	order := float64(tb.Order)
 
@@ -140,10 +112,7 @@ func integrate(tb Tableau, f Func, t0 float64, y0 []float64, t1 float64, opts Op
 		return sol, fmt.Errorf("%w: derivative at t0", ErrNotFinite)
 	}
 
-	h := opts.InitialStep
-	if h <= 0 {
-		h = initialStep(f, t0, y, k[0], t1, opts, order)
-	}
+	h := initialStep(f, t0, y, k[0], t1, opts, order)
 	maxStep := opts.MaxStep
 	if maxStep <= 0 {
 		maxStep = t1 - t0
@@ -166,10 +135,7 @@ func integrate(tb Tableau, f Func, t0 float64, y0 []float64, t1 float64, opts Op
 		if t+h > t1 {
 			h = t1 - t
 		}
-		minStep := opts.MinStep
-		if minStep <= 0 {
-			minStep = 16 * math.Max(math.Nextafter(math.Abs(t), math.Inf(1))-math.Abs(t), 1e-300)
-		}
+		minStep := 16 * math.Max(math.Nextafter(math.Abs(t), math.Inf(1))-math.Abs(t), 1e-300)
 		if h < minStep {
 			return sol, fmt.Errorf("%w: h=%v at t=%v", ErrStepUnderflow, h, t)
 		}
@@ -215,20 +181,12 @@ func integrate(tb Tableau, f Func, t0 float64, y0 []float64, t1 float64, opts Op
 
 		if norm <= 1 {
 			// Accept.
-			if opts.Metrics != nil {
-				opts.Metrics.Steps.Inc()
-			}
 			tNew := t + h
 			hit, stop := ev.check(f, t, y, tNew, yHigh)
 			if hit != nil {
 				sol.Events = append(sol.Events, *hit)
 				if stop {
 					sol.append(hit.T, hit.Y)
-					if opts.StepMonitor != nil {
-						if err := opts.StepMonitor(hit.T, hit.Y); err != nil {
-							return sol, err
-						}
-					}
 					return sol, nil
 				}
 			}
@@ -236,11 +194,6 @@ func integrate(tb Tableau, f Func, t0 float64, y0 []float64, t1 float64, opts Op
 			copy(y, yHigh)
 			if opts.Dense || t >= t1 {
 				sol.append(t, y)
-			}
-			if opts.StepMonitor != nil {
-				if err := opts.StepMonitor(t, y); err != nil {
-					return sol, err
-				}
 			}
 			if tb.FSAL {
 				copy(k[0], k[tb.Stages-1])
@@ -256,9 +209,6 @@ func integrate(tb Tableau, f Func, t0 float64, y0 []float64, t1 float64, opts Op
 			prevErr = norm
 		} else {
 			// Reject: shrink.
-			if opts.Metrics != nil {
-				opts.Metrics.Rejected.Inc()
-			}
 			h *= math.Max(0.1, 0.9*math.Pow(norm, -1/order))
 		}
 	}

@@ -20,14 +20,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"nan abstol", Options{AbsTol: math.NaN()}, false, "AbsTol"},
 		{"inf reltol", Options{RelTol: math.Inf(1)}, false, "RelTol"},
 		{"negative reltol", Options{RelTol: -0.5}, false, "RelTol"},
-		{"nan initial step", Options{InitialStep: math.NaN()}, false, "InitialStep"},
-		{"negative initial step", Options{InitialStep: -1}, false, "InitialStep"},
-		{"inf initial step", Options{InitialStep: math.Inf(1)}, false, "InitialStep"},
 		{"nan maxstep", Options{MaxStep: math.NaN()}, false, "MaxStep"},
-		{"negative minstep", Options{MinStep: -1e-12}, false, "MinStep"},
-		{"min above max", Options{MinStep: 1, MaxStep: 0.5}, false, "exceeds MaxStep"},
-		{"min below max", Options{MinStep: 1e-9, MaxStep: 0.5}, true, ""},
-		{"min without max", Options{MinStep: 2}, true, ""},
 		{"negative maxsteps", Options{MaxSteps: -1}, false, "MaxSteps"},
 	}
 	for _, c := range cases {
@@ -52,85 +45,8 @@ func TestDormandPrinceRejectsInvalidOptions(t *testing.T) {
 	if !errors.Is(err, ErrOptions) {
 		t.Fatalf("want ErrOptions, got %v", err)
 	}
-	_, err = DormandPrince(f, 0, []float64{1}, 1, Options{MinStep: 2, MaxStep: 1})
+	_, err = DormandPrince(f, 0, []float64{1}, 1, Options{MaxSteps: -1})
 	if !errors.Is(err, ErrOptions) {
 		t.Fatalf("want ErrOptions, got %v", err)
-	}
-}
-
-func TestStepMonitorObservesEveryAcceptedStep(t *testing.T) {
-	f := func(_ float64, y, dydt []float64) { dydt[0] = -y[0] }
-	var times []float64
-	opts := DefaultOptions()
-	opts.StepMonitor = func(tm float64, y []float64) error {
-		if len(y) != 1 {
-			t.Fatalf("monitor saw %d-dim state", len(y))
-		}
-		times = append(times, tm)
-		return nil
-	}
-	sol, err := DormandPrince(f, 0, []float64{1}, 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dense output records t0 plus every accepted step; the monitor sees
-	// every accepted step (no t0).
-	if len(times) != len(sol.T)-1 {
-		t.Fatalf("monitor saw %d steps, mesh has %d", len(times), len(sol.T)-1)
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
-			t.Fatalf("monitor times not increasing: %v", times)
-		}
-	}
-	if times[len(times)-1] != 1 {
-		t.Fatalf("last monitored time %v != 1", times[len(times)-1])
-	}
-}
-
-func TestStepMonitorAbortsIntegration(t *testing.T) {
-	f := func(_ float64, y, dydt []float64) { dydt[0] = 1 }
-	sentinel := errors.New("guard tripped")
-	opts := DefaultOptions()
-	opts.StepMonitor = func(tm float64, y []float64) error {
-		if y[0] > 0.5 {
-			return sentinel
-		}
-		return nil
-	}
-	sol, err := DormandPrince(f, 0, []float64{0}, 1, opts)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("want sentinel error, got %v", err)
-	}
-	if sol == nil || len(sol.T) == 0 {
-		t.Fatal("partial solution not returned on abort")
-	}
-	if last := sol.Y[len(sol.Y)-1][0]; last >= 1 {
-		t.Fatalf("integration ran to completion despite abort (y=%v)", last)
-	}
-}
-
-func TestStepMonitorSeesTerminalEventPoint(t *testing.T) {
-	f := func(_ float64, y, dydt []float64) { dydt[0] = 1 }
-	var last float64
-	opts := DefaultOptions()
-	opts.Events = []Event{{
-		G:        func(_ float64, y []float64) float64 { return y[0] - 0.25 },
-		Terminal: true,
-		Name:     "quarter",
-	}}
-	opts.StepMonitor = func(tm float64, y []float64) error {
-		last = tm
-		return nil
-	}
-	sol, err := DormandPrince(f, 0, []float64{0}, 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sol.Events) != 1 {
-		t.Fatalf("events = %+v", sol.Events)
-	}
-	if math.Abs(last-sol.Events[0].T) > 1e-12 {
-		t.Fatalf("monitor last time %v != event time %v", last, sol.Events[0].T)
 	}
 }

@@ -34,11 +34,6 @@ type ReturnMap struct {
 	Project func(x, y float64) float64
 	// Horizon bounds the flight time of one return (required).
 	Horizon float64
-	// ODE overrides integrator tolerances (zero = defaults).
-	ODE ode.Options
-	// Metrics optionally counts return-map evaluations and flight
-	// times. Nil is inert.
-	Metrics *Metrics
 }
 
 // validate checks required fields.
@@ -71,10 +66,7 @@ func (m *ReturnMap) Map(s float64) (snext, period float64, err error) {
 	rhs := func(_ float64, y, dydt []float64) {
 		dydt[0], dydt[1] = m.Field(y[0], y[1])
 	}
-	o := m.ODE
-	if o.AbsTol == 0 && o.RelTol == 0 {
-		o = ode.DefaultOptions()
-	}
+	o := ode.DefaultOptions()
 	o.Dense = false
 	o.Events = []ode.Event{{
 		Name:      "return",
@@ -97,16 +89,9 @@ func (m *ReturnMap) Map(s float64) (snext, period float64, err error) {
 		return 0, 0, fmt.Errorf("return map: %w", err)
 	}
 	if len(sol.Events) == 0 {
-		if m.Metrics != nil {
-			m.Metrics.NoReturns.Inc()
-		}
 		return 0, 0, ErrNoReturn
 	}
 	hit := sol.Events[len(sol.Events)-1]
-	if m.Metrics != nil {
-		m.Metrics.Returns.Inc()
-		m.Metrics.FlightTime.Observe(hit.T)
-	}
 	return m.Project(hit.Y[0], hit.Y[1]), hit.T, nil
 }
 

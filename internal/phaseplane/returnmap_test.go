@@ -90,15 +90,3 @@ func TestReturnMapSpiralStillWorks(t *testing.T) {
 		t.Errorf("period %v, want %v", period, want)
 	}
 }
-
-// TestReturnMapRejectsInvalidODEOptions threads the new ode.Options
-// validation through the map: poisoned tolerances must surface as a
-// descriptive error, not integrate silently.
-func TestReturnMapRejectsInvalidODEOptions(t *testing.T) {
-	m := sectionY0(1, 4, 20)
-	m.ODE.AbsTol = math.NaN()
-	m.ODE.RelTol = 1e-9
-	if _, _, err := m.Map(1); err == nil {
-		t.Error("NaN AbsTol accepted")
-	}
-}

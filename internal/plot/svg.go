@@ -75,8 +75,6 @@ type Chart struct {
 	// XLog and YLog render the axis on a log10 scale; non-positive
 	// samples on a log axis are skipped.
 	XLog, YLog bool
-	// Legend toggles the legend box (default on when >1 named series).
-	HideLegend bool
 }
 
 // NewChart creates an empty chart with auto-scaled axes.
@@ -347,27 +345,21 @@ func (c *Chart) Render(w io.Writer) error {
 		}
 	}
 
-	// Legend.
-	if !c.HideLegend {
-		var named []int
-		for i, s := range c.series {
-			if s.Name != "" {
-				named = append(named, i)
-			}
+	// Legend: one row per named series.
+	lx, ly := mLeft+12, mTop+10
+	row := 0
+	for i, s := range c.series {
+		if s.Name == "" {
+			continue
 		}
-		if len(named) > 0 {
-			lx, ly := mLeft+12, mTop+10
-			for row, i := range named {
-				s := c.series[i]
-				col := s.Color
-				if col == "" {
-					col = defaultColors[i%len(defaultColors)]
-				}
-				y := ly + row*16
-				fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="2"/>`+"\n", lx, y, lx+20, y, col)
-				fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="11">%s</text>`+"\n", lx+26, y+4, esc(s.Name))
-			}
+		col := s.Color
+		if col == "" {
+			col = defaultColors[i%len(defaultColors)]
 		}
+		y := ly + row*16
+		row++
+		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="2"/>`+"\n", lx, y, lx+20, y, col)
+		fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="11">%s</text>`+"\n", lx+26, y+4, esc(s.Name))
 	}
 
 	b.WriteString("</svg>\n")

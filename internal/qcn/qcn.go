@@ -49,10 +49,6 @@ type CPConfig struct {
 	W float64
 	// Pm is the frame sampling probability (deterministic 1-in-1/Pm).
 	Pm float64
-	// FbScale converts the raw feedback (bits) to quantization units;
-	// zero defaults to Qeq·(1+2W)/FbMax so the strongest feedback at
-	// q = 2·Qeq saturates.
-	FbScale float64
 }
 
 // Validate checks the configuration.
@@ -68,9 +64,6 @@ func (c CPConfig) Validate() error {
 	}
 	if !(c.Pm > 0) || c.Pm > 1 {
 		return fmt.Errorf("qcn: Pm=%v must be in (0, 1]", c.Pm)
-	}
-	if c.FbScale < 0 {
-		return fmt.Errorf("qcn: FbScale=%v must be non-negative", c.FbScale)
 	}
 	return nil
 }
@@ -98,10 +91,9 @@ func NewCongestionPoint(cfg CPConfig) (*CongestionPoint, error) {
 	if interval < 1 {
 		interval = 1
 	}
-	scale := cfg.FbScale
-	if scale == 0 {
-		scale = cfg.Qeq * (1 + 2*cfg.W) / FbMax
-	}
+	// The quantization scale converts raw feedback (bits) to units so
+	// that the strongest feedback, at q = 2·Qeq, saturates.
+	scale := cfg.Qeq * (1 + 2*cfg.W) / FbMax
 	return &CongestionPoint{cfg: cfg, interval: interval, scale: scale}, nil
 }
 

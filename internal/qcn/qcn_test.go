@@ -26,7 +26,6 @@ func TestCPConfigValidate(t *testing.T) {
 		func(c *CPConfig) { c.W = -1 },
 		func(c *CPConfig) { c.Pm = 0 },
 		func(c *CPConfig) { c.Pm = 1.5 },
-		func(c *CPConfig) { c.FbScale = -1 },
 	}
 	for i, mut := range muts {
 		c := good

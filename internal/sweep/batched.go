@@ -17,7 +17,7 @@ type BatchFunc[P, R any] func(ctx context.Context, points []P, out []R) error
 // RunBatched evaluates points through fn in contiguous spans of at most
 // batchSize, with the sweep engine's full supervision applied per span: bounded
 // workers, panic recovery, per-span deadline (Options.PointTimeout
-// bounds one whole span here) and retries. Results come back in input
+// bounds one whole span here). Results come back in input
 // order, one per point; a failed span marks every point it covers with
 // the span's error.
 //
@@ -71,7 +71,7 @@ func RunBatched[P, R any](ctx context.Context, points []P, batchSize int, fn Bat
 			results[j] = r
 		}
 		if opts.Metrics != nil {
-			opts.Metrics.observeSpan(s.hi-s.lo, sr.Attempts, sr.Err != nil,
+			opts.Metrics.observeSpan(s.hi-s.lo, sr.Err != nil,
 				time.Duration(wallNanos[s.idx].Load()))
 		}
 	}

@@ -8,7 +8,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -29,21 +28,14 @@ type Options struct {
 	// its late result is discarded) so one stuck point cannot hang the
 	// sweep.
 	PointTimeout time.Duration
-	// Retries re-evaluates a failed point up to this many extra times.
-	// Panics and parent-context cancellation are never retried — a panic
-	// is deterministic and a cancelled sweep is over.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt
-	// (default 10ms when Retries > 0).
-	Backoff time.Duration
 	// ContinueOnError keeps evaluating the remaining points after a
 	// failure instead of cancelling them; failed points carry their
 	// error in Result.Err. RunBatched still returns the first error so
 	// callers can tell a degraded sweep from a clean one.
 	ContinueOnError bool
-	// Metrics optionally records point throughput, retries, failures,
-	// and (for a journaled runner) replays and journal latency. Nil costs
-	// one comparison per point.
+	// Metrics optionally records point throughput, failures, and (for
+	// a journaled runner) replays and journal latency. Nil costs one
+	// comparison per point.
 	Metrics *Metrics
 }
 
@@ -52,9 +44,8 @@ type Result[P, R any] struct {
 	Point P
 	Value R
 	Err   error
-	// Attempts counts evaluations of this point (≥ 1, > 1 after
-	// retries); 0 marks a point never evaluated (sweep cancelled first,
-	// or replayed from a journal).
+	// Attempts is 1 for an evaluated point; 0 marks a point never
+	// evaluated (sweep cancelled first, or replayed from a journal).
 	Attempts int
 	// Cached marks a point replayed from a journal instead of being
 	// evaluated; cluster.GainGrid.RunJournaled, the one journaled
@@ -79,10 +70,10 @@ func (e *PanicError) Error() string {
 
 // run is the engine under RunBatched: it evaluates fn on every point
 // with at most opts.Workers goroutines, returning results in input
-// order. Evaluations are panic-recovered (PanicError), deadline-bounded
-// (Options.PointTimeout) and retried (Options.Retries), so a single bad
-// point cannot crash or hang the sweep. By default the first error
-// cancels the context handed to the remaining evaluations; with
+// order. Evaluations are panic-recovered (PanicError) and
+// deadline-bounded (Options.PointTimeout), so a single bad point cannot
+// crash or hang the sweep. By default the first error cancels the
+// context handed to the remaining evaluations; with
 // Options.ContinueOnError every point is still evaluated and failures
 // stay local to their Result. Every point produces a Result (possibly
 // with Err set, including ctx.Err for cancelled ones), and run itself
@@ -104,7 +95,6 @@ func run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 		return results, nil
 	}
 
-	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -135,8 +125,9 @@ func run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 					results[i] = Result[P, R]{Point: p, Err: err}
 					continue
 				}
-				results[i] = evalPoint(ctx, parent, p, fn, opts)
-				if results[i].Err != nil {
+				v, err := evalOnce(ctx, p, fn, opts.PointTimeout)
+				results[i] = Result[P, R]{Point: p, Value: v, Err: err, Attempts: 1}
+				if err != nil {
 					setErr(results[i].Err)
 				}
 			}
@@ -148,42 +139,6 @@ func run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 	close(idx)
 	wg.Wait()
 	return results, firstErr
-}
-
-// evalPoint evaluates one point with the retry-and-backoff policy.
-// parent is the sweep's original context: retries are suppressed once it
-// is cancelled even though the per-sweep ctx may have been cancelled by a
-// sibling failure already recorded.
-func evalPoint[P, R any](ctx, parent context.Context, p P, fn Func[P, R], opts Options) Result[P, R] {
-	res := Result[P, R]{Point: p}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for {
-		res.Attempts++
-		res.Value, res.Err = evalOnce(ctx, p, fn, opts.PointTimeout)
-		if res.Err == nil || res.Attempts > opts.Retries || !retryable(res.Err, parent) {
-			return res
-		}
-		select {
-		case <-time.After(backoff):
-			backoff *= 2
-		case <-ctx.Done():
-			return res
-		}
-	}
-}
-
-// retryable reports whether a failure is worth re-evaluating: recovered
-// panics are deterministic and a cancelled sweep is over, so neither
-// retries.
-func retryable(err error, parent context.Context) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	return parent.Err() == nil
 }
 
 // evalOnce runs fn once with panic recovery and the optional hard
